@@ -2,9 +2,10 @@
 """Derive the exact optimum of the 11-cluster eil51 instance and persist it.
 
 Clusters data/eil51.tsp with the default center-based procedure (11 sets),
-runs the exact solver over all 10! cluster orders, and writes the certified
-optimum to data/derived/11eil51_optimum.json. The acceptance suite checks
-the heuristics against this fixture.
+runs the exact solver (the subset DP over clusters, whose tie rule fixes
+which optimal tour is written), and writes the certified optimum to
+data/derived/11eil51_optimum.json. The acceptance suite checks the
+heuristics against this fixture.
 """
 
 import json

@@ -37,10 +37,10 @@ from .construct import (
     validate_tour,
 )
 from .exact import (
-    DEFAULT_SEQUENCE_CAP,
-    NoFiniteTourError,
-    SequenceCapExceeded,
+    DEFAULT_CELL_CAP,
+    CellCapExceeded,
     best_tour_for_sequence,
+    dp_cell_count,
     exact_solve,
 )
 from .instance import (

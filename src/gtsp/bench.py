@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .aco import AcoParams, run
 from .construct import nn_reference_cost
-from .exact import DEFAULT_SEQUENCE_CAP, SequenceCapExceeded, exact_solve
+from .exact import DEFAULT_CELL_CAP, CellCapExceeded, exact_solve
 from .instance import (
     GtspInstance,
     cluster_instance,
@@ -48,7 +48,7 @@ class ExperimentConfig:
     beta: float = 5.0
     rho: float = 0.5
     q0: float = 0.5
-    sequence_cap: int = DEFAULT_SEQUENCE_CAP
+    cell_cap: int = DEFAULT_CELL_CAP
     output: str | None = None
 
     def __post_init__(self) -> None:
@@ -189,21 +189,30 @@ def load_instance_file(
 
 
 def sidecar_optimum(path: str | Path) -> int | None:
-    """Known optimum from `<instance-file>.opt`, if present."""
+    """Known optimum from `<instance-file>.opt`, if present.
+
+    Raises ValueError when the file does not start with an integer.
+    """
     opt_path = Path(str(path) + ".opt")
     if not opt_path.exists():
         return None
-    return int(opt_path.read_text().split()[0])
+    tokens = opt_path.read_text().split()
+    if not tokens:
+        raise ValueError(f"{opt_path.name} is empty")
+    try:
+        return int(tokens[0])
+    except ValueError:
+        raise ValueError(f"{opt_path.name}: {tokens[0]!r} is not an integer optimum") from None
 
 
-def _resolve_instance(spec) -> tuple[GtspInstance, int | None]:
+def _resolve_instance(spec) -> GtspInstance:
     if isinstance(spec, str):
-        return load_instance_file(spec), sidecar_optimum(spec)
+        return load_instance_file(spec)
     if isinstance(spec, dict):
         _, inst = generate_instance(
             nodes=int(spec["nodes"]), clusters=int(spec["clusters"]), seed=int(spec.get("seed", 0))
         )
-        return inst, None
+        return inst
     raise ValueError(f"instance spec must be a path or a generator dict, got {spec!r}")
 
 
@@ -212,15 +221,23 @@ def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
 
     Deterministic algorithms run once; the colonies run `repetitions` times
     with consecutive seeds. Unreadable instances are reported on `log` and
-    skipped; an exact-solver refusal leaves a dash in that cell.
+    skipped; an unreadable optimum sidecar is reported on `log` and the row
+    kept without an optimum; an exact-solver refusal leaves a dash in that
+    cell.
     """
     reports: list[RunReport] = []
     for spec in config.instances:
         try:
-            instance, optimum = _resolve_instance(spec)
+            instance = _resolve_instance(spec)
         except (OSError, ValueError) as exc:
             print(f"gtsp bench: skipping {spec!r}: {exc}", file=log)
             continue
+        optimum = None
+        if isinstance(spec, str):
+            try:
+                optimum = sidecar_optimum(spec)
+            except (OSError, ValueError) as exc:
+                print(f"gtsp bench: ignoring the optimum of {spec!r}: {exc}", file=log)
         results: dict[str, AlgoResult] = {}
         for algo in config.algorithms:
             results[algo] = _run_algorithm(instance, algo, config)
@@ -241,8 +258,8 @@ def _run_algorithm(instance: GtspInstance, algo: str, config: ExperimentConfig) 
     if algo == "exact":
         started = time.perf_counter()
         try:
-            tour = exact_solve(instance, sequence_cap=config.sequence_cap)
-        except SequenceCapExceeded as exc:
+            tour = exact_solve(instance, cell_cap=config.cell_cap)
+        except CellCapExceeded as exc:
             cell.error = str(exc)
             return cell
         cell.costs.append(tour.cost)

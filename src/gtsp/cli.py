@@ -19,7 +19,7 @@ from pathlib import Path
 from .aco import AcoParams, run
 from .bench import ExperimentConfig, emit_table, load_instance_file, run_experiment
 from .construct import nn_reference_cost
-from .exact import DEFAULT_SEQUENCE_CAP, SequenceCapExceeded, exact_solve
+from .exact import CellCapExceeded, exact_solve
 from .instance import (
     ParseError,
     cluster_instance,
@@ -118,7 +118,7 @@ def _cmd_solve(args) -> int:
         started = time.perf_counter()
         try:
             tour = exact_solve(instance)
-        except SequenceCapExceeded as exc:
+        except CellCapExceeded as exc:
             print(f"gtsp solve: {exc}", file=sys.stderr)
             return EXIT_REFUSAL
         record.update(cost=tour.cost, nodes=list(tour.nodes),

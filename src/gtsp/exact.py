@@ -1,37 +1,45 @@
 """Exact GTSP search.
 
-For a fixed cluster visiting order, the optimal tour is a shortest path in a
-layered DAG: one layer per cluster in order, closed by a final layer that
-duplicates the first cluster. The global optimum enumerates every visiting
-order that starts at a designated first cluster.
+The global optimum comes from the classical subset dynamic program over
+clusters (Held-Karp applied to clusters, as in Henry-Labordere 1969 and
+Srivastava et al. 1969), O(2^p * n^2) time. For a fixed cluster visiting
+order, the optimal tour is also a shortest path in a layered DAG: one layer
+per cluster in order, closed by a final layer that duplicates the first
+cluster; `best_tour_for_sequence` solves that subproblem.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from .construct import Tour, make_tour
 from .instance import GtspInstance
 
-DEFAULT_SEQUENCE_CAP = 4_000_000  # admits p <= 11 (10! orders), refuses p >= 12
+# int64 cells of the subset DP table, 128 MiB: admits n=80/p=16, refuses n=100/p=20.
+DEFAULT_CELL_CAP = 2**24
+_STEP_CELLS = 2**16  # int64 cells of one min-plus temporary, where the sizes allow
 
 
-class SequenceCapExceeded(RuntimeError):
-    """Enumerating (p-1)! cluster orders would exceed the configured cap."""
+class CellCapExceeded(RuntimeError):
+    """The subset DP table would hold more cells than the configured cap."""
 
-    def __init__(self, sequence_count: int, cap: int):
-        self.sequence_count = sequence_count
+    def __init__(self, cell_count: int, cap: int):
+        self.cell_count = cell_count
         self.cap = cap
         super().__init__(
-            f"refusing to enumerate {sequence_count} cluster sequences (cap {cap}); "
+            f"refusing to allocate {cell_count} DP cells (cap {cap}); "
             "use a heuristic solver instead"
         )
 
 
-class NoFiniteTourError(RuntimeError):
-    """Every path through the layered network has infinite cost."""
+def dp_cell_count(instance: GtspInstance) -> int:
+    """Cells of `exact_solve`'s table: s * (n - s) * 2^(p-2), s the smallest cluster size.
+
+    Each non-empty subset of the p-1 other clusters holds one (s, nodes of
+    those clusters) block, and each node lies in half of those subsets.
+    """
+    s = min(len(c) for c in instance.clusters)
+    return s * (instance.n - s) << (instance.p - 2)
 
 
 def _check_sequence(instance: GtspInstance, order) -> list[int]:
@@ -68,8 +76,6 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
     totals = dist + closing.T
     flat = int(totals.argmin())
     best = totals.flat[flat]
-    if not np.isfinite(best):
-        raise NoFiniteTourError("no finite tour for this cluster sequence")
     s_idx, j_idx = divmod(flat, totals.shape[1])
 
     choice = [0] * len(layers)
@@ -83,67 +89,94 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
     return tour
 
 
-def exact_solve(instance: GtspInstance, sequence_cap: int = DEFAULT_SEQUENCE_CAP) -> Tour:
-    """Global optimum over all (p-1)! cluster orders.
+def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tour:
+    """Global optimum by a subset DP over clusters, O(2^p * n^2) time.
 
-    The first cluster is fixed to one of minimum cardinality (ties to the
-    lowest index). Orders are explored lexicographically with prefix-shared
-    dynamic programming; subtrees whose admissible lower bound cannot beat the
-    incumbent are skipped, which never changes the returned optimum. The first
-    optimal order in lexicographic position wins ties.
+    The first cluster is fixed to one of minimum cardinality s (ties to the
+    lowest index). `dp[mask][a, j]` is the cheapest path that leaves start
+    node a of the first cluster, visits exactly the clusters in `mask` (a set
+    of the other p-1 clusters) and ends at the j-th node of those clusters.
+    Masks run in increasing order. Each mask takes one min-plus step to every
+    node outside it, and each cluster outside it takes its slice of that step
+    into the block of the larger mask. The table is ragged, one
+    (s, nodes in mask) int64 block per mask, `dp_cell_count` cells in all;
+    an instance above `cell_cap` cells is refused before anything is
+    allocated. The tour is rebuilt by walking back through the table in
+    exact integer arithmetic.
+
+    Ties resolve to the lowest start node, then the lowest closing node, then,
+    walking back, the lowest node id among the optimal predecessors.
     """
-    p = instance.p
-    sequences = math.factorial(p - 1)
-    if sequences > sequence_cap:
-        raise SequenceCapExceeded(sequences, sequence_cap)
+    cells = dp_cell_count(instance)
+    if cells > cell_cap:
+        raise CellCapExceeded(cells, cell_cap)
+    cost = instance.costs.cost
+    if int(cost.max()) * instance.p > np.iinfo(np.int64).max:
+        raise ValueError("costs too large for exact int64 tour sums")
 
-    cost = instance.costs.cost.astype(float)
     members = instance.cluster_arrays
     sizes = [len(c) for c in instance.clusters]
     first = sizes.index(min(sizes))
-    rest = [k for k in range(p) if k != first]
-
-    # Admissible completion bound: entering any cluster costs at least its
-    # cheapest incoming edge from outside the cluster.
-    min_in = np.empty(p)
-    for k in range(p):
-        outside = np.ones(instance.n, dtype=bool)
-        outside[members[k]] = False
-        min_in[k] = cost[np.ix_(outside, members[k])].min()
-
     starts = members[first]
-    dist0 = np.full((len(starts), len(starts)), np.inf)
-    np.fill_diagonal(dist0, 0.0)
+    rest = [members[k] for k in range(instance.p) if k != first]
+    rest_sizes = [len(c) for c in rest]
+    m = len(rest)
+    full = (1 << m) - 1
+    # DP columns: the nodes of the other clusters, cluster i at bounds[i]:bounds[i+1].
+    order = np.concatenate(rest)
+    owner = np.repeat(np.arange(m), rest_sizes)
+    bounds = np.concatenate(([0], np.cumsum(rest_sizes)))
+    inner = cost[np.ix_(order, order)]
 
-    best_cost = np.inf
-    best_order: list[int] | None = None
-    order = [first]
+    def columns(mask: int) -> np.ndarray:
+        return np.flatnonzero((mask >> owner) & 1)
 
-    def search(dist: np.ndarray, last: int, remaining: list[int], rest_bound: float) -> None:
-        nonlocal best_cost, best_order
-        if not remaining:
-            closing = cost[np.ix_(members[last], starts)]
-            total = (dist + closing.T).min()
-            if total < best_cost:
-                best_cost = total
-                best_order = list(order)
-            return
-        base = dist.min()
-        for idx, k in enumerate(remaining):
-            bound_rest = rest_bound - min_in[k]
-            if base + min_in[k] + bound_rest + min_in[first] >= best_cost:
+    s = len(starts)
+    dp: list[np.ndarray | None] = [None] * (1 << m)
+    opening = cost[np.ix_(starts, order)]
+    for i in range(m):
+        dp[1 << i] = opening[:, bounds[i] : bounds[i + 1]]
+    unset = np.iinfo(np.int64).max
+    step = np.empty((s, len(order)), dtype=np.int64)
+    for mask in range(1, full):
+        block = dp[mask]
+        cols = columns(mask)
+        rows = inner[cols]
+        # one min-plus from mask into every column, in start-row chunks that
+        # keep the (chunk, len(cols), len(order)) temporary near _STEP_CELLS
+        chunk = max(1, _STEP_CELLS // rows.size)
+        for r in range(0, s, chunk):
+            np.minimum.reduce(
+                block[r : r + chunk, :, None] + rows, axis=1, out=step[r : r + chunk]
+            )
+        # offset of cluster i's columns in the block of mask | 1 << i
+        offsets = np.searchsorted(cols, bounds[:-1])
+        for i in range(m):
+            if mask >> i & 1:
                 continue
-            block = cost[np.ix_(members[last], members[k])]
-            nxt = (dist[:, :, None] + block[None, :, :]).min(axis=1)
-            if nxt.min() + bound_rest + min_in[first] >= best_cost:
-                continue
-            order.append(k)
-            search(nxt, k, remaining[:idx] + remaining[idx + 1 :], bound_rest)
-            order.pop()
+            lo, hi = bounds[i], bounds[i + 1]
+            target = dp[mask | 1 << i]
+            if target is None:
+                target = np.full((s, len(cols) + hi - lo), unset)
+                dp[mask | 1 << i] = target
+            view = target[:, offsets[i] : offsets[i] + hi - lo]
+            np.minimum(view, step[:, lo:hi], out=view)
 
-    search(dist0, first, rest, float(min_in[rest].sum()))
-    if best_order is None:
-        raise NoFiniteTourError("no finite tour exists")
-    tour = best_tour_for_sequence(instance, best_order)
-    assert tour.cost == int(best_cost)
+    totals = dp[full] + cost[np.ix_(order, starts)].T
+    best = totals.min()
+    a = int(np.flatnonzero(totals.min(axis=1) == best)[0])  # starts ascend by id
+    ends = np.flatnonzero(totals[a] == best)
+    g = int(ends[np.argmin(order[ends])])
+
+    path = [int(order[g])]
+    mask, value = full, dp[full][a, g]
+    while mask != 1 << int(owner[g]):
+        prev = mask ^ 1 << int(owner[g])
+        cols = columns(prev)
+        cands = cols[dp[prev][a] + inner[cols, g] == value]
+        g = int(cands[np.argmin(order[cands])])
+        mask, value = prev, dp[prev][a, np.searchsorted(cols, g)]
+        path.append(int(order[g]))
+    tour = make_tour(instance, [int(starts[a])] + path[::-1])
+    assert tour.cost == int(best)
     return tour

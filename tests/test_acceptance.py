@@ -154,6 +154,7 @@ def test_criterion_5_eil51_derived_optimum():
     # recompute the optimum to certify the fixture end to end
     recomputed = exact_solve(instance)
     assert recomputed.cost == fixture["cost"]
+    assert recomputed.nodes == tuple(fixture["nodes"])
 
     optimum = fixture["cost"]
     steps_budget = 1_000_000

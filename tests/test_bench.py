@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -94,7 +95,7 @@ class TestRunExperiment:
 
     def test_exact_refusal_leaves_dash_and_continues(self):
         cfg = small_config(
-            instances=[{"nodes": 24, "clusters": 12, "seed": 3}],
+            instances=[{"nodes": 100, "clusters": 20, "seed": 3}],
             algorithms=["exact", "nn"],
         )
         reports = run_experiment(cfg)
@@ -127,6 +128,22 @@ class TestRunExperiment:
         assert reports[0].optimum == exact_solve(inst).cost
         for cell in reports[0].results.values():
             assert cell.best >= reports[0].optimum
+
+    @pytest.mark.parametrize(
+        "text", ["", "\n", "opt=7\n", "12.5\n"], ids=["empty", "blank", "word", "decimal"]
+    )
+    def test_bad_sidecar_reported_and_row_kept(self, tmp_path, text):
+        coords, inst = generate_instance(nodes=10, clusters=3, seed=4)
+        path = tmp_path / "toy.gtsp"
+        path.write_text(format_clustered(inst.name, coords, inst.clusters))
+        (tmp_path / "toy.gtsp.opt").write_text(text)
+        with pytest.raises(ValueError, match="toy.gtsp.opt"):
+            sidecar_optimum(path)
+        log = io.StringIO()
+        reports = run_experiment(small_config(instances=[str(path)], algorithms=["nn"]), log=log)
+        assert len(reports) == 1 and reports[0].optimum is None
+        assert reports[0].results["nn"].best is not None
+        assert "toy.gtsp.opt" in log.getvalue() and "skipping" not in log.getvalue()
 
     def test_reproducible_outputs(self, tmp_path):
         cfg = small_config()

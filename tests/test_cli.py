@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from gtsp import exact_solve, format_clustered, generate_instance, parse_clustered
+from gtsp import dp_cell_count, exact_solve, format_clustered, generate_instance, parse_clustered
 
 
 def gtsp_cli(*args, cwd=None):
@@ -104,12 +104,13 @@ class TestExitCodes:
         assert "dimension mismatch" in proc.stderr
 
     def test_exact_refusal_is_3(self, tmp_path):
-        coords, inst = generate_instance(nodes=36, clusters=12, seed=1)
+        coords, inst = generate_instance(nodes=100, clusters=20, seed=1)
         big = tmp_path / "big.gtsp"
         big.write_text(format_clustered(inst.name, coords, inst.clusters))
         proc = gtsp_cli("solve", big, "--algo", "exact")
         assert proc.returncode == 3
         assert "refusing" in proc.stderr
+        assert f"{dp_cell_count(inst)} DP cells" in proc.stderr
 
 
 class TestClusterCommand:

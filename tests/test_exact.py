@@ -1,18 +1,26 @@
-import math
+import itertools
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtsp import (
+    DEFAULT_CELL_CAP,
+    AcoParams,
+    CellCapExceeded,
     CostMatrix,
     GtspInstance,
-    SequenceCapExceeded,
     best_tour_for_sequence,
+    dp_cell_count,
     exact_solve,
+    generate_instance,
     nn_reference_cost,
+    run,
     tour_cost,
+    validate_tour,
 )
 
 from oracles import brute_force_best_for_order, brute_force_optimum, random_matrix_instance
@@ -88,15 +96,81 @@ class TestExactSolve:
         inst = random_matrix_instance(12, 4, rng)
         assert exact_solve(inst).cost == brute_force_optimum(inst)
 
-    def test_refuses_twelve_clusters(self):
-        rng = np.random.default_rng(3)
-        inst = random_matrix_instance(12, 12, rng)
-        with pytest.raises(SequenceCapExceeded) as exc:
-            exact_solve(inst)
-        assert exc.value.sequence_count == math.factorial(11)
+    def test_refuses_above_cell_cap(self):
+        _, inst = generate_instance(nodes=100, clusters=20, seed=3)
+        s = min(len(c) for c in inst.clusters)
+        tracemalloc.start()
+        started = time.perf_counter()
+        try:
+            with pytest.raises(CellCapExceeded) as exc:
+                exact_solve(inst)
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert exc.value.cell_count == s * (100 - s) * 2**18 > DEFAULT_CELL_CAP
+        assert exc.value.cap == DEFAULT_CELL_CAP
+        assert str(exc.value.cell_count) in str(exc.value)
+        # refused before the table, or any work, is allocated
+        assert elapsed < 1.0 and peak < 100_000
 
-    def test_eleven_clusters_allowed_by_cap(self):
-        assert math.factorial(10) <= 4_000_000 < math.factorial(11)
+    def test_sixteen_clusters_allowed_by_cap(self):
+        _, admitted = generate_instance(nodes=80, clusters=16, seed=0)
+        _, refused = generate_instance(nodes=100, clusters=20, seed=0)
+        assert dp_cell_count(admitted) <= DEFAULT_CELL_CAP < dp_cell_count(refused)
+
+    def test_explicit_cap_boundary(self):
+        rng = np.random.default_rng(3)
+        inst = random_matrix_instance(12, 6, rng)
+        cells = dp_cell_count(inst)
+        assert exact_solve(inst, cell_cap=cells).cost == brute_force_optimum(inst)
+        with pytest.raises(CellCapExceeded) as exc:
+            exact_solve(inst, cell_cap=cells - 1)
+        assert (exc.value.cell_count, exc.value.cap) == (cells, cells - 1)
+
+    def test_cell_count_is_the_ragged_table_size(self):
+        rng = np.random.default_rng(8)
+        inst = random_matrix_instance(13, 5, rng)
+        sizes = [len(c) for c in inst.clusters]
+        first = sizes.index(min(sizes))
+        others = [sizes[k] for k in range(inst.p) if k != first]
+        # one (s, nodes in the subset) block per non-empty subset of the other clusters
+        table = sum(
+            sizes[first] * sum(subset)
+            for r in range(1, len(others) + 1)
+            for subset in itertools.combinations(others, r)
+        )
+        assert dp_cell_count(inst) == table
+
+    def test_tie_rule_on_reversal_tie(self):
+        # corners 0..3 of a square and copies 4..7 of them; each cluster holds
+        # a corner and its copy
+        corners = np.array([[0, 0], [10, 0], [10, 10], [0, 10]] * 2)
+        diff = corners[:, None, :] - corners[None, :, :]
+        cost = np.rint(np.sqrt((diff**2).sum(axis=2))).astype(np.int64)
+        inst = GtspInstance(
+            name="x", costs=CostMatrix(cost), clusters=((0, 4), (3, 7), (2, 6), (1, 5))
+        )
+        # optima: 0-1-2-3 both ways round, with any copy for any corner; the
+        # rule takes start 0, closing node 1 (the lowest id, although its
+        # cluster comes last) and the lowest-id predecessor at each step back
+        assert exact_solve(inst).nodes == (0, 3, 2, 1)
+        assert exact_solve(inst).cost == 40
+        assert exact_solve(inst) == exact_solve(inst)
+
+    def test_min_plus_temporary_is_bounded(self):
+        # three clusters of about 100 nodes: an unchunked min-plus step
+        # would build a 16 MB (starts, nodes, nodes) temporary
+        _, inst = generate_instance(nodes=300, clusters=3, seed=1)
+        optimum = min(best_tour_for_sequence(inst, o).cost for o in [(0, 1, 2), (0, 2, 1)])
+        tracemalloc.start()
+        try:
+            tour = exact_solve(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tour.cost == optimum
+        assert peak < 4_000_000
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
@@ -116,23 +190,43 @@ class TestExactSolve:
         # reversing the optimal tour keeps its cost
         assert tour_cost(inst, a.nodes[::-1]) == a.cost
 
-    @settings(max_examples=30)
-    @given(st.integers(0, 2**32 - 1))
-    def test_global_optimality(self, seed):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        p=st.integers(2, 6),
+        high=st.sampled_from([2, 4, 100]),  # 2: every cost 1, all tours tie
+        symmetric=st.booleans(),
+    )
+    @example(seed=0, n=9, p=2, high=100, symmetric=False)
+    @example(seed=1, n=6, p=6, high=100, symmetric=False)  # singleton clusters
+    @example(seed=2, n=7, p=4, high=2, symmetric=True)
+    def test_global_optimality(self, seed, n, p, high, symmetric):
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(5, 13))
-        p = int(rng.integers(2, 6))
-        inst = random_matrix_instance(n, p, rng, symmetric=bool(rng.integers(2)))
-        assert exact_solve(inst).cost == brute_force_optimum(inst)
+        inst = random_matrix_instance(n, min(p, n), rng, symmetric=symmetric, high=high)
+        tour = exact_solve(inst)
+        validate_tour(inst, tour.nodes)
+        assert tour.cost == tour_cost(inst, tour.nodes) == brute_force_optimum(inst)
 
-    @settings(max_examples=15)
+    @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_lower_bounds_every_heuristic(self, seed):
         rng = np.random.default_rng(seed)
-        inst = random_matrix_instance(10, 4, rng)
+        n = int(rng.integers(6, 25))
+        inst = random_matrix_instance(n, int(rng.integers(2, 7)), rng)
         optimum = exact_solve(inst).cost
         l_nn, _ = nn_reference_cost(inst)
         assert optimum <= l_nn
+        for variant in ("acs", "racs"):
+            colony = run(inst, AcoParams(max_iterations=3, seed=seed, variant=variant))
+            assert optimum <= colony.best.cost
+
+    def test_refuses_costs_that_overflow_int64_sums(self):
+        cost = np.full((3, 3), 2**62)
+        np.fill_diagonal(cost, 0)
+        inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1,), (2,)))
+        with pytest.raises(ValueError, match="too large"):
+            exact_solve(inst)
 
     def test_asymmetric_direction_matters(self):
         cost = np.array([[0, 1, 10], [10, 0, 1], [1, 10, 0]])
