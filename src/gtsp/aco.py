@@ -4,12 +4,17 @@ reinforcing variant (RACS).
 Both engines share the same tour construction: each ant starts on a random
 node of a random cluster, repeatedly picks a node from an unvisited cluster
 (greedy argmax below the exploitation threshold q0, otherwise a roulette draw
-proportional to trail times visibility^beta), and closes the cycle. A tabu
-set over clusters keeps tours feasible. They differ in the per-transition
-trail correction: ACS relaxes toward the initial trail tau0, RACS toward
-1/(n * L+), where L+ is the best cost seen so far. Once per iteration the
-best-so-far tour's edges are reinforced with deposit 1/L+, and any trail that
-climbed above tau_max is re-initialized to tau0.
+proportional to trail times visibility^beta), and closes the cycle. A boolean
+mask over the nodes of still unvisited clusters keeps tours feasible. They
+differ in the per-transition trail correction: ACS relaxes toward the initial
+trail tau0, RACS toward 1/(n * L+), where L+ is the best cost seen so far.
+Once per iteration the best-so-far tour's edges are reinforced with deposit
+1/L+, and any trail that climbed above tau_max is re-initialized to tau0.
+
+`run` builds every ant's tour in one flat loop over a node mask; the public
+`AntState`/`choose_next`/`transition_distribution` describe single steps and
+share the pick rule (`_pick`) with it, so both follow the same draws.
+Pheromone scales use max(L, 1), so zero-cost tours do not divide by zero.
 
 A single run is sequential and deterministic given its seed. Independent runs
 share instances read-only and may execute in parallel.
@@ -81,21 +86,18 @@ class PheromoneMatrix:
     @classmethod
     def for_instance(cls, instance: GtspInstance, l_nn: int, rho: float) -> "PheromoneMatrix":
         n = instance.n
-        tau0 = 1.0 / (n * l_nn)
-        tau_max = 1.0 / ((1.0 - rho) * l_nn)
+        scale = max(l_nn, 1)  # a zero-cost NN tour keeps a finite scale
+        tau0 = 1.0 / (n * scale)
+        tau_max = 1.0 / ((1.0 - rho) * scale)
         return cls(tau=np.full((n, n), tau0), tau0=tau0, tau_max=tau_max)
 
 
 @dataclass
 class AntState:
-    """One ant's partial tour plus its tabu set of visited clusters.
-
-    `node_mask` caches which nodes still belong to unvisited clusters; it is
-    always consistent with `visited_clusters`.
-    """
+    """One ant's partial tour; `node_mask` marks the nodes of the clusters it
+    has not visited yet."""
 
     current: int
-    visited_clusters: set[int]
     path: list[int]
     rng_stream: np.random.Generator
     node_mask: np.ndarray
@@ -105,14 +107,10 @@ class AntState:
         k = int(instance.cluster_of[start])
         mask = np.ones(instance.n, dtype=bool)
         mask[instance.cluster_arrays[k]] = False
-        return cls(
-            current=start, visited_clusters={k}, path=[start], rng_stream=rng, node_mask=mask
-        )
+        return cls(current=start, path=[start], rng_stream=rng, node_mask=mask)
 
     def advance(self, instance: GtspInstance, node: int) -> None:
-        k = int(instance.cluster_of[node])
-        self.visited_clusters.add(k)
-        self.node_mask[instance.cluster_arrays[k]] = False
+        self.node_mask[instance.cluster_arrays[instance.cluster_of[node]]] = False
         self.path.append(node)
         self.current = node
 
@@ -127,25 +125,59 @@ class ColonyState:
     elapsed: float
 
 
+def _visibility_pow(cost: np.ndarray, beta: float) -> np.ndarray:
+    """Visibility^beta, (1/c)^beta, of the given edge costs; zero-cost edges
+    clamp to 1."""
+    return (1.0 / np.maximum(cost, 1)) ** beta
+
+
 def _candidate_weights(
     instance: GtspInstance,
     pheromone: PheromoneMatrix,
     current: int,
     cand: np.ndarray,
     beta: float,
-    eta_beta: np.ndarray | None = None,
 ) -> np.ndarray:
-    if eta_beta is not None:
-        vis = eta_beta[current, cand]
-    else:
-        edge = instance.costs.cost[current, cand]
-        vis = (1.0 / np.maximum(edge, 1)) ** beta  # zero-cost edges clamp to 1
+    vis = _visibility_pow(instance.costs.cost[current, cand], beta)
     return pheromone.tau[current, cand] * vis
 
 
-def _visibility_pow(instance: GtspInstance, beta: float) -> np.ndarray:
-    """Precomputed visibility^beta for a whole run."""
-    return (1.0 / np.maximum(instance.costs.cost, 1)) ** beta
+def _relative_weights(
+    cost_row: np.ndarray, tau_row: np.ndarray, cand: np.ndarray, beta: float
+) -> np.ndarray:
+    """Trail times (c_min/c)^beta over the candidates, c_min the cheapest
+    candidate edge. That edge has visibility 1, so unlike (1/c)^beta these
+    weights cannot all underflow to 0 at large beta."""
+    c = np.maximum(cost_row[cand], 1)
+    return tau_row[cand] * (c.min() / c) ** beta
+
+
+def _probabilities(w: np.ndarray, relative) -> np.ndarray:
+    """w / w.sum(); when every weight underflowed to 0, the same over the
+    weights `relative()` returns (`_relative_weights` of the step)."""
+    total = w.sum()
+    if total == 0.0:
+        w = relative()
+        total = w.sum()
+    return w / total
+
+
+def _pick(w: np.ndarray, cand: np.ndarray, q0: float, rand, relative) -> int:
+    """The node choice rule over candidates `cand` (ascending) with weights `w`.
+
+    Draws one uniform q from `rand`; if q <= q0 the argmax of `w` wins (ties to
+    the lowest node id), otherwise a second uniform samples `_probabilities`
+    by inverse CDF. When every weight underflowed to 0, both branches use
+    `relative()` instead of `w`; the draws stay the same.
+    """
+    if rand() <= q0:
+        i = w.argmax()
+        if w[i] == 0.0:
+            i = relative().argmax()
+        return int(cand[i])
+    probs = _probabilities(w, relative)
+    idx = int(probs.cumsum().searchsorted(rand(), side="left"))
+    return int(cand[min(idx, cand.size - 1)])
 
 
 def transition_distribution(
@@ -155,12 +187,16 @@ def transition_distribution(
     beta: float,
 ) -> dict[int, float]:
     """Selection probabilities over all nodes of all unvisited clusters:
-    p(u) proportional to tau(i,u) * (1/c(i,u))^beta."""
-    cand = np.flatnonzero(state.node_mask)
+    p(u) proportional to tau(i,u) * (1/c(i,u))^beta, or to
+    tau(i,u) * (c_min/c(i,u))^beta when every such weight underflows to 0."""
+    cand = state.node_mask.nonzero()[0]
     if cand.size == 0:
         raise RuntimeError("no candidates: every cluster already visited")
-    w = _candidate_weights(instance, pheromone, state.current, cand, beta)
-    probs = w / w.sum()
+    i = state.current
+    probs = _probabilities(
+        _candidate_weights(instance, pheromone, i, cand, beta),
+        lambda: _relative_weights(instance.costs.cost[i], pheromone.tau[i], cand, beta),
+    )
     return {int(u): float(pr) for u, pr in zip(cand, probs)}
 
 
@@ -169,27 +205,24 @@ def choose_next(
     pheromone: PheromoneMatrix,
     instance: GtspInstance,
     params: AcoParams,
-    *,
-    eta_beta: np.ndarray | None = None,
 ) -> int:
     """Pick the ant's next node.
 
     Draws one uniform q; if q <= q0 the argmax of trail times visibility^beta
     wins (ties to the lowest node id), otherwise a second uniform samples the
     transition distribution by inverse CDF over candidates in ascending node
-    order. The fixed draw discipline keeps runs replayable.
+    order. The fixed draw discipline keeps runs replayable; `run` applies the
+    same rule through `_pick`.
     """
-    cand = np.flatnonzero(state.node_mask)
+    cand = state.node_mask.nonzero()[0]
     if cand.size == 0:
         raise RuntimeError("no candidates: every cluster already visited")
-    w = _candidate_weights(instance, pheromone, state.current, cand, params.beta, eta_beta)
-    q = state.rng_stream.random()
-    if q <= params.q0:
-        return int(cand[int(np.argmax(w))])
-    probs = w / w.sum()
-    r = state.rng_stream.random()
-    idx = int(np.searchsorted(np.cumsum(probs), r, side="left"))
-    return int(cand[min(idx, cand.size - 1)])
+    i = state.current
+    w = _candidate_weights(instance, pheromone, i, cand, params.beta)
+    return _pick(
+        w, cand, params.q0, state.rng_stream.random,
+        lambda: _relative_weights(instance.costs.cost[i], pheromone.tau[i], cand, params.beta),
+    )
 
 
 def local_update(
@@ -206,7 +239,7 @@ def local_update(
     RACS relaxes toward 1/(n * L+) with L+ the best-so-far cost; the ACS
     baseline relaxes toward tau0. Symmetric instances mirror the update.
     """
-    deposit = 1.0 / (n * l_plus) if variant == "racs" else pheromone.tau0
+    deposit = 1.0 / (n * max(l_plus, 1)) if variant == "racs" else pheromone.tau0
     i, j = edge
     tau = pheromone.tau
     tau[i, j] = (1.0 - rho) * tau[i, j] + rho * deposit
@@ -221,8 +254,8 @@ def global_update(
     symmetric: bool = True,
 ) -> None:
     """Once per iteration, reinforce every edge of the best tour (closing edge
-    included) with deposit 1/cost(best). Other edges are untouched."""
-    deposit = 1.0 / best.cost
+    included) with deposit 1/max(cost(best), 1). Other edges are untouched."""
+    deposit = 1.0 / max(best.cost, 1)
     tau = pheromone.tau
     nodes = best.nodes
     for a, b in zip(nodes, nodes[1:] + nodes[:1]):
@@ -231,21 +264,10 @@ def global_update(
             tau[b, a] = tau[a, b]
 
 
-def evaporation_reinit(pheromone: PheromoneMatrix, scope: str = "entry") -> None:
-    """Reset trails that climbed strictly above tau_max back to tau0.
-
-    Runs right after the global update. `scope="entry"` resets only the
-    offending entries; `scope="matrix"` resets the whole matrix when any
-    entry exceeds the bound.
-    """
-    over = pheromone.tau > pheromone.tau_max
-    if scope == "entry":
-        pheromone.tau[over] = pheromone.tau0
-    elif scope == "matrix":
-        if over.any():
-            pheromone.tau[:] = pheromone.tau0
-    else:
-        raise ValueError(f"scope must be 'entry' or 'matrix', got {scope!r}")
+def evaporation_reinit(pheromone: PheromoneMatrix) -> None:
+    """Reset trails that climbed strictly above tau_max back to tau0; other
+    entries keep their value. Runs right after the global update."""
+    pheromone.tau[pheromone.tau > pheromone.tau_max] = pheromone.tau0
 
 
 @dataclass
@@ -297,9 +319,14 @@ def run(
     rng = np.random.default_rng(params.seed)
     l_nn, incumbent = nn_reference_cost(instance)
     pheromone = PheromoneMatrix.for_instance(instance, l_nn, params.rho)
-    eta_beta = _visibility_pow(instance, params.beta)
+    tau = pheromone.tau
+    cost = instance.costs.cost
+    beta, q0, rho, variant = params.beta, params.q0, params.rho, params.variant
+    eta_beta = _visibility_pow(cost, beta)
     symmetric = instance.costs.symmetric
     members = instance.cluster_arrays
+    cluster_of = instance.cluster_of.tolist()
+    rand = rng.random
     n, p = instance.n, instance.p
 
     trace: list[int] = []
@@ -314,21 +341,27 @@ def run(
         l_plus = incumbent.cost
         ant_tours: list[Tour] = []
         for _ in range(params.num_ants):
+            # the same steps and draws as AntState.place, choose_next and
+            # AntState.advance, without the per-ant objects
             cluster = int(rng.integers(p))
             start = int(members[cluster][rng.integers(len(members[cluster]))])
-            state = AntState.place(instance, start, rng)
+            mask = np.ones(n, dtype=bool)
+            mask[members[cluster]] = False
+            path = [start]
+            cur = start
             for _ in range(p - 1):
-                nxt = choose_next(state, pheromone, instance, params, eta_beta=eta_beta)
-                local_update(
-                    pheromone, (state.current, nxt), params.rho, l_plus, n,
-                    params.variant, symmetric,
+                cand = mask.nonzero()[0]
+                w = tau[cur][cand] * eta_beta[cur][cand]
+                nxt = _pick(
+                    w, cand, q0, rand,
+                    lambda: _relative_weights(cost[cur], tau[cur], cand, beta),
                 )
-                state.advance(instance, nxt)
-            local_update(
-                pheromone, (state.current, state.path[0]), params.rho, l_plus, n,
-                params.variant, symmetric,
-            )
-            ant_tours.append(make_tour(instance, state.path))
+                local_update(pheromone, (cur, nxt), rho, l_plus, n, variant, symmetric)
+                mask[members[cluster_of[nxt]]] = False
+                path.append(nxt)
+                cur = nxt
+            local_update(pheromone, (cur, start), rho, l_plus, n, variant, symmetric)
+            ant_tours.append(make_tour(instance, path))
 
         iteration_best = min(ant_tours, key=lambda t: t.cost)
         if iteration_best.cost < incumbent.cost:

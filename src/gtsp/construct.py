@@ -32,28 +32,42 @@ class Tour:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def validate_tour(instance: GtspInstance, nodes) -> None:
-    """Raise InvalidTourError naming a cluster visited more or less than once."""
-    counts = np.zeros(instance.p, dtype=np.int64)
-    for v in nodes:
-        if not 0 <= v < instance.n:
-            raise InvalidTourError(f"node {v} out of range")
-        counts[instance.cluster_of[v]] += 1
+def _checked_sequence(instance: GtspInstance, nodes) -> np.ndarray:
+    """`nodes` as an int64 array, after the checks of `validate_tour`."""
+    seq = np.asarray(nodes)
+    if seq.dtype.kind not in "iu":
+        if seq.size:  # an empty list arrives as float64
+            raise InvalidTourError(f"node ids must be integers, got {seq.dtype}")
+    seq = seq.astype(np.int64, copy=False)
+    outside = (seq < 0) | (seq >= instance.n)
+    if outside.any():
+        raise InvalidTourError(f"node {int(seq[outside.argmax()])} out of range")
+    counts = np.bincount(instance.cluster_of[seq], minlength=instance.p)
     bad = np.flatnonzero(counts != 1)
     if bad.size:
         k = int(bad[0])
         raise InvalidTourError(f"cluster {k} visited {int(counts[k])} times, expected once")
+    return seq
+
+
+def validate_tour(instance: GtspInstance, nodes) -> None:
+    """Raise InvalidTourError naming the first node out of range, else the
+    lowest cluster visited more or less than once."""
+    _checked_sequence(instance, nodes)
+
+
+def _closed_cost(instance: GtspInstance, seq: np.ndarray) -> int:
+    return int(instance.costs.cost[seq, np.concatenate((seq[1:], seq[:1]))].sum())
 
 
 def tour_cost(instance: GtspInstance, nodes) -> int:
     """Cost of the closed tour through `nodes`, including the returning edge."""
-    validate_tour(instance, nodes)
-    seq = np.asarray(nodes, dtype=np.int64)
-    return int(instance.costs.cost[seq, np.roll(seq, -1)].sum())
+    return _closed_cost(instance, _checked_sequence(instance, nodes))
 
 
 def make_tour(instance: GtspInstance, nodes) -> Tour:
-    return Tour(tuple(int(v) for v in nodes), tour_cost(instance, nodes))
+    seq = _checked_sequence(instance, nodes)
+    return Tour(tuple(seq.tolist()), _closed_cost(instance, seq))
 
 
 def nn_tour(instance: GtspInstance, start: int) -> Tour:

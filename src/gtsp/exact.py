@@ -53,7 +53,8 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
     """Cheapest tour visiting the clusters in the given order.
 
     Forward dynamic programming over the layers, one start per node of the
-    first cluster, O(sum_l |V_l|*|V_{l+1}|) per start. Ties resolve to the
+    first cluster, O(sum_l |V_l|*|V_{l+1}|) per start, in start-row chunks
+    that bound each step's temporary as in `exact_solve`. Ties resolve to the
     lowest start node, then the lowest member index per layer.
     """
     seq = _check_sequence(instance, order)
@@ -68,9 +69,16 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
     parents: list[np.ndarray] = []
     for l in range(len(layers) - 1):
         block = cost[np.ix_(layers[l], layers[l + 1])]
-        stacked = dist[:, :, None] + block[None, :, :]
-        parents.append(stacked.argmin(axis=1))
-        dist = stacked.min(axis=1)
+        parent = np.empty((s, block.shape[1]), dtype=np.intp)
+        reached = np.empty((s, block.shape[1]))
+        # start-row chunks keep the (chunk, |V_l|, |V_l+1|) temporary near _STEP_CELLS
+        chunk = max(1, _STEP_CELLS // block.size)
+        for r in range(0, s, chunk):
+            stacked = dist[r : r + chunk, :, None] + block
+            stacked.argmin(axis=1, out=parent[r : r + chunk])
+            stacked.min(axis=1, out=reached[r : r + chunk])
+        parents.append(parent)
+        dist = reached
 
     closing = cost[np.ix_(layers[-1], starts)]  # back to the duplicated first layer
     totals = dist + closing.T

@@ -2,15 +2,18 @@
 
 The enumerators below recompute tour costs inline from the cost matrix so
 they stay independent of the library's own cost and search code.
+`reference_run` is the original colony loop, kept to check that the
+library's construction kernel reproduces it byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
-from gtsp import CostMatrix, GtspInstance
+from gtsp import AcoParams, CostMatrix, GtspInstance, RunResult, Tour, nn_reference_cost
 
 
 def random_matrix_instance(
@@ -54,3 +57,121 @@ def brute_force_optimum(instance: GtspInstance) -> int:
         brute_force_best_for_order(instance, (0,) + rest)
         for rest in itertools.permutations(others)
     )
+
+
+# --- Reference colony -------------------------------------------------------
+#
+# A self-contained copy of the original per-object colony loop: one state
+# object per ant with a tabu set over clusters, and its own pick and trail
+# updates. `gtsp.aco.run` builds tours with a flat kernel that must reproduce
+# this loop byte for byte: same draws, same float expressions, same ant tours
+# and the same final trails. Only the data containers (AcoParams, RunResult,
+# Tour) and the NN incumbent come from the library; tour costs are recomputed
+# inline.
+
+
+class _RefAntState:
+    def __init__(self, instance: GtspInstance, start: int, rng: np.random.Generator):
+        k = int(instance.cluster_of[start])
+        self.current = start
+        self.visited_clusters = {k}
+        self.path = [start]
+        self.rng_stream = rng
+        self.node_mask = np.ones(instance.n, dtype=bool)
+        self.node_mask[instance.cluster_arrays[k]] = False
+
+    def advance(self, instance: GtspInstance, node: int) -> None:
+        k = int(instance.cluster_of[node])
+        self.visited_clusters.add(k)
+        self.node_mask[instance.cluster_arrays[k]] = False
+        self.path.append(node)
+        self.current = node
+
+
+def _ref_choose_next(state, tau, eta_beta, q0) -> int:
+    cand = np.flatnonzero(state.node_mask)
+    if cand.size == 0:
+        raise RuntimeError("no candidates: every cluster already visited")
+    w = tau[state.current, cand] * eta_beta[state.current, cand]
+    q = state.rng_stream.random()
+    if q <= q0:
+        return int(cand[int(np.argmax(w))])
+    probs = w / w.sum()
+    r = state.rng_stream.random()
+    idx = int(np.searchsorted(np.cumsum(probs), r, side="left"))
+    return int(cand[min(idx, cand.size - 1)])
+
+
+def _ref_local_update(tau, edge, rho, l_plus, n, variant, symmetric, tau0) -> None:
+    deposit = 1.0 / (n * l_plus) if variant == "racs" else tau0
+    i, j = edge
+    tau[i, j] = (1.0 - rho) * tau[i, j] + rho * deposit
+    if symmetric:
+        tau[j, i] = tau[i, j]
+
+
+def _ref_global_update(tau, best, rho, symmetric) -> None:
+    deposit = 1.0 / best.cost
+    nodes = best.nodes
+    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+        tau[a, b] = (1.0 - rho) * tau[a, b] + rho * deposit
+        if symmetric:
+            tau[b, a] = tau[a, b]
+
+
+def _ref_tour(instance: GtspInstance, path) -> Tour:
+    nodes = tuple(int(v) for v in path)
+    assert sorted(int(instance.cluster_of[v]) for v in nodes) == list(range(instance.p))
+    return Tour(nodes, cycle_cost(instance.costs.cost, nodes))
+
+
+def reference_run(instance: GtspInstance, params: AcoParams, iteration_observer=None):
+    """Iteration-budgeted colony run by the original loop.
+
+    Returns the RunResult (elapsed 0) and the final trail matrix.
+    """
+    rng = np.random.default_rng(params.seed)
+    l_nn, incumbent = nn_reference_cost(instance)
+    n, p = instance.n, instance.p
+    tau0 = 1.0 / (n * l_nn)
+    tau_max = 1.0 / ((1.0 - params.rho) * l_nn)
+    tau = np.full((n, n), tau0)
+    eta_beta = (1.0 / np.maximum(instance.costs.cost, 1)) ** params.beta
+    symmetric = instance.costs.symmetric
+    members = instance.cluster_arrays
+
+    trace = []
+    for _ in range(params.max_iterations):
+        l_plus = incumbent.cost
+        ant_tours = []
+        for _ in range(params.num_ants):
+            cluster = int(rng.integers(p))
+            start = int(members[cluster][rng.integers(len(members[cluster]))])
+            state = _RefAntState(instance, start, rng)
+            for _ in range(p - 1):
+                nxt = _ref_choose_next(state, tau, eta_beta, params.q0)
+                _ref_local_update(
+                    tau, (state.current, nxt), params.rho, l_plus, n,
+                    params.variant, symmetric, tau0,
+                )
+                state.advance(instance, nxt)
+            _ref_local_update(
+                tau, (state.current, state.path[0]), params.rho, l_plus, n,
+                params.variant, symmetric, tau0,
+            )
+            ant_tours.append(_ref_tour(instance, state.path))
+
+        iteration_best = min(ant_tours, key=lambda t: t.cost)
+        if iteration_best.cost < incumbent.cost:
+            incumbent = iteration_best
+        _ref_global_update(tau, incumbent, params.rho, symmetric)
+        tau[tau > tau_max] = tau0
+        trace.append(incumbent.cost)
+        if iteration_observer is not None:
+            iteration_observer(ant_tours)
+
+    result = RunResult(
+        best=incumbent, iterations=params.max_iterations, elapsed=0.0,
+        params=replace(params), trace=trace,
+    )
+    return result, tau

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtsp import (
@@ -13,6 +13,7 @@ from gtsp import (
     evaporation_reinit,
     exact_solve,
     global_update,
+    load_instance_file,
     local_update,
     nn_reference_cost,
     run,
@@ -20,7 +21,10 @@ from gtsp import (
     validate_tour,
 )
 
-from oracles import random_matrix_instance
+import gtsp.aco
+from gtsp.aco import _candidate_weights
+
+from oracles import random_matrix_instance, reference_run
 
 
 def two_candidate_instance():
@@ -72,7 +76,7 @@ class TestTransitionDistribution:
         pher = fresh_pheromone(inst, value=float(rng.uniform(0.01, 2.0)))
         pher.tau[:] = rng.uniform(0.01, 2.0, size=pher.tau.shape)
         state = ant_at(inst, int(rng.integers(inst.n)), seed)
-        # walk a random partial path to vary the tabu set
+        # walk a random partial path to vary the visited clusters
         for _ in range(int(rng.integers(0, inst.p - 1))):
             cand = np.flatnonzero(state.node_mask)
             state.advance(inst, int(rng.choice(cand)))
@@ -242,13 +246,6 @@ class TestEvaporationReinit:
         evaporation_reinit(pher)
         assert np.array_equal(pher.tau, before)
 
-    def test_matrix_scope_resets_everything(self):
-        inst = two_candidate_instance()
-        pher = fresh_pheromone(inst, value=0.1, tau_max=0.2)
-        pher.tau[0, 1] = 0.5
-        evaporation_reinit(pher, scope="matrix")
-        assert (pher.tau == pher.tau0).all()
-
 
 class TestParams:
     def test_rejects_bad_rho(self):
@@ -364,3 +361,161 @@ class TestRun:
         b = run(inst, AcoParams(max_iterations=1, seed=11, variant="racs"))
         assert a.params.variant == "acs" and b.params.variant == "racs"
         assert a.best.nodes and b.best.nodes
+
+
+def traced_run(inst, params):
+    """`run` plus every ant tour and the final trail bytes."""
+    tours = []
+    trails = []
+
+    def observer(state, ant_tours):
+        tours.append([t.nodes for t in ant_tours])
+        trails.append(state.pheromone.tau.tobytes())
+
+    result = run(inst, params, iteration_observer=observer)
+    return result.to_json(include_elapsed=False), tours, trails[-1]
+
+
+def traced_reference(inst, params):
+    tours = []
+    result, tau = reference_run(
+        inst, params, iteration_observer=lambda ant_tours: tours.append([t.nodes for t in ant_tours])
+    )
+    return result.to_json(include_elapsed=False), tours, tau.tobytes()
+
+
+class TestReferenceEquivalence:
+    """`run`'s flat kernel against the original per-ant loop in oracles.py."""
+
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 24),
+        p=st.integers(2, 8),
+        symmetric=st.booleans(),
+        variant=st.sampled_from(["acs", "racs"]),
+        q0=st.sampled_from([0.0, 0.5, 1.0]),
+        beta=st.sampled_from([0.0, 1.0, 2.0, 5.0, 12.0]),
+        num_ants=st.integers(1, 6),
+        iterations=st.integers(1, 6),
+    )
+    @example(seed=1, n=2, p=2, symmetric=True, variant="racs", q0=0.5, beta=5.0,
+             num_ants=1, iterations=3)
+    @example(seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0, beta=12.0,
+             num_ants=3, iterations=4)
+    @example(seed=3, n=20, p=2, symmetric=True, variant="racs", q0=1.0, beta=1.0,
+             num_ants=5, iterations=5)
+    def test_byte_identical_to_reference(
+        self, seed, n, p, symmetric, variant, q0, beta, num_ants, iterations
+    ):
+        rng = np.random.default_rng(seed)
+        inst = random_matrix_instance(n, min(p, n), rng, symmetric=symmetric)
+        params = AcoParams(
+            beta=beta, q0=q0, variant=variant, num_ants=num_ants,
+            max_iterations=iterations, seed=seed,
+        )
+        assert traced_run(inst, params) == traced_reference(inst, params)
+
+    def test_eil51_benchmark_seeds(self, data_dir):
+        inst = load_instance_file(data_dir / "eil51.tsp")
+        assert inst.name == "11EIL51"
+        for i in range(12):
+            params = AcoParams(
+                num_ants=10, max_iterations=20, seed=100_000 + i,
+                variant=("acs", "racs")[i % 2],
+            )
+            assert traced_run(inst, params) == traced_reference(inst, params)
+
+
+class TestDegenerateInputs:
+    def test_zero_cost_instance_runs(self):
+        inst = GtspInstance(
+            name="zero", costs=CostMatrix(np.zeros((4, 4), dtype=int)),
+            clusters=((0, 1), (2, 3)),
+        )
+        for variant in ("acs", "racs"):
+            result = run(inst, AcoParams(max_iterations=2, variant=variant))
+            validate_tour(inst, result.best.nodes)
+            assert result.best.cost == 0
+            assert result.trace == [0, 0]
+
+    def test_zero_cost_pheromone_scale_is_finite(self):
+        inst = GtspInstance(
+            name="zero", costs=CostMatrix(np.zeros((4, 4), dtype=int)),
+            clusters=((0, 1), (2, 3)),
+        )
+        pher = PheromoneMatrix.for_instance(inst, 0, rho=0.5)
+        assert (pher.tau0, pher.tau_max) == (1 / 4, 2.0)
+        local_update(pher, (0, 2), rho=0.5, l_plus=0, n=4, variant="racs")
+        assert pher.tau[0, 2] == 0.5 * 0.25 + 0.5 * 0.25
+        from gtsp import make_tour
+
+        global_update(pher, make_tour(inst, [0, 2]), rho=0.5, symmetric=False)
+        assert pher.tau[0, 2] == pher.tau[2, 0] == 0.5 * 0.25 + 0.5 * 1.0
+
+    @pytest.mark.parametrize("q0", [0.0, 1.0])
+    @pytest.mark.parametrize("variant", ["acs", "racs"])
+    def test_beta_underflow_gives_valid_tours(self, q0, variant, monkeypatch, data_dir):
+        inst = load_instance_file(data_dir / "eil51.tsp")
+        seen = []
+        rescued = []
+        relative = gtsp.aco._relative_weights
+        monkeypatch.setattr(
+            gtsp.aco, "_relative_weights", lambda *a: rescued.append(1) or relative(*a)
+        )
+        # underflow to 0 is the case under test; anything else must not happen
+        with np.errstate(all="raise", under="ignore"):
+            result = run(
+                inst,
+                AcoParams(beta=200.0, q0=q0, variant=variant, max_iterations=3, seed=4),
+                iteration_observer=lambda state, tours: seen.extend(tours),
+            )
+        assert len(seen) == 30 and rescued  # some steps had only zero weights
+        for tour in seen + [result.best]:
+            validate_tour(inst, tour.nodes)
+        assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
+
+    @staticmethod
+    def far_step(inst):
+        """Node 12 of 11EIL51 with only cluster 0 left: every edge costs at
+        least 61, so (1/c)^200 times the trail underflows to 0."""
+        l_nn, _ = nn_reference_cost(inst)
+        pher = PheromoneMatrix.for_instance(inst, l_nn, rho=0.5)
+        state = ant_at(inst, 12)
+        state.node_mask[:] = False
+        state.node_mask[inst.cluster_arrays[0]] = True
+        cand = np.flatnonzero(state.node_mask)
+        assert inst.costs.cost[12, cand].min() == 61
+        return pher, state, cand
+
+    def test_beta_underflow_distribution_is_finite(self, data_dir):
+        inst = load_instance_file(data_dir / "eil51.tsp")
+        pher, state, cand = self.far_step(inst)
+        with np.errstate(all="raise", under="ignore"):
+            assert not _candidate_weights(inst, pher, 12, cand, 200.0).any()
+            probs = transition_distribution(state, pher, inst, beta=200.0)
+        assert set(probs) == {int(v) for v in cand}
+        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+        # relative visibility (c_min/c)^beta: the cheapest candidate edge wins
+        cheapest = int(cand[np.argmin(inst.costs.cost[12, cand])])
+        assert probs[cheapest] == max(probs.values()) > 0.5
+
+    @pytest.mark.parametrize("q0", [0.0, 1.0])
+    def test_beta_underflow_pick_follows_relative_weights(self, q0, data_dir):
+        inst = load_instance_file(data_dir / "eil51.tsp")
+        pher, state, cand = self.far_step(inst)
+        cheapest = int(cand[np.argmin(inst.costs.cost[12, cand])])
+        params = AcoParams(beta=200.0, q0=q0, max_iterations=1)
+        with np.errstate(all="raise", under="ignore"):
+            picks = [choose_next(state, pher, inst, params) for _ in range(200)]
+        assert set(picks) <= {int(v) for v in cand}
+        if q0 == 1.0:
+            assert set(picks) == {cheapest}
+        else:
+            assert picks.count(cheapest) > 100
+        # the rescue consumes the usual draws: q, then r only when q > q0
+        replay = np.random.default_rng(0)
+        for _ in range(200):
+            if replay.random() > q0:
+                replay.random()
+        assert replay.bit_generator.state == state.rng_stream.bit_generator.state

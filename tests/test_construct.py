@@ -66,6 +66,54 @@ class TestTourCost:
         with pytest.raises(InvalidTourError, match="cluster 0 visited 2 times"):
             validate_tour(inst, [0, 1, 2])
 
+    def test_out_of_range_reported_before_cluster_counts(self):
+        inst = square_instance()
+        with pytest.raises(InvalidTourError, match="node 4 out of range"):
+            validate_tour(inst, [0, 0, 4, -1])
+        with pytest.raises(InvalidTourError, match="node -1 out of range"):
+            tour_cost(inst, [0, -1, 2, 3])
+
+    def test_rejects_non_integer_ids(self):
+        with pytest.raises(InvalidTourError, match="integers"):
+            validate_tour(square_instance(), [0, 1, 2.5, 3])
+
+    def test_empty_sequence_misses_cluster_zero(self):
+        with pytest.raises(InvalidTourError, match="cluster 0 visited 0 times"):
+            validate_tour(square_instance(), [])
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_validation_matches_node_by_node_check(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        inst = random_matrix_instance(n, int(rng.integers(2, n + 1)), rng)
+        nodes = [int(v) for v in rng.integers(-2, inst.n + 2, size=int(rng.integers(0, 8)))]
+        if rng.random() < 0.5:  # often a valid tour
+            nodes = [int(rng.choice(c)) for c in inst.clusters]
+            rng.shuffle(nodes)
+
+        expected = None
+        counts = [0] * inst.p
+        for v in nodes:
+            if not 0 <= v < inst.n:
+                expected = f"node {v} out of range"
+                break
+            counts[int(inst.cluster_of[v])] += 1
+        else:
+            bad = [k for k in range(inst.p) if counts[k] != 1]
+            if bad:
+                expected = f"cluster {bad[0]} visited {counts[bad[0]]} times, expected once"
+
+        if expected is None:
+            validate_tour(inst, nodes)
+            total = sum(int(inst.costs.cost[a, b]) for a, b in zip(nodes, nodes[1:] + nodes[:1]))
+            assert tour_cost(inst, nodes) == make_tour(inst, nodes).cost == total
+            assert make_tour(inst, nodes).nodes == tuple(nodes)
+        else:
+            for check in (validate_tour, tour_cost, make_tour):
+                with pytest.raises(InvalidTourError) as exc:
+                    check(inst, nodes)
+                assert str(exc.value) == expected
+
     def test_tour_self_consistency(self):
         inst = square_instance()
         t = make_tour(inst, [0, 1, 2, 3])

@@ -172,6 +172,26 @@ class TestExactSolve:
         assert tour.cost == optimum
         assert peak < 4_000_000
 
+    def test_sequence_temporary_is_bounded(self):
+        # an unchunked layer step would build a 15.8 MB (starts, |V_l|, |V_l+1|) temporary
+        _, inst = generate_instance(nodes=300, clusters=3, seed=1)
+        a, b, c = (inst.cluster_arrays[k] for k in (2, 0, 1))
+        cost = inst.costs.cost
+        whole = (
+            cost[np.ix_(a, b)][:, :, None]
+            + cost[np.ix_(b, c)][None, :, :]
+            + cost[np.ix_(c, a)].T[:, None, :]
+        )
+        tracemalloc.start()
+        try:
+            tour = best_tour_for_sequence(inst, (2, 0, 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tour.cost == whole.min()
+        assert [int(inst.cluster_of[v]) for v in tour.nodes] == [2, 0, 1]
+        assert peak < 4_000_000
+
     def test_deterministic(self):
         rng = np.random.default_rng(4)
         inst = random_matrix_instance(10, 4, rng)
