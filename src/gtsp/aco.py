@@ -16,6 +16,16 @@ Once per iteration the best-so-far tour's edges are reinforced with deposit
 share the pick rule (`_pick`) with it, so both follow the same draws.
 Pheromone scales use max(L, 1), so zero-cost tours do not divide by zero.
 
+`run` keeps a weight matrix, trail times visibility^beta, next to the trails
+and rewrites an entry at every trail write, so an ant step gathers its
+candidate weights from one row. Visibility^beta comes from a table indexed by
+integer cost value; only instances whose largest cost reaches n^2 keep an
+n x n visibility matrix instead. Every trail write, in `run` and in the public
+`local_update`/`global_update`, goes through one relaxation (`_relax`). Trails
+change only through these writes, so `run` calls `evaporation_reinit` only in
+an iteration where some write went above tau_max, and refreshes the weights of
+the entries it reset.
+
 A single run is sequential and deterministic given its seed. Independent runs
 share instances read-only and may execute in parallel.
 """
@@ -38,7 +48,12 @@ VARIANTS = ("acs", "racs")
 @dataclass
 class AcoParams:
     """Colony parameters. Defaults follow the benchmark setup: beta=5,
-    rho=0.5, q0=0.5, ten ants."""
+    rho=0.5, q0=0.5, ten ants.
+
+    `time_max` (seconds) is checked only between iterations: a run stops at
+    the first iteration boundary at or after it, so it overruns by up to one
+    iteration.
+    """
 
     beta: float = 5.0
     rho: float = 0.5
@@ -129,6 +144,26 @@ def _visibility_pow(cost: np.ndarray, beta: float) -> np.ndarray:
     """Visibility^beta, (1/c)^beta, of the given edge costs; zero-cost edges
     clamp to 1."""
     return (1.0 / np.maximum(cost, 1)) ** beta
+
+
+def _visibility_lookup(cost: np.ndarray, beta: float):
+    """Visibility^beta of the edges of `cost` as `(at, where)`: `at(i, j)`
+    gives one edge's value as a float, `where(mask)` the values of the edges a
+    bool mask (or `...`) selects, equal to `_visibility_pow(cost, beta)[mask]`.
+
+    The values come from a table over the integer cost values 0..max cost, so
+    no n x n matrix is built. A table longer than n^2 would outgrow the matrix
+    (and could exhaust memory at costs like 2^40); only in that case the n x n
+    matrix is computed directly.
+    """
+    n = cost.shape[0]
+    max_cost = int(cost.max())
+    if max_cost + 1 <= n * n:
+        table = _visibility_pow(np.arange(max_cost + 1), beta)
+        table_item, cost_item = table.item, cost.item
+        return (lambda i, j: table_item(cost_item(i, j))), (lambda mask: table[cost[mask]])
+    eta = _visibility_pow(cost, beta)
+    return eta.item, eta.__getitem__
 
 
 def _candidate_weights(
@@ -225,6 +260,27 @@ def choose_next(
     )
 
 
+def _local_deposit(variant: str, n: int, l_plus: int, tau0: float) -> float:
+    """What a local update relaxes toward: 1/(n * L+) for RACS, tau0 for ACS."""
+    return 1.0 / (n * max(l_plus, 1)) if variant == "racs" else tau0
+
+
+def _global_deposit(best_cost: int) -> float:
+    """What the global update relaxes the best tour's edges toward: 1/L+."""
+    return 1.0 / max(best_cost, 1)
+
+
+def _relax(tau: np.ndarray, i: int, j: int, keep: float, add: float, symmetric: bool) -> float:
+    """The trail write tau[i, j] <- keep * tau[i, j] + add, with keep = 1 - rho
+    and add = rho * deposit, mirrored to tau[j, i] on symmetric instances.
+    Returns the new value."""
+    t = keep * tau.item(i, j) + add
+    tau[i, j] = t
+    if symmetric:
+        tau[j, i] = t
+    return t
+
+
 def local_update(
     pheromone: PheromoneMatrix,
     edge: tuple[int, int],
@@ -239,12 +295,9 @@ def local_update(
     RACS relaxes toward 1/(n * L+) with L+ the best-so-far cost; the ACS
     baseline relaxes toward tau0. Symmetric instances mirror the update.
     """
-    deposit = 1.0 / (n * max(l_plus, 1)) if variant == "racs" else pheromone.tau0
+    deposit = _local_deposit(variant, n, l_plus, pheromone.tau0)
     i, j = edge
-    tau = pheromone.tau
-    tau[i, j] = (1.0 - rho) * tau[i, j] + rho * deposit
-    if symmetric:
-        tau[j, i] = tau[i, j]
+    _relax(pheromone.tau, i, j, 1.0 - rho, rho * deposit, symmetric)
 
 
 def global_update(
@@ -255,19 +308,19 @@ def global_update(
 ) -> None:
     """Once per iteration, reinforce every edge of the best tour (closing edge
     included) with deposit 1/max(cost(best), 1). Other edges are untouched."""
-    deposit = 1.0 / max(best.cost, 1)
-    tau = pheromone.tau
+    keep, add = 1.0 - rho, rho * _global_deposit(best.cost)
     nodes = best.nodes
     for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-        tau[a, b] = (1.0 - rho) * tau[a, b] + rho * deposit
-        if symmetric:
-            tau[b, a] = tau[a, b]
+        _relax(pheromone.tau, a, b, keep, add, symmetric)
 
 
-def evaporation_reinit(pheromone: PheromoneMatrix) -> None:
+def evaporation_reinit(pheromone: PheromoneMatrix) -> np.ndarray:
     """Reset trails that climbed strictly above tau_max back to tau0; other
-    entries keep their value. Runs right after the global update."""
-    pheromone.tau[pheromone.tau > pheromone.tau_max] = pheromone.tau0
+    entries keep their value. Runs right after the global update. Returns the
+    bool mask of the entries it reset."""
+    reset = pheromone.tau > pheromone.tau_max
+    pheromone.tau[reset] = pheromone.tau0
+    return reset
 
 
 @dataclass
@@ -319,15 +372,26 @@ def run(
     rng = np.random.default_rng(params.seed)
     l_nn, incumbent = nn_reference_cost(instance)
     pheromone = PheromoneMatrix.for_instance(instance, l_nn, params.rho)
-    tau = pheromone.tau
+    tau, tau0, tau_max = pheromone.tau, pheromone.tau0, pheromone.tau_max
     cost = instance.costs.cost
     beta, q0, rho, variant = params.beta, params.q0, params.rho, params.variant
-    eta_beta = _visibility_pow(cost, beta)
+    eta_at, eta_where = _visibility_lookup(cost, beta)
+    # weight[i, j] == tau[i, j] * eta_at(i, j) after every write below
+    weight = eta_where(...) * tau0
     symmetric = instance.costs.symmetric
     members = instance.cluster_arrays
     cluster_of = instance.cluster_of.tolist()
     rand = rng.random
     n, p = instance.n, instance.p
+    keep = 1.0 - rho
+
+    def write(i: int, j: int, add: float) -> bool:
+        """Relax trail (i, j) and its weight; True if it went above tau_max."""
+        t = _relax(tau, i, j, keep, add, symmetric)
+        weight[i, j] = w = t * eta_at(i, j)
+        if symmetric:
+            weight[j, i] = w
+        return t > tau_max
 
     trace: list[int] = []
     iteration = 0
@@ -338,7 +402,8 @@ def run(
             break
         iteration += 1
 
-        l_plus = incumbent.cost
+        local_add = rho * _local_deposit(variant, n, incumbent.cost, tau0)
+        above_max = False
         ant_tours: list[Tour] = []
         for _ in range(params.num_ants):
             # the same steps and draws as AntState.place, choose_next and
@@ -351,23 +416,29 @@ def run(
             cur = start
             for _ in range(p - 1):
                 cand = mask.nonzero()[0]
-                w = tau[cur][cand] * eta_beta[cur][cand]
                 nxt = _pick(
-                    w, cand, q0, rand,
+                    weight[cur].take(cand), cand, q0, rand,
                     lambda: _relative_weights(cost[cur], tau[cur], cand, beta),
                 )
-                local_update(pheromone, (cur, nxt), rho, l_plus, n, variant, symmetric)
+                above_max |= write(cur, nxt, local_add)
                 mask[members[cluster_of[nxt]]] = False
                 path.append(nxt)
                 cur = nxt
-            local_update(pheromone, (cur, start), rho, l_plus, n, variant, symmetric)
+            above_max |= write(cur, start, local_add)
             ant_tours.append(make_tour(instance, path))
 
         iteration_best = min(ant_tours, key=lambda t: t.cost)
         if iteration_best.cost < incumbent.cost:
             incumbent = iteration_best
-        global_update(pheromone, incumbent, params.rho, symmetric)
-        evaporation_reinit(pheromone)
+        global_add = rho * _global_deposit(incumbent.cost)
+        nodes = incumbent.nodes
+        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+            above_max |= write(a, b, global_add)
+        # tau0 < tau_max, so every trail is <= tau_max after a reinit and only
+        # a write above tau_max can give the next one something to reset
+        if above_max:
+            reset = evaporation_reinit(pheromone)
+            weight[reset] = tau0 * eta_where(reset)
         trace.append(incumbent.cost)
 
         if iteration_observer is not None:

@@ -154,12 +154,25 @@ def parse_tsplib(text: str) -> NodeCoords:
     return NodeCoords(points)
 
 
+# Rows per block times n in `euc2d_costs`: the float temporaries of one block
+# stay near 2^17 pairs (a few MB) instead of growing as n^2.
+_EUC2D_BLOCK_PAIRS = 1 << 17
+
+
 def euc2d_costs(coords: NodeCoords) -> CostMatrix:
-    """Integer Euclidean costs: nearest-integer distances, halves rounding up."""
+    """Integer Euclidean costs: nearest-integer distances, halves rounding up.
+
+    Rows are computed in blocks, each with the same float expressions, so the
+    temporaries stay a few MB whatever n is.
+    """
     pts = coords.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    cost = np.floor(dist + 0.5).astype(np.int64)
+    n = len(pts)
+    cost = np.empty((n, n), dtype=np.int64)
+    rows = max(1, _EUC2D_BLOCK_PAIRS // n)
+    for lo in range(0, n, rows):
+        diff = pts[lo:lo + rows, None, :] - pts[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=-1))
+        cost[lo:lo + rows] = np.floor(dist + 0.5)
     np.fill_diagonal(cost, 0)
     return CostMatrix(cost)
 

@@ -128,7 +128,8 @@ def _ref_tour(instance: GtspInstance, path) -> Tour:
 def reference_run(instance: GtspInstance, params: AcoParams, iteration_observer=None):
     """Iteration-budgeted colony run by the original loop.
 
-    Returns the RunResult (elapsed 0) and the final trail matrix.
+    Returns the RunResult (elapsed 0), the final trail matrix and how many
+    trail entries the reinitializations reset in all.
     """
     rng = np.random.default_rng(params.seed)
     l_nn, incumbent = nn_reference_cost(instance)
@@ -141,6 +142,7 @@ def reference_run(instance: GtspInstance, params: AcoParams, iteration_observer=
     members = instance.cluster_arrays
 
     trace = []
+    resets = 0
     for _ in range(params.max_iterations):
         l_plus = incumbent.cost
         ant_tours = []
@@ -165,7 +167,9 @@ def reference_run(instance: GtspInstance, params: AcoParams, iteration_observer=
         if iteration_best.cost < incumbent.cost:
             incumbent = iteration_best
         _ref_global_update(tau, incumbent, params.rho, symmetric)
-        tau[tau > tau_max] = tau0
+        reset = tau > tau_max
+        resets += int(reset.sum())
+        tau[reset] = tau0
         trace.append(incumbent.cost)
         if iteration_observer is not None:
             iteration_observer(ant_tours)
@@ -174,4 +178,4 @@ def reference_run(instance: GtspInstance, params: AcoParams, iteration_observer=
         best=incumbent, iterations=params.max_iterations, elapsed=0.0,
         params=replace(params), trace=trace,
     )
-    return result, tau
+    return result, tau, resets

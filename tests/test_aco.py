@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -224,14 +227,16 @@ class TestEvaporationReinit:
     def test_at_bound_is_kept(self):
         inst = two_candidate_instance()
         pher = fresh_pheromone(inst, value=0.2, tau_max=0.2)
-        evaporation_reinit(pher)
+        reset = evaporation_reinit(pher)
         assert (pher.tau == 0.2).all()
+        assert reset.shape == pher.tau.shape and not reset.any()
 
     def test_above_bound_resets_entry(self):
         inst = two_candidate_instance()
         pher = fresh_pheromone(inst, value=0.1, tau_max=0.2)
         pher.tau[0, 1] = 0.2 * 1.01
-        evaporation_reinit(pher)
+        reset = evaporation_reinit(pher)
+        assert np.array_equal(np.argwhere(reset), [[0, 1]])  # the entries it reset
         assert pher.tau[0, 1] == pher.tau0
         assert pher.tau[1, 0] == 0.1  # untouched entries keep their value
         assert (pher.tau <= pher.tau_max).all()
@@ -241,7 +246,7 @@ class TestEvaporationReinit:
         inst = random_matrix_instance(8, 3, rng)
         l_nn, _ = nn_reference_cost(inst)
         pher = PheromoneMatrix.for_instance(inst, l_nn, rho=0.5)
-        assert pher.tau0 < pher.tau_max  # holds whenever n * (1 - rho) > 1
+        assert pher.tau0 < pher.tau_max  # tau0 / tau_max = (1 - rho) / n < 1
         before = pher.tau.copy()
         evaporation_reinit(pher)
         assert np.array_equal(pher.tau, before)
@@ -316,9 +321,20 @@ class TestRun:
 
         assert collect(0) != collect(1)
 
-    def test_trace_non_increasing_and_invariants_hold(self):
-        rng = np.random.default_rng(26)
-        inst = random_matrix_instance(15, 5, rng)
+    @settings(max_examples=40)
+    @given(
+        instance_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        beta=st.floats(0.0, 50.0),
+        variant=st.sampled_from(["acs", "racs"]),
+        symmetric=st.booleans(),
+    )
+    @example(instance_seed=26, seed=3, beta=5.0, variant="racs", symmetric=True)
+    def test_trace_non_increasing_and_invariants_hold(
+        self, instance_seed, seed, beta, variant, symmetric
+    ):
+        rng = np.random.default_rng(instance_seed)
+        inst = random_matrix_instance(15, 5, rng, symmetric=symmetric)
         seen = []
 
         def observer(state, ant_tours):
@@ -326,9 +342,11 @@ class TestRun:
             assert (state.pheromone.tau <= state.pheromone.tau_max).all()
             for tour in ant_tours:
                 validate_tour(inst, tour.nodes)
+            assert not seen or state.best_tour.cost <= seen[-1]
             seen.append(state.best_tour.cost)
 
-        result = run(inst, AcoParams(max_iterations=50, seed=3), iteration_observer=observer)
+        params = AcoParams(beta=beta, variant=variant, max_iterations=50, seed=seed)
+        result = run(inst, params, iteration_observer=observer)
         assert seen == result.trace
         assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
 
@@ -364,24 +382,60 @@ class TestRun:
 
 
 def traced_run(inst, params):
-    """`run` plus every ant tour and the final trail bytes."""
+    """`run` plus every ant tour, the final trail bytes and how many trail
+    entries its `evaporation_reinit` calls reset in all."""
     tours = []
     trails = []
+    resets = []
+    reinit = gtsp.aco.evaporation_reinit
 
     def observer(state, ant_tours):
         tours.append([t.nodes for t in ant_tours])
         trails.append(state.pheromone.tau.tobytes())
 
-    result = run(inst, params, iteration_observer=observer)
-    return result.to_json(include_elapsed=False), tours, trails[-1]
+    def counted_reinit(pheromone):
+        reset = reinit(pheromone)
+        resets.append(int(reset.sum()))
+        return reset
+
+    with mock.patch.object(gtsp.aco, "evaporation_reinit", counted_reinit):
+        result = run(inst, params, iteration_observer=observer)
+    return result.to_json(include_elapsed=False), tours, trails[-1], sum(resets)
 
 
 def traced_reference(inst, params):
     tours = []
-    result, tau = reference_run(
+    result, tau, resets = reference_run(
         inst, params, iteration_observer=lambda ant_tours: tours.append([t.nodes for t in ant_tours])
     )
-    return result.to_json(include_elapsed=False), tours, tau.tobytes()
+    return result.to_json(include_elapsed=False), tours, tau.tobytes(), resets
+
+
+def trap_instance(symmetric: bool) -> GtspInstance:
+    """Four singleton clusters. The NN tour 0-1-2-3 pays the closing edge 100
+    (L_nn = 103) while 0-1-3-2 costs 6, so once an ant finds it the global
+    update pushes its trails above tau_max = 2 / L_nn and reinit resets them."""
+    cost = np.array(
+        [[0, 1, 2, 100],
+         [1, 0, 1, 2],
+         [2, 1, 0, 1],
+         [100, 2, 1, 0]]
+    )
+    if not symmetric:
+        cost[2, 0] = 3
+    return GtspInstance(
+        name="trap", costs=CostMatrix(cost), clusters=((0,), (1,), (2,), (3,))
+    )
+
+
+def random_cost_instance(n: int, p: int, top: int, seed: int) -> GtspInstance:
+    """Symmetric costs drawn from [1, top] with `top` on edge (0, 1)."""
+    rng = np.random.default_rng(seed)
+    cost = np.triu(rng.integers(1, top, size=(n, n), endpoint=True), 1)
+    cost[0, 1] = top
+    cost = cost + cost.T
+    clusters = [list(range(k, n, p)) for k in range(p)]
+    return GtspInstance(name="big", costs=CostMatrix(cost), clusters=tuple(map(tuple, clusters)))
 
 
 class TestReferenceEquivalence:
@@ -398,23 +452,76 @@ class TestReferenceEquivalence:
         beta=st.sampled_from([0.0, 1.0, 2.0, 5.0, 12.0]),
         num_ants=st.integers(1, 6),
         iterations=st.integers(1, 6),
+        rho=st.sampled_from([0.1, 0.5, 0.9]),
     )
     @example(seed=1, n=2, p=2, symmetric=True, variant="racs", q0=0.5, beta=5.0,
-             num_ants=1, iterations=3)
+             num_ants=1, iterations=3, rho=0.5)
     @example(seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0, beta=12.0,
-             num_ants=3, iterations=4)
+             num_ants=3, iterations=4, rho=0.5)
     @example(seed=3, n=20, p=2, symmetric=True, variant="racs", q0=1.0, beta=1.0,
-             num_ants=5, iterations=5)
+             num_ants=5, iterations=5, rho=0.5)
+    @example(seed=4, n=2, p=2, symmetric=True, variant="racs", q0=0.5, beta=5.0,
+             num_ants=2, iterations=6, rho=0.9)
     def test_byte_identical_to_reference(
-        self, seed, n, p, symmetric, variant, q0, beta, num_ants, iterations
+        self, seed, n, p, symmetric, variant, q0, beta, num_ants, iterations, rho
     ):
         rng = np.random.default_rng(seed)
         inst = random_matrix_instance(n, min(p, n), rng, symmetric=symmetric)
         params = AcoParams(
             beta=beta, q0=q0, variant=variant, num_ants=num_ants,
-            max_iterations=iterations, seed=seed,
+            max_iterations=iterations, seed=seed, rho=rho,
         )
         assert traced_run(inst, params) == traced_reference(inst, params)
+
+    @pytest.mark.parametrize("q0", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("variant", ["acs", "racs"])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_trail_resets(self, symmetric, variant, q0):
+        inst = trap_instance(symmetric)
+        assert nn_reference_cost(inst)[0] == 103
+        params = AcoParams(q0=q0, variant=variant, num_ants=3, max_iterations=8, seed=5)
+        ours, reference = traced_run(inst, params), traced_reference(inst, params)
+        assert ours == reference
+        assert reference[3] > 0  # the reset path ran, in both loops alike
+
+    def test_reinit_only_when_a_trail_exceeds_tau_max(self, data_dir):
+        def reinit_calls(inst, iterations):
+            calls = []
+            reinit = gtsp.aco.evaporation_reinit
+            with mock.patch.object(
+                gtsp.aco, "evaporation_reinit", lambda ph: calls.append(1) or reinit(ph)
+            ):
+                run(inst, AcoParams(max_iterations=iterations, seed=100_000))
+            return len(calls)
+
+        # no write goes above tau_max on 11EIL51, so there is no n^2 scan at all
+        assert reinit_calls(load_instance_file(data_dir / "eil51.tsp"), 20) == 0
+        assert 1 <= reinit_calls(trap_instance(True), 8) <= 8
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0, 12.0])
+    @pytest.mark.parametrize("variant", ["acs", "racs"])
+    def test_large_costs(self, beta, variant):
+        inst = random_cost_instance(12, 4, 2**41, seed=6)
+        assert inst.costs.cost.max() >= 2**40
+        params = AcoParams(beta=beta, variant=variant, num_ants=4, max_iterations=4, seed=8)
+        assert traced_run(inst, params) == traced_reference(inst, params)
+
+        # visibility must not take memory in proportion to the largest cost
+        small = random_cost_instance(12, 4, 100, seed=6)
+        for case in (small, inst):
+            tracemalloc.start()
+            run(case, params)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 1 << 20
+
+    @pytest.mark.parametrize("top", [24, 25, 26])
+    def test_visibility_table_boundary(self, top):
+        # n = 5: a largest cost of 24 fits a table of n^2 values, 25 does not
+        inst = random_cost_instance(5, 3, top, seed=top)
+        for variant in ("acs", "racs"):
+            params = AcoParams(variant=variant, num_ants=3, max_iterations=5, seed=top)
+            assert traced_run(inst, params) == traced_reference(inst, params)
 
     def test_eil51_benchmark_seeds(self, data_dir):
         inst = load_instance_file(data_dir / "eil51.tsp")

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +21,8 @@ from gtsp import (
     parse_instance_name,
     parse_tsplib,
 )
+
+import gtsp.instance
 
 MINIMAL_TSP = """\
 NAME : tiny
@@ -93,6 +98,36 @@ class TestEuc2dCosts:
     def test_half_rounds_up(self):
         costs = euc2d_costs(NodeCoords(np.array([[0.0, 0.0], [2.5, 0.0]])))
         assert costs.cost[0, 1] == 3
+
+    @pytest.mark.parametrize("block_pairs", [1, 7, 40, 1 << 17])
+    @pytest.mark.parametrize("n", [2, 9, 23])
+    def test_matches_per_pair_formula(self, n, block_pairs, monkeypatch):
+        # small blocks split the rows at every boundary, including a last
+        # partial block; halves test the rounding
+        monkeypatch.setattr(gtsp.instance, "_EUC2D_BLOCK_PAIRS", block_pairs)
+        rng = np.random.default_rng(n * block_pairs)
+        for scale in (10, 1e4, 1e7):
+            pts = np.round(rng.uniform(-scale, scale, size=(n, 2)) * 2) / 2
+            cost = euc2d_costs(NodeCoords(pts)).cost
+            expected = [
+                [math.floor(math.sqrt((ax - bx) ** 2 + (ay - by) ** 2) + 0.5) if a != b else 0
+                 for b, (bx, by) in enumerate(pts.tolist())]
+                for a, (ax, ay) in enumerate(pts.tolist())
+            ]
+            assert cost.dtype == np.int64
+            assert cost.tolist() == expected
+
+    def test_temporaries_are_bounded(self):
+        n = 2000
+        coords = NodeCoords(np.random.default_rng(3).uniform(0, 10_000, size=(n, 2)))
+        tracemalloc.start()
+        costs = euc2d_costs(coords)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the int64 matrix and CostMatrix's own copy of it are 2 * 8 * n^2
+        # bytes; an (n, n, 2) float temporary alone would add 64 MB
+        assert costs.cost.shape == (n, n)
+        assert peak < 2 * 8 * n * n + (16 << 20)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
     def test_symmetric_zero_diagonal(self, seed, n):
