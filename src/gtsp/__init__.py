@@ -45,6 +45,7 @@ from .exact import (
 )
 from .instance import (
     CostMatrix,
+    CostOverflowError,
     GtspInstance,
     NodeCoords,
     ParseError,

@@ -95,8 +95,17 @@ def nn_reference_cost(instance: GtspInstance) -> tuple[int, Tour]:
 
     The start cluster is the one of minimum cardinality (ties to the lowest
     cluster index); starts are tried in ascending node id and only strict
-    improvements are kept, so the result is deterministic.
+    improvements are kept, so the result is deterministic. It depends only on
+    the instance, so it is computed once and kept on it, like
+    `GtspInstance.cluster_arrays`.
     """
+    cached = instance.__dict__.get("_nn_reference")
+    if cached is None:
+        cached = instance.__dict__["_nn_reference"] = _nn_reference(instance)
+    return cached
+
+
+def _nn_reference(instance: GtspInstance) -> tuple[int, Tour]:
     sizes = [len(c) for c in instance.clusters]
     k = sizes.index(min(sizes))
     best: Tour | None = None

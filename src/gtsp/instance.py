@@ -4,6 +4,11 @@ An instance is a complete graph with non-negative integer edge costs whose
 nodes are partitioned into clusters; a feasible tour visits exactly one node
 per cluster. Instances are immutable after construction and safe to share
 read-only across concurrent solver runs.
+
+Loading a raw TSPLIB file (`parse_tsplib`, `euc2d_costs`, `cluster_instance`)
+holds one n x n int64 matrix at a time: costs are computed in row blocks into
+the matrix, `CostMatrix` keeps that array as a read-only view instead of
+copying it, and clustering reads it in place.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ import numpy as np
 
 class ParseError(ValueError):
     """An instance file is malformed; the message names the offending record."""
+
+
+class CostOverflowError(ValueError):
+    """Coordinates lie so far apart that their distances do not fit in int64."""
 
 
 @dataclass(frozen=True)
@@ -45,32 +54,58 @@ class CostMatrix:
     """Complete n x n matrix of non-negative integer edge costs, zero diagonal.
 
     The `symmetric` flag is computed from the data, never trusted from input.
+    An int64 array is kept as a read-only view, not copied: it shares memory
+    with the caller's array, so the caller must not write to it afterwards.
+    Other integer arrays, and floats holding integers, are converted.
     """
 
-    cost: np.ndarray  # shape (n, n), int64
+    cost: np.ndarray  # shape (n, n), int64, read-only
     symmetric: bool = field(init=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.cost)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"cost matrix must be square, got shape {c.shape}")
-        if not np.issubdtype(c.dtype, np.integer):
+        if c.dtype == np.int64:
+            c = c.view()
+        elif np.issubdtype(c.dtype, np.integer):
+            c = c.astype(np.int64)
+        else:
             as_int = c.astype(np.int64)
             if not np.array_equal(as_int, c):
                 raise ValueError("costs must be integers")
             c = as_int
-        else:
-            c = c.astype(np.int64)
-        if (c < 0).any():
+        c.flags.writeable = False
+        if c.size and c.min() < 0:
             raise ValueError("costs must be non-negative")
         if np.diagonal(c).any():
             raise ValueError("diagonal costs must be zero")
         object.__setattr__(self, "cost", c)
-        object.__setattr__(self, "symmetric", bool(np.array_equal(c, c.T)))
+        object.__setattr__(self, "symmetric", _is_symmetric(c))
 
     @property
     def n(self) -> int:
         return self.cost.shape[0]
+
+
+# Side of the square tiles `_is_symmetric` compares: a tile and its mirror
+# (2 x 512 KiB of int64) stay in cache while they are compared.
+_SYMMETRY_TILE = 256
+
+
+def _is_symmetric(c: np.ndarray) -> bool:
+    """`np.array_equal(c, c.T)` tile by tile, stopping at the first mismatch.
+
+    Each tile on or above the diagonal is compared with the transpose of its
+    mirror tile, so no n x n temporary is built and an asymmetric matrix is
+    usually refused after one tile.
+    """
+    n, b = c.shape[0], _SYMMETRY_TILE
+    for lo in range(0, n, b):
+        for lo2 in range(lo, n, b):
+            if not np.array_equal(c[lo:lo + b, lo2:lo2 + b], c[lo2:lo2 + b, lo:lo + b].T):
+                return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -123,6 +158,8 @@ def parse_tsplib(text: str) -> NodeCoords:
     """Parse a TSPLIB file with EUC_2D coordinates into 0-based node order."""
     headers, coord_records, _ = _scan_records(text)
     dim = _required_int_header(headers, "DIMENSION")
+    if dim < 2:
+        raise ParseError(f"line {headers['DIMENSION'][0]}: DIMENSION {dim} is below 2")
     ew_lineno, ew_type = headers.get("EDGE_WEIGHT_TYPE", (0, ""))
     if not ew_type:
         raise ParseError("missing EDGE_WEIGHT_TYPE record")
@@ -145,6 +182,8 @@ def parse_tsplib(text: str) -> NodeCoords:
             x, y = float(parts[1]), float(parts[2])
         except ValueError:
             raise ParseError(f"line {lineno}: bad coordinate record {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(f"line {lineno}: coordinates must be finite, got {line!r}")
         if not 1 <= node <= dim:
             raise ParseError(f"line {lineno}: node id {node} outside 1..{dim}")
         if node in seen:
@@ -158,21 +197,48 @@ def parse_tsplib(text: str) -> NodeCoords:
 # stay near 2^17 pairs (a few MB) instead of growing as n^2.
 _EUC2D_BLOCK_PAIRS = 1 << 17
 
+# Distances are cast to int64; 2^63 is the first float that does not fit.
+_INT64_LIMIT = float(2**63)
+
 
 def euc2d_costs(coords: NodeCoords) -> CostMatrix:
     """Integer Euclidean costs: nearest-integer distances, halves rounding up.
 
-    Rows are computed in blocks, each with the same float expressions, so the
-    temporaries stay a few MB whatever n is.
+    Each cost is `floor(sqrt(dx*dx + dy*dy) + 0.5)` in float64, computed in
+    row blocks from the x and y columns and written straight into the int64
+    matrix, so the temporaries stay a few MB whatever n is. Only the blocks
+    on and above the diagonal are computed; the rest is their mirror. Raises
+    `CostOverflowError` before any n^2 work when the bounding box's diagonal,
+    which bounds every distance, does not fit in int64.
     """
     pts = coords.points
     n = len(pts)
+    x, y = pts[:, 0].copy(), pts[:, 1].copy()
+    # float subtraction, squaring, sqrt and rounding are all monotone, so no
+    # pair's value exceeds the one computed from the box's sides
+    with np.errstate(over="ignore"):
+        span_x, span_y = x.max() - x.min(), y.max() - y.min()
+        longest = np.floor(np.sqrt(span_x * span_x + span_y * span_y) + 0.5)
+    if not longest < _INT64_LIMIT:
+        raise CostOverflowError(
+            f"coordinates span {span_x:g} x {span_y:g}; their distances overflow int64 costs"
+        )
     cost = np.empty((n, n), dtype=np.int64)
     rows = max(1, _EUC2D_BLOCK_PAIRS // n)
     for lo in range(0, n, rows):
-        diff = pts[lo:lo + rows, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=-1))
-        cost[lo:lo + rows] = np.floor(dist + 0.5)
+        hi = min(lo + rows, n)
+        # the block's rows from column lo on; fl(a - b) == -fl(b - a), so
+        # the part below the block is its exact mirror
+        dist = x[lo:hi, None] - x[lo:]
+        dy = y[lo:hi, None] - y[lo:]
+        dist *= dist
+        dy *= dy
+        dist += dy
+        np.sqrt(dist, out=dist)
+        dist += 0.5
+        np.floor(dist, out=dist)
+        cost[lo:hi, lo:] = dist
+        cost[hi:, lo:hi] = cost[lo:hi, hi:].T
     np.fill_diagonal(cost, 0)
     return CostMatrix(cost)
 
@@ -203,34 +269,45 @@ def cluster_instance(
     if m < 2 or m > n:
         raise ValueError(f"cluster count m={m} must satisfy 2 <= m <= n={n}")
 
-    centers = _farthest_centers(costs.cost, m)
-    dist_to_centers = costs.cost[:, centers]  # columns in selection order
-    assign = np.argmin(dist_to_centers, axis=1)  # ties: lowest center index
-    for k, c in enumerate(centers):
-        assign[c] = k  # a center anchors its own cluster even under zero-cost ties
-    clusters = tuple(tuple(np.flatnonzero(assign == k)) for k in range(m))
+    # rows[c][v] is the cost from node v to center c; for symmetric costs
+    # that is row c itself, read contiguously
+    rows = costs.cost if costs.symmetric else costs.cost.T
+    centers = _farthest_centers(rows, m, costs.symmetric)
+    to_centers = rows[centers]
+    # argmin over axis 0 with its tie rule (lowest center index), without
+    # the transposed copy np.argmin(to_centers, axis=0) would make
+    assign = (to_centers == to_centers.min(axis=0)).argmax(axis=0)
+    # a center anchors its own cluster even under zero-cost ties
+    assign[centers] = np.arange(m)
+    members: list[list[int]] = [[] for _ in range(m)]
+    for v, k in enumerate(assign.tolist()):
+        members[k].append(v)  # ascending node ids
     return GtspInstance(
         name=format_instance_name(name, m, n),
         costs=costs,
-        clusters=clusters,
+        clusters=tuple(map(tuple, members)),
     )
 
 
-def _farthest_centers(cost: np.ndarray, m: int) -> list[int]:
-    n = cost.shape[0]
-    off_diag = cost.copy()
-    np.fill_diagonal(off_diag, -1)
-    top = off_diag.max()
-    endpoints = np.flatnonzero((off_diag == top).any(axis=1) | (off_diag == top).any(axis=0))
-    first = int(endpoints[0])
+def _farthest_centers(rows: np.ndarray, m: int, symmetric: bool) -> list[int]:
+    """Centers in selection order; `rows[c][v]` is the cost from v to c.
+
+    The first center is the lowest node id whose row or column holds the
+    largest cost. The zero diagonal cannot hold it unless every cost is 0,
+    and then node 0 is first either way.
+    """
+    node_max = rows.max(axis=1)
+    if not symmetric:  # a node's largest cost may lie in its row or its column
+        np.maximum(node_max, rows.max(axis=0), out=node_max)
+    first = int(node_max.argmax())  # ties: lowest node id
 
     centers = [first]
-    min_to_centers = cost[:, first].astype(np.int64).copy()
+    min_to_centers = rows[first].copy()
     min_to_centers[first] = -1  # chosen nodes never re-selected
     for _ in range(m - 1):
-        nxt = int(np.argmax(min_to_centers))  # ties: lowest node id
+        nxt = int(min_to_centers.argmax())  # ties: lowest node id
         centers.append(nxt)
-        np.minimum(min_to_centers, cost[:, nxt], out=min_to_centers)
+        np.minimum(min_to_centers, rows[nxt], out=min_to_centers)
         min_to_centers[nxt] = -1
     return centers
 

@@ -3,7 +3,9 @@
 The enumerators below recompute tour costs inline from the cost matrix so
 they stay independent of the library's own cost and search code.
 `reference_run` is the original colony loop, kept to check that the
-library's construction kernel reproduces it byte for byte.
+library's construction kernel reproduces it byte for byte; likewise
+`reference_euc2d_costs` and `reference_clusters` are the original instance
+load path, for the lean one in `gtsp.instance`.
 """
 
 from __future__ import annotations
@@ -34,6 +36,37 @@ def random_matrix_instance(
         costs=CostMatrix(cost),
         clusters=tuple(tuple(c) for c in clusters),
     )
+
+
+def reference_euc2d_costs(points: np.ndarray) -> np.ndarray:
+    """The original integer Euclidean kernel: one (n, n, 2) difference array
+    reduced over its last axis, then sqrt, + 0.5 and floor."""
+    diff = points[:, None, :] - points[None, :, :]
+    cost = np.floor(np.sqrt((diff * diff).sum(axis=-1)) + 0.5).astype(np.int64)
+    np.fill_diagonal(cost, 0)
+    return cost
+
+
+def reference_clusters(cost: np.ndarray, m: int) -> tuple[tuple[int, ...], ...]:
+    """The original center-based clustering: the first center from a copy
+    with a -1 diagonal, each next one by column reads, nearest center by an
+    argmin over the (n, m) column gather."""
+    off_diag = cost.astype(np.int64).copy()
+    np.fill_diagonal(off_diag, -1)
+    top = off_diag.max()
+    endpoints = np.flatnonzero((off_diag == top).any(axis=1) | (off_diag == top).any(axis=0))
+    centers = [int(endpoints[0])]
+    min_to_centers = cost[:, centers[0]].astype(np.int64).copy()
+    min_to_centers[centers[0]] = -1
+    for _ in range(m - 1):
+        nxt = int(np.argmax(min_to_centers))
+        centers.append(nxt)
+        np.minimum(min_to_centers, cost[:, nxt], out=min_to_centers)
+        min_to_centers[nxt] = -1
+    assign = np.argmin(cost[:, centers], axis=1)
+    for k, c in enumerate(centers):
+        assign[c] = k
+    return tuple(tuple(int(v) for v in np.flatnonzero(assign == k)) for k in range(m))
 
 
 def cycle_cost(cost: np.ndarray, pick: tuple[int, ...]) -> int:

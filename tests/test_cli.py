@@ -103,6 +103,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "dimension mismatch" in proc.stderr
 
+    @pytest.mark.parametrize("record, message", [
+        ("2 1e19 0", "overflow int64"),
+        ("2 nan 0", "line 5: coordinates must be finite"),
+    ])
+    def test_unusable_coordinates_are_2(self, tmp_path, record, message):
+        bad = tmp_path / "bad.tsp"
+        bad.write_text(
+            "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
+            f"1 1 0\n{record}\n3 0 0\n"
+        )
+        proc = gtsp_cli("solve", bad, "--algo", "nn")
+        assert proc.returncode == 2
+        assert message in proc.stderr
+        assert "Warning" not in proc.stderr  # refused before any numpy overflow
+
     def test_exact_refusal_is_3(self, tmp_path):
         coords, inst = generate_instance(nodes=100, clusters=20, seed=1)
         big = tmp_path / "big.gtsp"

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gtsp.construct
 from gtsp import (
+    AcoParams,
     CostMatrix,
     GtspInstance,
     InvalidTourError,
@@ -11,6 +13,7 @@ from gtsp import (
     make_tour,
     nn_reference_cost,
     nn_tour,
+    run,
     tour_cost,
     validate_tour,
 )
@@ -204,6 +207,30 @@ class TestNnReference:
         assert sizes[k] == 1
         l_nn, tour = nn_reference_cost(inst)
         assert tour == nn_tour(inst, inst.clusters[k][0])
+
+    def test_computed_once_per_instance(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        inst = random_matrix_instance(12, 4, rng)
+        expected = gtsp.construct._nn_reference(inst)
+        calls = []
+        original = gtsp.construct._nn_reference
+
+        def counted(instance):
+            calls.append(instance)
+            return original(instance)
+
+        monkeypatch.setattr(gtsp.construct, "_nn_reference", counted)
+        first = nn_reference_cost(inst)
+        assert first == expected
+        params = AcoParams(num_ants=2, max_iterations=2, seed=1)
+        run(inst, params)
+        run(inst, params)
+        assert nn_reference_cost(inst) is first
+        assert calls == [inst]
+        # an equal instance built anew computes its own
+        twin = GtspInstance(name=inst.name, costs=inst.costs, clusters=inst.clusters)
+        assert nn_reference_cost(twin) == first
+        assert len(calls) == 2
 
     @given(st.integers(0, 2**32 - 1))
     def test_never_beats_exact_optimum(self, seed):

@@ -1,13 +1,15 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gtsp import (
     CostMatrix,
+    CostOverflowError,
     GtspInstance,
     NodeCoords,
     ParseError,
@@ -23,6 +25,9 @@ from gtsp import (
 )
 
 import gtsp.instance
+from gtsp.bench import load_instance_file
+
+from oracles import reference_clusters, reference_euc2d_costs
 
 MINIMAL_TSP = """\
 NAME : tiny
@@ -72,6 +77,18 @@ class TestParseTsplib:
     def test_missing_headers(self):
         with pytest.raises(ParseError, match="missing DIMENSION"):
             parse_tsplib("NAME : x\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n")
+
+    @pytest.mark.parametrize("dim", ["1", "0", "-3"])
+    def test_dimension_below_two(self, dim):
+        text = "DIMENSION : " + dim + "\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n"
+        with pytest.raises(ParseError, match=f"line 1: DIMENSION {dim} is below 2"):
+            parse_tsplib(text)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "NaN"])
+    def test_non_finite_coordinates(self, value):
+        text = MINIMAL_TSP.replace("2 3 4", f"2 3 {value}")
+        with pytest.raises(ParseError, match="line 6: coordinates must be finite"):
+            parse_tsplib(text)
 
     def test_out_of_order_ids_map_to_node_order(self):
         text = (
@@ -124,10 +141,39 @@ class TestEuc2dCosts:
         costs = euc2d_costs(coords)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # the int64 matrix and CostMatrix's own copy of it are 2 * 8 * n^2
-        # bytes; an (n, n, 2) float temporary alone would add 64 MB
+        # one int64 matrix of 8 * n^2 bytes, which CostMatrix keeps without
+        # copying; a copy would add 32 MB and an (n, n, 2) float temporary 64 MB
         assert costs.cost.shape == (n, n)
-        assert peak < 2 * 8 * n * n + (16 << 20)
+        assert peak < 8 * n * n + (16 << 20)
+
+    def test_overflowing_coordinates_raise_named_error(self):
+        coords = NodeCoords(np.array([[1e19, 0.0], [0.0, 0.0], [5.0, 5.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow or cast warning first
+            with pytest.raises(CostOverflowError, match="overflow int64"):
+                euc2d_costs(coords)
+            with pytest.raises(CostOverflowError):
+                euc2d_costs(NodeCoords(np.array([[-1.7e308, 0.0], [1.7e308, 0.0]])))
+
+    def test_largest_distances_below_int64_limit_still_work(self):
+        # 9.2e18 is an exact float below 2^63; 2^63 itself is refused
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cost = euc2d_costs(NodeCoords(np.array([[0.0, 0.0], [9.2e18, 0.0]]))).cost
+            assert cost[0, 1] == cost[1, 0] == 9_200_000_000_000_000_000
+            with pytest.raises(CostOverflowError):
+                euc2d_costs(NodeCoords(np.array([[0.0, 0.0], [2.0**63, 0.0]])))
+
+    def test_overflowing_file_is_an_instance_error(self, tmp_path):
+        path = tmp_path / "far.tsp"
+        path.write_text(MINIMAL_TSP.replace("2 3 4", "2 1e19 0"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CostOverflowError):
+                load_instance_file(path)
+            text = CLUSTERED_4.replace("3 9 0", "3 1e19 0")
+            with pytest.raises(ParseError, match="overflow int64"):
+                parse_clustered(text)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
     def test_symmetric_zero_diagonal(self, seed, n):
@@ -225,6 +271,113 @@ class TestClusterInstance:
                 assert inst.cluster_of[v] == k
 
 
+# A few coordinates repeated so that duplicate points and zero costs occur.
+coordinate_lists = st.integers(2, 40).flatmap(
+    lambda n: st.lists(
+        st.sampled_from([0, 1, 2, 7, -3, 10**6, -(10**6), 123_457]) | st.integers(-(10**7), 10**7),
+        min_size=2 * n, max_size=2 * n,
+    )
+)
+
+
+class TestLoadPathEquivalence:
+    """The lean load path against the original code in oracles.py, byte for byte."""
+
+    @given(coordinate_lists, st.booleans(), st.sampled_from([1, 7, 40, 1 << 17]),
+           st.sampled_from([1, 3, 4, 256]), st.integers(0, 2**32 - 1))
+    @example([0] * 8, False, 1 << 17, 256, 0)  # all-zero costs: top == 0
+    @example([5, 5] * 9, True, 7, 4, 1)
+    def test_raw_load_matches_reference(self, ints, half, block_pairs, tile, seed):
+        pts = np.array(ints, dtype=float).reshape(-1, 2) / (2 if half else 1)
+        n = len(pts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gtsp.instance, "_EUC2D_BLOCK_PAIRS", block_pairs)
+            mp.setattr(gtsp.instance, "_SYMMETRY_TILE", tile)
+            coords = NodeCoords(pts)
+            costs = euc2d_costs(coords)
+            expected = reference_euc2d_costs(pts)
+            assert costs.cost.dtype == np.int64
+            assert costs.cost.tobytes() == expected.tobytes()
+            assert costs.symmetric is True
+            m = int(np.random.default_rng(seed).integers(2, n + 1))
+            inst = cluster_instance(coords, costs, m=m)
+            assert inst.clusters == reference_clusters(expected, m)
+
+    @given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 1000]),
+           st.booleans(), st.sampled_from([3, 4, 256]))
+    @example(6, 0, 1, True, 4)  # every cost 0 (high=1)
+    @example(5, 1, 2, False, 3)
+    def test_matrix_clustering_matches_reference(self, n, seed, high, symmetric, tile):
+        rng = np.random.default_rng(seed)
+        cost = rng.integers(0, high, size=(n, n))
+        if symmetric:
+            cost = np.triu(cost, 1) + np.triu(cost, 1).T
+        np.fill_diagonal(cost, 0)
+        m = int(rng.integers(2, n + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gtsp.instance, "_SYMMETRY_TILE", tile)
+            costs = CostMatrix(cost)
+            assert costs.symmetric == bool(np.array_equal(cost, cost.T))
+            inst = cluster_instance(NodeCoords(np.zeros((n, 2))), costs, m=m)
+        # the reference reads the matrix itself, so an asymmetric input takes
+        # the library's cost.T path
+        assert inst.clusters == reference_clusters(cost, m)
+
+    def test_eil51_load(self, data_dir, eil51_text):
+        coords = parse_tsplib(eil51_text)
+        expected = reference_euc2d_costs(coords.points)
+        inst = load_instance_file(data_dir / "eil51.tsp")
+        assert inst.costs.cost.tobytes() == expected.tobytes()
+        assert inst.clusters == reference_clusters(expected, 11)
+
+    @pytest.mark.parametrize("n, tile", [(10, 4), (9, 3), (600, 256), (257, 256)])
+    def test_symmetry_check_at_tile_edges(self, n, tile, monkeypatch):
+        monkeypatch.setattr(gtsp.instance, "_SYMMETRY_TILE", tile)
+        rng = np.random.default_rng(n)
+        base = np.triu(rng.integers(1, 50, size=(n, n)), 1)
+        base = base + base.T
+        assert CostMatrix(base).symmetric
+        edges = sorted({k for lo in range(0, n, tile) for k in (lo, min(lo + tile, n) - 1)})
+        for i in edges:
+            for j in edges:
+                if i == j:
+                    continue
+                cost = base.copy()
+                cost[i, j] += 1
+                assert CostMatrix(cost).symmetric is bool(np.array_equal(cost, cost.T)) is False
+
+    def test_int64_input_is_shared_read_only(self):
+        cost = np.array([[0, 2, 3], [2, 0, 4], [3, 4, 0]], dtype=np.int64)
+        costs = CostMatrix(cost)
+        assert np.shares_memory(costs.cost, cost)
+        assert not costs.cost.flags.writeable
+        assert cost.flags.writeable  # the caller's own array is left as it was
+        with pytest.raises(ValueError, match="read-only"):
+            costs.cost[0, 1] = 7
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, float])
+    def test_other_dtypes_are_converted_read_only(self, dtype):
+        cost = np.array([[0, 2], [2, 0]], dtype=dtype)
+        costs = CostMatrix(cost)
+        assert costs.cost.dtype == np.int64
+        assert not np.shares_memory(costs.cost, cost)
+        assert not costs.cost.flags.writeable
+        assert costs.cost.tolist() == [[0, 2], [2, 0]]
+
+    def test_clustering_temporaries_are_bounded(self):
+        n, m = 2000, 400
+        coords = NodeCoords(np.random.default_rng(4).uniform(0, 10_000, size=(n, 2)))
+        costs = euc2d_costs(coords)
+        tracemalloc.start()
+        inst = cluster_instance(coords, costs, m=m)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the (m, n) cost-to-center block is 6.4 MB; a copy of the cost
+        # matrix alone would be 32 MB
+        assert inst.p == m
+        assert peak < 8 * m * n + (4 << 20)
+
+
 CLUSTERED_4 = """\
 NAME : toy
 TYPE : GTSP
@@ -284,6 +437,86 @@ class TestParseClustered:
         assert back.name == inst.name
         assert back.clusters == inst.clusters
         assert np.array_equal(back.costs.cost, inst.costs.cost)
+
+
+coordinate_values = (
+    st.integers(-(10**6), 10**6)  # integers, negatives included
+    | st.integers(-(10**6), 10**6).map(lambda v: v / 2)  # half units
+)
+
+
+class TestRoundTrip:
+    @given(st.integers(2, 25).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(coordinate_values, coordinate_values), min_size=n, max_size=n),
+        st.integers(2, n),
+        st.integers(0, 2**32 - 1),
+    )), st.from_regex(r"[A-Za-z0-9_]{1,12}", fullmatch=True))
+    @example(([(0, 0), (0.5, -0.5), (0, 0)], 3, 0), "dup")
+    def test_format_then_parse_is_identity(self, drawn, name):
+        points, p, seed = drawn
+        n = len(points)
+        coords = NodeCoords(np.array(points, dtype=float))
+        rng = np.random.default_rng(seed)
+        # a random partition, members in random order, every cluster non-empty
+        owner = np.concatenate([np.arange(p), rng.integers(0, p, size=n - p)])
+        rng.shuffle(owner)
+        clusters = tuple(tuple(rng.permutation(np.flatnonzero(owner == k)).tolist())
+                         for k in range(p))
+        back = parse_clustered(format_clustered(name, coords, clusters))
+        assert back.name == name
+        assert back.clusters == tuple(tuple(sorted(c)) for c in clusters)
+        assert back.costs.cost.tobytes() == euc2d_costs(coords).cost.tobytes()
+        assert back.costs.symmetric
+
+
+# Lines a TSPLIB/GTSP file is made of, valid and broken ones alike.
+_numbers = st.sampled_from(
+    ["0", "1", "2", "3", "4", "-1", "-2", "7", "0.5", "1e19", "1e400", "nan", "inf",
+     "-inf", "x", "1_0", "\u00b2", "99999999999999999999"]
+)
+_record_lines = st.lists(_numbers | st.integers(-5, 9).map(str), min_size=1, max_size=5).map(" ".join)
+_header_lines = st.sampled_from(
+    ["NAME : t", "TYPE : GTSP", "TYPE : TSP", "EDGE_WEIGHT_TYPE : EUC_2D", "EDGE_WEIGHT_TYPE : GEO",
+     "NODE_COORD_SECTION", "GTSP_SET_SECTION", "EOF", "COMMENT : c", "DIMENSION", ": 3"]
+) | st.tuples(st.sampled_from(["DIMENSION", "GTSP_SETS"]), _numbers).map(" : ".join)
+_lines = st.lists(_header_lines | _record_lines | st.text(max_size=12), max_size=14)
+
+
+def _mutated(text: str):
+    lines = text.splitlines()
+    return st.lists(
+        st.tuples(st.integers(0, len(lines)), _header_lines | _record_lines | st.just("")),
+        min_size=1, max_size=4,
+    ).map(lambda edits: _apply(lines, edits))
+
+
+def _apply(lines, edits):
+    out = list(lines)
+    for pos, line in edits:
+        if line and pos < len(out) and pos % 2:
+            out[pos] = line
+        elif pos < len(out) and not line:
+            del out[pos]
+        else:
+            out.insert(pos, line)
+    return "\n".join(out)
+
+
+class TestFuzzedText:
+    """Malformed input of any kind raises ParseError and nothing else."""
+
+    @given(_lines.map("\n".join) | _mutated(CLUSTERED_4) | _mutated(MINIMAL_TSP))
+    @example("DIMENSION : 1\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n1 0 0\n")
+    @example(CLUSTERED_4.replace("2 1 0", "2 nan 0"))
+    @example(CLUSTERED_4.replace("GTSP_SETS : 2", "GTSP_SETS : 1").replace("2 3 4 -1", ""))
+    def test_only_parse_errors(self, text):
+        for parse in (parse_tsplib, parse_clustered):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    parse(text)
+                except ParseError:
+                    pass
 
 
 class TestInvariants:
