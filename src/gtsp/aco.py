@@ -367,6 +367,7 @@ def run(
     """
     if params.time_max is None and params.max_iterations is None:
         raise ValueError("need a stopping rule: set time_max and/or max_iterations")
+    instance.check_tour_sums()
 
     started = time.perf_counter()
     rng = np.random.default_rng(params.seed)

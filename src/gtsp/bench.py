@@ -220,15 +220,16 @@ def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
     """Run every configured algorithm on every instance.
 
     Deterministic algorithms run once; the colonies run `repetitions` times
-    with consecutive seeds. Unreadable instances are reported on `log` and
-    skipped; an unreadable optimum sidecar is reported on `log` and the row
-    kept without an optimum; an exact-solver refusal leaves a dash in that
-    cell.
+    with consecutive seeds. Unreadable instances, and those whose tour sums
+    overflow int64, are reported on `log` and skipped; an unreadable optimum
+    sidecar is reported on `log` and the row kept without an optimum; an
+    exact-solver refusal leaves a dash in that cell.
     """
     reports: list[RunReport] = []
     for spec in config.instances:
         try:
             instance = _resolve_instance(spec)
+            instance.check_tour_sums()
         except (OSError, ValueError) as exc:
             print(f"gtsp bench: skipping {spec!r}: {exc}", file=log)
             continue

@@ -109,6 +109,7 @@ def _cmd_solve(args) -> int:
         instance = load_instance_file(
             args.file, clusters=args.clusters, cluster_file=args.cluster_file
         )
+        instance.check_tour_sums()  # CostOverflowError, a ValueError, for every algorithm
     except (OSError, ValueError) as exc:
         print(f"gtsp solve: {exc}", file=sys.stderr)
         return EXIT_INSTANCE

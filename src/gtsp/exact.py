@@ -2,10 +2,12 @@
 
 The global optimum comes from the classical subset dynamic program over
 clusters (Held-Karp applied to clusters, as in Henry-Labordere 1969 and
-Srivastava et al. 1969), O(2^p * n^2) time. For a fixed cluster visiting
-order, the optimal tour is also a shortest path in a layered DAG: one layer
-per cluster in order, closed by a final layer that duplicates the first
-cluster; `best_tour_for_sequence` solves that subproblem.
+Srivastava et al. 1969), O(2^p * n^2) time. `exact_solve` keeps it in one
+dense integer table and fills it popcount by popcount, one batched min-plus
+per (popcount, target cluster). For a fixed cluster visiting order, the optimal
+tour is also a shortest path in a layered DAG: one layer per cluster in
+order, closed by a final layer that duplicates the first cluster;
+`best_tour_for_sequence` solves that subproblem.
 """
 
 from __future__ import annotations
@@ -15,9 +17,11 @@ import numpy as np
 from .construct import Tour, make_tour
 from .instance import GtspInstance
 
-# int64 cells of the subset DP table, 128 MiB: admits n=80/p=16, refuses n=100/p=20.
-DEFAULT_CELL_CAP = 2**24
-_STEP_CELLS = 2**16  # int64 cells of one min-plus temporary, where the sizes allow
+# Cells of the subset DP table, 256 MiB at int64: admits n=80/p=16, refuses n=100/p=20.
+DEFAULT_CELL_CAP = 2**25
+# Cells of one min-plus temporary, where the sizes allow. exact_solve allocates
+# its temporary per call; at 128 KiB of int64 it adds little resident memory.
+_STEP_CELLS = 2**14
 
 
 class CellCapExceeded(RuntimeError):
@@ -33,13 +37,13 @@ class CellCapExceeded(RuntimeError):
 
 
 def dp_cell_count(instance: GtspInstance) -> int:
-    """Cells of `exact_solve`'s table: s * (n - s) * 2^(p-2), s the smallest cluster size.
+    """Cells of `exact_solve`'s table: s * (n - s) * 2^(p-1), s the smallest cluster size.
 
-    Each non-empty subset of the p-1 other clusters holds one (s, nodes of
-    those clusters) block, and each node lies in half of those subsets.
+    Each subset of the p-1 other clusters holds one (s, n - s) block: a start
+    node of the smallest cluster by any node of the other clusters.
     """
     s = min(len(c) for c in instance.clusters)
-    return s * (instance.n - s) << (instance.p - 2)
+    return s * (instance.n - s) << (instance.p - 1)
 
 
 def _check_sequence(instance: GtspInstance, order) -> list[int]:
@@ -101,16 +105,21 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     """Global optimum by a subset DP over clusters, O(2^p * n^2) time.
 
     The first cluster is fixed to one of minimum cardinality s (ties to the
-    lowest index). `dp[mask][a, j]` is the cheapest path that leaves start
+    lowest index). `dp[mask, a, j]` is the cheapest path that leaves start
     node a of the first cluster, visits exactly the clusters in `mask` (a set
-    of the other p-1 clusters) and ends at the j-th node of those clusters.
-    Masks run in increasing order. Each mask takes one min-plus step to every
-    node outside it, and each cluster outside it takes its slice of that step
-    into the block of the larger mask. The table is ragged, one
-    (s, nodes in mask) int64 block per mask, `dp_cell_count` cells in all;
-    an instance above `cell_cap` cells is refused before anything is
-    allocated. The tour is rebuilt by walking back through the table in
-    exact integer arithmetic.
+    of the other m = p-1 clusters) and ends at node j of those clusters. The
+    table is dense, (2^m, s, n - s), `dp_cell_count` cells, stored in the
+    narrowest of int16/int32/int64 that holds every tour cost; sums are
+    taken in int64. Nodes outside a mask hold a sentinel no path cost
+    reaches, so a min over all nodes equals the min over the mask's own. An
+    instance above `cell_cap` cells is refused before anything is allocated.
+
+    Masks are filled by popcount. For popcount k and a target cluster i, the
+    sources are the masks of popcount k without i; `mask -> mask | 1 << i` is
+    one-to-one, so one chunked min-plus over their (mask, start) rows writes
+    cluster i's columns of every target, and nothing else writes them. That
+    is O(p^2) rounds of numpy calls instead of a Python step per mask. The
+    tour is rebuilt by walking back through the table.
 
     Ties resolve to the lowest start node, then the lowest closing node, then,
     walking back, the lowest node id among the optimal predecessors.
@@ -118,9 +127,8 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     cells = dp_cell_count(instance)
     if cells > cell_cap:
         raise CellCapExceeded(cells, cell_cap)
+    instance.check_tour_sums()
     cost = instance.costs.cost
-    if int(cost.max()) * instance.p > np.iinfo(np.int64).max:
-        raise ValueError("costs too large for exact int64 tour sums")
 
     members = instance.cluster_arrays
     sizes = [len(c) for c in instance.clusters]
@@ -134,56 +142,62 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     order = np.concatenate(rest)
     owner = np.repeat(np.arange(m), rest_sizes)
     bounds = np.concatenate(([0], np.cumsum(rest_sizes)))
-    inner = cost[np.ix_(order, order)]
+    # arrive[c, j]: cost from column j into column c; the rows of one cluster
+    # are the contiguous block the min-plus below reads along j
+    arrive = cost.T[np.ix_(order, order)]
 
     def columns(mask: int) -> np.ndarray:
         return np.flatnonzero((mask >> owner) & 1)
 
-    s = len(starts)
-    dp: list[np.ndarray | None] = [None] * (1 << m)
+    s, width = len(starts), len(order)
+    bound = instance.max_cost * instance.p
+    cell = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    # Every real value, and so every stored min, is a path of at most p-1
+    # edges: at most max_cost * (p-1) <= sentinel. Sums are int64, so the
+    # sentinel plus a cost never wraps.
+    sentinel = np.iinfo(cell).max - instance.max_cost
+    dp = np.full((1 << m, s, width), sentinel, dtype=cell)
     opening = cost[np.ix_(starts, order)]
     for i in range(m):
-        dp[1 << i] = opening[:, bounds[i] : bounds[i + 1]]
-    unset = np.iinfo(np.int64).max
-    step = np.empty((s, len(order)), dtype=np.int64)
-    for mask in range(1, full):
-        block = dp[mask]
-        cols = columns(mask)
-        rows = inner[cols]
-        # one min-plus from mask into every column, in start-row chunks that
-        # keep the (chunk, len(cols), len(order)) temporary near _STEP_CELLS
-        chunk = max(1, _STEP_CELLS // rows.size)
-        for r in range(0, s, chunk):
-            np.minimum.reduce(
-                block[r : r + chunk, :, None] + rows, axis=1, out=step[r : r + chunk]
-            )
-        # offset of cluster i's columns in the block of mask | 1 << i
-        offsets = np.searchsorted(cols, bounds[:-1])
-        for i in range(m):
-            if mask >> i & 1:
-                continue
-            lo, hi = bounds[i], bounds[i + 1]
-            target = dp[mask | 1 << i]
-            if target is None:
-                target = np.full((s, len(cols) + hi - lo), unset)
-                dp[mask | 1 << i] = target
-            view = target[:, offsets[i] : offsets[i] + hi - lo]
-            np.minimum(view, step[:, lo:hi], out=view)
+        lo, hi = bounds[i], bounds[i + 1]
+        dp[1 << i, :, lo:hi] = opening[:, lo:hi]
 
-    totals = dp[full] + cost[np.ix_(order, starts)].T
+    rows = dp.reshape(-1, width)  # row mask * s + a
+    masks = np.arange(1 << m)
+    popcount = np.zeros(1 << m, dtype=np.int64)
+    for i in range(m):
+        popcount += (masks >> i) & 1
+    buffer = np.empty(max(_STEP_CELLS, max(rest_sizes) * width), dtype=np.int64)
+    for k in range(1, m):
+        level = masks[popcount == k]
+        for i in range(m):
+            lo, hi = bounds[i], bounds[i + 1]
+            into = arrive[lo:hi]
+            src = level[level & (1 << i) == 0]
+            src_rows = (src[:, None] * s + np.arange(s)).ravel()
+            tgt_rows = src_rows + (s << i)
+            # (chunk, |V_i|, width) temporaries near _STEP_CELLS cells
+            chunk = max(1, _STEP_CELLS // into.size)
+            for r in range(0, len(src_rows), chunk):
+                gathered = rows[src_rows[r : r + chunk]]
+                step = buffer[: len(gathered) * into.size].reshape(len(gathered), *into.shape)
+                np.add(gathered[:, None, :], into, out=step)
+                rows[tgt_rows[r : r + chunk], lo:hi] = step.min(axis=2)
+
+    totals = dp[full] + cost[np.ix_(order, starts)].T  # int64
     best = totals.min()
     a = int(np.flatnonzero(totals.min(axis=1) == best)[0])  # starts ascend by id
     ends = np.flatnonzero(totals[a] == best)
     g = int(ends[np.argmin(order[ends])])
 
     path = [int(order[g])]
-    mask, value = full, dp[full][a, g]
+    mask, value = full, dp[full, a, g]
     while mask != 1 << int(owner[g]):
         prev = mask ^ 1 << int(owner[g])
         cols = columns(prev)
-        cands = cols[dp[prev][a] + inner[cols, g] == value]
+        cands = cols[dp[prev, a, cols] + arrive[g, cols] == value]
         g = int(cands[np.argmin(order[cands])])
-        mask, value = prev, dp[prev][a, np.searchsorted(cols, g)]
+        mask, value = prev, dp[prev, a, g]
         path.append(int(order[g]))
     tour = make_tour(instance, [int(starts[a])] + path[::-1])
     assert tour.cost == int(best)

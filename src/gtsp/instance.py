@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -26,7 +27,8 @@ class ParseError(ValueError):
 
 
 class CostOverflowError(ValueError):
-    """Coordinates lie so far apart that their distances do not fit in int64."""
+    """Costs do not fit in int64: distances between far-apart coordinates, or
+    the cost sums of an instance's tours (`GtspInstance.check_tour_sums`)."""
 
 
 @dataclass(frozen=True)
@@ -118,25 +120,7 @@ class GtspInstance:
     cluster_of: np.ndarray = field(init=False)  # node id -> cluster index
 
     def __post_init__(self) -> None:
-        n = self.costs.n
-        clusters = tuple(tuple(sorted(int(v) for v in c)) for c in self.clusters)
-        if len(clusters) < 2:
-            raise ValueError(f"need at least 2 clusters, got {len(clusters)}")
-        cluster_of = np.full(n, -1, dtype=np.int64)
-        for k, members in enumerate(clusters):
-            if not members:
-                raise ValueError(f"empty cluster {k}")
-            for v in members:
-                if not 0 <= v < n:
-                    raise ValueError(f"node {v} out of range 0..{n - 1}")
-                if cluster_of[v] >= 0:
-                    raise ValueError(
-                        f"not a partition: node {v} is in clusters {cluster_of[v]} and {k}"
-                    )
-                cluster_of[v] = k
-        unassigned = np.flatnonzero(cluster_of < 0)
-        if unassigned.size:
-            raise ValueError(f"not a partition: node {int(unassigned[0])} is in no cluster")
+        clusters, cluster_of = _partition(self.clusters, self.costs.n)
         object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "cluster_of", cluster_of)
 
@@ -149,9 +133,90 @@ class GtspInstance:
         return len(self.clusters)
 
     @cached_property
+    def max_cost(self) -> int:
+        """The largest edge cost."""
+        return int(self.costs.cost.max())
+
+    def check_tour_sums(self) -> None:
+        """Raise CostOverflowError unless every tour's cost sum fits in int64.
+
+        A tour has p edges, so `max_cost * p` bounds every tour cost. Tour
+        costing, NN, the colonies and the exact solver all call this; after
+        the first call it is O(1).
+        """
+        if self.max_cost * self.p > _INT64_MAX:
+            raise CostOverflowError(
+                f"costs too large for exact int64 tour sums: largest cost {self.max_cost}"
+                f" times {self.p} clusters exceeds {_INT64_MAX}"
+            )
+
+    @cached_property
     def cluster_arrays(self) -> tuple[np.ndarray, ...]:
         """Per-cluster member ids as int64 arrays, ascending within each cluster."""
         return tuple(np.asarray(c, dtype=np.int64) for c in self.clusters)
+
+
+def _partition(clusters, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """Clusters with members ascending, and the node -> cluster index array.
+
+    A partition of 0..n-1 has n members, all in range, and no node twice,
+    which one concatenation and a bincount check (members not given in
+    ascending order are sorted first). Otherwise raises ValueError naming the
+    first failure a scan of the clusters in order, members ascending, would
+    meet (`_first_failure`).
+    """
+    clusters = [tuple(c) for c in clusters]
+    if len(clusters) < 2:
+        raise ValueError(f"need at least 2 clusters, got {len(clusters)}")
+    sizes = [len(c) for c in clusters]
+    flat = np.fromiter(chain.from_iterable(clusters), dtype=np.int64, count=sum(sizes))
+    owner = np.repeat(np.arange(len(clusters)), sizes)
+    ends = list(accumulate(sizes))
+    valid = len(flat) == n and 0 not in sizes and flat.min() >= 0 and flat.max() < n
+    if valid:
+        rises = np.diff(flat)
+        rises[[end - 1 for end in ends[:-1]]] = 1  # from one cluster into the next
+        if rises.min() <= 0:
+            key = owner * n + flat
+            key.sort()  # clusters in order, members ascending within each
+            flat = key - owner * n
+        valid = np.bincount(flat, minlength=n).max() == 1
+    if not valid:
+        raise _first_failure(flat, owner, np.array(sizes), n)
+    cluster_of = np.empty(n, dtype=np.int64)
+    cluster_of[flat] = owner
+    ids = flat.tolist()
+    return tuple(tuple(ids[end - size : end]) for end, size in zip(ends, sizes)), cluster_of
+
+
+def _first_failure(flat, owner, sizes, n: int) -> ValueError:
+    """The error of the first failure met scanning the clusters in order,
+    members ascending: an empty cluster, a node out of range or a node seen
+    before; then the lowest node in no cluster. `flat` holds the members
+    cluster by cluster, `owner` their cluster indices."""
+    flat = flat[np.lexsort((flat, owner))]
+    inside = (flat >= 0) & (flat < n)
+    # first position of each in-range node; a later position is a repeat
+    at = np.flatnonzero(inside)
+    seen, first = np.unique(flat[at], return_index=True)
+    first_at = np.empty(n, dtype=np.int64)
+    first_at[seen] = at[first]
+    bad = ~inside
+    bad[at] = first_at[flat[at]] != at
+    b = int(bad.argmax()) if bad.any() else len(flat)
+    empty = np.flatnonzero(sizes == 0)
+    # an empty cluster k is met after every position of the clusters before it
+    if empty.size and sizes[: empty[0]].sum() <= b:
+        return ValueError(f"empty cluster {int(empty[0])}")
+    if b < len(flat):
+        v, k = int(flat[b]), int(owner[b])
+        if not inside[b]:
+            return ValueError(f"node {v} out of range 0..{n - 1}")
+        return ValueError(
+            f"not a partition: node {v} is in clusters {int(owner[first_at[v]])} and {k}"
+        )
+    unassigned = np.setdiff1d(np.arange(n), flat)
+    return ValueError(f"not a partition: node {int(unassigned[0])} is in no cluster")
 
 
 def parse_tsplib(text: str) -> NodeCoords:
@@ -199,6 +264,7 @@ _EUC2D_BLOCK_PAIRS = 1 << 17
 
 # Distances are cast to int64; 2^63 is the first float that does not fit.
 _INT64_LIMIT = float(2**63)
+_INT64_MAX = 2**63 - 1
 
 
 def euc2d_costs(coords: NodeCoords) -> CostMatrix:

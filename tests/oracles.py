@@ -5,7 +5,10 @@ they stay independent of the library's own cost and search code.
 `reference_run` is the original colony loop, kept to check that the
 library's construction kernel reproduces it byte for byte; likewise
 `reference_euc2d_costs` and `reference_clusters` are the original instance
-load path, for the lean one in `gtsp.instance`.
+load path, for the lean one in `gtsp.instance`; `reference_partition` is the
+original per-node partition check of `GtspInstance`, and
+`reference_exact_solve` the original mask-by-mask subset DP, for the batched
+one in `gtsp.exact`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from gtsp import AcoParams, CostMatrix, GtspInstance, RunResult, Tour, nn_reference_cost
+from gtsp import (
+    AcoParams,
+    CostMatrix,
+    GtspInstance,
+    RunResult,
+    Tour,
+    make_tour,
+    nn_reference_cost,
+)
 
 
 def random_matrix_instance(
@@ -69,6 +80,31 @@ def reference_clusters(cost: np.ndarray, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in np.flatnonzero(assign == k)) for k in range(m))
 
 
+def reference_partition(clusters, n: int) -> np.ndarray:
+    """The original partition check of `GtspInstance`: node -> cluster index,
+    or the ValueError of the first failure met member by member, clusters in
+    order and members ascending."""
+    clusters = tuple(tuple(sorted(int(v) for v in c)) for c in clusters)
+    if len(clusters) < 2:
+        raise ValueError(f"need at least 2 clusters, got {len(clusters)}")
+    cluster_of = np.full(n, -1, dtype=np.int64)
+    for k, members in enumerate(clusters):
+        if not members:
+            raise ValueError(f"empty cluster {k}")
+        for v in members:
+            if not 0 <= v < n:
+                raise ValueError(f"node {v} out of range 0..{n - 1}")
+            if cluster_of[v] >= 0:
+                raise ValueError(
+                    f"not a partition: node {v} is in clusters {cluster_of[v]} and {k}"
+                )
+            cluster_of[v] = k
+    unassigned = np.flatnonzero(cluster_of < 0)
+    if unassigned.size:
+        raise ValueError(f"not a partition: node {int(unassigned[0])} is in no cluster")
+    return cluster_of
+
+
 def cycle_cost(cost: np.ndarray, pick: tuple[int, ...]) -> int:
     total = 0
     for a, b in zip(pick, pick[1:] + (pick[0],)):
@@ -90,6 +126,86 @@ def brute_force_optimum(instance: GtspInstance) -> int:
         brute_force_best_for_order(instance, (0,) + rest)
         for rest in itertools.permutations(others)
     )
+
+
+# --- Reference exact solver -------------------------------------------------
+#
+# The original subset DP over clusters: a ragged table, one (s, nodes in mask)
+# block per mask, filled by one min-plus step per mask in increasing mask
+# order. `gtsp.exact.exact_solve` fills a dense table popcount by popcount and
+# must return the same Tour, tie rule included.
+
+_REF_STEP_CELLS = 2**16
+
+
+def reference_exact_solve(instance: GtspInstance) -> Tour:
+    """Optimal tour by the original mask-by-mask subset DP (no cell cap)."""
+    cost = instance.costs.cost
+    if int(cost.max()) * instance.p > np.iinfo(np.int64).max:
+        raise ValueError("costs too large for exact int64 tour sums")
+
+    members = instance.cluster_arrays
+    sizes = [len(c) for c in instance.clusters]
+    first = sizes.index(min(sizes))
+    starts = members[first]
+    rest = [members[k] for k in range(instance.p) if k != first]
+    rest_sizes = [len(c) for c in rest]
+    m = len(rest)
+    full = (1 << m) - 1
+    order = np.concatenate(rest)
+    owner = np.repeat(np.arange(m), rest_sizes)
+    bounds = np.concatenate(([0], np.cumsum(rest_sizes)))
+    inner = cost[np.ix_(order, order)]
+
+    def columns(mask: int) -> np.ndarray:
+        return np.flatnonzero((mask >> owner) & 1)
+
+    s = len(starts)
+    dp: list[np.ndarray | None] = [None] * (1 << m)
+    opening = cost[np.ix_(starts, order)]
+    for i in range(m):
+        dp[1 << i] = opening[:, bounds[i] : bounds[i + 1]]
+    unset = np.iinfo(np.int64).max
+    step = np.empty((s, len(order)), dtype=np.int64)
+    for mask in range(1, full):
+        block = dp[mask]
+        cols = columns(mask)
+        rows = inner[cols]
+        chunk = max(1, _REF_STEP_CELLS // rows.size)
+        for r in range(0, s, chunk):
+            np.minimum.reduce(
+                block[r : r + chunk, :, None] + rows, axis=1, out=step[r : r + chunk]
+            )
+        offsets = np.searchsorted(cols, bounds[:-1])
+        for i in range(m):
+            if mask >> i & 1:
+                continue
+            lo, hi = bounds[i], bounds[i + 1]
+            target = dp[mask | 1 << i]
+            if target is None:
+                target = np.full((s, len(cols) + hi - lo), unset)
+                dp[mask | 1 << i] = target
+            view = target[:, offsets[i] : offsets[i] + hi - lo]
+            np.minimum(view, step[:, lo:hi], out=view)
+
+    totals = dp[full] + cost[np.ix_(order, starts)].T
+    best = totals.min()
+    a = int(np.flatnonzero(totals.min(axis=1) == best)[0])
+    ends = np.flatnonzero(totals[a] == best)
+    g = int(ends[np.argmin(order[ends])])
+
+    path = [int(order[g])]
+    mask, value = full, dp[full][a, g]
+    while mask != 1 << int(owner[g]):
+        prev = mask ^ 1 << int(owner[g])
+        cols = columns(prev)
+        cands = cols[dp[prev][a] + inner[cols, g] == value]
+        g = int(cands[np.argmin(order[cands])])
+        mask, value = prev, dp[prev][a, np.searchsorted(cols, g)]
+        path.append(int(order[g]))
+    tour = make_tour(instance, [int(starts[a])] + path[::-1])
+    assert tour.cost == int(best)
+    return tour
 
 
 # --- Reference colony -------------------------------------------------------

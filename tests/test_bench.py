@@ -6,6 +6,7 @@ import pytest
 
 from gtsp import (
     ExperimentConfig,
+    NodeCoords,
     cluster_instance,
     emit_table,
     euc2d_costs,
@@ -116,6 +117,17 @@ class TestRunExperiment:
         reports = run_experiment(cfg, log=log)
         assert len(reports) == 1
         assert "skipping" in log.getvalue()
+
+    def test_tour_sum_overflow_skipped(self, tmp_path):
+        # every cost fits int64, but a tour over the two far pairs does not
+        far = tmp_path / "far.gtsp"
+        coords = NodeCoords(np.array([[0, 0], [1, 0], [9.2e18, 0], [9.2e18, 1]]))
+        far.write_text(format_clustered("far", coords, ((0, 1), (2, 3))))
+        cfg = small_config(instances=[str(far), {"nodes": 8, "clusters": 3, "seed": 0}])
+        log = io.StringIO()
+        reports = run_experiment(cfg, log=log)
+        assert [r.n for r in reports] == [8]
+        assert "skipping" in log.getvalue() and "too large" in log.getvalue()
 
     def test_sidecar_optimum_read(self, tmp_path):
         coords, inst = generate_instance(nodes=10, clusters=3, seed=4)

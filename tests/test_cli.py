@@ -118,6 +118,19 @@ class TestExitCodes:
         assert message in proc.stderr
         assert "Warning" not in proc.stderr  # refused before any numpy overflow
 
+    @pytest.mark.parametrize("algo", ["exact", "nn", "acs", "racs"])
+    def test_tour_sum_overflow_is_2(self, tmp_path, algo):
+        # every cost fits int64, but a tour over the two far pairs does not
+        far = tmp_path / "far.tsp"
+        far.write_text(
+            "DIMENSION : 4\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
+            "1 0 0\n2 1 0\n3 9.2e18 0\n4 9.2e18 1\n"
+        )
+        proc = gtsp_cli("solve", far, "--clusters", 2, "--algo", algo, "--max-iters", 2)
+        assert proc.returncode == 2
+        assert "costs too large for exact int64 tour sums" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_exact_refusal_is_3(self, tmp_path):
         coords, inst = generate_instance(nodes=100, clusters=20, seed=1)
         big = tmp_path / "big.gtsp"

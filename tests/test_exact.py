@@ -14,16 +14,24 @@ from gtsp import (
     CostMatrix,
     GtspInstance,
     best_tour_for_sequence,
+    cluster_instance,
     dp_cell_count,
+    euc2d_costs,
     exact_solve,
     generate_instance,
     nn_reference_cost,
+    parse_tsplib,
     run,
     tour_cost,
     validate_tour,
 )
 
-from oracles import brute_force_best_for_order, brute_force_optimum, random_matrix_instance
+from oracles import (
+    brute_force_best_for_order,
+    brute_force_optimum,
+    random_matrix_instance,
+    reference_exact_solve,
+)
 
 
 class TestBestTourForSequence:
@@ -108,7 +116,7 @@ class TestExactSolve:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert exc.value.cell_count == s * (100 - s) * 2**18 > DEFAULT_CELL_CAP
+        assert exc.value.cell_count == s * (100 - s) * 2**19 > DEFAULT_CELL_CAP
         assert exc.value.cap == DEFAULT_CELL_CAP
         assert str(exc.value.cell_count) in str(exc.value)
         # refused before the table, or any work, is allocated
@@ -128,19 +136,41 @@ class TestExactSolve:
             exact_solve(inst, cell_cap=cells - 1)
         assert (exc.value.cell_count, exc.value.cap) == (cells, cells - 1)
 
-    def test_cell_count_is_the_ragged_table_size(self):
+    def test_cell_count_is_the_dense_table_size(self):
         rng = np.random.default_rng(8)
         inst = random_matrix_instance(13, 5, rng)
         sizes = [len(c) for c in inst.clusters]
         first = sizes.index(min(sizes))
         others = [sizes[k] for k in range(inst.p) if k != first]
-        # one (s, nodes in the subset) block per non-empty subset of the other clusters
+        # one (s, nodes of all other clusters) block per subset of the other
+        # clusters, the empty one included
         table = sum(
+            sizes[first] * sum(others)
+            for r in range(len(others) + 1)
+            for _ in itertools.combinations(others, r)
+        )
+        assert dp_cell_count(inst) == table
+        # twice the cells of a ragged table, one (s, nodes in the subset)
+        # block per non-empty subset
+        ragged = sum(
             sizes[first] * sum(subset)
             for r in range(1, len(others) + 1)
             for subset in itertools.combinations(others, r)
         )
-        assert dp_cell_count(inst) == table
+        assert table == 2 * ragged
+
+    def test_table_is_the_peak_allocation(self):
+        _, inst = generate_instance(nodes=80, clusters=16, seed=0)
+        # every tour cost fits int16, so the table holds 2-byte cells
+        assert inst.max_cost * inst.p <= np.iinfo(np.int16).max
+        table_bytes = 2 * dp_cell_count(inst)
+        tracemalloc.start()
+        try:
+            exact_solve(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table_bytes <= peak < table_bytes + 4 * 2**20
 
     def test_tie_rule_on_reversal_tie(self):
         # corners 0..3 of a square and copies 4..7 of them; each cluster holds
@@ -252,3 +282,61 @@ class TestExactSolve:
         cost = np.array([[0, 1, 10], [10, 0, 1], [1, 10, 0]])
         inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1,), (2,)))
         assert exact_solve(inst).cost == 3  # 0 -> 1 -> 2 -> 0 uses the cheap arcs
+
+
+class TestReferenceEquivalence:
+    """The popcount-batched dense DP returns the Tour of the original
+    mask-by-mask ragged DP, byte for byte, tie rule included."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 14),
+        p=st.integers(2, 7),
+        high=st.sampled_from([2, 4, 100]),  # 2: every cost 1, all tours tie
+        symmetric=st.booleans(),
+    )
+    @example(seed=0, n=9, p=2, high=100, symmetric=False)
+    @example(seed=3, n=14, p=2, high=100, symmetric=True)
+    @example(seed=1, n=7, p=7, high=100, symmetric=False)  # singleton clusters
+    @example(seed=4, n=6, p=6, high=100, symmetric=True)  # singleton clusters
+    @example(seed=2, n=12, p=6, high=2, symmetric=True)
+    @example(seed=5, n=14, p=7, high=2, symmetric=False)
+    def test_matches_reference(self, seed, n, p, high, symmetric):
+        rng = np.random.default_rng(seed)
+        inst = random_matrix_instance(n, min(p, n), rng, symmetric=symmetric, high=high)
+        assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
+
+    @pytest.mark.parametrize("scale", [1, 2**12, 2**40])  # int16, int32, int64 cells
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_at_every_cell_width(self, seed, scale):
+        rng = np.random.default_rng(seed)
+        base = random_matrix_instance(11, 5, rng, symmetric=bool(seed % 2), high=30)
+        inst = GtspInstance(
+            name="x", costs=CostMatrix(base.costs.cost * scale), clusters=base.clusters
+        )
+        tour = exact_solve(inst)
+        assert tour.to_json() == reference_exact_solve(inst).to_json()
+        # scaling every cost keeps the optimal tour and the tie rule's pick
+        assert tour.nodes == exact_solve(base).nodes
+
+    @pytest.mark.parametrize("top", [4681, 4682])  # 4681 * 7 == 2**15 - 1, the int16 limit
+    def test_matches_reference_at_the_int16_limit(self, top):
+        rng = np.random.default_rng(top)
+        base = random_matrix_instance(12, 7, rng, symmetric=False, high=top)
+        cost = base.costs.cost.copy()
+        cost[0, 1] = top
+        inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=base.clusters)
+        assert inst.max_cost * inst.p == 7 * top
+        assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
+
+    def test_matches_reference_on_11eil51(self, eil51_text):
+        coords = parse_tsplib(eil51_text)
+        inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+        tour = exact_solve(inst)
+        assert tour.to_json() == reference_exact_solve(inst).to_json()
+        assert tour.cost == 174
+
+    def test_matches_reference_at_sixteen_clusters(self):
+        _, inst = generate_instance(nodes=80, clusters=16, seed=0)
+        assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()

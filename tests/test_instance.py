@@ -27,7 +27,7 @@ from gtsp import (
 import gtsp.instance
 from gtsp.bench import load_instance_file
 
-from oracles import reference_clusters, reference_euc2d_costs
+from oracles import reference_clusters, reference_euc2d_costs, reference_partition
 
 MINIMAL_TSP = """\
 NAME : tiny
@@ -542,6 +542,41 @@ class TestInvariants:
         costs = CostMatrix(np.zeros((3, 3), dtype=int))
         with pytest.raises(ValueError, match="not a partition: node 2"):
             GtspInstance(name="bad", costs=costs, clusters=((0,), (1,)))
+
+    @given(
+        n=st.integers(1, 8),
+        clusters=st.lists(st.lists(st.integers(-2, 9), max_size=4), max_size=5),
+        shuffled=st.permutations(range(8)),
+        parts=st.integers(1, 5),
+        use_partition=st.booleans(),
+    )
+    @example(n=3, clusters=[[0, 1], [1, 2]], shuffled=list(range(8)), parts=1,
+             use_partition=False)
+    @example(n=3, clusters=[[2, 2], [], [0, 1]], shuffled=list(range(8)), parts=1,
+             use_partition=False)
+    @example(n=3, clusters=[[0], [], [5]], shuffled=list(range(8)), parts=1,
+             use_partition=False)
+    @example(n=4, clusters=[[3, 0], [1]], shuffled=list(range(8)), parts=1,
+             use_partition=False)
+    def test_partition_check_matches_reference(
+        self, n, clusters, shuffled, parts, use_partition
+    ):
+        if use_partition:  # a valid partition of 0..n-1, members unordered
+            nodes = [v for v in shuffled if v < n]
+            clusters = [nodes[k::parts] for k in range(parts)]
+        clusters = tuple(tuple(c) for c in clusters)
+        costs = CostMatrix(np.zeros((n, n), int))
+        try:
+            expected = reference_partition(clusters, n)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                GtspInstance(name="x", costs=costs, clusters=clusters)
+            assert str(got.value) == str(exc)
+            return
+        inst = GtspInstance(name="x", costs=costs, clusters=clusters)
+        np.testing.assert_array_equal(inst.cluster_of, expected)
+        assert inst.clusters == tuple(tuple(sorted(c)) for c in clusters)
+        assert all(type(v) is int for c in inst.clusters for v in c)
 
     def test_instance_rejects_single_cluster(self):
         costs = CostMatrix(np.zeros((2, 2), dtype=int))
