@@ -32,7 +32,6 @@ def main() -> None:
             {"nodes": 40, "clusters": 8, "seed": 12},
             {"nodes": 50, "clusters": 10, "seed": 13},
         ],
-        algorithms=["exact", "nn", "acs", "racs"],
         repetitions=args.repetitions,
         time_max=args.time_max,
         max_iterations=None if args.time_max is not None else args.max_iters,

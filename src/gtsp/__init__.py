@@ -20,12 +20,15 @@ from .aco import (
     transition_distribution,
 )
 from .bench import (
+    DEFAULT_TIME_MAX,
     ExperimentConfig,
     RunReport,
+    SolveResult,
     emit_table,
     load_instance_file,
     run_experiment,
     sidecar_optimum,
+    solve,
 )
 from .construct import (
     InvalidTourError,

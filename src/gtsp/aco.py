@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -47,12 +47,13 @@ VARIANTS = ("acs", "racs")
 
 @dataclass
 class AcoParams:
-    """Colony parameters. Defaults follow the benchmark setup: beta=5,
-    rho=0.5, q0=0.5, ten ants.
+    """Colony parameters, and the one home of their defaults (the CLI flags
+    and `gtsp.bench.ExperimentConfig` read them from here). Defaults follow
+    the benchmark setup: beta=5, rho=0.5, q0=0.5, ten ants.
 
     `time_max` (seconds) is checked only between iterations: a run stops at
     the first iteration boundary at or after it, so it overruns by up to one
-    iteration.
+    iteration. A zero budget is allowed and returns the NN incumbent.
     """
 
     beta: float = 5.0
@@ -69,25 +70,20 @@ class AcoParams:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if not 0.0 <= self.q0 <= 1.0:
             raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
-        if self.beta < 0.0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+        if not 0.0 <= self.beta < np.inf:  # NaN fails every comparison
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.num_ants < 1:
             raise ValueError(f"num_ants must be >= 1, got {self.num_ants}")
+        if self.time_max is not None and not self.time_max >= 0.0:
+            raise ValueError(f"time_max must be >= 0 seconds, got {self.time_max}")
+        if self.max_iterations is not None and self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
         self.variant = self.variant.lower()
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "rho": self.rho,
-            "q0": self.q0,
-            "num_ants": self.num_ants,
-            "time_max": self.time_max,
-            "max_iterations": self.max_iterations,
-            "seed": self.seed,
-            "variant": self.variant,
-        }
+        return asdict(self)
 
 
 @dataclass

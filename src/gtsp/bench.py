@@ -1,11 +1,16 @@
-"""Benchmark harness: run solver families over instance lists with seeded
-repetitions and emit comparison tables.
+"""Solver dispatch and benchmark harness.
 
-The protocol mirrors the usual benchmark setup: deterministic algorithms run
-once, the ant colonies run `repetitions` times (default five) under a wall
-clock budget (default ten minutes), and each table cell reports the best and
-the mean over those runs. Pin `max_iterations` instead of `time_max` whenever
-reproducible output bytes matter.
+`solve` is the one entry point over the four algorithms (`ALGORITHMS`): it
+runs and times exact, NN, ACS or RACS on one instance and returns a
+`SolveResult`. Both `gtsp solve` and `run_experiment` call it.
+
+The experiment protocol mirrors the usual benchmark setup: deterministic
+algorithms run once, the ant colonies run `repetitions` times (default five)
+under a wall clock budget (default `DEFAULT_TIME_MAX`, ten minutes), and each
+table cell reports the best and the mean over those runs. Colony defaults
+come from `AcoParams`; `ExperimentConfig` checks its colony parameters when it
+is built, before any solver runs. Pin `max_iterations` instead of `time_max`
+whenever reproducible output bytes matter.
 """
 
 from __future__ import annotations
@@ -15,11 +20,11 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .aco import AcoParams, run
-from .construct import nn_reference_cost
+from .aco import VARIANTS, AcoParams, run
+from .construct import Tour, nn_reference_cost
 from .exact import DEFAULT_CELL_CAP, CellCapExceeded, exact_solve
 from .instance import (
     GtspInstance,
@@ -31,25 +36,77 @@ from .instance import (
 )
 
 ALGORITHMS = ("exact", "nn", "acs", "racs")
+DEFAULT_TIME_MAX = 600.0  # seconds per colony run: the benchmark's ten-minute budget
+
+
+@dataclass
+class SolveResult:
+    """One `solve` call: the tour and wall time of any algorithm, plus the
+    iterations, per-iteration trace and parameters of a colony run (None for
+    exact and NN)."""
+
+    tour: Tour
+    elapsed: float
+    iterations: int | None = None
+    trace: list[int] | None = None
+    params: AcoParams | None = None
+
+    def to_dict(self, include_elapsed: bool = True) -> dict:
+        out = {"cost": self.tour.cost, "nodes": list(self.tour.nodes)}
+        if self.params is not None:
+            out.update(iterations=self.iterations, params=self.params.to_dict(),
+                       seed=self.params.seed, trace=list(self.trace))
+        if include_elapsed:
+            out["elapsed_seconds"] = self.elapsed
+        return out
+
+
+def solve(
+    instance: GtspInstance, algo: str, params: AcoParams, cell_cap: int = DEFAULT_CELL_CAP
+) -> SolveResult:
+    """Run one of `ALGORITHMS` on `instance`.
+
+    The colonies run with `params` under the variant `algo`; exact and NN
+    ignore `params`. Every algorithm is timed the same way, as the wall time
+    of this call. Raises CellCapExceeded when the exact solver refuses.
+    """
+    started = time.perf_counter()
+    if algo == "exact":
+        tour = exact_solve(instance, cell_cap=cell_cap)
+    elif algo == "nn":
+        _, tour = nn_reference_cost(instance)
+    elif algo in VARIANTS:
+        result = run(instance, replace(params, variant=algo))
+        return SolveResult(result.best, time.perf_counter() - started,
+                           result.iterations, result.trace, result.params)
+    else:
+        raise ValueError(f"unknown algorithm {algo!r}; known: {list(ALGORITHMS)}")
+    return SolveResult(tour, time.perf_counter() - started)
 
 
 @dataclass
 class ExperimentConfig:
-    """Everything one benchmark run needs; mirrors the JSON config file."""
+    """Everything one benchmark run needs; mirrors the JSON config file.
+
+    The colony fields default to `AcoParams`'s defaults. `__post_init__`
+    checks them once and keeps them as `params` (seeded with `base_seed`), so
+    a bad value fails when the config loads, before any solver runs.
+    """
 
     instances: list  # file paths (str) or generator specs {"nodes", "clusters", "seed"}
     algorithms: list[str] = field(default_factory=lambda: list(ALGORITHMS))
     repetitions: int = 5
-    time_max: float | None = 600.0
+    time_max: float | None = DEFAULT_TIME_MAX
     max_iterations: int | None = None
-    base_seed: int = 0
+    base_seed: int = AcoParams.seed
     seeds: list[int] | None = None
-    num_ants: int = 10
-    beta: float = 5.0
-    rho: float = 0.5
-    q0: float = 0.5
+    num_ants: int = AcoParams.num_ants
+    beta: float = AcoParams.beta
+    rho: float = AcoParams.rho
+    q0: float = AcoParams.q0
     cell_cap: int = DEFAULT_CELL_CAP
     output: str | None = None
+    params: AcoParams = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.instances:
@@ -65,6 +122,11 @@ class ExperimentConfig:
                 f"{self.repetitions} repetitions need {self.repetitions} seeds, "
                 f"got {len(self.seeds)}"
             )
+        if self.time_max is None and self.max_iterations is None:
+            raise ValueError("need a stopping rule: set time_max and/or max_iterations")
+        self.params = AcoParams(beta=self.beta, rho=self.rho, q0=self.q0, num_ants=self.num_ants,
+                                time_max=self.time_max, max_iterations=self.max_iterations,
+                                seed=self.base_seed)
 
     def rep_seeds(self) -> list[int]:
         if self.seeds is not None:
@@ -73,7 +135,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "ExperimentConfig":
-        known = {f for f in cls.__dataclass_fields__}
+        known = {f.name for f in fields(cls) if f.init}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -219,11 +281,12 @@ def _resolve_instance(spec) -> GtspInstance:
 def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
     """Run every configured algorithm on every instance.
 
-    Deterministic algorithms run once; the colonies run `repetitions` times
-    with consecutive seeds. Unreadable instances, and those whose tour sums
-    overflow int64, are reported on `log` and skipped; an unreadable optimum
-    sidecar is reported on `log` and the row kept without an optimum; an
-    exact-solver refusal leaves a dash in that cell.
+    Every cell goes through `solve`. Deterministic algorithms run once; the
+    colonies run `repetitions` times, once per seed of `rep_seeds()`.
+    Unreadable instances, and those whose tour sums overflow int64, are
+    reported on `log` and skipped; an unreadable optimum sidecar is reported
+    on `log` and the row kept without an optimum; an exact-solver refusal
+    leaves a dash in that cell.
     """
     reports: list[RunReport] = []
     for spec in config.instances:
@@ -241,7 +304,20 @@ def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
                 print(f"gtsp bench: ignoring the optimum of {spec!r}: {exc}", file=log)
         results: dict[str, AlgoResult] = {}
         for algo in config.algorithms:
-            results[algo] = _run_algorithm(instance, algo, config)
+            cell = results[algo] = AlgoResult()
+            for seed in config.rep_seeds():
+                try:
+                    result = solve(instance, algo, replace(config.params, seed=seed),
+                                   config.cell_cap)
+                except CellCapExceeded as exc:
+                    cell.error = str(exc)
+                    break
+                cell.costs.append(result.tour.cost)
+                cell.elapsed.append(result.elapsed)
+                if result.params is None:
+                    break  # exact and NN are deterministic: one run
+                cell.iterations.append(result.iterations)
+                cell.seeds.append(seed)
         reports.append(
             RunReport(
                 problem=instance.name,
@@ -252,43 +328,6 @@ def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
             )
         )
     return reports
-
-
-def _run_algorithm(instance: GtspInstance, algo: str, config: ExperimentConfig) -> AlgoResult:
-    cell = AlgoResult()
-    if algo == "exact":
-        started = time.perf_counter()
-        try:
-            tour = exact_solve(instance, cell_cap=config.cell_cap)
-        except CellCapExceeded as exc:
-            cell.error = str(exc)
-            return cell
-        cell.costs.append(tour.cost)
-        cell.elapsed.append(time.perf_counter() - started)
-        return cell
-    if algo == "nn":
-        started = time.perf_counter()
-        l_nn, _ = nn_reference_cost(instance)
-        cell.costs.append(l_nn)
-        cell.elapsed.append(time.perf_counter() - started)
-        return cell
-    for seed in config.rep_seeds():
-        params = AcoParams(
-            beta=config.beta,
-            rho=config.rho,
-            q0=config.q0,
-            num_ants=config.num_ants,
-            time_max=config.time_max,
-            max_iterations=config.max_iterations,
-            seed=seed,
-            variant=algo,
-        )
-        result = run(instance, params)
-        cell.costs.append(result.best.cost)
-        cell.elapsed.append(result.elapsed)
-        cell.iterations.append(result.iterations)
-        cell.seeds.append(seed)
-    return cell
 
 
 def emit_table(

@@ -268,6 +268,30 @@ class TestParams:
     def test_variant_case_insensitive(self):
         assert AcoParams(variant="RACS").variant == "racs"
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -1.0])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite and >= 0"):
+            AcoParams(beta=beta)
+
+    @pytest.mark.parametrize("time_max", [float("nan"), -0.5])
+    def test_rejects_bad_time_max(self, time_max):
+        with pytest.raises(ValueError, match="time_max"):
+            AcoParams(time_max=time_max)
+
+    def test_rejects_negative_max_iterations(self):
+        with pytest.raises(ValueError, match="max_iterations"):
+            AcoParams(max_iterations=-3)
+
+    def test_zero_budgets_allowed(self):
+        params = AcoParams(beta=0.0, time_max=0.0, max_iterations=0)
+        assert (params.beta, params.time_max, params.max_iterations) == (0.0, 0.0, 0)
+
+    def test_to_dict_lists_every_field_in_order(self):
+        assert AcoParams(seed=3).to_dict() == {
+            "beta": 5.0, "rho": 0.5, "q0": 0.5, "num_ants": 10, "time_max": None,
+            "max_iterations": None, "seed": 3, "variant": "racs",
+        }
+
 
 class TestRun:
     def test_zero_iterations_returns_nn_incumbent(self):

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 
 from gtsp import (
+    DEFAULT_TIME_MAX,
+    AcoParams,
+    CellCapExceeded,
     ExperimentConfig,
     NodeCoords,
     cluster_instance,
@@ -16,6 +19,7 @@ from gtsp import (
     load_instance_file,
     run_experiment,
     sidecar_optimum,
+    solve,
 )
 from gtsp.bench import AlgoResult, RunReport
 
@@ -74,6 +78,67 @@ class TestConfig:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_dict({"instances": ["x"], "budget": 3})
+
+    def test_params_is_not_a_config_key(self):
+        with pytest.raises(ValueError, match=r"unknown config keys: \['params'\]"):
+            ExperimentConfig.from_dict({"instances": ["x"], "params": {}})
+
+    def test_defaults_come_from_aco_params(self):
+        cfg = ExperimentConfig(instances=["x"])
+        assert cfg.params == AcoParams(time_max=DEFAULT_TIME_MAX)
+
+    def test_params_built_from_fields(self):
+        cfg = small_config(num_ants=3, beta=2.0, rho=0.25, q0=0.75)
+        assert cfg.params == AcoParams(beta=2.0, rho=0.25, q0=0.75, num_ants=3,
+                                       time_max=None, max_iterations=30, seed=7)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"rho": 1.5}, "rho"),
+        ({"beta": float("nan")}, "beta"),
+        ({"num_ants": 0}, "num_ants"),
+        ({"max_iterations": -1}, "max_iterations"),
+        ({"max_iterations": None}, "need a stopping rule"),
+    ])
+    def test_rejects_bad_colony_params_at_load(self, overrides, message):
+        # checked for every algorithm list, before any instance is read
+        with pytest.raises(ValueError, match=message):
+            small_config(algorithms=["nn"], **overrides)
+
+
+class TestSolve:
+    @pytest.fixture(scope="class")
+    def inst(self):
+        return generate_instance(nodes=12, clusters=4, seed=1)[1]
+
+    @pytest.mark.parametrize("algo", ["exact", "nn"])
+    def test_deterministic_algorithms_carry_no_colony_fields(self, inst, algo):
+        result = solve(inst, algo, AcoParams(max_iterations=5))
+        assert (result.iterations, result.trace, result.params) == (None, None, None)
+        assert result.elapsed >= 0.0
+        assert set(result.to_dict()) == {"cost", "nodes", "elapsed_seconds"}
+
+    def test_exact_is_optimal_and_nn_is_the_reference(self, inst):
+        params = AcoParams(max_iterations=5)
+        assert solve(inst, "exact", params).tour == exact_solve(inst)
+        assert solve(inst, "nn", params).tour.cost >= exact_solve(inst).cost
+
+    @pytest.mark.parametrize("algo", ["acs", "racs"])
+    def test_colony_runs_under_the_named_variant(self, inst, algo):
+        result = solve(inst, algo, AcoParams(max_iterations=6, seed=2, variant="racs"))
+        assert result.params == AcoParams(max_iterations=6, seed=2, variant=algo)
+        assert result.iterations == 6 and len(result.trace) == 6
+        assert result.trace[-1] == result.tour.cost
+        record = result.to_dict(include_elapsed=False)
+        assert record["seed"] == 2 and record["params"]["variant"] == algo
+
+    def test_exact_refusal_raises(self):
+        _, big = generate_instance(nodes=100, clusters=20, seed=3)
+        with pytest.raises(CellCapExceeded):
+            solve(big, "exact", AcoParams())
+
+    def test_unknown_algorithm(self, inst):
+        with pytest.raises(ValueError, match="unknown algorithm 'mmas'"):
+            solve(inst, "mmas", AcoParams(max_iterations=1))
 
 
 class TestRunExperiment:

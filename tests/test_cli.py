@@ -2,10 +2,22 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from gtsp import dp_cell_count, exact_solve, format_clustered, generate_instance, parse_clustered
+import gtsp.bench
+from gtsp import (
+    AcoParams,
+    ExperimentConfig,
+    dp_cell_count,
+    exact_solve,
+    format_clustered,
+    generate_instance,
+    parse_clustered,
+    run_experiment,
+)
+from gtsp.cli import build_parser
 
 
 def gtsp_cli(*args, cwd=None):
@@ -86,11 +98,23 @@ class TestExitCodes:
         assert gtsp_cli("solve", toy_file, "--algo", "magic").returncode == 1
         assert gtsp_cli("frobnicate").returncode == 1
 
-    def test_bad_param_is_1(self, toy_file):
-        proc = gtsp_cli("solve", toy_file, "--algo", "racs", "--rho", "1.5",
-                        "--max-iters", 5)
+    # Colony flags are checked before the instance is read, for every --algo.
+    # Each case also passes --max-iters, except the negative one, so a check
+    # that let its value through would still end the run.
+    @pytest.mark.parametrize("algo, flags, name", [
+        pytest.param("racs", ["--rho", "1.5", "--max-iters", 5], "rho", id="rho"),
+        pytest.param("racs", ["--beta", "nan", "--max-iters", 5], "beta", id="beta-nan"),
+        pytest.param("acs", ["--time-max", "nan", "--max-iters", 5], "time_max",
+                     id="time-max-nan"),
+        pytest.param("racs", ["--max-iters", -3], "max_iterations", id="max-iters-negative"),
+        pytest.param("nn", ["--rho", "1.5"], "rho", id="nn-rho"),
+        pytest.param("exact", ["--ants", 0], "num_ants", id="exact-ants"),
+    ])
+    def test_bad_param_is_1(self, toy_file, algo, flags, name):
+        proc = gtsp_cli("solve", toy_file, "--algo", algo, *flags)
         assert proc.returncode == 1
-        assert "rho" in proc.stderr
+        assert f"gtsp solve: {name}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_is_2(self, tmp_path):
         proc = gtsp_cli("solve", tmp_path / "ghost.tsp", "--algo", "nn")
@@ -188,12 +212,63 @@ class TestBenchCommand:
         assert (tmp_path / "out" / "table.csv").exists()
         assert (tmp_path / "out" / "table.json").exists()
 
-    def test_bad_config_is_1(self, tmp_path):
+    # Every case is refused when the config loads, before any solver runs.
+    @pytest.mark.parametrize("config, message", [
+        pytest.param({"instances": [], "algorithms": ["nn"]}, "config lists no instances",
+                     id="no-instances"),
+        pytest.param({"rho": 1.5, "algorithms": ["racs"], "max_iterations": 5},
+                     "rho must lie in (0, 1)", id="rho"),
+        pytest.param({"time_max": None, "max_iterations": None, "algorithms": ["acs"]},
+                     "need a stopping rule", id="no-stopping-rule"),
+        pytest.param({"repetitions": "2", "algorithms": ["nn"]}, "'<' not supported",
+                     id="wrong-type"),
+    ])
+    def test_bad_config_is_1(self, tmp_path, toy_file, config, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"instances": [], "algorithms": ["nn"]}))
-        assert gtsp_cli("bench", "--config", cfg).returncode == 1
+        cfg.write_text(json.dumps({"instances": [str(toy_file)], **config}))
+        proc = gtsp_cli("bench", "--config", cfg)
+        assert proc.returncode == 1
+        assert f"gtsp bench: bad config: {message}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
     def test_all_instances_unreadable_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"instances": ["ghost.gtsp"], "algorithms": ["nn"]}))
         assert gtsp_cli("bench", "--config", cfg).returncode == 2
+
+
+class TestSolveMatchesBench:
+    """`gtsp solve` and `run_experiment` run their solvers through one `solve`."""
+
+    @pytest.fixture(scope="class")
+    def gen_file(self, tmp_path_factory):
+        # large enough that three iterations end on a different tour for
+        # each seed, so a parameter that drifts between the paths shows
+        path = tmp_path_factory.mktemp("inst") / "gen.gtsp"
+        coords, inst = generate_instance(nodes=40, clusters=10, seed=3)
+        path.write_text(format_clustered(inst.name, coords, inst.clusters))
+        return path
+
+    @pytest.mark.parametrize("algo", ["exact", "nn", "acs", "racs"])
+    def test_same_cost_and_nodes(self, gen_file, algo):
+        proc = gtsp_cli("solve", gen_file, "--algo", algo, "--max-iters", 3, "--seed", 4,
+                        "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        record = json.loads(proc.stdout)
+        config = ExperimentConfig(instances=[str(gen_file)], algorithms=[algo],
+                                  repetitions=1, seeds=[4], time_max=None, max_iterations=3)
+        results = []
+        real_solve = gtsp.bench.solve
+        with mock.patch.object(gtsp.bench, "solve",
+                               lambda *a: results.append(real_solve(*a)) or results[-1]):
+            (report,) = run_experiment(config)
+        assert report.results[algo].costs == [record["cost"]]
+        assert [list(r.tour.nodes) for r in results] == [record["nodes"]]
+
+    def test_solve_flag_defaults_are_aco_params_defaults(self):
+        args = build_parser().parse_args(["solve", "x.tsp", "--algo", "nn"])
+        d = AcoParams()
+        assert (args.beta, args.rho, args.q0, args.ants, args.seed, args.time_max,
+                args.max_iters) == (d.beta, d.rho, d.q0, d.num_ants, d.seed, d.time_max,
+                                    d.max_iterations)
