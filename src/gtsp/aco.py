@@ -11,9 +11,12 @@ trail tau0, RACS toward 1/(n * L+), where L+ is the best cost seen so far.
 Once per iteration the best-so-far tour's edges are reinforced with deposit
 1/L+, and any trail that climbed above tau_max is re-initialized to tau0.
 
-`run` builds every ant's tour in one flat loop over a node mask; the public
-`AntState`/`choose_next`/`transition_distribution` describe single steps and
-share the pick rule (`_pick`) with it, so both follow the same draws.
+`run` builds every ant's tour in one flat loop over one reused node mask; the
+public `AntState`/`choose_next`/`transition_distribution` describe single
+steps and share the pick rule (`_pick`) with it, so both follow the same
+draws. The mask already makes each tour feasible, so `run` sums an ant's cost
+edge by edge as it builds the tour, and only a tour that becomes the new
+incumbent goes through `make_tour` (validated and re-costed).
 Pheromone scales use max(L, 1), so zero-cost tours do not divide by zero.
 
 `run` keeps a weight matrix, trail times visibility^beta, next to the trails
@@ -371,6 +374,7 @@ def run(
     pheromone = PheromoneMatrix.for_instance(instance, l_nn, params.rho)
     tau, tau0, tau_max = pheromone.tau, pheromone.tau0, pheromone.tau_max
     cost = instance.costs.cost
+    cost_item = cost.item
     beta, q0, rho, variant = params.beta, params.q0, params.rho, params.variant
     eta_at, eta_where = _visibility_lookup(cost, beta)
     # weight[i, j] == tau[i, j] * eta_at(i, j) after every write below
@@ -380,6 +384,7 @@ def run(
     cluster_of = instance.cluster_of.tolist()
     rand = rng.random
     n, p = instance.n, instance.p
+    mask = np.empty(n, dtype=bool)  # one ant's unvisited-cluster nodes, refilled per ant
     keep = 1.0 - rho
 
     def write(i: int, j: int, add: float) -> bool:
@@ -402,15 +407,17 @@ def run(
         local_add = rho * _local_deposit(variant, n, incumbent.cost, tau0)
         above_max = False
         ant_tours: list[Tour] = []
+        best_cost: int | None = None
         for _ in range(params.num_ants):
             # the same steps and draws as AntState.place, choose_next and
             # AntState.advance, without the per-ant objects
             cluster = int(rng.integers(p))
             start = int(members[cluster][rng.integers(len(members[cluster]))])
-            mask = np.ones(n, dtype=bool)
+            mask.fill(True)
             mask[members[cluster]] = False
             path = [start]
             cur = start
+            length = 0
             for _ in range(p - 1):
                 cand = mask.nonzero()[0]
                 nxt = _pick(
@@ -418,15 +425,19 @@ def run(
                     lambda: _relative_weights(cost[cur], tau[cur], cand, beta),
                 )
                 above_max |= write(cur, nxt, local_add)
+                length += cost_item(cur, nxt)
                 mask[members[cluster_of[nxt]]] = False
                 path.append(nxt)
                 cur = nxt
             above_max |= write(cur, start, local_add)
-            ant_tours.append(make_tour(instance, path))
+            length += cost_item(cur, start)
+            if best_cost is None or length < best_cost:  # ties keep the first ant
+                best_cost, best_path = length, path
+            if iteration_observer is not None:
+                ant_tours.append(Tour(tuple(path), length))
 
-        iteration_best = min(ant_tours, key=lambda t: t.cost)
-        if iteration_best.cost < incumbent.cost:
-            incumbent = iteration_best
+        if best_cost < incumbent.cost:
+            incumbent = make_tour(instance, best_path)
         global_add = rho * _global_deposit(incumbent.cost)
         nodes = incumbent.nodes
         for a, b in zip(nodes, nodes[1:] + nodes[:1]):

@@ -2,8 +2,8 @@
 
 Subcommands: `solve` one instance with one algorithm, `bench` a configured
 experiment, `cluster` a raw TSPLIB file into a clustered instance file, and
-`gen` a random instance. Exit codes: 0 success, 1 usage error, 2 instance
-error, 3 solver refusal.
+`gen` a random instance. Exit codes: 0 success, 1 usage error (an output path
+that cannot be written included), 2 instance error, 3 solver refusal.
 
 `solve` and `bench` both run their solvers through `gtsp.bench.solve`. The
 colony flags take their defaults from `AcoParams` and are checked before the
@@ -94,11 +94,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_output(text: str, out: str | None) -> None:
+def _cannot_write(cmd: str, path, exc: OSError) -> int:
+    print(f"gtsp {cmd}: cannot write {path}: {exc}", file=sys.stderr)
+    return EXIT_USAGE
+
+
+def _write_output(cmd: str, text: str, out: str | None) -> int:
+    """Print `text`, or write it to file `out`; an unwritable `out` is exit 1."""
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        Path(out).write_text(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
+        return 0
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        return _cannot_write(cmd, out, exc)
+    return 0
 
 
 def _format_solution(record: dict, fmt: str) -> str:
@@ -141,8 +152,7 @@ def _cmd_solve(args) -> int:
         print(f"gtsp solve: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
     record = {"problem": instance.name, "algo": args.algo, **result.to_dict()}
-    _write_output(_format_solution(record, args.format), args.out)
-    return 0
+    return _write_output("solve", _format_solution(record, args.format), args.out)
 
 
 def _cmd_bench(args) -> int:
@@ -151,11 +161,19 @@ def _cmd_bench(args) -> int:
     except (OSError, TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
         print(f"gtsp bench: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if config.output is not None:
+        try:  # before any solver runs, not after the last one
+            Path(config.output).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            return _cannot_write("bench", config.output, exc)
     reports = run_experiment(config)
     if not reports:
         print("gtsp bench: no instance could be loaded", file=sys.stderr)
         return EXIT_INSTANCE
-    text = emit_table(reports, out_base=config.output)
+    try:
+        text = emit_table(reports, out_base=config.output)
+    except OSError as exc:
+        return _cannot_write("bench", config.output, exc)
     sys.stdout.write(text)
     return 0
 
@@ -169,7 +187,9 @@ def _cmd_cluster(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"gtsp cluster: {exc}", file=sys.stderr)
         return EXIT_INSTANCE
-    Path(args.out).write_text(format_clustered(instance.name, coords, instance.clusters))
+    text = format_clustered(instance.name, coords, instance.clusters)
+    if status := _write_output("cluster", text, args.out):
+        return status
     print(f"wrote {instance.name} ({instance.p} clusters, {instance.n} nodes) to {args.out}")
     return 0
 
@@ -180,8 +200,8 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"gtsp gen: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    _write_output(format_clustered(instance.name, coords, instance.clusters), args.out)
-    return 0
+    return _write_output("gen", format_clustered(instance.name, coords, instance.clusters),
+                         args.out)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,6 +20,7 @@ from gtsp import (
     local_update,
     nn_reference_cost,
     run,
+    tour_cost,
     transition_distribution,
     validate_tour,
 )
@@ -366,6 +367,7 @@ class TestRun:
             assert (state.pheromone.tau <= state.pheromone.tau_max).all()
             for tour in ant_tours:
                 validate_tour(inst, tour.nodes)
+                assert tour_cost(inst, tour.nodes) == tour.cost
             assert not seen or state.best_tour.cost <= seen[-1]
             seen.append(state.best_tour.cost)
 
@@ -383,10 +385,27 @@ class TestRun:
             nonlocal counted
             for tour in ant_tours:
                 validate_tour(inst, tour.nodes)
+                assert tour_cost(inst, tour.nodes) == tour.cost
                 counted += 1
 
         run(inst, AcoParams(max_iterations=1000, seed=8), iteration_observer=observer)
         assert counted == 10_000
+
+    @pytest.mark.parametrize("observed", [False, True])
+    def test_make_tour_only_for_a_new_incumbent(self, observed):
+        rng = np.random.default_rng(30)
+        inst = random_matrix_instance(15, 5, rng)
+        calls = []
+        make_tour = gtsp.aco.make_tour
+        observer = (lambda state, ant_tours: None) if observed else None
+        with mock.patch.object(
+            gtsp.aco, "make_tour", lambda *a: calls.append(1) or make_tour(*a)
+        ):
+            result = run(inst, AcoParams(max_iterations=50, seed=2), iteration_observer=observer)
+        before = [nn_reference_cost(inst)[0]] + result.trace
+        improving = sum(b < a for a, b in zip(before, before[1:]))
+        assert improving >= 1
+        assert len(calls) == improving
 
     def test_time_budget_stops(self):
         rng = np.random.default_rng(28)
@@ -556,6 +575,39 @@ class TestReferenceEquivalence:
                 variant=("acs", "racs")[i % 2],
             )
             assert traced_run(inst, params) == traced_reference(inst, params)
+
+
+class TestReferenceEquivalenceWithoutObserver:
+    """`run` with no observer attached, the path the benchmark and the CLI
+    take, against the original per-ant loop in oracles.py."""
+
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 24),
+        p=st.integers(2, 8),
+        symmetric=st.booleans(),
+        variant=st.sampled_from(["acs", "racs"]),
+        q0=st.sampled_from([0.0, 0.5, 1.0]),
+        beta=st.sampled_from([0.0, 1.0, 2.0, 5.0, 12.0]),
+        num_ants=st.integers(1, 6),
+        iterations=st.integers(1, 6),
+        rho=st.sampled_from([0.1, 0.5, 0.9]),
+    )
+    @example(seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0, beta=12.0,
+             num_ants=3, iterations=4, rho=0.5)
+    def test_json_identical_to_reference(
+        self, seed, n, p, symmetric, variant, q0, beta, num_ants, iterations, rho
+    ):
+        rng = np.random.default_rng(seed)
+        inst = random_matrix_instance(n, min(p, n), rng, symmetric=symmetric)
+        params = AcoParams(
+            beta=beta, q0=q0, variant=variant, num_ants=num_ants,
+            max_iterations=iterations, seed=seed, rho=rho,
+        )
+        reference, _, _ = reference_run(inst, params)
+        ours = run(inst, params).to_json(include_elapsed=False)
+        assert ours == reference.to_json(include_elapsed=False)
 
 
 class TestDegenerateInputs:

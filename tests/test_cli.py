@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 
 import gtsp.bench
+import gtsp.cli
 from gtsp import (
     AcoParams,
     ExperimentConfig,
@@ -17,7 +18,9 @@ from gtsp import (
     parse_clustered,
     run_experiment,
 )
-from gtsp.cli import build_parser
+from gtsp.cli import build_parser, main
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def gtsp_cli(*args, cwd=None):
@@ -236,6 +239,39 @@ class TestBenchCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"instances": ["ghost.gtsp"], "algorithms": ["nn"]}))
         assert gtsp_cli("bench", "--config", cfg).returncode == 2
+
+
+class TestUnwritableOutput:
+    """An output path under a regular file is exit 1 with a named error."""
+
+    @pytest.mark.parametrize("cmd", ["solve", "gen", "cluster", "bench"])
+    def test_cannot_write_is_1(self, tmp_path, toy_file, cmd):
+        (tmp_path / "blocker").write_text("a file, not a directory")
+        out = tmp_path / "blocker" / "out"
+        args = {
+            "solve": ["solve", toy_file, "--algo", "nn", "--out", out],
+            "gen": ["gen", "--nodes", 10, "--clusters", 3, "--out", out],
+            "cluster": ["cluster", DATA / "eil51.tsp", "--out", out],
+            "bench": ["bench", "--config", tmp_path / "cfg.json"],
+        }[cmd]
+        (tmp_path / "cfg.json").write_text(json.dumps({
+            "instances": [str(toy_file)], "algorithms": ["nn"], "output": "blocker/out",
+        }))
+        proc = gtsp_cli(*args)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"gtsp {cmd}: cannot write {out}: ")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_bench_checks_output_before_solving(self, tmp_path, toy_file, capsys):
+        (tmp_path / "blocker").write_text("")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "instances": [str(toy_file)], "algorithms": ["nn"], "output": "blocker/out",
+        }))
+        with mock.patch.object(gtsp.cli, "run_experiment", side_effect=AssertionError):
+            assert main(["bench", "--config", str(cfg)]) == 1
+        assert "gtsp bench: cannot write" in capsys.readouterr().err
 
 
 class TestSolveMatchesBench:
