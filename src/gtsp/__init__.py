@@ -23,7 +23,6 @@ from .bench import (
     DEFAULT_TIME_MAX,
     ExperimentConfig,
     RunReport,
-    SolveResult,
     emit_table,
     load_instance_file,
     run_experiment,

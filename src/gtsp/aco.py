@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -324,23 +324,22 @@ def evaporation_reinit(pheromone: PheromoneMatrix) -> np.ndarray:
 
 @dataclass
 class RunResult:
-    """Outcome of one colony run, serializable for the benchmark tables."""
+    """What every solver returns: `run` here, and `gtsp.bench.solve` for all
+    four algorithms. The best tour and the wall time, plus the iterations,
+    best-so-far cost per iteration and parameters of a colony run (None for
+    exact and NN). `to_dict` is the record `gtsp solve` prints."""
 
     best: Tour
-    iterations: int
     elapsed: float
-    params: AcoParams
-    trace: list[int] = field(default_factory=list)  # best-so-far cost per iteration
+    iterations: int | None = None
+    trace: list[int] | None = None
+    params: AcoParams | None = None
 
     def to_dict(self, include_elapsed: bool = True) -> dict:
-        out = {
-            "tour": self.best.to_dict(),
-            "cost": self.best.cost,
-            "iterations": self.iterations,
-            "params": self.params.to_dict(),
-            "seed": self.params.seed,
-            "trace": list(self.trace),
-        }
+        out = {"cost": self.best.cost, "nodes": list(self.best.nodes)}
+        if self.params is not None:
+            out.update(iterations=self.iterations, params=self.params.to_dict(),
+                       seed=self.params.seed, trace=list(self.trace))
         if include_elapsed:
             out["elapsed_seconds"] = self.elapsed
         return out

@@ -1,8 +1,9 @@
 """Solver dispatch and benchmark harness.
 
 `solve` is the one entry point over the four algorithms (`ALGORITHMS`): it
-runs and times exact, NN, ACS or RACS on one instance and returns a
-`SolveResult`. Both `gtsp solve` and `run_experiment` call it.
+runs and times exact, NN, ACS or RACS on one instance and returns the same
+record for all four, `gtsp.aco.RunResult`, the one `gtsp.aco.run` returns.
+Both `gtsp solve` and `run_experiment` call it and read that record.
 
 The experiment protocol mirrors the usual benchmark setup: deterministic
 algorithms run once, the ant colonies run `repetitions` times (default five)
@@ -23,8 +24,8 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .aco import VARIANTS, AcoParams, run
-from .construct import Tour, nn_reference_cost
+from .aco import VARIANTS, AcoParams, RunResult, run
+from .construct import nn_reference_cost
 from .exact import DEFAULT_CELL_CAP, CellCapExceeded, exact_solve
 from .instance import (
     GtspInstance,
@@ -32,6 +33,7 @@ from .instance import (
     euc2d_costs,
     generate_instance,
     parse_clustered,
+    parse_set_partition,
     parse_tsplib,
 )
 
@@ -39,49 +41,27 @@ ALGORITHMS = ("exact", "nn", "acs", "racs")
 DEFAULT_TIME_MAX = 600.0  # seconds per colony run: the benchmark's ten-minute budget
 
 
-@dataclass
-class SolveResult:
-    """One `solve` call: the tour and wall time of any algorithm, plus the
-    iterations, per-iteration trace and parameters of a colony run (None for
-    exact and NN)."""
-
-    tour: Tour
-    elapsed: float
-    iterations: int | None = None
-    trace: list[int] | None = None
-    params: AcoParams | None = None
-
-    def to_dict(self, include_elapsed: bool = True) -> dict:
-        out = {"cost": self.tour.cost, "nodes": list(self.tour.nodes)}
-        if self.params is not None:
-            out.update(iterations=self.iterations, params=self.params.to_dict(),
-                       seed=self.params.seed, trace=list(self.trace))
-        if include_elapsed:
-            out["elapsed_seconds"] = self.elapsed
-        return out
-
-
 def solve(
     instance: GtspInstance, algo: str, params: AcoParams, cell_cap: int = DEFAULT_CELL_CAP
-) -> SolveResult:
+) -> RunResult:
     """Run one of `ALGORITHMS` on `instance`.
 
     The colonies run with `params` under the variant `algo`; exact and NN
-    ignore `params`. Every algorithm is timed the same way, as the wall time
-    of this call. Raises CellCapExceeded when the exact solver refuses.
+    ignore `params` and leave the colony fields of the result None. Every
+    algorithm is timed the same way: `elapsed` is the wall time of this call.
+    Raises CellCapExceeded when the exact solver refuses.
     """
     started = time.perf_counter()
     if algo == "exact":
-        tour = exact_solve(instance, cell_cap=cell_cap)
+        result = RunResult(exact_solve(instance, cell_cap=cell_cap), 0.0)
     elif algo == "nn":
-        _, tour = nn_reference_cost(instance)
+        result = RunResult(nn_reference_cost(instance)[1], 0.0)
     elif algo in VARIANTS:
         result = run(instance, replace(params, variant=algo))
-        return SolveResult(result.best, time.perf_counter() - started,
-                           result.iterations, result.trace, result.params)
     else:
         raise ValueError(f"unknown algorithm {algo!r}; known: {list(ALGORITHMS)}")
-    return SolveResult(tour, time.perf_counter() - started)
+    result.elapsed = time.perf_counter() - started
+    return result
 
 
 @dataclass
@@ -222,30 +202,28 @@ def load_instance_file(
 ) -> GtspInstance:
     """Load a clustered instance, or cluster a raw TSPLIB file on the fly.
 
-    A file containing a GTSP_SET_SECTION is taken as already clustered;
-    otherwise the center-based procedure partitions it into `clusters` sets
-    (default one fifth of the nodes). `cluster_file` substitutes the set
-    section of another clustered file.
+    A file containing a GTSP_SET_SECTION is taken as already clustered, and
+    `clusters` must then be None; otherwise the center-based procedure
+    partitions it into `clusters` sets (default one fifth of the nodes).
+    `cluster_file` substitutes the set section of another clustered file,
+    of which only the headers and sets are read.
     """
     path = Path(path)
     text = path.read_text()
     if cluster_file is not None:
         base_coords = parse_tsplib(text)
-        donor = parse_clustered(Path(cluster_file).read_text())
-        if donor.n != len(base_coords):
+        name, n, clusters = parse_set_partition(Path(cluster_file).read_text())
+        if n != len(base_coords):
             raise ValueError(
-                f"cluster file covers {donor.n} nodes but {path.name} has {len(base_coords)}"
+                f"cluster file covers {n} nodes but {path.name} has {len(base_coords)}"
             )
-        return GtspInstance(
-            name=donor.name or path.stem,
-            costs=euc2d_costs(base_coords),
-            clusters=donor.clusters,
-        )
+        return GtspInstance(name=name or path.stem, costs=euc2d_costs(base_coords),
+                            clusters=clusters)
     if "GTSP_SET_SECTION" in text.upper():
-        inst = parse_clustered(text)
-        if not inst.name:
-            inst = GtspInstance(name=path.stem, costs=inst.costs, clusters=inst.clusters)
-        return inst
+        if clusters is not None:
+            raise ValueError(f"--clusters {clusters} given, but {path.name} is already"
+                             " clustered; the flag applies to raw TSPLIB files only")
+        return parse_clustered(text, name=path.stem)
     coords = parse_tsplib(text)
     return cluster_instance(coords, euc2d_costs(coords), m=clusters, name=path.stem)
 
@@ -312,7 +290,7 @@ def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
                 except CellCapExceeded as exc:
                     cell.error = str(exc)
                     break
-                cell.costs.append(result.tour.cost)
+                cell.costs.append(result.best.cost)
                 cell.elapsed.append(result.elapsed)
                 if result.params is None:
                     break  # exact and NN are deterministic: one run

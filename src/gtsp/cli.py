@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -99,6 +101,22 @@ def _cannot_write(cmd: str, path, exc: OSError) -> int:
     return EXIT_USAGE
 
 
+def _unwritable(path: str) -> OSError | None:
+    """The error writing file `path` would meet, found without creating or
+    truncating it: a missing parent directory, a directory in its place or no
+    write permission. None when it can be written."""
+    p = Path(path)
+    if p.is_dir():
+        code = errno.EISDIR
+    elif not p.parent.is_dir():
+        code = errno.ENOTDIR if p.parent.exists() else errno.ENOENT
+    elif not os.access(p if p.exists() else p.parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return None
+    return OSError(code, os.strerror(code), path)
+
+
 def _write_output(cmd: str, text: str, out: str | None) -> int:
     """Print `text`, or write it to file `out`; an unwritable `out` is exit 1."""
     text = text if text.endswith("\n") else text + "\n"
@@ -138,6 +156,8 @@ def _cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"gtsp solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.out is not None and (exc := _unwritable(args.out)):  # before the solver runs
+        return _cannot_write("solve", args.out, exc)
     try:
         instance = load_instance_file(
             args.file, clusters=args.clusters, cluster_file=args.cluster_file

@@ -58,23 +58,24 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
 
     Forward dynamic programming over the layers, one start per node of the
     first cluster, O(sum_l |V_l|*|V_{l+1}|) per start, in start-row chunks
-    that bound each step's temporary as in `exact_solve`. Ties resolve to the
+    that bound each step's temporary as in `exact_solve`. Sums are int64 and
+    exact (`check_tour_sums` admits the instance first). Ties resolve to the
     lowest start node, then the lowest member index per layer.
     """
     seq = _check_sequence(instance, order)
+    instance.check_tour_sums()
     cost = instance.costs.cost
     members = instance.cluster_arrays
     layers = [members[k] for k in seq]
     starts = layers[0]
     s = len(starts)
 
-    dist = np.full((s, s), np.inf)
-    np.fill_diagonal(dist, 0.0)
+    dist = cost[np.ix_(starts, layers[1])]  # dist[a, j]: start a, then node j of layer 1
     parents: list[np.ndarray] = []
-    for l in range(len(layers) - 1):
+    for l in range(1, len(layers) - 1):
         block = cost[np.ix_(layers[l], layers[l + 1])]
         parent = np.empty((s, block.shape[1]), dtype=np.intp)
-        reached = np.empty((s, block.shape[1]))
+        reached = np.empty((s, block.shape[1]), dtype=np.int64)
         # start-row chunks keep the (chunk, |V_l|, |V_l+1|) temporary near _STEP_CELLS
         chunk = max(1, _STEP_CELLS // block.size)
         for r in range(0, s, chunk):
@@ -86,18 +87,14 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
 
     closing = cost[np.ix_(layers[-1], starts)]  # back to the duplicated first layer
     totals = dist + closing.T
-    flat = int(totals.argmin())
-    best = totals.flat[flat]
-    s_idx, j_idx = divmod(flat, totals.shape[1])
+    s_idx, j_idx = divmod(int(totals.argmin()), totals.shape[1])
 
-    choice = [0] * len(layers)
-    choice[-1] = j_idx
-    for l in range(len(layers) - 2, -1, -1):
-        choice[l] = int(parents[l][s_idx, choice[l + 1]])
-    nodes = [int(layers[l][choice[l]]) for l in range(len(layers))]
-    assert nodes[0] == int(starts[s_idx])
-    tour = make_tour(instance, nodes)
-    assert tour.cost == int(best)
+    choice = [j_idx]  # member index per layer, last layer first
+    for parent in reversed(parents):
+        choice.append(int(parent[s_idx, choice[-1]]))
+    choice.append(s_idx)
+    tour = make_tour(instance, [int(layer[c]) for layer, c in zip(layers, reversed(choice))])
+    assert tour.cost == int(totals[s_idx, j_idx])
     return tour
 
 

@@ -222,6 +222,12 @@ def _first_failure(flat, owner, sizes, n: int) -> ValueError:
 def parse_tsplib(text: str) -> NodeCoords:
     """Parse a TSPLIB file with EUC_2D coordinates into 0-based node order."""
     headers, coord_records, _ = _scan_records(text)
+    return _parse_coords(headers, coord_records)
+
+
+def _parse_coords(
+    headers: dict[str, tuple[int, str]], coord_records: list[tuple[int, str]] | None
+) -> NodeCoords:
     dim = _required_int_header(headers, "DIMENSION")
     if dim < 2:
         raise ParseError(f"line {headers['DIMENSION'][0]}: DIMENSION {dim} is below 2")
@@ -378,25 +384,37 @@ def _farthest_centers(rows: np.ndarray, m: int, symmetric: bool) -> list[int]:
     return centers
 
 
-def parse_clustered(text: str) -> GtspInstance:
-    """Parse a clustered instance: a TSPLIB EUC_2D body plus GTSP set records."""
-    headers, _, set_records = _scan_records(text)
-    coords = parse_tsplib(text)
-    n = len(coords)
-    p = _required_int_header(headers, "GTSP_SETS")
+def parse_clustered(text: str, name: str = "") -> GtspInstance:
+    """Parse a clustered instance: a TSPLIB EUC_2D body plus GTSP set records.
 
-    sets = _parse_set_section(set_records, n, p)
-    name = headers.get("NAME", (0, ""))[1]
-    clusters = tuple(tuple(v - 1 for v in members) for members in sets)
+    The instance takes the file's NAME record, or `name` when it has none.
+    """
+    headers, coord_records, set_records = _scan_records(text)
+    coords = _parse_coords(headers, coord_records)
+    clusters = _parse_set_section(headers, set_records, len(coords))
     try:
-        return GtspInstance(name=name, costs=euc2d_costs(coords), clusters=clusters)
+        return GtspInstance(name=headers.get("NAME", (0, ""))[1] or name,
+                            costs=euc2d_costs(coords), clusters=clusters)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
 
+def parse_set_partition(text: str) -> tuple[str, int, tuple[tuple[int, ...], ...]]:
+    """NAME, DIMENSION and 0-based clusters of a clustered file.
+
+    Reads only the headers and the set section: no coordinates are parsed
+    and no cost matrix is built.
+    """
+    headers, _, set_records = _scan_records(text)
+    n = _required_int_header(headers, "DIMENSION")
+    return headers.get("NAME", (0, ""))[1], n, _parse_set_section(headers, set_records, n)
+
+
 def _parse_set_section(
-    set_records: list[tuple[int, str]] | None, n: int, p: int
-) -> list[list[int]]:
+    headers: dict[str, tuple[int, str]], set_records: list[tuple[int, str]] | None, n: int
+) -> tuple[tuple[int, ...], ...]:
+    """The GTSP_SETS sets of the set section as 0-based node ids."""
+    p = _required_int_header(headers, "GTSP_SETS")
     if set_records is None:
         raise ParseError("missing GTSP_SET_SECTION")
     tokens: list[tuple[int, int]] = []  # (lineno, value)
@@ -407,7 +425,7 @@ def _parse_set_section(
             except ValueError:
                 raise ParseError(f"line {lineno}: bad set record token {tok!r}") from None
 
-    sets: list[list[int]] = []
+    sets: list[tuple[int, ...]] = []
     owner: dict[int, int] = {}  # 1-based node id -> 1-based set id
     pos = 0
     for _ in range(p):
@@ -432,16 +450,16 @@ def _parse_set_section(
                     f"line {lineno}: not a partition: node {v} is in sets {owner[v]} and {set_id}"
                 )
             owner[v] = set_id
-            members.append(v)
+            members.append(v - 1)
         if not members:
             raise ParseError(f"line {lineno}: empty cluster {set_id}")
-        sets.append(members)
+        sets.append(tuple(members))
     if pos < len(tokens):
         raise ParseError(f"line {tokens[pos][0]}: unexpected data after set {p}")
     for v in range(1, n + 1):
         if v not in owner:
             raise ParseError(f"not a partition: node {v} is in no set")
-    return sets
+    return tuple(sets)
 
 
 def format_clustered(name: str, coords: NodeCoords, clusters: tuple[tuple[int, ...], ...]) -> str:

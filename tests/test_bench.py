@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from gtsp import (
     CellCapExceeded,
     ExperimentConfig,
     NodeCoords,
+    RunResult,
     cluster_instance,
     emit_table,
     euc2d_costs,
@@ -17,11 +19,12 @@ from gtsp import (
     format_clustered,
     generate_instance,
     load_instance_file,
+    run,
     run_experiment,
     sidecar_optimum,
     solve,
 )
-from gtsp.bench import AlgoResult, RunReport
+from gtsp.bench import ALGORITHMS, AlgoResult, RunReport
 
 
 def small_config(**overrides):
@@ -117,17 +120,24 @@ class TestSolve:
         assert result.elapsed >= 0.0
         assert set(result.to_dict()) == {"cost", "nodes", "elapsed_seconds"}
 
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_every_algorithm_returns_the_colony_record(self, inst, algo):
+        result = solve(inst, algo, AcoParams(max_iterations=2))
+        assert type(result) is type(run(inst, AcoParams(max_iterations=1))) is RunResult
+        colony = {"iterations", "params", "seed", "trace"} if algo in ("acs", "racs") else set()
+        assert set(result.to_dict()) == {"cost", "nodes", "elapsed_seconds"} | colony
+
     def test_exact_is_optimal_and_nn_is_the_reference(self, inst):
         params = AcoParams(max_iterations=5)
-        assert solve(inst, "exact", params).tour == exact_solve(inst)
-        assert solve(inst, "nn", params).tour.cost >= exact_solve(inst).cost
+        assert solve(inst, "exact", params).best == exact_solve(inst)
+        assert solve(inst, "nn", params).best.cost >= exact_solve(inst).cost
 
     @pytest.mark.parametrize("algo", ["acs", "racs"])
     def test_colony_runs_under_the_named_variant(self, inst, algo):
         result = solve(inst, algo, AcoParams(max_iterations=6, seed=2, variant="racs"))
         assert result.params == AcoParams(max_iterations=6, seed=2, variant=algo)
         assert result.iterations == 6 and len(result.trace) == 6
-        assert result.trace[-1] == result.tour.cost
+        assert result.trace[-1] == result.best.cost
         record = result.to_dict(include_elapsed=False)
         assert record["seed"] == 2 and record["params"]["variant"] == algo
 
@@ -325,3 +335,34 @@ class TestLoadInstanceFile:
         donor.write_text(format_clustered(inst.name, coords, inst.clusters))
         with pytest.raises(ValueError, match="covers 9 nodes"):
             load_instance_file(data_dir / "eil51.tsp", cluster_file=donor)
+
+    def test_clustered_file_without_name_takes_the_file_stem(self, tmp_path):
+        coords, inst = generate_instance(nodes=9, clusters=3, seed=5)
+        path = tmp_path / "toy.gtsp"
+        path.write_text(format_clustered("", coords, inst.clusters).replace("NAME : \n", ""))
+        loaded = load_instance_file(path)
+        assert (loaded.name, loaded.clusters) == ("toy", inst.clusters)
+
+    def test_cluster_count_on_clustered_file_is_refused(self, tmp_path):
+        coords, inst = generate_instance(nodes=9, clusters=3, seed=5)
+        path = tmp_path / "toy.gtsp"
+        path.write_text(format_clustered(inst.name, coords, inst.clusters))
+        with pytest.raises(ValueError, match="--clusters 2 given, but toy.gtsp is already"):
+            load_instance_file(path, clusters=2)
+
+    def test_cluster_file_builds_no_donor_costs(self, tmp_path):
+        n = 1000
+        coords, donor_inst = generate_instance(nodes=n, clusters=200, seed=8)
+        donor = tmp_path / "donor.gtsp"
+        donor.write_text(format_clustered("200DONOR1000", coords, donor_inst.clusters))
+        text = donor.read_text()
+        base = tmp_path / "base.tsp"
+        base.write_text(text[: text.index("GTSP_SET_SECTION")] + "EOF\n")
+        tracemalloc.start()
+        inst = load_instance_file(base, cluster_file=donor)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert (inst.name, inst.clusters) == ("200DONOR1000", donor_inst.clusters)
+        # one 8 MB cost matrix plus a few MB of temporaries (about 10.8 MiB
+        # in all); building the donor's costs as well took it to 18.4 MiB
+        assert peak < 8 * n * n + (6 << 20)

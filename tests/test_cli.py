@@ -145,6 +145,12 @@ class TestExitCodes:
         assert message in proc.stderr
         assert "Warning" not in proc.stderr  # refused before any numpy overflow
 
+    def test_clusters_flag_on_clustered_file_is_2(self, toy_file, capsys):
+        # the file's own 4 sets would otherwise be used without a word
+        assert main(["solve", str(toy_file), "--algo", "nn", "--clusters", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gtsp solve: --clusters 3 given, but toy.gtsp is already clustered")
+
     @pytest.mark.parametrize("algo", ["exact", "nn", "acs", "racs"])
     def test_tour_sum_overflow_is_2(self, tmp_path, algo):
         # every cost fits int64, but a tour over the two far pairs does not
@@ -274,6 +280,25 @@ class TestUnwritableOutput:
         assert "gtsp bench: cannot write" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("target", ["missing/out.txt", "blocker/out.txt", "."])
+    def test_solve_checks_output_before_solving(self, tmp_path, toy_file, capsys, target):
+        (tmp_path / "blocker").write_text("")
+        out = tmp_path / target
+        with mock.patch.object(gtsp.cli, "solve", side_effect=AssertionError):
+            assert main(["solve", str(toy_file), "--algo", "nn", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"gtsp solve: cannot write {out}: ")
+
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_solve_output_check_neither_creates_nor_truncates(self, tmp_path, toy_file, exists):
+        out = tmp_path / "out.txt"
+        if exists:
+            out.write_text("kept\n")
+        with mock.patch.object(gtsp.cli, "solve", side_effect=RuntimeError("solver reached")):
+            with pytest.raises(RuntimeError, match="solver reached"):
+                main(["solve", str(toy_file), "--algo", "nn", "--out", str(out)])
+        assert (out.read_text() == "kept\n") if exists else not out.exists()
+
+
 class TestSolveMatchesBench:
     """`gtsp solve` and `run_experiment` run their solvers through one `solve`."""
 
@@ -300,7 +325,7 @@ class TestSolveMatchesBench:
                                lambda *a: results.append(real_solve(*a)) or results[-1]):
             (report,) = run_experiment(config)
         assert report.results[algo].costs == [record["cost"]]
-        assert [list(r.tour.nodes) for r in results] == [record["nodes"]]
+        assert [list(r.best.nodes) for r in results] == [record["nodes"]]
 
     def test_solve_flag_defaults_are_aco_params_defaults(self):
         args = build_parser().parse_args(["solve", "x.tsp", "--algo", "nn"])

@@ -12,6 +12,7 @@ from gtsp import (
     AcoParams,
     CellCapExceeded,
     CostMatrix,
+    CostOverflowError,
     GtspInstance,
     best_tour_for_sequence,
     cluster_instance,
@@ -71,6 +72,28 @@ class TestBestTourForSequence:
         inst = random_matrix_instance(6, 3, rng)
         with pytest.raises(ValueError, match="not a permutation"):
             best_tour_for_sequence(inst, (0, 1, 1))
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_exact_sums_at_2_60_scale_costs(self, symmetric):
+        # float64 sums drop the low bits of costs from about 2^52 on
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            cost = 2**60 + rng.integers(0, 64, size=(6, 6))
+            if symmetric:
+                cost = np.triu(cost, 1) + np.triu(cost, 1).T
+            np.fill_diagonal(cost, 0)
+            inst = GtspInstance(
+                name="x", costs=CostMatrix(cost), clusters=((0, 1), (2, 3), (4, 5))
+            )
+            tour = best_tour_for_sequence(inst, (0, 1, 2))
+            assert tour.cost == brute_force_best_for_order(inst, (0, 1, 2))
+
+    def test_tour_sum_overflow_is_refused(self):
+        cost = np.full((3, 3), 2**62)
+        np.fill_diagonal(cost, 0)
+        inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1,), (2,)))
+        with pytest.raises(CostOverflowError):
+            best_tour_for_sequence(inst, (0, 1, 2))
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1))

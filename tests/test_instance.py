@@ -445,6 +445,32 @@ coordinate_values = (
 )
 
 
+class TestScanOnce:
+    """Each file's text is split into records once per load."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        real = gtsp.instance._scan_records
+        monkeypatch.setattr(gtsp.instance, "_scan_records",
+                            lambda text: calls.append(text) or real(text))
+        return calls
+
+    def test_parse_clustered(self, scans):
+        parse_clustered(CLUSTERED_4)
+        assert len(scans) == 1
+
+    def test_load_paths(self, tmp_path, scans):
+        clustered = tmp_path / "toy.gtsp"
+        clustered.write_text(CLUSTERED_4)
+        raw = tmp_path / "raw.tsp"
+        raw.write_text(CLUSTERED_4[: CLUSTERED_4.index("GTSP_SET_SECTION")] + "EOF\n")
+        load_instance_file(clustered)
+        assert len(scans) == 1
+        load_instance_file(raw, cluster_file=clustered)
+        assert len(scans) == 3  # one scan of each file
+
+
 class TestRoundTrip:
     @given(st.integers(2, 25).flatmap(lambda n: st.tuples(
         st.lists(st.tuples(coordinate_values, coordinate_values), min_size=n, max_size=n),
