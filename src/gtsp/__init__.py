@@ -1,23 +1,19 @@
 """Generalized traveling salesman problem toolkit.
 
 Solvers for complete graphs whose nodes are partitioned into clusters and a
-tour must visit exactly one node per cluster: an exact layered-network search,
-a generalized nearest-neighbor heuristic, and two ant colony systems (the
-classic ACS and a reinforcing variant, RACS), plus a benchmark harness.
+tour must visit exactly one node per cluster: an exact subset dynamic program
+over clusters (Held-Karp), with `best_tour_for_sequence` for a fixed cluster
+order, a generalized nearest-neighbor heuristic, and two ant colony systems
+(the classic ACS and a reinforcing variant, RACS), plus a benchmark harness.
 """
 
 from .aco import (
     AcoParams,
-    AntState,
     ColonyState,
     PheromoneMatrix,
     RunResult,
-    choose_next,
     evaporation_reinit,
-    global_update,
-    local_update,
     run,
-    transition_distribution,
 )
 from .bench import (
     DEFAULT_TIME_MAX,

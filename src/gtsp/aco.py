@@ -11,23 +11,21 @@ trail tau0, RACS toward 1/(n * L+), where L+ is the best cost seen so far.
 Once per iteration the best-so-far tour's edges are reinforced with deposit
 1/L+, and any trail that climbed above tau_max is re-initialized to tau0.
 
-`run` builds every ant's tour in one flat loop over one reused node mask; the
-public `AntState`/`choose_next`/`transition_distribution` describe single
-steps and share the pick rule (`_pick`) with it, so both follow the same
-draws. The mask already makes each tour feasible, so `run` sums an ant's cost
-edge by edge as it builds the tour, and only a tour that becomes the new
-incumbent goes through `make_tour` (validated and re-costed).
+`run` builds every ant's tour in one flat loop over one reused node mask, and
+it is the one home of the ant step: `_pick` chooses the next node and `_relax`
+writes the trail. The mask already makes each tour feasible, so `run` sums an
+ant's cost edge by edge as it builds the tour, and only a tour that becomes
+the new incumbent goes through `make_tour` (validated and re-costed).
 Pheromone scales use max(L, 1), so zero-cost tours do not divide by zero.
 
 `run` keeps a weight matrix, trail times visibility^beta, next to the trails
 and rewrites an entry at every trail write, so an ant step gathers its
 candidate weights from one row. Visibility^beta comes from a table indexed by
 integer cost value; only instances whose largest cost reaches n^2 keep an
-n x n visibility matrix instead. Every trail write, in `run` and in the public
-`local_update`/`global_update`, goes through one relaxation (`_relax`). Trails
-change only through these writes, so `run` calls `evaporation_reinit` only in
-an iteration where some write went above tau_max, and refreshes the weights of
-the entries it reset.
+n x n visibility matrix instead. Every trail write, local or global, goes
+through one relaxation (`_relax`). Trails change only through these writes, so
+`run` calls `evaporation_reinit` only in an iteration where some write went
+above tau_max, and refreshes the weights of the entries it reset.
 
 A single run is sequential and deterministic given its seed. Independent runs
 share instances read-only and may execute in parallel.
@@ -36,6 +34,7 @@ share instances read-only and may execute in parallel.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, replace
 from typing import Callable
@@ -46,6 +45,14 @@ from .construct import Tour, make_tour, nn_reference_cost
 from .instance import GtspInstance
 
 VARIANTS = ("acs", "racs")
+
+
+def check_integer(name: str, value, minimum: int) -> None:
+    """Refuse `value` with a ValueError naming it unless it is an integer >=
+    `minimum`; a float such as 1.5 or 2.0 is refused too. A value that does
+    not compare with an int at all (a string) raises TypeError."""
+    if value < minimum or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass
@@ -75,12 +82,12 @@ class AcoParams:
             raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
         if not 0.0 <= self.beta < np.inf:  # NaN fails every comparison
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        if self.num_ants < 1:
-            raise ValueError(f"num_ants must be >= 1, got {self.num_ants}")
+        check_integer("num_ants", self.num_ants, 1)
         if self.time_max is not None and not self.time_max >= 0.0:
             raise ValueError(f"time_max must be >= 0 seconds, got {self.time_max}")
-        if self.max_iterations is not None and self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
+        if self.max_iterations is not None:
+            check_integer("max_iterations", self.max_iterations, 0)
+        check_integer("seed", self.seed, 0)
         self.variant = self.variant.lower()
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
@@ -104,29 +111,6 @@ class PheromoneMatrix:
         tau0 = 1.0 / (n * scale)
         tau_max = 1.0 / ((1.0 - rho) * scale)
         return cls(tau=np.full((n, n), tau0), tau0=tau0, tau_max=tau_max)
-
-
-@dataclass
-class AntState:
-    """One ant's partial tour; `node_mask` marks the nodes of the clusters it
-    has not visited yet."""
-
-    current: int
-    path: list[int]
-    rng_stream: np.random.Generator
-    node_mask: np.ndarray
-
-    @classmethod
-    def place(cls, instance: GtspInstance, start: int, rng: np.random.Generator) -> "AntState":
-        k = int(instance.cluster_of[start])
-        mask = np.ones(instance.n, dtype=bool)
-        mask[instance.cluster_arrays[k]] = False
-        return cls(current=start, path=[start], rng_stream=rng, node_mask=mask)
-
-    def advance(self, instance: GtspInstance, node: int) -> None:
-        self.node_mask[instance.cluster_arrays[instance.cluster_of[node]]] = False
-        self.path.append(node)
-        self.current = node
 
 
 @dataclass
@@ -163,17 +147,6 @@ def _visibility_lookup(cost: np.ndarray, beta: float):
         return (lambda i, j: table_item(cost_item(i, j))), (lambda mask: table[cost[mask]])
     eta = _visibility_pow(cost, beta)
     return eta.item, eta.__getitem__
-
-
-def _candidate_weights(
-    instance: GtspInstance,
-    pheromone: PheromoneMatrix,
-    current: int,
-    cand: np.ndarray,
-    beta: float,
-) -> np.ndarray:
-    vis = _visibility_pow(instance.costs.cost[current, cand], beta)
-    return pheromone.tau[current, cand] * vis
 
 
 def _relative_weights(
@@ -214,51 +187,6 @@ def _pick(w: np.ndarray, cand: np.ndarray, q0: float, rand, relative) -> int:
     return int(cand[min(idx, cand.size - 1)])
 
 
-def transition_distribution(
-    state: AntState,
-    pheromone: PheromoneMatrix,
-    instance: GtspInstance,
-    beta: float,
-) -> dict[int, float]:
-    """Selection probabilities over all nodes of all unvisited clusters:
-    p(u) proportional to tau(i,u) * (1/c(i,u))^beta, or to
-    tau(i,u) * (c_min/c(i,u))^beta when every such weight underflows to 0."""
-    cand = state.node_mask.nonzero()[0]
-    if cand.size == 0:
-        raise RuntimeError("no candidates: every cluster already visited")
-    i = state.current
-    probs = _probabilities(
-        _candidate_weights(instance, pheromone, i, cand, beta),
-        lambda: _relative_weights(instance.costs.cost[i], pheromone.tau[i], cand, beta),
-    )
-    return {int(u): float(pr) for u, pr in zip(cand, probs)}
-
-
-def choose_next(
-    state: AntState,
-    pheromone: PheromoneMatrix,
-    instance: GtspInstance,
-    params: AcoParams,
-) -> int:
-    """Pick the ant's next node.
-
-    Draws one uniform q; if q <= q0 the argmax of trail times visibility^beta
-    wins (ties to the lowest node id), otherwise a second uniform samples the
-    transition distribution by inverse CDF over candidates in ascending node
-    order. The fixed draw discipline keeps runs replayable; `run` applies the
-    same rule through `_pick`.
-    """
-    cand = state.node_mask.nonzero()[0]
-    if cand.size == 0:
-        raise RuntimeError("no candidates: every cluster already visited")
-    i = state.current
-    w = _candidate_weights(instance, pheromone, i, cand, params.beta)
-    return _pick(
-        w, cand, params.q0, state.rng_stream.random,
-        lambda: _relative_weights(instance.costs.cost[i], pheromone.tau[i], cand, params.beta),
-    )
-
-
 def _local_deposit(variant: str, n: int, l_plus: int, tau0: float) -> float:
     """What a local update relaxes toward: 1/(n * L+) for RACS, tau0 for ACS."""
     return 1.0 / (n * max(l_plus, 1)) if variant == "racs" else tau0
@@ -278,39 +206,6 @@ def _relax(tau: np.ndarray, i: int, j: int, keep: float, add: float, symmetric: 
     if symmetric:
         tau[j, i] = t
     return t
-
-
-def local_update(
-    pheromone: PheromoneMatrix,
-    edge: tuple[int, int],
-    rho: float,
-    l_plus: int,
-    n: int,
-    variant: str = "racs",
-    symmetric: bool = True,
-) -> None:
-    """Per-transition trail correction on a traversed edge.
-
-    RACS relaxes toward 1/(n * L+) with L+ the best-so-far cost; the ACS
-    baseline relaxes toward tau0. Symmetric instances mirror the update.
-    """
-    deposit = _local_deposit(variant, n, l_plus, pheromone.tau0)
-    i, j = edge
-    _relax(pheromone.tau, i, j, 1.0 - rho, rho * deposit, symmetric)
-
-
-def global_update(
-    pheromone: PheromoneMatrix,
-    best: Tour,
-    rho: float,
-    symmetric: bool = True,
-) -> None:
-    """Once per iteration, reinforce every edge of the best tour (closing edge
-    included) with deposit 1/max(cost(best), 1). Other edges are untouched."""
-    keep, add = 1.0 - rho, rho * _global_deposit(best.cost)
-    nodes = best.nodes
-    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-        _relax(pheromone.tau, a, b, keep, add, symmetric)
 
 
 def evaporation_reinit(pheromone: PheromoneMatrix) -> np.ndarray:
@@ -408,8 +303,6 @@ def run(
         ant_tours: list[Tour] = []
         best_cost: int | None = None
         for _ in range(params.num_ants):
-            # the same steps and draws as AntState.place, choose_next and
-            # AntState.advance, without the per-ant objects
             cluster = int(rng.integers(p))
             start = int(members[cluster][rng.integers(len(members[cluster]))])
             mask.fill(True)

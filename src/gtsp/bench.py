@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .aco import VARIANTS, AcoParams, RunResult, run
+from .aco import VARIANTS, AcoParams, RunResult, check_integer, run
 from .construct import nn_reference_cost
 from .exact import DEFAULT_CELL_CAP, CellCapExceeded, exact_solve
 from .instance import (
@@ -95,13 +95,15 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ValueError(f"unknown algorithms {unknown}; known: {list(ALGORITHMS)}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
-        if self.seeds is not None and len(self.seeds) < self.repetitions:
-            raise ValueError(
-                f"{self.repetitions} repetitions need {self.repetitions} seeds, "
-                f"got {len(self.seeds)}"
-            )
+        check_integer("repetitions", self.repetitions, 1)
+        if self.seeds is not None:
+            if len(self.seeds) < self.repetitions:
+                raise ValueError(
+                    f"{self.repetitions} repetitions need {self.repetitions} seeds, "
+                    f"got {len(self.seeds)}"
+                )
+            for i, seed in enumerate(self.seeds):
+                check_integer(f"seeds[{i}]", seed, 0)
         if self.time_max is None and self.max_iterations is None:
             raise ValueError("need a stopping rule: set time_max and/or max_iterations")
         self.params = AcoParams(beta=self.beta, rho=self.rho, q0=self.q0, num_ants=self.num_ants,
@@ -206,9 +208,13 @@ def load_instance_file(
     `clusters` must then be None; otherwise the center-based procedure
     partitions it into `clusters` sets (default one fifth of the nodes).
     `cluster_file` substitutes the set section of another clustered file,
-    of which only the headers and sets are read.
+    of which only the headers and sets are read; `clusters` must then be
+    None too.
     """
     path = Path(path)
+    if cluster_file is not None and clusters is not None:
+        raise ValueError(f"--clusters {clusters} given together with a cluster file;"
+                         " the partition comes from one or the other")
     text = path.read_text()
     if cluster_file is not None:
         base_coords = parse_tsplib(text)

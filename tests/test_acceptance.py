@@ -15,7 +15,6 @@ import pytest
 from gtsp import (
     AcoParams,
     best_tour_for_sequence,
-    choose_next,
     cluster_instance,
     euc2d_costs,
     exact_solve,
@@ -24,10 +23,9 @@ from gtsp import (
     parse_tsplib,
     run,
     tour_cost,
-    transition_distribution,
     validate_tour,
 )
-from gtsp.aco import AntState, PheromoneMatrix
+from gtsp.aco import _pick, _probabilities, _relative_weights, _visibility_lookup
 from gtsp.instance import CostMatrix, GtspInstance
 
 from oracles import brute_force_best_for_order, brute_force_optimum, random_matrix_instance
@@ -244,18 +242,25 @@ def test_criterion_8_transition_rule_statistics():
     inst = GtspInstance(
         name="x", costs=CostMatrix(cost), clusters=((0,), (1, 2), (3,))
     )
-    pher = PheromoneMatrix(tau=np.full((4, 4), 0.5), tau0=0.5, tau_max=10.0)
-    state = AntState.place(inst, 0, np.random.default_rng(20240608))
-
+    tau = np.full((4, 4), 0.5)
+    rand = np.random.default_rng(20240608).random
+    # the step `run` takes from node 0: its candidates, the weights it gathers
+    # (trail times visibility^beta) and its pick rule
+    cand = np.flatnonzero(inst.cluster_of != inst.cluster_of[0])
     beta = 1.0
-    expected = transition_distribution(state, pher, inst, beta=beta)
+    _, eta_where = _visibility_lookup(inst.costs.cost, beta)
+    w = tau[0, cand] * eta_where(...)[0, cand]
+
+    def relative():
+        return _relative_weights(inst.costs.cost[0], tau[0], cand, beta)
+
+    expected = dict(zip(cand.tolist(), _probabilities(w, relative).tolist()))
     assert sum(expected.values()) == pytest.approx(1.0, abs=1e-12)
 
     draws = 100_000
-    explore = AcoParams(q0=0.0, beta=beta, max_iterations=1)
     counts = {1: 0, 2: 0, 3: 0}
     for _ in range(draws):
-        counts[choose_next(state, pher, inst, explore)] += 1
+        counts[_pick(w, cand, 0.0, rand, relative)] += 1
     within = True
     detail_parts = []
     for node, p in expected.items():
@@ -264,11 +269,8 @@ def test_criterion_8_transition_rule_statistics():
         within = within and dev <= 3 * sigma
         detail_parts.append(f"node {node}: {dev / sigma:.2f} sigma")
 
-    exploit = AcoParams(q0=1.0, beta=beta, max_iterations=1)
     argmax_node = max(expected, key=expected.get)
-    greedy_hits = sum(
-        choose_next(state, pher, inst, exploit) == argmax_node for _ in range(1000)
-    )
+    greedy_hits = sum(_pick(w, cand, 1.0, rand, relative) == argmax_node for _ in range(1000))
     ok = within and greedy_hits == 1000
     report(
         8,

@@ -101,6 +101,12 @@ class TestConfig:
         ({"num_ants": 0}, "num_ants"),
         ({"max_iterations": -1}, "max_iterations"),
         ({"max_iterations": None}, "need a stopping rule"),
+        ({"num_ants": 2.5}, "num_ants must be an integer"),
+        ({"max_iterations": 1.5}, "max_iterations must be an integer"),
+        ({"base_seed": -1}, "seed must be an integer"),
+        ({"repetitions": 1.5}, "repetitions must be an integer"),
+        ({"seeds": [-5, 3]}, r"seeds\[0\] must be an integer"),
+        ({"seeds": [3, 1.5]}, r"seeds\[1\] must be an integer"),
     ])
     def test_rejects_bad_colony_params_at_load(self, overrides, message):
         # checked for every algorithm list, before any instance is read
@@ -349,6 +355,12 @@ class TestLoadInstanceFile:
         path.write_text(format_clustered(inst.name, coords, inst.clusters))
         with pytest.raises(ValueError, match="--clusters 2 given, but toy.gtsp is already"):
             load_instance_file(path, clusters=2)
+
+    def test_cluster_count_with_cluster_file_is_refused(self, tmp_path, data_dir):
+        donor = tmp_path / "donor.gtsp"
+        donor.write_text("never read")
+        with pytest.raises(ValueError, match="--clusters 3 given together with a cluster file"):
+            load_instance_file(data_dir / "eil51.tsp", clusters=3, cluster_file=donor)
 
     def test_cluster_file_builds_no_donor_costs(self, tmp_path):
         n = 1000

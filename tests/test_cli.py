@@ -112,6 +112,8 @@ class TestExitCodes:
         pytest.param("racs", ["--max-iters", -3], "max_iterations", id="max-iters-negative"),
         pytest.param("nn", ["--rho", "1.5"], "rho", id="nn-rho"),
         pytest.param("exact", ["--ants", 0], "num_ants", id="exact-ants"),
+        pytest.param("racs", ["--seed", -1, "--max-iters", 1], "seed must be an integer >= 0",
+                     id="seed-negative"),
     ])
     def test_bad_param_is_1(self, toy_file, algo, flags, name):
         proc = gtsp_cli("solve", toy_file, "--algo", algo, *flags)
@@ -231,6 +233,18 @@ class TestBenchCommand:
                      "need a stopping rule", id="no-stopping-rule"),
         pytest.param({"repetitions": "2", "algorithms": ["nn"]}, "'<' not supported",
                      id="wrong-type"),
+        pytest.param({"seeds": [-5, 3], "repetitions": 2, "algorithms": ["racs"],
+                      "max_iterations": 1}, "seeds[0] must be an integer >= 0",
+                     id="seed-negative"),
+        pytest.param({"seeds": [1.5], "repetitions": 1, "algorithms": ["racs"],
+                      "max_iterations": 1}, "seeds[0] must be an integer >= 0",
+                     id="seed-float"),
+        pytest.param({"num_ants": 2.5, "algorithms": ["racs"], "max_iterations": 1},
+                     "num_ants must be an integer >= 1", id="ants-float"),
+        pytest.param({"max_iterations": 1.5, "algorithms": ["racs"]},
+                     "max_iterations must be an integer >= 0", id="iterations-float"),
+        pytest.param({"repetitions": 1.5, "algorithms": ["nn"]},
+                     "repetitions must be an integer >= 1", id="repetitions-float"),
     ])
     def test_bad_config_is_1(self, tmp_path, toy_file, config, message):
         cfg = tmp_path / "cfg.json"
