@@ -583,25 +583,46 @@ def random_cost_instance(n: int, p: int, top: int, seed: int) -> GtspInstance:
     return GtspInstance(name="big", costs=CostMatrix(cost), clusters=tuple(map(tuple, clusters)))
 
 
+# random colonies for the two reference tests below
+REFERENCE_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    p=st.integers(2, 8),
+    symmetric=st.booleans(),
+    variant=st.sampled_from(["acs", "racs"]),
+    q0=st.sampled_from([0.0, 0.5, 1.0]),
+    beta=st.sampled_from([0.0, 1.0, 2.0, 5.0, 12.0]),
+    num_ants=st.integers(1, 6),
+    iterations=st.integers(1, 6),
+    rho=st.sampled_from([0.1, 0.5, 0.9]),
+)
+
+
+def assert_matches_reference(
+    observed, seed, n, p, symmetric, variant, q0, beta, num_ants, iterations, rho
+):
+    """With an observer attached, the tours, final trails and resets must match
+    too; without one (the path the benchmark and the CLI take), the result
+    record must be byte-identical."""
+    rng = np.random.default_rng(seed)
+    inst = random_matrix_instance(n, min(p, n), rng, symmetric=symmetric)
+    params = AcoParams(
+        beta=beta, q0=q0, variant=variant, num_ants=num_ants,
+        max_iterations=iterations, seed=seed, rho=rho,
+    )
+    if observed:
+        assert traced_run(inst, params) == traced_reference(inst, params)
+    else:
+        reference, _, _ = reference_run(inst, params)
+        ours = run(inst, params).to_json(include_elapsed=False)
+        assert ours == reference.to_json(include_elapsed=False)
+
+
 class TestReferenceEquivalence:
     """`run`'s flat kernel against the original per-ant loop in oracles.py."""
 
-    # with an observer attached, the tours, final trails and resets must match
-    # too; without one (the path the benchmark and the CLI take), the result
     @settings(max_examples=160)
-    @given(
-        observed=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 24),
-        p=st.integers(2, 8),
-        symmetric=st.booleans(),
-        variant=st.sampled_from(["acs", "racs"]),
-        q0=st.sampled_from([0.0, 0.5, 1.0]),
-        beta=st.sampled_from([0.0, 1.0, 2.0, 5.0, 12.0]),
-        num_ants=st.integers(1, 6),
-        iterations=st.integers(1, 6),
-        rho=st.sampled_from([0.1, 0.5, 0.9]),
-    )
+    @given(observed=st.booleans(), **REFERENCE_CASES)
     @example(observed=True, seed=1, n=2, p=2, symmetric=True, variant="racs", q0=0.5,
              beta=5.0, num_ants=1, iterations=3, rho=0.5)
     @example(observed=True, seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0,
@@ -612,21 +633,8 @@ class TestReferenceEquivalence:
              beta=5.0, num_ants=2, iterations=6, rho=0.9)
     @example(observed=False, seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0,
              beta=12.0, num_ants=3, iterations=4, rho=0.5)
-    def test_byte_identical_to_reference(
-        self, observed, seed, n, p, symmetric, variant, q0, beta, num_ants, iterations, rho
-    ):
-        rng = np.random.default_rng(seed)
-        inst = random_matrix_instance(n, min(p, n), rng, symmetric=symmetric)
-        params = AcoParams(
-            beta=beta, q0=q0, variant=variant, num_ants=num_ants,
-            max_iterations=iterations, seed=seed, rho=rho,
-        )
-        if observed:
-            assert traced_run(inst, params) == traced_reference(inst, params)
-        else:
-            reference, _, _ = reference_run(inst, params)
-            ours = run(inst, params).to_json(include_elapsed=False)
-            assert ours == reference.to_json(include_elapsed=False)
+    def test_byte_identical_to_reference(self, observed, **case):
+        assert_matches_reference(observed, **case)
 
     @pytest.mark.parametrize("q0", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("variant", ["acs", "racs"])
@@ -687,6 +695,18 @@ class TestReferenceEquivalence:
                 variant=("acs", "racs")[i % 2],
             )
             assert traced_run(inst, params) == traced_reference(inst, params)
+
+
+class TestReferenceEquivalenceWithoutObserver:
+    """`run` with no observer attached, the path the benchmark and the CLI
+    take, against the original per-ant loop in oracles.py."""
+
+    @settings(max_examples=80)
+    @given(**REFERENCE_CASES)
+    @example(seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0, beta=12.0,
+             num_ants=3, iterations=4, rho=0.5)
+    def test_json_identical_to_reference(self, **case):
+        assert_matches_reference(False, **case)
 
 
 class TestDegenerateInputs:
