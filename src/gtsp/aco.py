@@ -49,9 +49,8 @@ VARIANTS = ("acs", "racs")
 
 def check_integer(name: str, value, minimum: int) -> None:
     """Refuse `value` with a ValueError naming it unless it is an integer >=
-    `minimum`; a float such as 1.5 or 2.0 is refused too. A value that does
-    not compare with an int at all (a string) raises TypeError."""
-    if value < minimum or not isinstance(value, numbers.Integral):
+    `minimum`; a float such as 1.5 or 2.0, or a string, is refused too."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
@@ -76,6 +75,10 @@ class AcoParams:
     variant: str = "racs"
 
     def __post_init__(self) -> None:
+        for name in ("beta", "rho", "q0", "time_max"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) or name == "time_max" and value is None):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if not 0.0 <= self.q0 <= 1.0:

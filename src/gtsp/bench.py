@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown algorithms {unknown}; known: {list(ALGORITHMS)}")
         check_integer("repetitions", self.repetitions, 1)
         if self.seeds is not None:
+            if not isinstance(self.seeds, list):
+                raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
             if len(self.seeds) < self.repetitions:
                 raise ValueError(
                     f"{self.repetitions} repetitions need {self.repetitions} seeds, "

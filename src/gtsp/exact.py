@@ -17,11 +17,13 @@ import numpy as np
 from .construct import Tour, make_tour
 from .instance import GtspInstance
 
-# Cells of the subset DP table, 256 MiB at int64: admits n=80/p=16, refuses n=100/p=20.
+# Cells of the subset DP table, 64/128/256 MiB at int16/int32/int64: admits
+# n=80/p=16, refuses n=100/p=20.
 DEFAULT_CELL_CAP = 2**25
-# Cells of one min-plus temporary, where the sizes allow. exact_solve allocates
-# its temporary per call; at 128 KiB of int64 it adds little resident memory.
-_STEP_CELLS = 2**14
+# Bytes of one min-plus temporary, where the sizes allow: 2^16 int16, 2^15 int32
+# or 2^14 int64 cells. exact_solve allocates its temporary per call; at 128 KiB
+# it adds little resident memory.
+_STEP_BYTES = 2**17
 
 
 class CellCapExceeded(RuntimeError):
@@ -58,9 +60,9 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
 
     Forward dynamic programming over the layers, one start per node of the
     first cluster, O(sum_l |V_l|*|V_{l+1}|) per start, in start-row chunks
-    that bound each step's temporary as in `exact_solve`. Sums are int64 and
-    exact (`check_tour_sums` admits the instance first). Ties resolve to the
-    lowest start node, then the lowest member index per layer.
+    that bound each step's temporary in bytes as in `exact_solve`. Sums are
+    int64 and exact (`check_tour_sums` admits the instance first). Ties
+    resolve to the lowest start node, then the lowest member index per layer.
     """
     seq = _check_sequence(instance, order)
     instance.check_tour_sums()
@@ -76,8 +78,8 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
         block = cost[np.ix_(layers[l], layers[l + 1])]
         parent = np.empty((s, block.shape[1]), dtype=np.intp)
         reached = np.empty((s, block.shape[1]), dtype=np.int64)
-        # start-row chunks keep the (chunk, |V_l|, |V_l+1|) temporary near _STEP_CELLS
-        chunk = max(1, _STEP_CELLS // block.size)
+        # start-row chunks keep the (chunk, |V_l|, |V_l+1|) int64 temporary near _STEP_BYTES
+        chunk = max(1, _STEP_BYTES // block.nbytes)
         for r in range(0, s, chunk):
             stacked = dist[r : r + chunk, :, None] + block
             stacked.argmin(axis=1, out=parent[r : r + chunk])
@@ -106,9 +108,11 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     node a of the first cluster, visits exactly the clusters in `mask` (a set
     of the other m = p-1 clusters) and ends at node j of those clusters. The
     table is dense, (2^m, s, n - s), `dp_cell_count` cells, stored in the
-    narrowest of int16/int32/int64 that holds every tour cost; sums are
-    taken in int64. Nodes outside a mask hold a sentinel no path cost
-    reaches, so a min over all nodes equals the min over the mask's own. An
+    narrowest of int16/int32/int64 that holds every tour cost, and the
+    min-plus sums are taken in that same type. Nodes outside a mask hold a
+    sentinel no path cost reaches, so a min over all nodes equals the min
+    over the mask's own. The sentinel is `iinfo(cell).max - max_cost`, and no
+    stored value exceeds it, so no sum of a stored value and a cost wraps. An
     instance above `cell_cap` cells is refused before anything is allocated.
 
     Masks are filled by popcount. For popcount k and a target cluster i, the
@@ -139,9 +143,6 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     order = np.concatenate(rest)
     owner = np.repeat(np.arange(m), rest_sizes)
     bounds = np.concatenate(([0], np.cumsum(rest_sizes)))
-    # arrive[c, j]: cost from column j into column c; the rows of one cluster
-    # are the contiguous block the min-plus below reads along j
-    arrive = cost.T[np.ix_(order, order)]
 
     def columns(mask: int) -> np.ndarray:
         return np.flatnonzero((mask >> owner) & 1)
@@ -149,10 +150,17 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     s, width = len(starts), len(order)
     bound = instance.max_cost * instance.p
     cell = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
-    # Every real value, and so every stored min, is a path of at most p-1
-    # edges: at most max_cost * (p-1) <= sentinel. Sums are int64, so the
-    # sentinel plus a cost never wraps.
+    # No sum wraps. Costs lie in [0, max_cost] (CostMatrix refuses negatives)
+    # and `cell` holds max_cost * p. A real value is a path of at most p-1
+    # edges, so at most max_cost * (p-1) <= iinfo(cell).max - max_cost =
+    # sentinel, and a stored min is at most the real sum through a column of
+    # its source's own clusters. Every stored value is then <= max(sentinel,
+    # max_cost * (p-1)) = sentinel, and any stored value plus any cost is
+    # <= iinfo(cell).max.
     sentinel = np.iinfo(cell).max - instance.max_cost
+    # arrive[c, j]: cost from column j into column c; the rows of one cluster
+    # are the contiguous block the min-plus below reads along j
+    arrive = cost.T[np.ix_(order, order)].astype(cell)
     dp = np.full((1 << m, s, width), sentinel, dtype=cell)
     opening = cost[np.ix_(starts, order)]
     for i in range(m):
@@ -164,7 +172,7 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     popcount = np.zeros(1 << m, dtype=np.int64)
     for i in range(m):
         popcount += (masks >> i) & 1
-    buffer = np.empty(max(_STEP_CELLS, max(rest_sizes) * width), dtype=np.int64)
+    buffer = np.empty(max(_STEP_BYTES // arrive.itemsize, max(rest_sizes) * width), dtype=cell)
     for k in range(1, m):
         level = masks[popcount == k]
         for i in range(m):
@@ -173,8 +181,8 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
             src = level[level & (1 << i) == 0]
             src_rows = (src[:, None] * s + np.arange(s)).ravel()
             tgt_rows = src_rows + (s << i)
-            # (chunk, |V_i|, width) temporaries near _STEP_CELLS cells
-            chunk = max(1, _STEP_CELLS // into.size)
+            # (chunk, |V_i|, width) temporaries near _STEP_BYTES, in the cell type
+            chunk = max(1, _STEP_BYTES // into.nbytes)
             for r in range(0, len(src_rows), chunk):
                 gathered = rows[src_rows[r : r + chunk]]
                 step = buffer[: len(gathered) * into.size].reshape(len(gathered), *into.shape)

@@ -231,8 +231,12 @@ class TestBenchCommand:
                      "rho must lie in (0, 1)", id="rho"),
         pytest.param({"time_max": None, "max_iterations": None, "algorithms": ["acs"]},
                      "need a stopping rule", id="no-stopping-rule"),
-        pytest.param({"repetitions": "2", "algorithms": ["nn"]}, "'<' not supported",
-                     id="wrong-type"),
+        pytest.param({"repetitions": "2", "algorithms": ["nn"]},
+                     "repetitions must be an integer >= 1", id="wrong-type"),
+        pytest.param({"seeds": 5, "algorithms": ["racs"], "max_iterations": 1},
+                     "seeds must be a list of integers, got 5", id="seeds-not-list"),
+        pytest.param({"beta": "5", "algorithms": ["racs"], "max_iterations": 1},
+                     "beta must be a number, got '5'", id="beta-string"),
         pytest.param({"seeds": [-5, 3], "repetitions": 2, "algorithms": ["racs"],
                       "max_iterations": 1}, "seeds[0] must be an integer >= 0",
                      id="seed-negative"),

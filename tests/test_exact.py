@@ -353,6 +353,38 @@ class TestReferenceEquivalence:
         assert inst.max_cost * inst.p == 7 * top
         assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
 
+    # 306783378 * 7 == 2**31 - 2: the largest top whose tour bound fits int32
+    @pytest.mark.parametrize("top", [306783378, 306783379])
+    def test_matches_reference_at_the_int32_limit(self, top):
+        rng = np.random.default_rng(top)
+        base = random_matrix_instance(12, 7, rng, symmetric=False, high=top)
+        cost = base.costs.cost.copy()
+        cost[0, 1] = top
+        inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=base.clusters)
+        assert inst.max_cost * inst.p == 7 * top
+        assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
+
+    # Costs within 2 of top at each width's limit: about a third of the
+    # sentinel-plus-cost sums equal iinfo(cell).max, so a sentinel one larger
+    # wraps on every case.
+    @pytest.mark.parametrize("top", [4681, 4682, 306783378, 306783379])
+    def test_matches_reference_with_every_cost_near_the_limit(self, top):
+        rng = np.random.default_rng(top)
+        base = random_matrix_instance(12, 7, rng, symmetric=False)
+        cost = top - rng.integers(0, 3, size=(12, 12))
+        cost[0, 1] = top
+        np.fill_diagonal(cost, 0)
+        inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=base.clusters)
+        assert inst.max_cost * inst.p == 7 * top
+        assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
+
+    # int16 cells, 2^16 per min-plus temporary: 300/3 takes two source rows
+    # per chunk, 200/8 seven to nineteen, 400/3 one
+    @pytest.mark.parametrize("nodes, clusters", [(300, 3), (200, 8), (400, 3)])
+    def test_matches_reference_on_large_clusters(self, nodes, clusters):
+        _, inst = generate_instance(nodes=nodes, clusters=clusters, seed=1)
+        assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
+
     def test_matches_reference_on_11eil51(self, eil51_text):
         coords = parse_tsplib(eil51_text)
         inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
