@@ -36,8 +36,9 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Callable
+from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
+from types import UnionType
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -47,56 +48,90 @@ from .instance import GtspInstance
 VARIANTS = ("acs", "racs")
 
 
-def check_integer(name: str, value, minimum: int) -> None:
-    """Refuse `value` with a ValueError naming it unless it is an integer >=
-    `minimum`; a float such as 1.5 or 2.0, or a string, is refused too."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def param(default=MISSING, bound=None, flag=None, metavar=None, key=None):
+    """A dataclass field declared once: its default, the `bound` that `check`
+    applies, and, for a colony parameter, its `gtsp solve` flag with metavar
+    and its config key (the field name unless `key` says otherwise)."""
+    return field(default=default, metadata=dict(bound=bound, flag=flag, metavar=metavar, key=key))
+
+
+def declared(cls) -> list[tuple[Field, type]]:
+    """Each init field of dataclass `cls`, in order, with its resolved type."""
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls) if f.init]
+
+
+def base_type(hint):
+    """`hint` without its `| None`."""
+    return get_args(hint)[0] if isinstance(hint, UnionType) else hint
+
+
+def check(name: str, value, hint, bound=None):
+    """Return `value` if it has the declared type `hint` and lies within
+    `bound` (a choice lowercased, a list copied); otherwise raise a ValueError
+    that names `name`.
+
+    `hint` is int, float or str, a list of one of them or of anything
+    (`list`), and may end in `| None`. A bool is not a number. The bound of an
+    int is its minimum, of a float a (text, test) pair, of a str its choices
+    (None: any string), and of a list that of its items.
+    """
+    if value is None and isinstance(hint, UnionType):
+        return value
+    kind = base_type(hint)
+    if kind is list or get_origin(kind) is list:
+        (item,) = get_args(kind) or (None,)
+        if not isinstance(value, (list, tuple)):
+            of = f" of {_TYPES[item][1].split()[1]}s" if item else ""
+            raise ValueError(f"{name} must be a list{of}, got {value!r}")
+        return [v if item is None else check(f"{name}[{i}]", v, item, bound)
+                for i, v in enumerate(value)]
+    types, noun = _TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types) or (kind is int and value < bound):
+        raise ValueError(f"{name} must be {noun.format(bound)}, got {value!r}")
+    if kind is str and bound is not None and (value := value.lower()) not in bound:
+        raise ValueError(f"{name} must be one of {bound}, got {value!r}")
+    if kind is float and not bound[1](value):
+        raise ValueError(f"{name} must {bound[0]}, got {value}")
+    return value
+
+
+# the instance types each declared type takes, and its name in a message
+_TYPES = {int: (numbers.Integral, "an integer >= {}"), float: (numbers.Real, "a number"),
+          str: (str, "a string")}
 
 
 @dataclass
 class AcoParams:
-    """Colony parameters, and the one home of their defaults (the CLI flags
-    and `gtsp.bench.ExperimentConfig` read them from here). Defaults follow
-    the benchmark setup: beta=5, rho=0.5, q0=0.5, ten ants.
+    """Colony parameters, each declared once with its default, bound, `gtsp
+    solve` flag and config key: the CLI flags and the colony keys of
+    `gtsp.bench.ExperimentConfig` are made from these fields, and `check`
+    applies their types and bounds. Defaults follow the benchmark setup:
+    beta=5, rho=0.5, q0=0.5, ten ants.
 
     `time_max` (seconds) is checked only between iterations: a run stops at
     the first iteration boundary at or after it, so it overruns by up to one
     iteration. A zero budget is allowed and returns the NN incumbent.
     """
 
-    beta: float = 5.0
-    rho: float = 0.5
-    q0: float = 0.5
-    num_ants: int = 10
-    time_max: float | None = None
-    max_iterations: int | None = None
-    seed: int = 0
-    variant: str = "racs"
+    beta: float = param(5.0, ("be finite and >= 0", lambda v: 0 <= v < np.inf), "--beta", "B")
+    rho: float = param(0.5, ("lie in (0, 1)", lambda v: 0 < v < 1), "--rho", "R")
+    q0: float = param(0.5, ("lie in [0, 1]", lambda v: 0 <= v <= 1), "--q0", "Q")
+    num_ants: int = param(10, 1, "--ants", "M")
+    time_max: float | None = param(None, ("be >= 0 seconds", lambda v: v >= 0), "--time-max", "S")
+    max_iterations: int | None = param(None, 0, "--max-iters", "K")
+    seed: int = param(0, 0, "--seed", "N", key="base_seed")
+    variant: str = param("racs", VARIANTS)
 
     def __post_init__(self) -> None:
-        for name in ("beta", "rho", "q0", "time_max"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) or name == "time_max" and value is None):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if not 0.0 <= self.q0 <= 1.0:
-            raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
-        if not 0.0 <= self.beta < np.inf:  # NaN fails every comparison
-            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
-        check_integer("num_ants", self.num_ants, 1)
-        if self.time_max is not None and not self.time_max >= 0.0:
-            raise ValueError(f"time_max must be >= 0 seconds, got {self.time_max}")
-        if self.max_iterations is not None:
-            check_integer("max_iterations", self.max_iterations, 0)
-        check_integer("seed", self.seed, 0)
-        self.variant = self.variant.lower()
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        for f, hint in PARAMS:
+            setattr(self, f.name, check(f.name, getattr(self, f.name), hint, f.metadata["bound"]))
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+PARAMS = declared(AcoParams)
 
 
 @dataclass

@@ -8,10 +8,11 @@ Both `gtsp solve` and `run_experiment` call it and read that record.
 The experiment protocol mirrors the usual benchmark setup: deterministic
 algorithms run once, the ant colonies run `repetitions` times (default five)
 under a wall clock budget (default `DEFAULT_TIME_MAX`, ten minutes), and each
-table cell reports the best and the mean over those runs. Colony defaults
-come from `AcoParams`; `ExperimentConfig` checks its colony parameters when it
-is built, before any solver runs. Pin `max_iterations` instead of `time_max`
-whenever reproducible output bytes matter.
+table cell reports the best and the mean over those runs. The colony keys of
+`ExperimentConfig` are made from the `AcoParams` field declarations, and every
+key is checked by `gtsp.aco.check` when the config is built, before any solver
+runs. Pin `max_iterations` instead of `time_max` whenever reproducible output
+bytes matter; `scripts/benchmark.json` does.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import InitVar, dataclass, field, fields, replace
 from pathlib import Path
 
-from .aco import VARIANTS, AcoParams, RunResult, check_integer, run
+from .aco import PARAMS, VARIANTS, AcoParams, RunResult, check, declared, param, run
 from .construct import nn_reference_cost
 from .exact import DEFAULT_CELL_CAP, CellCapExceeded, exact_solve
 from .instance import (
@@ -64,71 +65,80 @@ def solve(
     return result
 
 
-@dataclass
+# config key -> (field, type) of each colony parameter: the AcoParams fields
+# declared with a `gtsp solve` flag, in field order
+COLONY_KEYS = {f.metadata["key"] or f.name: (f, h) for f, h in PARAMS if f.metadata["flag"]}
+
+
+def _with_colony_keys(cls):
+    """`dataclass(cls)` that also takes each of `COLONY_KEYS` as an init-only
+    argument after the fields of `cls`. A key defaults to its `AcoParams`
+    default, or to the class attribute of that name when `cls` sets one.
+    `__post_init__` receives the keys in order; they are kept only in the
+    `AcoParams` it builds."""
+    for key, (f, hint) in COLONY_KEYS.items():
+        cls.__annotations__[key] = InitVar[hint]
+        setattr(cls, key, vars(cls).get(key, f.default))
+    cls = dataclass(cls)
+    for key in COLONY_KEYS:
+        delattr(cls, key)
+    return cls
+
+
+@_with_colony_keys
 class ExperimentConfig:
     """Everything one benchmark run needs; mirrors the JSON config file.
 
-    The colony fields default to `AcoParams`'s defaults. `__post_init__`
-    checks them once and keeps them as `params` (seeded with `base_seed`), so
-    a bad value fails when the config loads, before any solver runs.
+    Its keys are its own fields plus `COLONY_KEYS`, all declared with `param`.
+    `__post_init__` checks each one with `check` under its key, so a bad value
+    fails when the config loads, before any solver runs. The colony keys are
+    kept only as `params` (seeded with `base_seed`).
     """
 
-    instances: list  # file paths (str) or generator specs {"nodes", "clusters", "seed"}
-    algorithms: list[str] = field(default_factory=lambda: list(ALGORITHMS))
-    repetitions: int = 5
-    time_max: float | None = DEFAULT_TIME_MAX
-    max_iterations: int | None = None
-    base_seed: int = AcoParams.seed
-    seeds: list[int] | None = None
-    num_ants: int = AcoParams.num_ants
-    beta: float = AcoParams.beta
-    rho: float = AcoParams.rho
-    q0: float = AcoParams.q0
-    cell_cap: int = DEFAULT_CELL_CAP
-    output: str | None = None
-    params: AcoParams = field(init=False, repr=False)
+    instances: list = param()  # file paths (str) or generator specs {"nodes", "clusters", "seed"}
+    algorithms: list[str] = param(ALGORITHMS, ALGORITHMS)
+    repetitions: int = param(5, 1)
+    seeds: list[int] | None = param(None, 0)
+    cell_cap: int = param(DEFAULT_CELL_CAP, 1)
+    output: str | None = param(None)
+    params: AcoParams = field(init=False)
+    time_max = DEFAULT_TIME_MAX  # a config's default budget, even when max_iterations is set
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, *colony) -> None:
+        for f, hint in declared(ExperimentConfig):
+            setattr(self, f.name, check(f.name, getattr(self, f.name), hint, f.metadata["bound"]))
         if not self.instances:
             raise ValueError("config lists no instances")
-        self.algorithms = [a.lower() for a in self.algorithms]
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise ValueError(f"unknown algorithms {unknown}; known: {list(ALGORITHMS)}")
-        check_integer("repetitions", self.repetitions, 1)
-        if self.seeds is not None:
-            if not isinstance(self.seeds, list):
-                raise ValueError(f"seeds must be a list of integers, got {self.seeds!r}")
-            if len(self.seeds) < self.repetitions:
-                raise ValueError(
-                    f"{self.repetitions} repetitions need {self.repetitions} seeds, "
-                    f"got {len(self.seeds)}"
-                )
-            for i, seed in enumerate(self.seeds):
-                check_integer(f"seeds[{i}]", seed, 0)
-        if self.time_max is None and self.max_iterations is None:
+        for i, spec in enumerate(self.instances):
+            if isinstance(spec, dict) and spec.keys() - {"seed"} == {"nodes", "clusters"}:
+                for key, value in spec.items():
+                    check(f"instances[{i}].{key}", value, int, 0)
+            elif not isinstance(spec, str):
+                raise ValueError(f"instances[{i}] must be a path or a generator spec with keys"
+                                 f" nodes, clusters and optionally seed, got {spec!r}")
+        if self.seeds is not None and len(self.seeds) < self.repetitions:
+            raise ValueError(f"{self.repetitions} repetitions need {self.repetitions} seeds,"
+                             f" got {len(self.seeds)}")
+        values = {f.name: check(key, value, hint, f.metadata["bound"])
+                  for (key, (f, hint)), value in zip(COLONY_KEYS.items(), colony)}
+        if values["time_max"] is None and values["max_iterations"] is None:
             raise ValueError("need a stopping rule: set time_max and/or max_iterations")
-        self.params = AcoParams(beta=self.beta, rho=self.rho, q0=self.q0, num_ants=self.num_ants,
-                                time_max=self.time_max, max_iterations=self.max_iterations,
-                                seed=self.base_seed)
+        self.params = AcoParams(**values)
 
     def rep_seeds(self) -> list[int]:
         if self.seeds is not None:
             return [int(s) for s in self.seeds[: self.repetitions]]
-        return [self.base_seed + i for i in range(self.repetitions)]
+        return [self.params.seed + i for i in range(self.repetitions)]
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls) if f.init}
+        known = {f.name for f in fields(cls) if f.init} | set(COLONY_KEYS)
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         cfg = cls(**data)
         if base_dir is not None:
-            cfg.instances = [
-                str(base_dir / spec) if isinstance(spec, str) else spec
-                for spec in cfg.instances
-            ]
+            cfg.instances = [str(base_dir / s) if isinstance(s, str) else s for s in cfg.instances]
             if cfg.output is not None:
                 cfg.output = str(base_dir / cfg.output)
         return cfg
@@ -256,12 +266,7 @@ def sidecar_optimum(path: str | Path) -> int | None:
 def _resolve_instance(spec) -> GtspInstance:
     if isinstance(spec, str):
         return load_instance_file(spec)
-    if isinstance(spec, dict):
-        _, inst = generate_instance(
-            nodes=int(spec["nodes"]), clusters=int(spec["clusters"]), seed=int(spec.get("seed", 0))
-        )
-        return inst
-    raise ValueError(f"instance spec must be a path or a generator dict, got {spec!r}")
+    return generate_instance(spec["nodes"], spec["clusters"], spec.get("seed", 0))[1]
 
 
 def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:

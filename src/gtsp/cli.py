@@ -6,8 +6,9 @@ experiment, `cluster` a raw TSPLIB file into a clustered instance file, and
 that cannot be written included), 2 instance error, 3 solver refusal.
 
 `solve` and `bench` both run their solvers through `gtsp.bench.solve`. The
-colony flags take their defaults from `AcoParams` and are checked before the
-instance is read, for every `--algo`; with neither `--time-max` nor
+colony flags of `solve` are made from the `AcoParams` field declarations
+(flag, metavar, type, default), in field order, and are checked by `AcoParams`
+before the instance is read, for every `--algo`; with neither `--time-max` nor
 `--max-iters`, a colony gets the benchmark budget `DEFAULT_TIME_MAX`.
 """
 
@@ -22,9 +23,10 @@ import os
 import sys
 from pathlib import Path
 
-from .aco import AcoParams
+from .aco import AcoParams, base_type
 from .bench import (
     ALGORITHMS,
+    COLONY_KEYS,
     DEFAULT_TIME_MAX,
     ExperimentConfig,
     emit_table,
@@ -56,18 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gtsp", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    defaults = AcoParams()
     solve_cmd = sub.add_parser("solve", help="solve one instance with one algorithm")
     solve_cmd.set_defaults(handler=_cmd_solve)
     solve_cmd.add_argument("file", help="TSPLIB or clustered instance file")
     solve_cmd.add_argument("--algo", required=True, choices=ALGORITHMS)
-    solve_cmd.add_argument("--time-max", type=float, default=defaults.time_max, metavar="S")
-    solve_cmd.add_argument("--max-iters", type=int, default=defaults.max_iterations, metavar="K")
-    solve_cmd.add_argument("--seed", type=int, default=defaults.seed, metavar="N")
-    solve_cmd.add_argument("--ants", type=int, default=defaults.num_ants, metavar="M")
-    solve_cmd.add_argument("--beta", type=float, default=defaults.beta, metavar="B")
-    solve_cmd.add_argument("--rho", type=float, default=defaults.rho, metavar="R")
-    solve_cmd.add_argument("--q0", type=float, default=defaults.q0, metavar="Q")
+    for f, hint in COLONY_KEYS.values():
+        solve_cmd.add_argument(f.metadata["flag"], dest=f.name, type=base_type(hint),
+                               default=f.default, metavar=f.metadata["metavar"])
     group = solve_cmd.add_mutually_exclusive_group()
     group.add_argument("--clusters", type=int, default=None, metavar="M",
                        help="cluster a raw TSPLIB file into M sets")
@@ -148,11 +145,11 @@ def _format_solution(record: dict, fmt: str) -> str:
 
 
 def _cmd_solve(args) -> int:
-    no_budget = args.time_max is None and args.max_iters is None
+    values = {f.name: getattr(args, f.name) for f, _ in COLONY_KEYS.values()}
+    if values["time_max"] is None and values["max_iterations"] is None:
+        values["time_max"] = DEFAULT_TIME_MAX
     try:
-        params = AcoParams(beta=args.beta, rho=args.rho, q0=args.q0, num_ants=args.ants,
-                           time_max=DEFAULT_TIME_MAX if no_budget else args.time_max,
-                           max_iterations=args.max_iters, seed=args.seed)
+        params = AcoParams(**values)
     except ValueError as exc:
         print(f"gtsp solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -178,7 +175,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     try:
         config = ExperimentConfig.from_file(args.config)
-    except (OSError, TypeError, ValueError) as exc:  # TypeError: a value of the wrong type
+    except (OSError, TypeError, ValueError) as exc:  # TypeError: no instances key
         print(f"gtsp bench: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if config.output is not None:

@@ -1,6 +1,7 @@
 import io
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def small_config(**overrides):
 
 class TestConfig:
     def test_rejects_unknown_algorithm(self):
-        with pytest.raises(ValueError, match="unknown algorithms"):
+        with pytest.raises(ValueError, match=r"algorithms\[1\] must be one of"):
             small_config(algorithms=["nn", "simulated-annealing"])
 
     def test_rejects_zero_repetitions(self):
@@ -77,6 +78,13 @@ class TestConfig:
         cfg = ExperimentConfig.from_file(cfg_file)
         assert cfg.instances == [str(inst_file)]
         assert cfg.output == str(tmp_path / "results" / "table")
+
+    def test_committed_benchmark_config_loads(self):
+        path = Path(__file__).resolve().parents[1] / "scripts" / "benchmark.json"
+        cfg = ExperimentConfig.from_file(path)
+        files = [spec for spec in cfg.instances if isinstance(spec, str)]
+        assert files and all(Path(f).is_file() for f in files)
+        assert (cfg.params.time_max, cfg.params.max_iterations) == (None, 500)  # byte-stable
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown config keys"):

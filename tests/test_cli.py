@@ -249,6 +249,34 @@ class TestBenchCommand:
                      "max_iterations must be an integer >= 0", id="iterations-float"),
         pytest.param({"repetitions": 1.5, "algorithms": ["nn"]},
                      "repetitions must be an integer >= 1", id="repetitions-float"),
+        pytest.param({"instances": [{"nodes": 10}], "algorithms": ["nn"]},
+                     "instances[0] must be a path or a generator spec", id="spec-no-clusters"),
+        pytest.param({"instances": [{"nodes": 10, "clusters": 3, "sed": 5}], "algorithms": ["nn"]},
+                     "instances[0] must be a path or a generator spec", id="spec-unknown-key"),
+        pytest.param({"instances": [5], "algorithms": ["nn"]},
+                     "instances[0] must be a path or a generator spec", id="spec-not-dict"),
+        pytest.param({"instances": [{"nodes": "10", "clusters": 3}], "algorithms": ["nn"]},
+                     "instances[0].nodes must be an integer >= 0", id="spec-nodes-string"),
+        pytest.param({"cell_cap": "x", "algorithms": ["exact"]},
+                     "cell_cap must be an integer >= 1", id="cell-cap-string"),
+        pytest.param({"cell_cap": -1, "algorithms": ["exact"]},
+                     "cell_cap must be an integer >= 1", id="cell-cap-negative"),
+        pytest.param({"max_iterations": True, "algorithms": ["racs"]},
+                     "max_iterations must be an integer >= 0, got True", id="iterations-bool"),
+        pytest.param({"repetitions": True, "algorithms": ["nn"]},
+                     "repetitions must be an integer >= 1, got True", id="repetitions-bool"),
+        pytest.param({"beta": True, "algorithms": ["racs"], "max_iterations": 1},
+                     "beta must be a number, got True", id="beta-bool"),
+        pytest.param({"instances": "toy.tsp", "algorithms": ["nn"]},
+                     "instances must be a list, got 'toy.tsp'", id="instances-string"),
+        pytest.param({"algorithms": "nn"},
+                     "algorithms must be a list of strings, got 'nn'", id="algorithms-string"),
+        pytest.param({"algorithms": 5}, "algorithms must be a list of strings, got 5",
+                     id="algorithms-int"),
+        pytest.param({"output": 5, "algorithms": ["nn"]}, "output must be a string, got 5",
+                     id="output-int"),
+        pytest.param({"base_seed": "1", "algorithms": ["racs"], "max_iterations": 1},
+                     "base_seed must be an integer >= 0, got '1'", id="base-seed-string"),
     ])
     def test_bad_config_is_1(self, tmp_path, toy_file, config, message):
         cfg = tmp_path / "cfg.json"
@@ -346,8 +374,35 @@ class TestSolveMatchesBench:
         assert [list(r.best.nodes) for r in results] == [record["nodes"]]
 
     def test_solve_flag_defaults_are_aco_params_defaults(self):
+        # Both interfaces are made from the AcoParams declarations; pin them to
+        # the names, metavars, types and config keys they had when written out.
+        colony = {  # field: (flag, metavar, type, config key)
+            "beta": ("--beta", "B", float, "beta"),
+            "rho": ("--rho", "R", float, "rho"),
+            "q0": ("--q0", "Q", float, "q0"),
+            "num_ants": ("--ants", "M", int, "num_ants"),
+            "time_max": ("--time-max", "S", float, "time_max"),
+            "max_iterations": ("--max-iters", "K", int, "max_iterations"),
+            "seed": ("--seed", "N", int, "base_seed"),
+        }
+        solve_cmd = build_parser()._subparsers._group_actions[0].choices["solve"]
+        flags = {a.option_strings[-1]: a for a in solve_cmd._actions if a.option_strings}
+        assert set(flags) == {"--help", "--algo", "--clusters", "--cluster-file", "--out",
+                              "--format"} | {flag for flag, *_ in colony.values()}
         args = build_parser().parse_args(["solve", "x.tsp", "--algo", "nn"])
         d = AcoParams()
-        assert (args.beta, args.rho, args.q0, args.ants, args.seed, args.time_max,
-                args.max_iters) == (d.beta, d.rho, d.q0, d.num_ants, d.seed, d.time_max,
-                                    d.max_iterations)
+        for name, (flag, metavar, kind, _) in colony.items():
+            action = flags[flag]
+            assert (action.metavar, action.type) == (metavar, kind)
+            assert getattr(args, action.dest) == getattr(d, name)
+        keys = {"instances", "algorithms", "repetitions", "seeds", "cell_cap", "output"}
+        keys |= {key for *_, key in colony.values()}
+        config = {"instances": ["x"], "algorithms": ["acs"], "repetitions": 1, "seeds": [3],
+                  "cell_cap": 9, "output": "out", "beta": 1.0, "rho": 0.25, "q0": 0.75,
+                  "num_ants": 2, "time_max": 5.0, "max_iterations": 4, "base_seed": 6}
+        assert set(config) == keys
+        assert ExperimentConfig.from_dict(config).params == AcoParams(
+            beta=1.0, rho=0.25, q0=0.75, num_ants=2, time_max=5.0, max_iterations=4, seed=6)
+        for key in ("seed", "variant", "ants", "max_iters", "params"):
+            with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+                ExperimentConfig.from_dict({**config, key: 1})
