@@ -1,31 +1,44 @@
 """Ant colony engines for the GTSP: the classic ant colony system (ACS) and a
 reinforcing variant (RACS).
 
-Both engines share the same tour construction: each ant starts on a random
-node of a random cluster, repeatedly picks a node from an unvisited cluster
-(greedy argmax below the exploitation threshold q0, otherwise a roulette draw
-proportional to trail times visibility^beta), and closes the cycle. A boolean
-mask over the nodes of still unvisited clusters keeps tours feasible. They
-differ in the per-transition trail correction: ACS relaxes toward the initial
-trail tau0, RACS toward 1/(n * L+), where L+ is the best cost seen so far.
-Once per iteration the best-so-far tour's edges are reinforced with deposit
-1/L+, and any trail that climbed above tau_max is re-initialized to tau0.
+Both engines share the same tour construction, with the ants moving in
+lockstep as in the original ACS: each ant starts on a random node of a random
+cluster; then at every step each ant picks a node from an unvisited cluster
+(greedy argmax when its draw q <= q0, otherwise a roulette draw proportional
+to trail times visibility^beta), all ants reading the same trails, and the
+step's trail corrections follow in ant order; after p - 1 steps each ant
+closes its cycle. A mask over the nodes of still unvisited clusters keeps
+tours feasible. The engines differ in the per-transition trail correction:
+ACS relaxes toward the initial trail tau0, RACS toward 1/(n * L+), where L+
+is the best cost seen so far. Once per iteration the best-so-far tour's edges
+are reinforced with deposit 1/L+, and any trail that climbed above tau_max is
+re-initialized to tau0.
 
-`run` builds every ant's tour in one flat loop over one reused node mask, and
-it is the one home of the ant step: `_pick` chooses the next node and `_relax`
-writes the trail. The mask already makes each tour feasible, so `run` sums an
-ant's cost edge by edge as it builds the tour, and only a tour that becomes
-the new incumbent goes through `make_tour` (validated and re-costed).
-Pheromone scales use max(L, 1), so zero-cost tours do not divide by zero.
+`run` is the one construction loop. Each iteration draws one (p, ants, 2)
+block of uniforms: row 0 gives each ant its start cluster and then its member
+of that cluster (a uniform u picks index floor(u * k) of k), row s its q and
+its r at step s; r is drawn whether or not the pick uses it. A step gathers
+the ants' rows of the weight matrix as one (ants, n) block, zeroes the nodes
+of visited clusters with an (ants, n) mask, and `_pick_rows` picks every row
+at once: the argmax where q <= q0, else the first node whose running sum
+exceeds r times the row total. A row whose weights all underflowed to 0 is
+first rescued with `_relative_weights`. Then `_relax` writes the step's trails
+at once; an edge k ants wrote in the step (an unordered edge, on symmetric
+instances) is relaxed k times in a row, as writes in ant order would.
+`tests/oracles.py::lockstep_run` is the same colony in plain per-ant loops,
+and `run` reproduces it byte for byte. The masks make each tour feasible, so
+only a tour that becomes the new incumbent goes through `make_tour`
+(validated and re-costed). Pheromone scales use max(L, 1), so zero-cost tours
+do not divide by zero.
 
 `run` keeps a weight matrix, trail times visibility^beta, next to the trails
-and rewrites an entry at every trail write, so an ant step gathers its
-candidate weights from one row. Visibility^beta comes from a table indexed by
-integer cost value; only instances whose largest cost reaches n^2 keep an
-n x n visibility matrix instead. Every trail write, local or global, goes
-through one relaxation (`_relax`). Trails change only through these writes, so
-`run` calls `evaporation_reinit` only in an iteration where some write went
-above tau_max, and refreshes the weights of the entries it reset.
+and rewrites an entry at every trail write, so a step gathers each ant's
+weights from one row. Visibility^beta comes from a table indexed by integer
+cost value; only instances whose largest cost reaches n^2 keep an n x n
+visibility matrix instead. Every trail write, local or global, goes through
+one relaxation (`_relax`). Trails change only through these writes, so `run`
+calls `evaporation_reinit` only in an iteration where some write went above
+tau_max, and refreshes the weights of the entries it reset.
 
 A single run is sequential and deterministic given its seed. Independent runs
 share instances read-only and may execute in parallel.
@@ -36,6 +49,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
+from collections import Counter
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from types import UnionType
 from typing import Callable, get_args, get_origin, get_type_hints
@@ -168,61 +182,68 @@ def _visibility_pow(cost: np.ndarray, beta: float) -> np.ndarray:
 
 
 def _visibility_lookup(cost: np.ndarray, beta: float):
-    """Visibility^beta of the edges of `cost` as `(at, where)`: `at(i, j)`
-    gives one edge's value as a float, `where(mask)` the values of the edges a
-    bool mask (or `...`) selects, equal to `_visibility_pow(cost, beta)[mask]`.
+    """Visibility^beta of the edges of `cost` as `(at, where)`: `at(e)` gives
+    the values of the edges at flat indices `e` (i * n + j), `where(mask)`
+    those of the edges a bool mask (or `...`) selects, both equal to the
+    entries of `_visibility_pow(cost, beta)`.
 
     The values come from a table over the integer cost values 0..max cost, so
-    no n x n matrix is built. A table longer than n^2 would outgrow the matrix
-    (and could exhaust memory at costs like 2^40); only in that case the n x n
-    matrix is computed directly.
+    no n x n matrix is built (`ravel` copies only a non-contiguous `cost`). A
+    table longer than n^2 would outgrow the matrix (and could exhaust memory at
+    costs like 2^40); only in that case the n x n matrix is computed directly.
     """
     n = cost.shape[0]
     max_cost = int(cost.max())
     if max_cost + 1 <= n * n:
         table = _visibility_pow(np.arange(max_cost + 1), beta)
-        table_item, cost_item = table.item, cost.item
-        return (lambda i, j: table_item(cost_item(i, j))), (lambda mask: table[cost[mask]])
+        flat = cost.ravel()
+        return (lambda e: table[flat[e]]), (lambda mask: table[cost[mask]])
     eta = _visibility_pow(cost, beta)
-    return eta.item, eta.__getitem__
+    return eta.ravel().__getitem__, eta.__getitem__
 
 
 def _relative_weights(
-    cost_row: np.ndarray, tau_row: np.ndarray, cand: np.ndarray, beta: float
+    cost_rows: np.ndarray, tau_rows: np.ndarray, mask: np.ndarray, beta: float
 ) -> np.ndarray:
-    """Trail times (c_min/c)^beta over the candidates, c_min the cheapest
-    candidate edge. That edge has visibility 1, so unlike (1/c)^beta these
-    weights cannot all underflow to 0 at large beta."""
-    c = np.maximum(cost_row[cand], 1)
-    return tau_row[cand] * (c.min() / c) ** beta
+    """Per row, trail times (c_min/c)^beta over the nodes `mask` keeps and 0
+    elsewhere, c_min the row's cheapest kept edge. That edge has visibility 1,
+    so unlike (1/c)^beta these weights cannot all underflow to 0 at large
+    beta. Masked edges count as the dearest, so their ratio stays <= 1."""
+    c = np.maximum(cost_rows, 1)
+    c = np.where(mask, c, c.max())
+    return tau_rows * (c.min(axis=1, keepdims=True) / c) ** beta * mask
 
 
-def _probabilities(w: np.ndarray, relative) -> np.ndarray:
-    """w / w.sum(); when every weight underflowed to 0, the same over the
-    weights `relative()` returns (`_relative_weights` of the step)."""
-    total = w.sum()
-    if total == 0.0:
-        w = relative()
-        total = w.sum()
-    return w / total
+def _running_sums(w: np.ndarray, relative) -> np.ndarray:
+    """Row-wise running sums of the weight block `w` (rows, n). A row whose
+    weights all underflowed to 0 is first replaced in `w` by `relative(rows)`,
+    the `_relative_weights` of the rows a bool array selects."""
+    c = w.cumsum(axis=1)
+    if 0.0 in c[:, -1].tolist():
+        zero = c[:, -1] == 0.0
+        w[zero] = relative(zero)
+        c[zero] = w[zero].cumsum(axis=1)
+    return c
 
 
-def _pick(w: np.ndarray, cand: np.ndarray, q0: float, rand, relative) -> int:
-    """The node choice rule over candidates `cand` (ascending) with weights `w`.
+def _pick_rows(w: np.ndarray, greedy: np.ndarray, r: np.ndarray, relative) -> np.ndarray:
+    """The node choice rule for every row of the weight block `w` (rows, n),
+    whose masked (visited) entries are 0.0; all-zero rows are rescued first
+    (`_running_sums`).
 
-    Draws one uniform q from `rand`; if q <= q0 the argmax of `w` wins (ties to
-    the lowest node id), otherwise a second uniform samples `_probabilities`
-    by inverse CDF. When every weight underflowed to 0, both branches use
-    `relative()` instead of `w`; the draws stay the same.
+    A row with `greedy` set (its q <= q0) takes its argmax, ties to the lowest
+    node id. Any other row takes the first node whose running sum exceeds r
+    times the row total, r in [0, 1): the roulette by inverse CDF over the
+    unvisited nodes in id order. A masked 0.0 adds exactly, so that is the
+    node a running sum over the unvisited nodes alone gives. The bar is kept
+    below the total, which it reaches only when a subnormal total rounds r
+    times itself up, so both rules pick a node of positive weight: never a
+    masked one and never an index past the row.
     """
-    if rand() <= q0:
-        i = w.argmax()
-        if w[i] == 0.0:
-            i = relative().argmax()
-        return int(cand[i])
-    probs = _probabilities(w, relative)
-    idx = int(probs.cumsum().searchsorted(rand(), side="left"))
-    return int(cand[min(idx, cand.size - 1)])
+    c = _running_sums(w, relative)
+    total = c[:, -1]
+    bar = np.minimum(r * total, np.nextafter(total, 0.0))
+    return np.where(greedy, w.argmax(axis=1), (c > bar[:, None]).argmax(axis=1))
 
 
 def _local_deposit(variant: str, n: int, l_plus: int, tau0: float) -> float:
@@ -235,14 +256,40 @@ def _global_deposit(best_cost: int) -> float:
     return 1.0 / max(best_cost, 1)
 
 
-def _relax(tau: np.ndarray, i: int, j: int, keep: float, add: float, symmetric: bool) -> float:
-    """The trail write tau[i, j] <- keep * tau[i, j] + add, with keep = 1 - rho
-    and add = rho * deposit, mirrored to tau[j, i] on symmetric instances.
-    Returns the new value."""
-    t = keep * tau.item(i, j) + add
-    tau[i, j] = t
-    if symmetric:
-        tau[j, i] = t
+def _repeats(keys: np.ndarray) -> tuple[list[int], list[int]] | None:
+    """For each distinct value of `keys`, the position of its first
+    occurrence and how often it occurs; None when no value repeats."""
+    seen = keys.tolist()
+    first = dict(zip(reversed(seen), range(len(seen) - 1, -1, -1)))
+    if len(first) == len(seen):
+        return None
+    counts = Counter(seen)
+    return list(first.values()), [counts[key] for key in first]
+
+
+def _relax(
+    tau: np.ndarray, edges: np.ndarray, mirrors: np.ndarray | None, keep: float, add: float,
+    times: list[int] | None = None,
+) -> np.ndarray:
+    """The trail writes tau[e] <- keep * tau[e] + add on the flattened trail
+    matrix, for the flat edge indices `edges`, the k-th of them `times[k]`
+    times in a row (once each when `times` is None), with keep = 1 - rho and
+    add = rho * deposit. On symmetric instances each new value is mirrored to
+    the flat index in `mirrors`. No edge may occur twice in `edges` (no
+    unordered edge on symmetric instances), so the edges are independent.
+    Returns the new values. The repeats run on Python floats, whose arithmetic
+    is numpy's float64 arithmetic, so they equal writes made one by one."""
+    t = keep * tau[edges] + add
+    if times is not None:
+        for k, count in enumerate(times):
+            if count > 1:
+                value = float(t[k])
+                for _ in range(count - 1):
+                    value = keep * value + add
+                t[k] = value
+    tau[edges] = t
+    if mirrors is not None:
+        tau[mirrors] = t
     return t
 
 
@@ -306,27 +353,59 @@ def run(
     pheromone = PheromoneMatrix.for_instance(instance, l_nn, params.rho)
     tau, tau0, tau_max = pheromone.tau, pheromone.tau0, pheromone.tau_max
     cost = instance.costs.cost
-    cost_item = cost.item
     beta, q0, rho, variant = params.beta, params.q0, params.rho, params.variant
     eta_at, eta_where = _visibility_lookup(cost, beta)
-    # weight[i, j] == tau[i, j] * eta_at(i, j) after every write below
+    # weight == tau * visibility^beta, entry by entry, after every write below
     weight = eta_where(...) * tau0
     symmetric = instance.costs.symmetric
-    members = instance.cluster_arrays
-    cluster_of = instance.cluster_of.tolist()
-    rand = rng.random
-    n, p = instance.n, instance.p
-    mask = np.empty(n, dtype=bool)  # one ant's unvisited-cluster nodes, refilled per ant
+    cluster_of = instance.cluster_of
+    sizes = np.array([len(c) for c in instance.clusters])
+    grouped = np.concatenate(instance.cluster_arrays)  # node ids cluster by cluster
+    offsets = np.cumsum(sizes) - sizes
+    n, p, ants = instance.n, instance.p, params.num_ants
+    tau_flat, weight_flat = tau.ravel(), weight.ravel()
+    left = np.empty((ants, p))  # 1.0 on each ant's unvisited clusters, else 0.0
+    left_flat = left.ravel()
+    ant_rows = np.arange(ants) * p  # flat index of each ant's row of `left`
+    path = np.empty((p, ants), dtype=np.int64)  # path[s] holds every ant's node s
+    successor = np.roll(np.arange(p), -1)
     keep = 1.0 - rho
+    above_max = False  # some write of this iteration went above tau_max
 
-    def write(i: int, j: int, add: float) -> bool:
-        """Relax trail (i, j) and its weight; True if it went above tau_max."""
-        t = _relax(tau, i, j, keep, add, symmetric)
-        weight[i, j] = w = t * eta_at(i, j)
-        if symmetric:
-            weight[j, i] = w
-        return t > tau_max
+    def write(e: np.ndarray, m: np.ndarray | None, add: float) -> None:
+        """Relax the trails at flat edge indices `e` (mirrors `m`, on
+        symmetric instances) and their weights as if one by one in order. An
+        edge written k times is relaxed k times in a row; the order of
+        distinct edges does not matter."""
+        nonlocal above_max
+        times = None
+        repeats = _repeats(e if m is None else np.minimum(e, m))
+        if repeats is not None:
+            first, times = repeats
+            e, m = e[first], None if m is None else m[first]
+        t = _relax(tau_flat, e, m, keep, add, times)
+        weight_flat[e] = w = t * eta_at(e)
+        if m is not None:
+            weight_flat[m] = w
+        # Some write went above tau_max iff some value of t did: until the
+        # flag is set every trail is at or below tau_max, the k writes of a
+        # repeated edge move monotonically (the last is the largest if any
+        # rose), and keep * v + add rounds monotonically in v, so no write of
+        # a call whose keep * tau_max + add is at most tau_max goes above it.
+        if not above_max and keep * tau_max + add > tau_max:
+            above_max = bool((t > tau_max).any())
 
+    def rescue(rows: np.ndarray) -> np.ndarray:
+        """`_relative_weights` of the selected rows at the current step."""
+        return _relative_weights(cost[cur[rows]], tau[cur[rows]], mask[rows], beta)
+
+    def edges(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Flat indices of the edges (i[k], j[k]) and, on symmetric
+        instances, of their mirrors."""
+        return i * n + j, (j * n + i if symmetric else None)
+
+    nodes = np.array(incumbent.nodes)
+    incumbent_edges = edges(nodes, nodes[successor])  # its cycle, closing edge included
     trace: list[int] = []
     iteration = 0
     while True:
@@ -337,41 +416,32 @@ def run(
         iteration += 1
 
         local_add = rho * _local_deposit(variant, n, incumbent.cost, tau0)
+        # draws[0] gives each ant's start cluster and member, draws[s] its q
+        # and r at step s; u * k < k for a uniform u < 1 and an integer k
+        draws = rng.random((p, ants, 2))
+        start_cluster = (draws[0, :, 0] * p).astype(np.int64)
+        start = grouped[offsets[start_cluster]
+                        + (draws[0, :, 1] * sizes[start_cluster]).astype(np.int64)]
+        left.fill(1.0)
+        left_flat[ant_rows + start_cluster] = 0.0
+        path[0] = cur = start
         above_max = False
-        ant_tours: list[Tour] = []
-        best_cost: int | None = None
-        for _ in range(params.num_ants):
-            cluster = int(rng.integers(p))
-            start = int(members[cluster][rng.integers(len(members[cluster]))])
-            mask.fill(True)
-            mask[members[cluster]] = False
-            path = [start]
-            cur = start
-            length = 0
-            for _ in range(p - 1):
-                cand = mask.nonzero()[0]
-                nxt = _pick(
-                    weight[cur].take(cand), cand, q0, rand,
-                    lambda: _relative_weights(cost[cur], tau[cur], cand, beta),
-                )
-                above_max |= write(cur, nxt, local_add)
-                length += cost_item(cur, nxt)
-                mask[members[cluster_of[nxt]]] = False
-                path.append(nxt)
-                cur = nxt
-            above_max |= write(cur, start, local_add)
-            length += cost_item(cur, start)
-            if best_cost is None or length < best_cost:  # ties keep the first ant
-                best_cost, best_path = length, path
-            if iteration_observer is not None:
-                ant_tours.append(Tour(tuple(path), length))
+        for s, (greedy, r) in enumerate(zip(draws[1:, :, 0] <= q0, draws[1:, :, 1]), 1):
+            mask = left.take(cluster_of, axis=1)
+            w = weight.take(cur, axis=0)
+            w *= mask
+            nxt = _pick_rows(w, greedy, r, rescue)
+            write(*edges(cur, nxt), local_add)
+            left_flat[ant_rows + cluster_of.take(nxt)] = 0.0
+            path[s] = cur = nxt
+        write(*edges(cur, start), local_add)
+        lengths = cost[path, path[successor]].sum(axis=0)
 
-        if best_cost < incumbent.cost:
-            incumbent = make_tour(instance, best_path)
-        global_add = rho * _global_deposit(incumbent.cost)
-        nodes = incumbent.nodes
-        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-            above_max |= write(a, b, global_add)
+        best = int(lengths.argmin())  # ties keep the first ant
+        if lengths[best] < incumbent.cost:
+            incumbent = make_tour(instance, path[:, best])
+            incumbent_edges = edges(path[:, best], path[successor, best])
+        write(*incumbent_edges, rho * _global_deposit(incumbent.cost))
         # tau0 < tau_max, so every trail is <= tau_max after a reinit and only
         # a write above tau_max can give the next one something to reset
         if above_max:
@@ -386,6 +456,8 @@ def run(
                 iteration=iteration,
                 elapsed=time.perf_counter() - started,
             )
+            ant_tours = [Tour(tuple(nodes), length)
+                         for nodes, length in zip(path.T.tolist(), lengths.tolist())]
             iteration_observer(state_snapshot, ant_tours)
 
     return RunResult(

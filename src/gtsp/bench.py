@@ -30,6 +30,7 @@ from .construct import nn_reference_cost
 from .exact import DEFAULT_CELL_CAP, CellCapExceeded, exact_solve
 from .instance import (
     GtspInstance,
+    check_cluster_count,
     cluster_instance,
     euc2d_costs,
     generate_instance,
@@ -113,6 +114,10 @@ class ExperimentConfig:
             if isinstance(spec, dict) and spec.keys() - {"seed"} == {"nodes", "clusters"}:
                 for key, value in spec.items():
                     check(f"instances[{i}].{key}", value, int, 0)
+                try:
+                    check_cluster_count(spec["clusters"], spec["nodes"])
+                except ValueError as exc:
+                    raise ValueError(f"instances[{i}]: {exc}") from None
             elif not isinstance(spec, str):
                 raise ValueError(f"instances[{i}] must be a path or a generator spec with keys"
                                  f" nodes, clusters and optionally seed, got {spec!r}")

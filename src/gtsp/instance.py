@@ -320,6 +320,12 @@ def default_cluster_count(n: int) -> int:
     return math.ceil(n / 5)
 
 
+def check_cluster_count(m: int, n: int) -> None:
+    """The bound on a partition of n nodes into m clusters: 2 <= m <= n."""
+    if m < 2 or m > n:
+        raise ValueError(f"cluster count m={m} must satisfy 2 <= m <= n={n}")
+
+
 def cluster_instance(
     coords: NodeCoords,
     costs: CostMatrix,
@@ -338,8 +344,7 @@ def cluster_instance(
         raise ValueError(f"coords have {n} nodes but cost matrix has {costs.n}")
     if m is None:
         m = default_cluster_count(n)
-    if m < 2 or m > n:
-        raise ValueError(f"cluster count m={m} must satisfy 2 <= m <= n={n}")
+    check_cluster_count(m, n)
 
     # rows[c][v] is the cost from node v to center c; for symmetric costs
     # that is row c itself, read contiguously
@@ -490,8 +495,7 @@ def generate_instance(
     nodes: int, clusters: int, seed: int, name: str = "rand"
 ) -> tuple[NodeCoords, GtspInstance]:
     """Random planar instance: distinct integer-grid points, clustered as usual."""
-    if nodes < 2:
-        raise ValueError("need at least 2 nodes")
+    check_cluster_count(clusters, nodes)
     rng = np.random.default_rng(seed)
     flat = rng.choice(1000 * 1000, size=nodes, replace=False)
     pts = np.stack([flat % 1000, flat // 1000], axis=1).astype(float)

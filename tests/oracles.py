@@ -2,8 +2,8 @@
 
 The enumerators below recompute tour costs inline from the cost matrix so
 they stay independent of the library's own cost and search code.
-`reference_run` is the original colony loop, kept to check that the
-library's construction kernel reproduces it byte for byte; likewise
+`lockstep_run` is the colony in plain loops over steps and ants, which the
+library's (ants, n) construction kernel must reproduce byte for byte;
 `reference_euc2d_costs` and `reference_clusters` are the original instance
 load path, for the lean one in `gtsp.instance`; `reference_partition` is the
 original per-node partition check of `GtspInstance`, and
@@ -14,6 +14,7 @@ one in `gtsp.exact`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -208,117 +209,103 @@ def reference_exact_solve(instance: GtspInstance) -> Tour:
     return tour
 
 
-# --- Reference colony -------------------------------------------------------
+# --- Lockstep reference colony ----------------------------------------------
 #
-# A self-contained copy of the original per-object colony loop: one state
-# object per ant with a tabu set over clusters, and its own pick and trail
-# updates. `gtsp.aco.run` builds tours with a flat kernel that must reproduce
-# this loop byte for byte: same draws, same float expressions, same ant tours
-# and the same final trails. Only the data containers (AcoParams, RunResult,
-# Tour) and the NN incumbent come from the library; tour costs are recomputed
-# inline.
+# The colony's semantics in plain loops. Each iteration draws one (p, ants, 2)
+# block of uniforms: row 0 gives every ant its start (a cluster, then a
+# member, each index floor(u * k)), row s its q and r at step s. At each step
+# every ant picks from the same trails, one ant after another over its
+# compressed candidate list in Python floats, and then the step's trail
+# writes run in ant order. `gtsp.aco.run` moves all ants as one
+# (ants, n) block and must reproduce this byte for byte: same draws, same
+# ant tours and the same final trails. Only the visibility powers come from
+# numpy, as in the library: numpy's vectorised pow and the C library's pow
+# can differ in the last bit. The data containers (AcoParams, RunResult,
+# Tour) and the NN incumbent come from the library; tour costs are
+# recomputed inline.
 
 
-class _RefAntState:
-    def __init__(self, instance: GtspInstance, start: int, rng: np.random.Generator):
-        k = int(instance.cluster_of[start])
-        self.current = start
-        self.visited_clusters = {k}
-        self.path = [start]
-        self.rng_stream = rng
-        self.node_mask = np.ones(instance.n, dtype=bool)
-        self.node_mask[instance.cluster_arrays[k]] = False
-
-    def advance(self, instance: GtspInstance, node: int) -> None:
-        k = int(instance.cluster_of[node])
-        self.visited_clusters.add(k)
-        self.node_mask[instance.cluster_arrays[k]] = False
-        self.path.append(node)
-        self.current = node
-
-
-def _ref_choose_next(state, tau, eta_beta, q0) -> int:
-    cand = np.flatnonzero(state.node_mask)
-    if cand.size == 0:
-        raise RuntimeError("no candidates: every cluster already visited")
-    w = tau[state.current, cand] * eta_beta[state.current, cand]
-    q = state.rng_stream.random()
+def _lockstep_pick(cost, tau, eta, cur, cand, q, r, q0, beta) -> int:
+    """One ant's node choice among `cand` (ascending) from node `cur`."""
+    w = [tau[cur][v] * eta[cur][v] for v in cand]
+    sums = list(itertools.accumulate(w))
+    if sums[-1] == 0.0:  # every weight underflowed: relative visibility
+        c = np.maximum(cost[cur, cand], 1)
+        ratio = ((c.min() / c) ** beta).tolist()
+        w = [tau[cur][v] * x for v, x in zip(cand, ratio)]
+        sums = list(itertools.accumulate(w))
     if q <= q0:
-        return int(cand[int(np.argmax(w))])
-    probs = w / w.sum()
-    r = state.rng_stream.random()
-    idx = int(np.searchsorted(np.cumsum(probs), r, side="left"))
-    return int(cand[min(idx, cand.size - 1)])
+        return cand[w.index(max(w))]
+    total = sums[-1]
+    bar = min(r * total, math.nextafter(total, 0.0))
+    return next(v for v, s in zip(cand, sums) if s > bar)
 
 
-def _ref_local_update(tau, edge, rho, l_plus, n, variant, symmetric, tau0) -> None:
-    deposit = 1.0 / (n * l_plus) if variant == "racs" else tau0
-    i, j = edge
-    tau[i, j] = (1.0 - rho) * tau[i, j] + rho * deposit
-    if symmetric:
-        tau[j, i] = tau[i, j]
+def lockstep_run(instance: GtspInstance, params: AcoParams, iteration_observer=None):
+    """Iteration-budgeted colony run by plain loops over steps and ants.
 
-
-def _ref_global_update(tau, best, rho, symmetric) -> None:
-    deposit = 1.0 / best.cost
-    nodes = best.nodes
-    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-        tau[a, b] = (1.0 - rho) * tau[a, b] + rho * deposit
-        if symmetric:
-            tau[b, a] = tau[a, b]
-
-
-def _ref_tour(instance: GtspInstance, path) -> Tour:
-    nodes = tuple(int(v) for v in path)
-    assert sorted(int(instance.cluster_of[v]) for v in nodes) == list(range(instance.p))
-    return Tour(nodes, cycle_cost(instance.costs.cost, nodes))
-
-
-def reference_run(instance: GtspInstance, params: AcoParams, iteration_observer=None):
-    """Iteration-budgeted colony run by the original loop.
-
-    Returns the RunResult (elapsed 0), the final trail matrix and how many
-    trail entries the reinitializations reset in all.
+    Returns the RunResult (elapsed 0), the final trail matrix and, for each
+    reinitialization, how many trail entries it reset. A reinitialization
+    runs only in an iteration where some write went above tau_max.
     """
     rng = np.random.default_rng(params.seed)
     l_nn, incumbent = nn_reference_cost(instance)
-    n, p = instance.n, instance.p
-    tau0 = 1.0 / (n * l_nn)
-    tau_max = 1.0 / ((1.0 - params.rho) * l_nn)
-    tau = np.full((n, n), tau0)
-    eta_beta = (1.0 / np.maximum(instance.costs.cost, 1)) ** params.beta
+    n, p, ants, rho = instance.n, instance.p, params.num_ants, params.rho
+    scale = max(l_nn, 1)
+    tau0 = 1.0 / (n * scale)
+    tau_max = 1.0 / ((1.0 - rho) * scale)
+    tau = [[tau0] * n for _ in range(n)]
+    cost = instance.costs.cost
+    eta = ((1.0 / np.maximum(cost, 1)) ** params.beta).tolist()
     symmetric = instance.costs.symmetric
-    members = instance.cluster_arrays
+    clusters = [list(c) for c in instance.clusters]
+    cluster_of = instance.cluster_of.tolist()
+
+    def relax(i: int, j: int, deposit: float) -> bool:
+        """Write trail (i, j); True if it went above tau_max."""
+        tau[i][j] = (1.0 - rho) * tau[i][j] + rho * deposit
+        if symmetric:
+            tau[j][i] = tau[i][j]
+        return tau[i][j] > tau_max
 
     trace = []
-    resets = 0
+    resets = []
     for _ in range(params.max_iterations):
-        l_plus = incumbent.cost
-        ant_tours = []
-        for _ in range(params.num_ants):
-            cluster = int(rng.integers(p))
-            start = int(members[cluster][rng.integers(len(members[cluster]))])
-            state = _RefAntState(instance, start, rng)
-            for _ in range(p - 1):
-                nxt = _ref_choose_next(state, tau, eta_beta, params.q0)
-                _ref_local_update(
-                    tau, (state.current, nxt), params.rho, l_plus, n,
-                    params.variant, symmetric, tau0,
-                )
-                state.advance(instance, nxt)
-            _ref_local_update(
-                tau, (state.current, state.path[0]), params.rho, l_plus, n,
-                params.variant, symmetric, tau0,
-            )
-            ant_tours.append(_ref_tour(instance, state.path))
+        deposit = 1.0 / (n * max(incumbent.cost, 1)) if params.variant == "racs" else tau0
+        starts, *draws = rng.random((p, ants, 2)).tolist()
+        above = False
+        paths, visited = [], []
+        for u, v in starts:
+            k = int(u * p)
+            paths.append([clusters[k][int(v * len(clusters[k]))]])
+            visited.append({k})
+        for step in draws:
+            picks = []
+            for path, seen, (q, r) in zip(paths, visited, step):
+                cand = [v for v in range(n) if cluster_of[v] not in seen]
+                picks.append(_lockstep_pick(cost, tau, eta, path[-1], cand, q, r,
+                                            params.q0, params.beta))
+            for path, seen, v in zip(paths, visited, picks):
+                above |= relax(path[-1], v, deposit)
+                path.append(v)
+                seen.add(cluster_of[v])
+        for path in paths:
+            above |= relax(path[-1], path[0], deposit)
+        ant_tours = [Tour(tuple(path), cycle_cost(cost, tuple(path))) for path in paths]
 
         iteration_best = min(ant_tours, key=lambda t: t.cost)
         if iteration_best.cost < incumbent.cost:
             incumbent = iteration_best
-        _ref_global_update(tau, incumbent, params.rho, symmetric)
-        reset = tau > tau_max
-        resets += int(reset.sum())
-        tau[reset] = tau0
+        nodes = incumbent.nodes
+        for a, b in zip(nodes, nodes[1:] + nodes[:1]):
+            above |= relax(a, b, 1.0 / max(incumbent.cost, 1))
+        if above:
+            resets.append(0)
+            for row in tau:
+                for j, t in enumerate(row):
+                    if t > tau_max:
+                        row[j] = tau0
+                        resets[-1] += 1
         trace.append(incumbent.cost)
         if iteration_observer is not None:
             iteration_observer(ant_tours)
@@ -327,4 +314,4 @@ def reference_run(instance: GtspInstance, params: AcoParams, iteration_observer=
         best=incumbent, iterations=params.max_iterations, elapsed=0.0,
         params=replace(params), trace=trace,
     )
-    return result, tau, resets
+    return result, np.array(tau), resets

@@ -25,7 +25,7 @@ from gtsp import (
     tour_cost,
     validate_tour,
 )
-from gtsp.aco import _pick, _probabilities, _relative_weights, _visibility_lookup
+from gtsp.aco import _pick_rows, _relative_weights, _running_sums, _visibility_lookup
 from gtsp.instance import CostMatrix, GtspInstance
 
 from oracles import brute_force_best_for_order, brute_force_optimum, random_matrix_instance
@@ -243,24 +243,30 @@ def test_criterion_8_transition_rule_statistics():
         name="x", costs=CostMatrix(cost), clusters=((0,), (1, 2), (3,))
     )
     tau = np.full((4, 4), 0.5)
-    rand = np.random.default_rng(20240608).random
-    # the step `run` takes from node 0: its candidates, the weights it gathers
-    # (trail times visibility^beta) and its pick rule
+    rng = np.random.default_rng(20240608)
+    # the step `run` takes from node 0, repeated on every row of one block:
+    # its candidates, the masked weights it gathers (trail times
+    # visibility^beta) and its pick rule
     cand = np.flatnonzero(inst.cluster_of != inst.cluster_of[0])
     beta = 1.0
     _, eta_where = _visibility_lookup(inst.costs.cost, beta)
-    w = tau[0, cand] * eta_where(...)[0, cand]
+    mask = (inst.cluster_of != inst.cluster_of[0]) * 1.0
+    draws = 100_000
 
-    def relative():
-        return _relative_weights(inst.costs.cost[0], tau[0], cand, beta)
+    def block(rows):
+        return np.tile(tau[0] * eta_where(...)[0] * mask, (rows, 1))
 
-    expected = dict(zip(cand.tolist(), _probabilities(w, relative).tolist()))
+    def relative(rows):
+        return _relative_weights(inst.costs.cost[[0]], tau[[0]], mask[None], beta)
+
+    w = block(1)
+    sums = _running_sums(w, relative)
+    expected = dict(zip(cand.tolist(), (w[0, cand] / sums[0, -1]).tolist()))
     assert sum(expected.values()) == pytest.approx(1.0, abs=1e-12)
 
-    draws = 100_000
-    counts = {1: 0, 2: 0, 3: 0}
-    for _ in range(draws):
-        counts[_pick(w, cand, 0.0, rand, relative)] += 1
+    q, r = rng.random((2, draws))
+    picks = _pick_rows(block(draws), q <= 0.0, r, relative)
+    counts = {v: int((picks == v).sum()) for v in (1, 2, 3)}
     within = True
     detail_parts = []
     for node, p in expected.items():
@@ -270,7 +276,8 @@ def test_criterion_8_transition_rule_statistics():
         detail_parts.append(f"node {node}: {dev / sigma:.2f} sigma")
 
     argmax_node = max(expected, key=expected.get)
-    greedy_hits = sum(_pick(w, cand, 1.0, rand, relative) == argmax_node for _ in range(1000))
+    q, r = rng.random((2, 1000))
+    greedy_hits = int((_pick_rows(block(1000), q <= 1.0, r, relative) == argmax_node).sum())
     ok = within and greedy_hits == 1000
     report(
         8,

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -25,14 +26,15 @@ import gtsp.aco
 from gtsp.aco import (
     _global_deposit,
     _local_deposit,
-    _pick,
-    _probabilities,
+    _pick_rows,
     _relative_weights,
     _relax,
+    _repeats,
+    _running_sums,
     _visibility_lookup,
 )
 
-from oracles import random_matrix_instance, reference_run
+from oracles import lockstep_run, random_matrix_instance
 
 
 def two_candidate_instance():
@@ -47,11 +49,11 @@ def fresh_pheromone(instance, value=0.5, tau_max=10.0):
     )
 
 
-# The ant step of `run`, driven one step at a time: the candidates of its node
-# mask, the weights it gathers, then `_pick`, and the trail writes through
-# `_relax`. `TestChooseNext::test_run_steps_match_these_helpers` and
-# `TestGlobalUpdate::test_run_reinforces_the_incumbent_cycle` check that `run`
-# does the same.
+# The ant step of `run`, for one ant (one row) at a time: the candidates of
+# its node mask, the masked weight row it gathers, then `_pick_rows`, and the
+# trail writes through `_relax`. `TestChooseNext::test_run_steps_match_these_helpers`
+# and `TestGlobalUpdate::test_run_reinforces_the_incumbent_cycle` check that
+# `run` does the same.
 
 
 def candidates(instance, *visited):
@@ -63,40 +65,53 @@ def candidates(instance, *visited):
 
 
 def step_weights(instance, tau, current, cand, beta):
-    """Trail times visibility^beta from `current` to `cand`, the latter from
-    `_visibility_lookup` as in `run`."""
+    """The (1, n) weight row `run` gathers from `current`: trail times
+    visibility^beta (from `_visibility_lookup`, as in `run`) on `cand`, 0.0
+    on the nodes of visited clusters."""
     _, eta_where = _visibility_lookup(instance.costs.cost, beta)
-    return tau[current, cand] * eta_where(...)[current, cand]
+    row = np.zeros((1, instance.n))
+    row[0, cand] = tau[current, cand] * eta_where(...)[current, cand]
+    return row
 
 
 def rescue(instance, tau, current, cand, beta):
-    return lambda: _relative_weights(instance.costs.cost[current], tau[current], cand, beta)
+    """The row rescue `run` hands `_pick_rows` for that one row."""
+    mask = np.zeros((1, instance.n))
+    mask[0, cand] = 1.0
+    cost, tau = instance.costs.cost[[current]], tau[[current]]
+    return lambda rows: _relative_weights(cost[rows], tau[rows], mask[rows], beta)
 
 
 def distribution(instance, tau, current, cand, beta) -> dict[int, float]:
     w = step_weights(instance, tau, current, cand, beta)
-    probs = _probabilities(w, rescue(instance, tau, current, cand, beta))
-    return {int(u): float(pr) for u, pr in zip(cand, probs)}
+    sums = _running_sums(w, rescue(instance, tau, current, cand, beta))
+    return {int(u): float(pr) for u, pr in zip(cand, w[0, cand] / sums[0, -1])}
 
 
 def pick(instance, tau, current, cand, beta, q0, rng) -> int:
-    return _pick(
-        step_weights(instance, tau, current, cand, beta), cand, q0, rng.random,
+    """One step's pick, drawing q and then r from `rng` as `run` does."""
+    q, r = rng.random(2)
+    return int(_pick_rows(
+        step_weights(instance, tau, current, cand, beta), np.array([q <= q0]), np.array([r]),
         rescue(instance, tau, current, cand, beta),
-    )
+    )[0])
 
 
 def local_write(tau, edge, rho, l_plus, n, variant, tau0, symmetric=True) -> None:
     i, j = edge
-    _relax(tau, i, j, 1.0 - rho, rho * _local_deposit(variant, n, l_plus, tau0), symmetric)
+    size = tau.shape[0]
+    _relax(tau.ravel(), np.array([i * size + j]), np.array([j * size + i]) if symmetric else None,
+           1.0 - rho, rho * _local_deposit(variant, n, l_plus, tau0))
 
 
 def global_write(tau, best, rho, symmetric=True) -> None:
     """Every edge of `best`, closing edge included, toward `_global_deposit`."""
     add = rho * _global_deposit(best.cost)
     nodes = best.nodes
+    n = tau.shape[0]
     for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-        _relax(tau, a, b, 1.0 - rho, add, symmetric)
+        _relax(tau.ravel(), np.array([a * n + b]), np.array([b * n + a]) if symmetric else None,
+               1.0 - rho, add)
 
 
 class TestTransitionDistribution:
@@ -156,14 +171,13 @@ class TestChooseNext:
         assert pick(inst, tau, 0, cand, 5.0, 1.0, np.random.default_rng(0)) == 1
 
     def test_pure_exploration_follows_inverse_cdf(self):
+        # weights 0.5 and 0.25: node 1 wins when its running sum exceeds r * 0.75
         inst = two_candidate_instance()
         tau, cand = fresh_pheromone(inst).tau, candidates(inst, 0)
         for seed in range(40):
             picked = pick(inst, tau, 0, cand, 1.0, 0.0, np.random.default_rng(seed))
-            replay = np.random.default_rng(seed)
-            replay.random()  # the q draw
-            r = replay.random()
-            expected = 1 if r <= 2 / 3 else 2
+            _, r = np.random.default_rng(seed).random(2)  # q, then r
+            expected = 1 if 0.5 > r * 0.75 else 2
             assert picked == expected
 
     def test_replay_determinism(self):
@@ -186,40 +200,104 @@ class TestChooseNext:
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_run_steps_match_these_helpers(self, symmetric):
-        # replay a run: every `_pick` call gets the candidates and the weights
-        # built above, from the trails after all the writes so far
+        # replay a run: at each step every ant's row of the `_pick_rows` block
+        # is the row built above, from the trails after all the writes of the
+        # earlier steps; the step's writes then follow in ant order
         inst = random_matrix_instance(8, 3, np.random.default_rng(31), symmetric=symmetric)
         params = AcoParams(num_ants=5, max_iterations=3, seed=6, variant="racs")
-        calls, iterations = [], []
-        real_pick = gtsp.aco._pick
+        blocks, iterations = [], []
+        real_pick = gtsp.aco._pick_rows
 
-        def recorded(w, cand, *rest):
-            calls.append((w.copy(), cand.copy()))
-            return real_pick(w, cand, *rest)
+        def recorded(w, *rest):
+            blocks.append(w.copy())
+            return real_pick(w, *rest)
 
         def observer(state, ant_tours):
-            iterations.append((ant_tours, state.best_tour))
+            iterations.append(([t.nodes for t in ant_tours], state.best_tour))
 
-        with mock.patch.object(gtsp.aco, "_pick", recorded):
+        with mock.patch.object(gtsp.aco, "_pick_rows", recorded):
             run(inst, params, iteration_observer=observer)
         l_plus, _ = nn_reference_cost(inst)
         pher = PheromoneMatrix.for_instance(inst, l_plus, params.rho)
-        steps = iter(calls)
-        for ant_tours, best in iterations:
-            for tour in ant_tours:
-                path = tour.nodes
-                for k, cur in enumerate(path):
-                    if k + 1 < len(path):
-                        w, cand = next(steps)
-                        assert np.array_equal(cand, candidates(inst, *path[: k + 1]))
-                        expected = step_weights(inst, pher.tau, cur, cand, params.beta)
-                        assert np.array_equal(w, expected)
-                    local_write(pher.tau, (cur, path[(k + 1) % len(path)]), params.rho, l_plus,
+        steps = iter(blocks)
+        for paths, best in iterations:
+            for s in range(1, inst.p):
+                block = next(steps)
+                assert block.shape == (params.num_ants, inst.n)
+                for row, path in zip(block, paths):
+                    cand = candidates(inst, *path[:s])
+                    expected = step_weights(inst, pher.tau, path[s - 1], cand, params.beta)
+                    assert np.array_equal(row, expected[0])
+                for path in paths:
+                    local_write(pher.tau, (path[s - 1], path[s]), params.rho, l_plus,
                                 inst.n, params.variant, pher.tau0, symmetric)
+            for path in paths:
+                local_write(pher.tau, (path[-1], path[0]), params.rho, l_plus,
+                            inst.n, params.variant, pher.tau0, symmetric)
             global_write(pher.tau, best, params.rho, symmetric)
             evaporation_reinit(pher)
             l_plus = best.cost
         assert next(steps, None) is None
+
+
+class TestRowPick:
+    """`_pick_rows` at the ends of both draws and on tiny weights: every pick
+    is an unvisited node of its row, never a masked one or an index past it."""
+
+    TINY = 5e-324  # the smallest subnormal
+    LAST = np.nextafter(1.0, 0.0)  # the largest uniform draw
+
+    # rows of zeros (visited) and candidates, with their picks at q <= q0
+    # (argmax), at r = 0 and at r = LAST
+    ROWS = [
+        ([0.0, 0.0, 0.3, 0.2, 0.0, 0.0], 2, 2, 3),  # masked zeros before and after
+        ([0.0, TINY, 0.0, TINY, 0.0, 0.0], 1, 1, 3),  # subnormal weights only
+        ([0.0, 0.0, 0.0, 0.0, 0.0, TINY], 5, 5, 5),  # one subnormal candidate, last
+        ([0.7, 0.0, 0.0, 0.0, 0.0, 0.0], 0, 0, 0),  # one candidate, first
+        ([0.0, 0.0, 0.0, 0.4, 0.0, 0.4], 3, 3, 5),  # a tie
+        # TINY adds nothing to 1e-300, so no running sum after node 1 grows
+        ([0.0, 1e-300, 0.0, 0.0, TINY, 0.0], 1, 1, 1),
+    ]
+
+    @pytest.mark.parametrize("q0", [0.0, 1.0])
+    @pytest.mark.parametrize("q", [0.0, LAST])
+    @pytest.mark.parametrize("r", [0.0, LAST])
+    def test_picks_an_unvisited_node(self, q0, q, r):
+        w = np.array([row for row, *_ in self.ROWS])
+        greedy = q <= q0
+        n = len(self.ROWS)
+        picks = _pick_rows(w.copy(), np.full(n, greedy), np.full(n, r), lambda rows: pytest.fail())
+        assert ((0 <= picks) & (picks < w.shape[1])).all()
+        assert (w[np.arange(n), picks] > 0).all()
+        column = 1 if greedy else 2 if r == 0.0 else 3
+        assert picks.tolist() == [case[column] for case in self.ROWS]
+
+    @pytest.mark.parametrize("q0", [0.0, 1.0])
+    @pytest.mark.parametrize("r", [0.0, LAST])
+    def test_underflowed_row_picks_from_its_rescue(self, q0, r):
+        # row 0: candidates 2 and 4, whose weights all underflowed to 0
+        w = np.array([[0.0, 0.0, 0.0, 0.0, 0.0], [0.0, 0.5, 0.0, 0.0, 0.25]])
+        rescued = []
+
+        def relative(rows):
+            rescued.append(rows.tolist())
+            return np.array([[0.0, 0.0, 0.25, 0.0, 0.5]])
+
+        picks = _pick_rows(w, np.full(2, 0.5 <= q0), np.full(2, r), relative)
+        assert rescued == [[True, False]]  # the other row keeps its weights
+        if q0 == 1.0:
+            assert picks.tolist() == [4, 1]
+        else:
+            assert picks.tolist() == ([2, 1] if r == 0.0 else [4, 4])
+
+
+class TestRepeats:
+    def test_distinct_keys_have_no_repeats(self):
+        assert _repeats(np.array([4, 1, 9])) is None
+
+    def test_first_positions_and_counts(self):
+        first, times = _repeats(np.array([7, 3, 7, 7, 3, 5]))
+        assert sorted(zip(first, times)) == [(0, 3), (1, 2), (5, 1)]
 
 
 class TestLocalUpdate:
@@ -239,6 +317,16 @@ class TestLocalUpdate:
         tau = fresh_pheromone(two_candidate_instance(), value=0.125).tau
         local_write(tau, (0, 1), rho=0.5, l_plus=999, n=10, variant="acs", tau0=0.125)
         assert tau[0, 1] == 0.125
+
+    def test_repeated_write_equals_writes_one_by_one(self):
+        # an edge three ants wrote in one step, next to an edge written once
+        tau = fresh_pheromone(two_candidate_instance(), value=0.04).tau
+        one_by_one = tau.copy()
+        for edge in [1, 1, 2, 1]:
+            _relax(one_by_one.ravel(), np.array([edge]), None, 0.7, 0.009)
+        new = _relax(tau.ravel(), np.array([1, 2]), None, 0.7, 0.009, times=[3, 1])
+        assert tau.tobytes() == one_by_one.tobytes()
+        assert new.tolist() == [tau[0, 1], tau[0, 2]]
 
     def test_asymmetric_updates_one_direction(self):
         tau = fresh_pheromone(two_candidate_instance(), value=0.04).tau
@@ -304,18 +392,25 @@ class TestGlobalUpdate:
         writes = []
         real_relax = gtsp.aco._relax
 
-        def recorded(tau, i, j, keep, add, sym):
-            writes.append((i, j, keep, add, sym))
-            return real_relax(tau, i, j, keep, add, sym)
+        def recorded(tau, edges, mirrors, keep, add, times=None):
+            n = inst.n
+            pairs = [divmod(e, n) for e in edges.tolist()]
+            assert (mirrors is None) == (not symmetric)
+            if symmetric:
+                assert mirrors.tolist() == [j * n + i for i, j in pairs]
+            writes.append((pairs, keep, add, times or [1] * len(pairs)))
+            return real_relax(tau, edges, mirrors, keep, add, times)
 
         with mock.patch.object(gtsp.aco, "_relax", recorded):
             best = run(inst, params).best
         nodes = best.nodes
         cycle = list(zip(nodes, nodes[1:] + nodes[:1]))
         add = params.rho * _global_deposit(best.cost)
-        assert len(writes) == (params.num_ants + 1) * inst.p
-        assert writes[-inst.p:] == [(a, b, 0.75, add, symmetric) for a, b in cycle]
-        assert all(w[3] < add for w in writes[: -inst.p])  # the local writes deposit less
+        # one call per step of all ants; an edge k ants share is written k times
+        assert len(writes) == inst.p + 1
+        assert sum(sum(times) for *_, times in writes) == (params.num_ants + 1) * inst.p
+        assert writes[-1] == (cycle, 0.75, add, [1] * inst.p)
+        assert all(w[2] < add for w in writes[:-1])  # the local writes deposit less
 
 
 class TestEvaporationReinit:
@@ -527,8 +622,8 @@ class TestRun:
 
 
 def traced_run(inst, params):
-    """`run` plus every ant tour, the final trail bytes and how many trail
-    entries its `evaporation_reinit` calls reset in all."""
+    """`run` plus every ant tour, the final trail bytes and, for each of
+    its `evaporation_reinit` calls, how many trail entries it reset."""
     tours = []
     trails = []
     resets = []
@@ -545,12 +640,12 @@ def traced_run(inst, params):
 
     with mock.patch.object(gtsp.aco, "evaporation_reinit", counted_reinit):
         result = run(inst, params, iteration_observer=observer)
-    return result.to_json(include_elapsed=False), tours, trails[-1], sum(resets)
+    return result.to_json(include_elapsed=False), tours, trails[-1], resets
 
 
 def traced_reference(inst, params):
     tours = []
-    result, tau, resets = reference_run(
+    result, tau, resets = lockstep_run(
         inst, params, iteration_observer=lambda ant_tours: tours.append([t.nodes for t in ant_tours])
     )
     return result.to_json(include_elapsed=False), tours, tau.tobytes(), resets
@@ -601,9 +696,9 @@ REFERENCE_CASES = dict(
 def assert_matches_reference(
     observed, seed, n, p, symmetric, variant, q0, beta, num_ants, iterations, rho
 ):
-    """With an observer attached, the tours, final trails and resets must match
-    too; without one (the path the benchmark and the CLI take), the result
-    record must be byte-identical."""
+    """With an observer attached, the tours, final trails and reinitializations
+    (each call and the entries it reset) must match too; without one (the path
+    the benchmark and the CLI take), the result record must be byte-identical."""
     rng = np.random.default_rng(seed)
     inst = random_matrix_instance(n, min(p, n), rng, symmetric=symmetric)
     params = AcoParams(
@@ -613,13 +708,14 @@ def assert_matches_reference(
     if observed:
         assert traced_run(inst, params) == traced_reference(inst, params)
     else:
-        reference, _, _ = reference_run(inst, params)
+        reference, _, _ = lockstep_run(inst, params)
         ours = run(inst, params).to_json(include_elapsed=False)
         assert ours == reference.to_json(include_elapsed=False)
 
 
 class TestReferenceEquivalence:
-    """`run`'s flat kernel against the original per-ant loop in oracles.py."""
+    """`run`'s (ants, n) kernel against the plain-loop lockstep colony in
+    oracles.py."""
 
     @settings(max_examples=160)
     @given(observed=st.booleans(), **REFERENCE_CASES)
@@ -645,7 +741,7 @@ class TestReferenceEquivalence:
         params = AcoParams(q0=q0, variant=variant, num_ants=3, max_iterations=8, seed=5)
         ours, reference = traced_run(inst, params), traced_reference(inst, params)
         assert ours == reference
-        assert reference[3] > 0  # the reset path ran, in both loops alike
+        assert sum(reference[3]) > 0  # the reset path ran, in both loops alike
 
     def test_reinit_only_when_a_trail_exceeds_tau_max(self, data_dir):
         def reinit_calls(inst, iterations):
@@ -686,6 +782,74 @@ class TestReferenceEquivalence:
             params = AcoParams(variant=variant, num_ants=3, max_iterations=5, seed=top)
             assert traced_run(inst, params) == traced_reference(inst, params)
 
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_two_clusters(self, symmetric, n):
+        # p = 2: on symmetric instances an ant's step edge and its closing
+        # edge are one unordered edge, written twice
+        inst = random_matrix_instance(n, 2, np.random.default_rng(n), symmetric=symmetric)
+        for variant in ("acs", "racs"):
+            params = AcoParams(variant=variant, num_ants=4, max_iterations=6, seed=n)
+            assert traced_run(inst, params) == traced_reference(inst, params)
+
+    def test_every_ant_on_one_start_writes_one_edge(self):
+        # at q0 = 1 ants on one start take one greedy path, so each step of
+        # the first iteration writes one edge once per ant
+        inst = random_matrix_instance(6, 3, np.random.default_rng(40))
+        for seed in range(1000):
+            params = AcoParams(q0=1.0, num_ants=3, max_iterations=1, seed=seed)
+            first_tours = traced_run(inst, params)[1][0]
+            if len(set(first_tours)) == 1:
+                break
+        else:
+            pytest.fail("no seed put every ant on one start")
+        params = replace(params, max_iterations=5)
+        assert traced_run(inst, params) == traced_reference(inst, params)
+
+    def test_opposite_asymmetric_edges_are_two_entries(self):
+        # ants on nodes 0 and 1 write (0, 1) and (1, 0) in one step
+        cost = np.array([[0, 3], [5, 0]])
+        inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1,)))
+        assert not inst.costs.symmetric
+        params = AcoParams(num_ants=4, max_iterations=6, seed=1)
+        calls = []
+        relax = gtsp.aco._relax
+
+        def recorded(tau, edges, *rest):
+            calls.append(sorted(edges.tolist()))
+            return relax(tau, edges, *rest)
+
+        with mock.patch.object(gtsp.aco, "_relax", recorded):
+            ours = traced_run(inst, params)
+        assert any(1 in edges and 2 in edges for edges in calls)  # flat (0, 1) and (1, 0)
+        assert ours == traced_reference(inst, params)
+
+    @pytest.mark.parametrize("q0", [0.0, 0.5, 1.0])
+    def test_rescued_and_normal_rows_in_one_step(self, q0, data_dir):
+        inst = load_instance_file(data_dir / "eil51.tsp")
+        params = AcoParams(beta=200.0, q0=q0, num_ants=10, max_iterations=3, seed=4)
+        rescued = []
+        relative = gtsp.aco._relative_weights
+
+        def recorded(cost_rows, *rest):
+            rescued.append(len(cost_rows))
+            return relative(cost_rows, *rest)
+
+        with np.errstate(all="raise", under="ignore"):
+            with mock.patch.object(gtsp.aco, "_relative_weights", recorded):
+                ours = traced_run(inst, params)
+        assert any(0 < k < params.num_ants for k in rescued)
+        assert ours == traced_reference(inst, params)
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_one_ant_and_two_nodes(self, symmetric):
+        one_ant = (random_matrix_instance(9, 4, np.random.default_rng(41), symmetric=symmetric),
+                   AcoParams(num_ants=1, max_iterations=8, seed=2))
+        two_nodes = (random_matrix_instance(2, 2, np.random.default_rng(42), symmetric=symmetric),
+                     AcoParams(num_ants=3, max_iterations=8, seed=3))
+        for inst, params in (one_ant, two_nodes):
+            assert traced_run(inst, params) == traced_reference(inst, params)
+
     def test_eil51_benchmark_seeds(self, data_dir):
         inst = load_instance_file(data_dir / "eil51.tsp")
         assert inst.name == "11EIL51"
@@ -699,7 +863,7 @@ class TestReferenceEquivalence:
 
 class TestReferenceEquivalenceWithoutObserver:
     """`run` with no observer attached, the path the benchmark and the CLI
-    take, against the original per-ant loop in oracles.py."""
+    take, against the plain-loop lockstep colony in oracles.py."""
 
     @settings(max_examples=80)
     @given(**REFERENCE_CASES)
@@ -790,9 +954,7 @@ class TestDegenerateInputs:
             assert set(picks) == {cheapest}
         else:
             assert picks.count(cheapest) > 100
-        # the rescue consumes the usual draws: q, then r only when q > q0
+        # the rescue draws nothing: each pick used its own q and r only
         replay = np.random.default_rng(0)
-        for _ in range(200):
-            if replay.random() > q0:
-                replay.random()
+        replay.random(2 * 200)
         assert replay.bit_generator.state == rng.bit_generator.state

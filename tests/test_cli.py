@@ -205,6 +205,14 @@ class TestGenCommand:
         assert proc.returncode == 0
         assert parse_clustered(out.read_text()).p == 3
 
+    @pytest.mark.parametrize("nodes, clusters", [(5, 9), (1, 1)])
+    def test_bad_cluster_count_is_1(self, nodes, clusters):
+        # the bound `gtsp bench` applies to a generator spec when it loads
+        proc = gtsp_cli("gen", "--nodes", nodes, "--clusters", clusters)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"gtsp gen: cluster count m={clusters} must satisfy"
+                               f" 2 <= m <= n={nodes}\n")
+
 
 class TestBenchCommand:
     def test_config_run_writes_tables(self, tmp_path, toy_file):
@@ -257,6 +265,12 @@ class TestBenchCommand:
                      "instances[0] must be a path or a generator spec", id="spec-not-dict"),
         pytest.param({"instances": [{"nodes": "10", "clusters": 3}], "algorithms": ["nn"]},
                      "instances[0].nodes must be an integer >= 0", id="spec-nodes-string"),
+        pytest.param({"instances": [{"nodes": 5, "clusters": 9}], "algorithms": ["nn"]},
+                     "instances[0]: cluster count m=9 must satisfy 2 <= m <= n=5",
+                     id="spec-more-clusters-than-nodes"),
+        pytest.param({"instances": [{"nodes": 1, "clusters": 1}], "algorithms": ["nn"]},
+                     "instances[0]: cluster count m=1 must satisfy 2 <= m <= n=1",
+                     id="spec-one-node"),
         pytest.param({"cell_cap": "x", "algorithms": ["exact"]},
                      "cell_cap must be an integer >= 1", id="cell-cap-string"),
         pytest.param({"cell_cap": -1, "algorithms": ["exact"]},
