@@ -17,10 +17,15 @@ re-initialized to tau0.
 `run` is the one construction loop. Each iteration draws one (p, ants, 2)
 block of uniforms: row 0 gives each ant its start cluster and then its member
 of that cluster (a uniform u picks index floor(u * k) of k), row s its q and
-its r at step s; r is drawn whether or not the pick uses it. A step gathers
-the ants' rows of the weight matrix as one (ants, n) block, zeroes the nodes
-of visited clusters with an (ants, n) mask, and `_pick_rows` picks every row
-at once: the argmax where q <= q0, else the first node whose running sum
+its r at step s; r is drawn whether or not the pick uses it. From the block
+`run` lists once per iteration, step by step, the ants that explore (q > q0)
+and their r. An (ants, n) mask holds 1.0 on the nodes of each ant's unvisited
+clusters: it is refilled once per iteration, and each step zeroes only the
+members of the cluster each ant entered last, through a (p, largest cluster)
+table of cluster members. A step gathers the ants' rows of the weight matrix
+as one (ants, n) block, multiplies it by the mask, and `_pick_rows` picks
+every row at once: it takes the argmax of every row, and only for the
+exploring rows the running sums, to pick the first node whose running sum
 exceeds r times the row total. A row whose weights all underflowed to 0 is
 first rescued with `_relative_weights`. Then `_relax` writes the step's trails
 at once; an edge k ants wrote in the step (an unordered edge, on symmetric
@@ -49,7 +54,6 @@ from __future__ import annotations
 import json
 import numbers
 import time
-from collections import Counter
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from types import UnionType
 from typing import Callable, get_args, get_origin, get_type_hints
@@ -214,36 +218,47 @@ def _relative_weights(
     return tau_rows * (c.min(axis=1, keepdims=True) / c) ** beta * mask
 
 
-def _running_sums(w: np.ndarray, relative) -> np.ndarray:
-    """Row-wise running sums of the weight block `w` (rows, n). A row whose
-    weights all underflowed to 0 is first replaced in `w` by `relative(rows)`,
-    the `_relative_weights` of the rows a bool array selects."""
-    c = w.cumsum(axis=1)
-    if 0.0 in c[:, -1].tolist():
-        zero = c[:, -1] == 0.0
-        w[zero] = relative(zero)
-        c[zero] = w[zero].cumsum(axis=1)
-    return c
+def _argmax_rows(w: np.ndarray, relative) -> np.ndarray:
+    """The argmax of every row of the weight block `w` (rows, n), ties to
+    the lowest node id. A row whose weights all underflowed to 0 is first
+    replaced in `w` by `relative(rows)`, the `_relative_weights` of the rows
+    a bool array selects.
+
+    The weights are non-negative, so a row's running sum is 0 exactly when
+    its maximum is. The argmax is the first maximum, so a row whose argmax is
+    not node 0 weighs more there than at node 0, hence more than 0: a row is
+    all zero exactly when its argmax is node 0 and its weight there is 0."""
+    picks = w.argmax(axis=1)
+    if 0 in picks.tolist():
+        zero = (picks == 0) & (w[:, 0] == 0.0)
+        if zero.any():
+            w[zero] = relative(zero)
+            picks[zero] = w[zero].argmax(axis=1)
+    return picks
 
 
-def _pick_rows(w: np.ndarray, greedy: np.ndarray, r: np.ndarray, relative) -> np.ndarray:
+def _pick_rows(w: np.ndarray, roulette: np.ndarray, r: np.ndarray, relative) -> np.ndarray:
     """The node choice rule for every row of the weight block `w` (rows, n),
     whose masked (visited) entries are 0.0; all-zero rows are rescued first
-    (`_running_sums`).
+    (`_argmax_rows`).
 
-    A row with `greedy` set (its q <= q0) takes its argmax, ties to the lowest
-    node id. Any other row takes the first node whose running sum exceeds r
-    times the row total, r in [0, 1): the roulette by inverse CDF over the
-    unvisited nodes in id order. A masked 0.0 adds exactly, so that is the
-    node a running sum over the unvisited nodes alone gives. The bar is kept
-    below the total, which it reaches only when a subnormal total rounds r
-    times itself up, so both rules pick a node of positive weight: never a
-    masked one and never an index past the row.
+    Each row listed in `roulette` (an ant whose q > q0), with its draw r in
+    [0, 1) at the same position of `r`, takes the first node whose running
+    sum exceeds r times the row total: the roulette by inverse CDF over the
+    unvisited nodes in id order. Only these rows are summed. Every other row
+    takes its argmax. A masked 0.0 adds exactly, so that is the node a running
+    sum over the unvisited nodes alone gives. The bar is kept below the total,
+    which it reaches only when a subnormal total rounds r times itself up, so
+    both rules pick a node of positive weight: never a masked one and never an
+    index past the row.
     """
-    c = _running_sums(w, relative)
-    total = c[:, -1]
-    bar = np.minimum(r * total, np.nextafter(total, 0.0))
-    return np.where(greedy, w.argmax(axis=1), (c > bar[:, None]).argmax(axis=1))
+    picks = _argmax_rows(w, relative)
+    if len(roulette):
+        c = w.take(roulette, axis=0).cumsum(axis=1)
+        total = c[:, -1]
+        bar = np.minimum(r * total, np.nextafter(total, 0.0))
+        picks[roulette] = (c > bar[:, None]).argmax(axis=1)
+    return picks
 
 
 def _local_deposit(variant: str, n: int, l_plus: int, tau0: float) -> float:
@@ -260,11 +275,16 @@ def _repeats(keys: np.ndarray) -> tuple[list[int], list[int]] | None:
     """For each distinct value of `keys`, the position of its first
     occurrence and how often it occurs; None when no value repeats."""
     seen = keys.tolist()
-    first = dict(zip(reversed(seen), range(len(seen) - 1, -1, -1)))
-    if len(first) == len(seen):
+    first, times = {}, {}
+    for k, key in enumerate(seen):
+        if key in times:
+            times[key] += 1
+        else:
+            first[key] = k
+            times[key] = 1
+    if len(times) == len(seen):
         return None
-    counts = Counter(seen)
-    return list(first.values()), [counts[key] for key in first]
+    return list(first.values()), list(times.values())
 
 
 def _relax(
@@ -362,13 +382,18 @@ def run(
     sizes = np.array([len(c) for c in instance.clusters])
     grouped = np.concatenate(instance.cluster_arrays)  # node ids cluster by cluster
     offsets = np.cumsum(sizes) - sizes
+    # members[c]: the nodes of cluster c, padded to the largest cluster's
+    # size by repeating its first node
+    col = np.arange(sizes.max())
+    members = grouped[offsets[:, None] + np.where(col < sizes[:, None], col, 0)]
     n, p, ants = instance.n, instance.p, params.num_ants
     tau_flat, weight_flat = tau.ravel(), weight.ravel()
-    left = np.empty((ants, p))  # 1.0 on each ant's unvisited clusters, else 0.0
-    left_flat = left.ravel()
-    ant_rows = np.arange(ants) * p  # flat index of each ant's row of `left`
+    mask = np.empty((ants, n))  # 1.0 on the nodes of each ant's unvisited clusters, else 0.0
+    mask_flat = mask.ravel()
+    ant_rows = np.arange(ants)[:, None] * n  # flat index of each ant's row of `mask`
     path = np.empty((p, ants), dtype=np.int64)  # path[s] holds every ant's node s
-    successor = np.roll(np.arange(p), -1)
+    steps = np.arange(p)
+    successor = np.roll(steps, -1)
     keep = 1.0 - rho
     above_max = False  # some write of this iteration went above tau_max
 
@@ -422,18 +447,26 @@ def run(
         start_cluster = (draws[0, :, 0] * p).astype(np.int64)
         start = grouped[offsets[start_cluster]
                         + (draws[0, :, 1] * sizes[start_cluster]).astype(np.int64)]
-        left.fill(1.0)
-        left_flat[ant_rows + start_cluster] = 0.0
+        # the ants that explore (q > q0) at step s are roulette[bounds[s - 1]:bounds[s]],
+        # with their r at the same positions of r_all
+        explore = draws[1:, :, 0] > q0
+        step_of, roulette = explore.nonzero()
+        r_all = draws[1:, :, 1][explore]
+        bounds = np.searchsorted(step_of, steps).tolist()
+        mask.fill(1.0)
         path[0] = cur = start
+        cur_n = cur * n
         above_max = False
-        for s, (greedy, r) in enumerate(zip(draws[1:, :, 0] <= q0, draws[1:, :, 1]), 1):
-            mask = left.take(cluster_of, axis=1)
+        for s, lo, hi in zip(range(1, p), bounds, bounds[1:]):
+            # mask the cluster each ant is in: its start, then the one it entered last
+            mask_flat[ant_rows + members.take(cluster_of.take(cur), axis=0)] = 0.0
             w = weight.take(cur, axis=0)
             w *= mask
-            nxt = _pick_rows(w, greedy, r, rescue)
-            write(*edges(cur, nxt), local_add)
-            left_flat[ant_rows + cluster_of.take(nxt)] = 0.0
+            nxt = _pick_rows(w, roulette[lo:hi], r_all[lo:hi], rescue)
+            nxt_n = nxt * n  # edges(cur, nxt), with cur * n kept from the last step
+            write(cur_n + nxt, nxt_n + cur if symmetric else None, local_add)
             path[s] = cur = nxt
+            cur_n = nxt_n
         write(*edges(cur, start), local_add)
         lengths = cost[path, path[successor]].sum(axis=0)
 

@@ -25,7 +25,7 @@ from gtsp import (
     tour_cost,
     validate_tour,
 )
-from gtsp.aco import _pick_rows, _relative_weights, _running_sums, _visibility_lookup
+from gtsp.aco import _argmax_rows, _pick_rows, _relative_weights, _visibility_lookup
 from gtsp.instance import CostMatrix, GtspInstance
 
 from oracles import brute_force_best_for_order, brute_force_optimum, random_matrix_instance
@@ -260,12 +260,14 @@ def test_criterion_8_transition_rule_statistics():
         return _relative_weights(inst.costs.cost[[0]], tau[[0]], mask[None], beta)
 
     w = block(1)
-    sums = _running_sums(w, relative)
+    _argmax_rows(w, relative)
+    sums = w.cumsum(axis=1)
     expected = dict(zip(cand.tolist(), (w[0, cand] / sums[0, -1]).tolist()))
     assert sum(expected.values()) == pytest.approx(1.0, abs=1e-12)
 
     q, r = rng.random((2, draws))
-    picks = _pick_rows(block(draws), q <= 0.0, r, relative)
+    roulette = np.flatnonzero(q > 0.0)
+    picks = _pick_rows(block(draws), roulette, r[roulette], relative)
     counts = {v: int((picks == v).sum()) for v in (1, 2, 3)}
     within = True
     detail_parts = []
@@ -277,7 +279,9 @@ def test_criterion_8_transition_rule_statistics():
 
     argmax_node = max(expected, key=expected.get)
     q, r = rng.random((2, 1000))
-    greedy_hits = int((_pick_rows(block(1000), q <= 1.0, r, relative) == argmax_node).sum())
+    roulette = np.flatnonzero(q > 1.0)
+    picks = _pick_rows(block(1000), roulette, r[roulette], relative)
+    greedy_hits = int((picks == argmax_node).sum())
     ok = within and greedy_hits == 1000
     report(
         8,

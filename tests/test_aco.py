@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -14,6 +16,7 @@ from gtsp import (
     PheromoneMatrix,
     evaporation_reinit,
     exact_solve,
+    generate_instance,
     load_instance_file,
     make_tour,
     nn_reference_cost,
@@ -24,13 +27,13 @@ from gtsp import (
 
 import gtsp.aco
 from gtsp.aco import (
+    _argmax_rows,
     _global_deposit,
     _local_deposit,
     _pick_rows,
     _relative_weights,
     _relax,
     _repeats,
-    _running_sums,
     _visibility_lookup,
 )
 
@@ -83,16 +86,20 @@ def rescue(instance, tau, current, cand, beta):
 
 
 def distribution(instance, tau, current, cand, beta) -> dict[int, float]:
+    """The roulette's probabilities: the row's weights, rescued in place if
+    all underflowed, over their running sum."""
     w = step_weights(instance, tau, current, cand, beta)
-    sums = _running_sums(w, rescue(instance, tau, current, cand, beta))
+    _argmax_rows(w, rescue(instance, tau, current, cand, beta))
+    sums = w.cumsum(axis=1)
     return {int(u): float(pr) for u, pr in zip(cand, w[0, cand] / sums[0, -1])}
 
 
 def pick(instance, tau, current, cand, beta, q0, rng) -> int:
     """One step's pick, drawing q and then r from `rng` as `run` does."""
     q, r = rng.random(2)
+    roulette = np.flatnonzero([q > q0])
     return int(_pick_rows(
-        step_weights(instance, tau, current, cand, beta), np.array([q <= q0]), np.array([r]),
+        step_weights(instance, tau, current, cand, beta), roulette, np.array([r])[roulette],
         rescue(instance, tau, current, cand, beta),
     )[0])
 
@@ -266,7 +273,9 @@ class TestRowPick:
         w = np.array([row for row, *_ in self.ROWS])
         greedy = q <= q0
         n = len(self.ROWS)
-        picks = _pick_rows(w.copy(), np.full(n, greedy), np.full(n, r), lambda rows: pytest.fail())
+        roulette = np.arange(0 if greedy else n)
+        picks = _pick_rows(w.copy(), roulette, np.full(len(roulette), r),
+                           lambda rows: pytest.fail())
         assert ((0 <= picks) & (picks < w.shape[1])).all()
         assert (w[np.arange(n), picks] > 0).all()
         column = 1 if greedy else 2 if r == 0.0 else 3
@@ -283,12 +292,63 @@ class TestRowPick:
             rescued.append(rows.tolist())
             return np.array([[0.0, 0.0, 0.25, 0.0, 0.5]])
 
-        picks = _pick_rows(w, np.full(2, 0.5 <= q0), np.full(2, r), relative)
+        roulette = np.arange(0 if 0.5 <= q0 else 2)
+        picks = _pick_rows(w, roulette, np.full(len(roulette), r), relative)
         assert rescued == [[True, False]]  # the other row keeps its weights
         if q0 == 1.0:
             assert picks.tolist() == [4, 1]
         else:
             assert picks.tolist() == ([2, 1] if r == 0.0 else [4, 4])
+
+    @staticmethod
+    def inverse_cdf(row, r):
+        """The roulette pick of one row by a plain running sum in Python
+        floats, as `tests/oracles.py` takes it."""
+        sums = list(itertools.accumulate(row))
+        bar = min(r * sums[-1], math.nextafter(sums[-1], 0.0))
+        return next(k for k, total in enumerate(sums) if total > bar)
+
+    BLOCK = [
+        [0.0, 0.3, 0.1, 0.0, 0.6],
+        [0.2, 0.0, 0.0, 0.5, 0.3],
+        [0.0, 0.0, 0.9, 0.1, 0.0],
+        [0.4, 0.4, 0.0, 0.0, 0.2],
+    ]
+
+    @pytest.mark.parametrize("roulette", [[], [0], [1, 3], [0, 2, 3], [0, 1, 2, 3]])
+    def test_roulette_rows_take_their_own_draws(self, roulette):
+        # [] is a block whose rows are all greedy, [0, 1, 2, 3] one whose
+        # rows all explore; row 3's argmax is node 0, at a positive weight
+        w = np.array(self.BLOCK)
+        rs = np.array([0.9, 0.05, self.LAST, 0.0][:len(roulette)])
+        picks = _pick_rows(w.copy(), np.array(roulette, dtype=int), rs,
+                           lambda rows: pytest.fail())
+        expected = [4, 3, 2, 0]  # the argmax of each row, ties to the lowest id
+        for k, r in zip(roulette, rs):
+            expected[k] = self.inverse_cdf(self.BLOCK[k], r)
+        assert picks.tolist() == expected
+
+    @pytest.mark.parametrize("rescued_greedy", [True, False])
+    @pytest.mark.parametrize("other_greedy", [True, False])
+    @pytest.mark.parametrize("r", [0.0, 0.5, LAST])
+    def test_rescued_row_beside_a_normal_one(self, rescued_greedy, other_greedy, r):
+        # row 0 underflowed on candidates 2 and 4; row 1 has its own
+        # weights, the largest at node 0, which must not count as a rescue
+        w = np.array([[0.0, 0.0, 0.0, 0.0, 0.0], [0.5, 0.25, 0.0, 0.0, 0.25]])
+        rescue = [0.0, 0.0, 0.25, 0.0, 0.5]
+        rescued = []
+
+        def relative(rows):
+            rescued.append(rows.tolist())
+            return np.array([rescue])
+
+        roulette = [k for k, greedy in enumerate((rescued_greedy, other_greedy)) if not greedy]
+        picks = _pick_rows(w, np.array(roulette, dtype=int), np.full(len(roulette), r), relative)
+        assert rescued == [[True, False]]
+        assert picks.tolist() == [
+            4 if rescued_greedy else self.inverse_cdf(rescue, r),
+            0 if other_greedy else self.inverse_cdf([0.5, 0.25, 0.0, 0.0, 0.25], r),
+        ]
 
 
 class TestRepeats:
@@ -849,6 +909,18 @@ class TestReferenceEquivalence:
                      AcoParams(num_ants=3, max_iterations=8, seed=3))
         for inst, params in (one_ant, two_nodes):
             assert traced_run(inst, params) == traced_reference(inst, params)
+
+    @pytest.mark.parametrize("q0", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("variant", ["acs", "racs"])
+    def test_colony_large_in_miniature(self, variant, q0):
+        # the colony-large benchmark scaled down: a generated EUC_2D instance
+        # with tens of clusters of unequal sizes, costs small enough for the
+        # visibility table, ten ants
+        _, inst = generate_instance(200, 40, seed=1)
+        assert len({len(c) for c in inst.clusters}) > 5
+        assert inst.costs.cost.max() < inst.n ** 2
+        params = AcoParams(variant=variant, q0=q0, num_ants=10, max_iterations=2, seed=7)
+        assert traced_run(inst, params) == traced_reference(inst, params)
 
     def test_eil51_benchmark_seeds(self, data_dir):
         inst = load_instance_file(data_dir / "eil51.tsp")
