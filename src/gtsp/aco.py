@@ -39,9 +39,10 @@ do not divide by zero.
 `run` keeps a weight matrix, trail times visibility^beta, next to the trails
 and rewrites an entry at every trail write, so a step gathers each ant's
 weights from one row. Visibility^beta comes from a table indexed by integer
-cost value; only instances whose largest cost reaches n^2 keep an n x n
-visibility matrix instead. Every trail write, local or global, goes through
-one relaxation (`_relax`). Trails change only through these writes, so `run`
+cost value, and the weights start as that table times tau0, gathered in row
+blocks with no n x n temporary; only instances whose largest cost reaches
+n^2 keep an n x n visibility matrix instead. Every trail write, local or
+global, goes through one relaxation (`_relax`). Trails change only through these writes, so `run`
 calls `evaporation_reinit` only in an iteration where some write went above
 tau_max, and refreshes the weights of the entries it reset.
 
@@ -185,25 +186,48 @@ def _visibility_pow(cost: np.ndarray, beta: float) -> np.ndarray:
     return (1.0 / np.maximum(cost, 1)) ** beta
 
 
-def _visibility_lookup(cost: np.ndarray, beta: float):
-    """Visibility^beta of the edges of `cost` as `(at, where)`: `at(e)` gives
-    the values of the edges at flat indices `e` (i * n + j), `where(mask)`
-    those of the edges a bool mask (or `...`) selects, both equal to the
-    entries of `_visibility_pow(cost, beta)`.
+# Cells per row block of the gather that seeds `run`'s weights: its index and
+# output buffers stay near 512 KiB each whatever n is.
+_GATHER_CELLS = 1 << 16
 
-    The values come from a table over the integer cost values 0..max cost, so
-    no n x n matrix is built (`ravel` copies only a non-contiguous `cost`). A
-    table longer than n^2 would outgrow the matrix (and could exhaust memory at
-    costs like 2^40); only in that case the n x n matrix is computed directly.
+
+def _visibility_lookup(cost: np.ndarray, beta: float, max_cost: int, scale: float = 1.0):
+    """Visibility^beta of the edges of `cost`, whose largest entry is
+    `max_cost`, as `(at, where)`: `at(e)` gives the values of the edges at
+    flat indices `e` (i * n + j), equal to the entries of
+    `_visibility_pow(cost, beta)`; `where(mask)` gives `scale` times those of
+    the edges a bool mask (or `...`) selects, each the float64 product of the
+    two.
+
+    The values come from a table over the integer cost values 0..max cost
+    (and one pre-multiplied by `scale`), so no n x n matrix is built:
+    `where(...)` gathers its result row block by row block, with
+    block-sized temporaries only. A table longer than n^2 would outgrow the
+    matrix (and could exhaust memory at costs like 2^40); only in that case
+    the n x n matrix is computed directly.
     """
     n = cost.shape[0]
-    max_cost = int(cost.max())
     if max_cost + 1 <= n * n:
         table = _visibility_pow(np.arange(max_cost + 1), beta)
+        scaled = table * scale
         flat = cost.ravel()
-        return (lambda e: table[flat[e]]), (lambda mask: table[cost[mask]])
+
+        def where(mask):
+            if mask is not ...:
+                return scaled[cost[mask]]
+            out = np.empty((n, n))
+            rows = max(1, _GATHER_CELLS // n)
+            for lo in range(0, n, rows):
+                # every cost lies in 0..max_cost, so "clip" moves no index;
+                # unlike "raise" it writes into `out` without a buffer
+                np.take(scaled, cost[lo:lo + rows], out=out[lo:lo + rows], mode="clip")
+            return out
+
+        # numpy indexes with a narrower index array more slowly than it casts
+        # the few costs of a write to intp
+        return (lambda e: table[flat[e].astype(np.intp, copy=False)]), where
     eta = _visibility_pow(cost, beta)
-    return eta.ravel().__getitem__, eta.__getitem__
+    return eta.ravel().__getitem__, (lambda mask: eta[mask] * scale)
 
 
 def _relative_weights(
@@ -374,9 +398,9 @@ def run(
     tau, tau0, tau_max = pheromone.tau, pheromone.tau0, pheromone.tau_max
     cost = instance.costs.cost
     beta, q0, rho, variant = params.beta, params.q0, params.rho, params.variant
-    eta_at, eta_where = _visibility_lookup(cost, beta)
+    eta_at, seeded = _visibility_lookup(cost, beta, instance.max_cost, tau0)
     # weight == tau * visibility^beta, entry by entry, after every write below
-    weight = eta_where(...) * tau0
+    weight = seeded(...)
     symmetric = instance.costs.symmetric
     cluster_of = instance.cluster_of
     sizes = np.array([len(c) for c in instance.clusters])
@@ -479,7 +503,7 @@ def run(
         # a write above tau_max can give the next one something to reset
         if above_max:
             reset = evaporation_reinit(pheromone)
-            weight[reset] = tau0 * eta_where(reset)
+            weight[reset] = seeded(reset)
         trace.append(incumbent.cost)
 
         if iteration_observer is not None:

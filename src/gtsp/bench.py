@@ -22,7 +22,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import InitVar, dataclass, field, fields, replace
+from dataclasses import MISSING, InitVar, dataclass, field, fields, replace
 from pathlib import Path
 
 from .aco import PARAMS, VARIANTS, AcoParams, RunResult, check, declared, param, run
@@ -66,6 +66,39 @@ def solve(
     return result
 
 
+@dataclass(frozen=True)
+class GeneratorSpec:
+    """A random instance, `generate_instance`'s arguments, each declared once
+    with its bound and `gtsp gen` flag: the `gtsp gen` flags and the keys of
+    a generator spec in `ExperimentConfig.instances` are made from these
+    fields. A field without a default is required. `where` names the spec in
+    an error (`instances[i]` in a config)."""
+
+    nodes: int = param(bound=0, flag="--nodes", metavar="N")
+    clusters: int = param(bound=0, flag="--clusters", metavar="P")
+    seed: int = param(0, 0, "--seed", "S")
+    where: InitVar[str] = ""
+
+    def __post_init__(self, where: str) -> None:
+        for f, hint in GENERATOR:
+            check(f"{where}.{f.name}" if where else f.name, getattr(self, f.name), hint,
+                  f.metadata["bound"])
+        try:
+            check_cluster_count(self.clusters, self.nodes)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}" if where else str(exc)) from None
+
+    def generate(self):
+        """The coordinates and instance of `generate_instance`."""
+        return generate_instance(self.nodes, self.clusters, self.seed)
+
+
+GENERATOR = declared(GeneratorSpec)
+# the keys a generator spec must have and those it may leave out, in field order
+_SPEC_REQUIRED = [f.name for f, _ in GENERATOR if f.default is MISSING]
+_SPEC_OPTIONAL = [f.name for f, _ in GENERATOR if f.default is not MISSING]
+
+
 # config key -> (field, type) of each colony parameter: the AcoParams fields
 # declared with a `gtsp solve` flag, in field order
 COLONY_KEYS = {f.metadata["key"] or f.name: (f, h) for f, h in PARAMS if f.metadata["flag"]}
@@ -96,7 +129,7 @@ class ExperimentConfig:
     kept only as `params` (seeded with `base_seed`).
     """
 
-    instances: list = param()  # file paths (str) or generator specs {"nodes", "clusters", "seed"}
+    instances: list = param()  # file paths (str) or generator specs (`GeneratorSpec` keys)
     algorithms: list[str] = param(ALGORITHMS, ALGORITHMS)
     repetitions: int = param(5, 1)
     seeds: list[int] | None = param(None, 0)
@@ -111,16 +144,12 @@ class ExperimentConfig:
         if not self.instances:
             raise ValueError("config lists no instances")
         for i, spec in enumerate(self.instances):
-            if isinstance(spec, dict) and spec.keys() - {"seed"} == {"nodes", "clusters"}:
-                for key, value in spec.items():
-                    check(f"instances[{i}].{key}", value, int, 0)
-                try:
-                    check_cluster_count(spec["clusters"], spec["nodes"])
-                except ValueError as exc:
-                    raise ValueError(f"instances[{i}]: {exc}") from None
+            if isinstance(spec, dict) and spec.keys() - set(_SPEC_OPTIONAL) == set(_SPEC_REQUIRED):
+                GeneratorSpec(**spec, where=f"instances[{i}]")
             elif not isinstance(spec, str):
                 raise ValueError(f"instances[{i}] must be a path or a generator spec with keys"
-                                 f" nodes, clusters and optionally seed, got {spec!r}")
+                                 f" {', '.join(_SPEC_REQUIRED)} and optionally"
+                                 f" {', '.join(_SPEC_OPTIONAL)}, got {spec!r}")
         if self.seeds is not None and len(self.seeds) < self.repetitions:
             raise ValueError(f"{self.repetitions} repetitions need {self.repetitions} seeds,"
                              f" got {len(self.seeds)}")
@@ -271,7 +300,7 @@ def sidecar_optimum(path: str | Path) -> int | None:
 def _resolve_instance(spec) -> GtspInstance:
     if isinstance(spec, str):
         return load_instance_file(spec)
-    return generate_instance(spec["nodes"], spec["clusters"], spec.get("seed", 0))[1]
+    return GeneratorSpec(**spec).generate()[1]
 
 
 def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:

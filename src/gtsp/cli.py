@@ -3,13 +3,17 @@
 Subcommands: `solve` one instance with one algorithm, `bench` a configured
 experiment, `cluster` a raw TSPLIB file into a clustered instance file, and
 `gen` a random instance. Exit codes: 0 success, 1 usage error (an output path
-that cannot be written included), 2 instance error, 3 solver refusal.
+that cannot be written included), 2 instance error, 3 solver refusal. `solve`
+reports an allocation that fails as out of memory: exit 2 while the instance
+loads, 3 while the solver runs.
 
 `solve` and `bench` both run their solvers through `gtsp.bench.solve`. The
 colony flags of `solve` are made from the `AcoParams` field declarations
 (flag, metavar, type, default), in field order, and are checked by `AcoParams`
 before the instance is read, for every `--algo`; with neither `--time-max` nor
-`--max-iters`, a colony gets the benchmark budget `DEFAULT_TIME_MAX`.
+`--max-iters`, a colony gets the benchmark budget `DEFAULT_TIME_MAX`. The
+flags of `gen` are made the same way from the `gtsp.bench.GeneratorSpec`
+fields, which also declare the generator-spec keys of a `bench` config.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import MISSING
 from pathlib import Path
 
 from .aco import AcoParams, base_type
@@ -28,20 +33,16 @@ from .bench import (
     ALGORITHMS,
     COLONY_KEYS,
     DEFAULT_TIME_MAX,
+    GENERATOR,
     ExperimentConfig,
+    GeneratorSpec,
     emit_table,
     load_instance_file,
     run_experiment,
     solve,
 )
 from .exact import CellCapExceeded
-from .instance import (
-    cluster_instance,
-    euc2d_costs,
-    format_clustered,
-    generate_instance,
-    parse_tsplib,
-)
+from .instance import cluster_instance, euc2d_costs, format_clustered, parse_tsplib
 
 EXIT_USAGE = 1
 EXIT_INSTANCE = 2
@@ -62,9 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd.set_defaults(handler=_cmd_solve)
     solve_cmd.add_argument("file", help="TSPLIB or clustered instance file")
     solve_cmd.add_argument("--algo", required=True, choices=ALGORITHMS)
-    for f, hint in COLONY_KEYS.values():
-        solve_cmd.add_argument(f.metadata["flag"], dest=f.name, type=base_type(hint),
-                               default=f.default, metavar=f.metadata["metavar"])
+    _add_flags(solve_cmd, COLONY_KEYS.values())
     group = solve_cmd.add_mutually_exclusive_group()
     group.add_argument("--clusters", type=int, default=None, metavar="M",
                        help="cluster a raw TSPLIB file into M sets")
@@ -85,12 +84,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a random Euclidean instance")
     gen.set_defaults(handler=_cmd_gen)
-    gen.add_argument("--nodes", type=int, required=True, metavar="N")
-    gen.add_argument("--clusters", type=int, required=True, metavar="P")
-    gen.add_argument("--seed", type=int, default=0, metavar="S")
+    _add_flags(gen, GENERATOR)
     gen.add_argument("--out", default=None, metavar="PATH")
 
     return parser
+
+
+def _add_flags(cmd, declared_fields) -> None:
+    """One flag per declared `(field, type)`, with the flag, metavar and
+    default of its declaration; a field without a default is a required flag."""
+    for f, hint in declared_fields:
+        required = f.default is MISSING
+        cmd.add_argument(f.metadata["flag"], dest=f.name, type=base_type(hint),
+                         required=required, default=None if required else f.default,
+                         metavar=f.metadata["metavar"])
 
 
 def _cannot_write(cmd: str, path, exc: OSError) -> int:
@@ -144,6 +151,12 @@ def _format_solution(record: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
+def _out_of_memory(doing: str, exc: MemoryError, status: int) -> int:
+    """Report an allocation that failed while `doing`, without a traceback."""
+    print(f"gtsp solve: out of memory {doing}: {exc}", file=sys.stderr)
+    return status
+
+
 def _cmd_solve(args) -> int:
     values = {f.name: getattr(args, f.name) for f, _ in COLONY_KEYS.values()}
     if values["time_max"] is None and values["max_iterations"] is None:
@@ -163,11 +176,15 @@ def _cmd_solve(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"gtsp solve: {exc}", file=sys.stderr)
         return EXIT_INSTANCE
+    except MemoryError as exc:
+        return _out_of_memory(f"loading {args.file}", exc, EXIT_INSTANCE)
     try:
         result = solve(instance, args.algo, params)
     except CellCapExceeded as exc:
         print(f"gtsp solve: {exc}", file=sys.stderr)
         return EXIT_REFUSAL
+    except MemoryError as exc:
+        return _out_of_memory(f"running {args.algo} on {instance.name}", exc, EXIT_REFUSAL)
     record = {"problem": instance.name, "algo": args.algo, **result.to_dict()}
     return _write_output("solve", _format_solution(record, args.format), args.out)
 
@@ -213,7 +230,8 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_gen(args) -> int:
     try:
-        coords, instance = generate_instance(args.nodes, args.clusters, args.seed)
+        coords, instance = GeneratorSpec(**{f.name: getattr(args, f.name)
+                                            for f, _ in GENERATOR}).generate()
     except ValueError as exc:
         print(f"gtsp gen: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .construct import Tour, make_tour
-from .instance import GtspInstance
+from .instance import GtspInstance, cost_dtype
 
 # Cells of the subset DP table, 64/128/256 MiB at int16/int32/int64: admits
 # n=80/p=16, refuses n=100/p=20.
@@ -61,8 +61,9 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
     Forward dynamic programming over the layers, one start per node of the
     first cluster, O(sum_l |V_l|*|V_{l+1}|) per start, in start-row chunks
     that bound each step's temporary in bytes as in `exact_solve`. Sums are
-    int64 and exact (`check_tour_sums` admits the instance first). Ties
-    resolve to the lowest start node, then the lowest member index per layer.
+    int64 whatever the cost type, and exact (`check_tour_sums` admits the
+    instance first). Ties resolve to the lowest start node, then the lowest
+    member index per layer.
     """
     seq = _check_sequence(instance, order)
     instance.check_tour_sums()
@@ -72,14 +73,16 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
     starts = layers[0]
     s = len(starts)
 
-    dist = cost[np.ix_(starts, layers[1])]  # dist[a, j]: start a, then node j of layer 1
+    # dist[a, j]: start a, then node j of layer 1; int64, so no sum with a
+    # cost wraps in the narrower cost type
+    dist = cost[np.ix_(starts, layers[1])].astype(np.int64)
     parents: list[np.ndarray] = []
     for l in range(1, len(layers) - 1):
         block = cost[np.ix_(layers[l], layers[l + 1])]
         parent = np.empty((s, block.shape[1]), dtype=np.intp)
         reached = np.empty((s, block.shape[1]), dtype=np.int64)
         # start-row chunks keep the (chunk, |V_l|, |V_l+1|) int64 temporary near _STEP_BYTES
-        chunk = max(1, _STEP_BYTES // block.nbytes)
+        chunk = max(1, _STEP_BYTES // (block.size * dist.itemsize))
         for r in range(0, s, chunk):
             stacked = dist[r : r + chunk, :, None] + block
             stacked.argmin(axis=1, out=parent[r : r + chunk])
@@ -149,7 +152,7 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
 
     s, width = len(starts), len(order)
     bound = instance.max_cost * instance.p
-    cell = next(t for t in (np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+    cell = cost_dtype(bound)
     # No sum wraps. Costs lie in [0, max_cost] (CostMatrix refuses negatives)
     # and `cell` holds max_cost * p. A real value is a path of at most p-1
     # edges, so at most max_cost * (p-1) <= iinfo(cell).max - max_cost =
@@ -189,7 +192,7 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
                 np.add(gathered[:, None, :], into, out=step)
                 rows[tgt_rows[r : r + chunk], lo:hi] = step.min(axis=2)
 
-    totals = dp[full] + cost[np.ix_(order, starts)].T  # int64
+    totals = dp[full].astype(np.int64) + cost[np.ix_(order, starts)].T
     best = totals.min()
     a = int(np.flatnonzero(totals.min(axis=1) == best)[0])  # starts ascend by id
     ends = np.flatnonzero(totals[a] == best)

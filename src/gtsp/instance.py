@@ -5,10 +5,14 @@ nodes are partitioned into clusters; a feasible tour visits exactly one node
 per cluster. Instances are immutable after construction and safe to share
 read-only across concurrent solver runs.
 
+Costs are stored in the narrowest of int16/int32/int64 that holds the largest
+cost (`cost_dtype`); TSPLIB EUC_2D costs on a 1000 x 1000 grid fit int16, so
+a matrix takes 2 bytes per node pair. No sum of costs is taken in that type:
+tour costs sum in int64, and the solvers widen before they add.
 Loading a raw TSPLIB file (`parse_tsplib`, `euc2d_costs`, `cluster_instance`)
-holds one n x n int64 matrix at a time: costs are computed in row blocks into
-the matrix, `CostMatrix` keeps that array as a read-only view instead of
-copying it, and clustering reads it in place.
+holds one n x n matrix at a time: costs are computed in row blocks into the
+matrix, `CostMatrix` keeps that array as a read-only view instead of copying
+it, and clustering reads it in place.
 """
 
 from __future__ import annotations
@@ -51,35 +55,47 @@ class NodeCoords:
         return self.points.shape[0]
 
 
+# The cost types, narrowest first, with the largest value each holds.
+_COST_TYPES = [(t, int(np.iinfo(t).max)) for t in (np.int16, np.int32, np.int64)]
+
+
+def cost_dtype(max_cost: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds `max_cost`."""
+    for t, top in _COST_TYPES:
+        if max_cost <= top:
+            return t
+    raise CostOverflowError(f"largest cost {max_cost} does not fit in int64")
+
+
 @dataclass(frozen=True)
 class CostMatrix:
     """Complete n x n matrix of non-negative integer edge costs, zero diagonal.
 
-    The `symmetric` flag is computed from the data, never trusted from input.
-    An int64 array is kept as a read-only view, not copied: it shares memory
-    with the caller's array, so the caller must not write to it afterwards.
-    Other integer arrays, and floats holding integers, are converted.
+    The costs are stored in `cost_dtype` of the largest one. The `symmetric`
+    flag is computed from the data, never trusted from input. An array
+    already in that type is kept as a read-only view, not copied: it shares
+    memory with the caller's array, so the caller must not write to it
+    afterwards. Other integer arrays, and floats holding integers, are
+    converted.
     """
 
-    cost: np.ndarray  # shape (n, n), int64, read-only
+    cost: np.ndarray  # shape (n, n), int16/int32/int64, read-only
     symmetric: bool = field(init=False)
 
     def __post_init__(self) -> None:
         c = np.asarray(self.cost)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"cost matrix must be square, got shape {c.shape}")
-        if c.dtype == np.int64:
-            c = c.view()
-        elif np.issubdtype(c.dtype, np.integer):
-            c = c.astype(np.int64)
-        else:
+        if c.dtype.kind not in "iu":
             as_int = c.astype(np.int64)
             if not np.array_equal(as_int, c):
                 raise ValueError("costs must be integers")
             c = as_int
-        c.flags.writeable = False
         if c.size and c.min() < 0:
             raise ValueError("costs must be non-negative")
+        narrow = cost_dtype(int(c.max()) if c.size else 0)
+        c = c.view() if c.dtype == narrow else c.astype(narrow)
+        c.flags.writeable = False
         if np.diagonal(c).any():
             raise ValueError("diagonal costs must be zero")
         object.__setattr__(self, "cost", c)
@@ -91,7 +107,8 @@ class CostMatrix:
 
 
 # Side of the square tiles `_is_symmetric` compares: a tile and its mirror
-# (2 x 512 KiB of int64) stay in cache while they are compared.
+# (2 x 128 KiB at int16, 2 x 512 KiB at int64) stay in cache while they are
+# compared.
 _SYMMETRY_TILE = 256
 
 
@@ -268,7 +285,8 @@ def _parse_coords(
 # stay near 2^17 pairs (a few MB) instead of growing as n^2.
 _EUC2D_BLOCK_PAIRS = 1 << 17
 
-# Distances are cast to int64; 2^63 is the first float that does not fit.
+# Distances are cast to an integer type; 2^63 is the first float that no
+# int64 holds.
 _INT64_LIMIT = float(2**63)
 _INT64_MAX = 2**63 - 1
 
@@ -277,11 +295,15 @@ def euc2d_costs(coords: NodeCoords) -> CostMatrix:
     """Integer Euclidean costs: nearest-integer distances, halves rounding up.
 
     Each cost is `floor(sqrt(dx*dx + dy*dy) + 0.5)` in float64, computed in
-    row blocks from the x and y columns and written straight into the int64
+    row blocks from the x and y columns and written straight into the
     matrix, so the temporaries stay a few MB whatever n is. Only the blocks
-    on and above the diagonal are computed; the rest is their mirror. Raises
-    `CostOverflowError` before any n^2 work when the bounding box's diagonal,
-    which bounds every distance, does not fit in int64.
+    on and above the diagonal are computed; the rest is their mirror. The
+    bounding box's diagonal bounds every distance, so the matrix is
+    allocated in its `cost_dtype` and no cast wraps (`CostMatrix` narrows
+    it with one copy in the rare case that no pair spans nearly the whole
+    diagonal and the largest cost fits a narrower type). Raises
+    `CostOverflowError` before any n^2 work when that diagonal does not fit
+    in int64.
     """
     pts = coords.points
     n = len(pts)
@@ -295,7 +317,7 @@ def euc2d_costs(coords: NodeCoords) -> CostMatrix:
         raise CostOverflowError(
             f"coordinates span {span_x:g} x {span_y:g}; their distances overflow int64 costs"
         )
-    cost = np.empty((n, n), dtype=np.int64)
+    cost = np.empty((n, n), dtype=cost_dtype(int(longest)))
     rows = max(1, _EUC2D_BLOCK_PAIRS // n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)

@@ -140,8 +140,9 @@ _REF_STEP_CELLS = 2**16
 
 
 def reference_exact_solve(instance: GtspInstance) -> Tour:
-    """Optimal tour by the original mask-by-mask subset DP (no cell cap)."""
-    cost = instance.costs.cost
+    """Optimal tour by the original mask-by-mask subset DP (no cell cap), in
+    int64 whatever type the instance stores its costs in."""
+    cost = instance.costs.cost.astype(np.int64)
     if int(cost.max()) * instance.p > np.iinfo(np.int64).max:
         raise ValueError("costs too large for exact int64 tour sums")
 

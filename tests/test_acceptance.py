@@ -249,7 +249,7 @@ def test_criterion_8_transition_rule_statistics():
     # visibility^beta) and its pick rule
     cand = np.flatnonzero(inst.cluster_of != inst.cluster_of[0])
     beta = 1.0
-    _, eta_where = _visibility_lookup(inst.costs.cost, beta)
+    _, eta_where = _visibility_lookup(inst.costs.cost, beta, inst.max_cost)
     mask = (inst.cluster_of != inst.cluster_of[0]) * 1.0
     draws = 100_000
 

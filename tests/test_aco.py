@@ -71,7 +71,7 @@ def step_weights(instance, tau, current, cand, beta):
     """The (1, n) weight row `run` gathers from `current`: trail times
     visibility^beta (from `_visibility_lookup`, as in `run`) on `cand`, 0.0
     on the nodes of visited clusters."""
-    _, eta_where = _visibility_lookup(instance.costs.cost, beta)
+    _, eta_where = _visibility_lookup(instance.costs.cost, beta, instance.max_cost)
     row = np.zeros((1, instance.n))
     row[0, cand] = tau[current, cand] * eta_where(...)[current, cand]
     return row

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import gtsp.bench
@@ -11,6 +13,7 @@ import gtsp.cli
 from gtsp import (
     AcoParams,
     ExperimentConfig,
+    NodeCoords,
     dp_cell_count,
     exact_solve,
     format_clustered,
@@ -174,6 +177,59 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "refusing" in proc.stderr
         assert f"{dp_cell_count(inst)} DP cells" in proc.stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak")
+class TestOutOfMemory:
+    """`gtsp solve` in a child process whose address space is capped with
+    RLIMIT_AS; nothing outside that child is limited. The cap is the child's
+    own footprint after importing gtsp, plus a margin."""
+
+    ENV = {**os.environ, "PYTHONPATH": str(Path(gtsp.cli.__file__).resolve().parents[1]),
+           "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+    @pytest.fixture(scope="class")
+    def big_file(self, tmp_path_factory):
+        # n = 4000: a 30.5 MiB int16 cost matrix, then 122 MiB for each
+        # n x n float64 array of a colony
+        n, p = 4000, 800
+        flat = np.random.default_rng(0).choice(1000 * 1000, size=n, replace=False)
+        coords = NodeCoords(np.stack([flat % 1000, flat // 1000], axis=1).astype(float))
+        path = tmp_path_factory.mktemp("big") / "big.gtsp"
+        path.write_text(format_clustered("800BIG4000", coords,
+                                         tuple(tuple(range(k, n, p)) for k in range(p))))
+        return path
+
+    @pytest.fixture(scope="class")
+    def footprint(self):
+        """Bytes of address space the CLI's child holds once gtsp is imported."""
+        probe = ("import gtsp.cli; print([l.split()[1] for l in open('/proc/self/status')"
+                 " if l.startswith('VmPeak')][0])")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=self.ENV, check=True)
+        return int(proc.stdout) << 10
+
+    def solve_capped(self, path, limit):
+        import resource  # POSIX only, like preexec_fn
+
+        return subprocess.run(
+            [sys.executable, "-m", "gtsp.cli", "solve", str(path), "--algo", "racs",
+             "--max-iters", "1"],
+            capture_output=True, text=True, env=self.ENV,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+
+    def test_while_loading_is_an_instance_error(self, big_file, footprint):
+        proc = self.solve_capped(big_file, footprint + (12 << 20))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"gtsp solve: out of memory loading {big_file}: ")
+        assert "Traceback" not in proc.stderr
+
+    def test_while_solving_is_a_refusal(self, big_file, footprint):
+        proc = self.solve_capped(big_file, footprint + (80 << 20))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith("gtsp solve: out of memory running racs on 800BIG4000: ")
+        assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
 class TestClusterCommand:

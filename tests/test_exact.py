@@ -336,7 +336,8 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(seed)
         base = random_matrix_instance(11, 5, rng, symmetric=bool(seed % 2), high=30)
         inst = GtspInstance(
-            name="x", costs=CostMatrix(base.costs.cost * scale), clusters=base.clusters
+            name="x", costs=CostMatrix(base.costs.cost.astype(np.int64) * scale),
+            clusters=base.clusters,
         )
         tour = exact_solve(inst)
         assert tour.to_json() == reference_exact_solve(inst).to_json()

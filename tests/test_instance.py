@@ -29,6 +29,12 @@ from gtsp.bench import load_instance_file
 
 from oracles import reference_clusters, reference_euc2d_costs, reference_partition
 
+
+def narrowest(top: int) -> type:
+    """The narrowest of int16, int32 and int64 that holds `top`."""
+    return np.int16 if top < 2**15 else np.int32 if top < 2**31 else np.int64
+
+
 MINIMAL_TSP = """\
 NAME : tiny
 DIMENSION : 3
@@ -131,7 +137,7 @@ class TestEuc2dCosts:
                  for b, (bx, by) in enumerate(pts.tolist())]
                 for a, (ax, ay) in enumerate(pts.tolist())
             ]
-            assert cost.dtype == np.int64
+            assert cost.dtype == narrowest(max(map(max, expected)))
             assert cost.tolist() == expected
 
     def test_temporaries_are_bounded(self):
@@ -141,10 +147,12 @@ class TestEuc2dCosts:
         costs = euc2d_costs(coords)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # one int64 matrix of 8 * n^2 bytes, which CostMatrix keeps without
-        # copying; a copy would add 32 MB and an (n, n, 2) float temporary 64 MB
+        # one int16 matrix of 2 * n^2 bytes, which CostMatrix keeps without
+        # copying; a copy would add 8 MB, an int64 matrix 32 MB and an
+        # (n, n, 2) float temporary 64 MB
         assert costs.cost.shape == (n, n)
-        assert peak < 8 * n * n + (16 << 20)
+        assert costs.cost.dtype == np.int16
+        assert peak < costs.cost.nbytes + (16 << 20)
 
     def test_overflowing_coordinates_raise_named_error(self):
         coords = NodeCoords(np.array([[1e19, 0.0], [0.0, 0.0], [5.0, 5.0]]))
@@ -296,8 +304,8 @@ class TestLoadPathEquivalence:
             coords = NodeCoords(pts)
             costs = euc2d_costs(coords)
             expected = reference_euc2d_costs(pts)
-            assert costs.cost.dtype == np.int64
-            assert costs.cost.tobytes() == expected.tobytes()
+            assert costs.cost.dtype == narrowest(int(expected.max()))
+            assert np.array_equal(costs.cost, expected)
             assert costs.symmetric is True
             m = int(np.random.default_rng(seed).integers(2, n + 1))
             inst = cluster_instance(coords, costs, m=m)
@@ -327,7 +335,8 @@ class TestLoadPathEquivalence:
         coords = parse_tsplib(eil51_text)
         expected = reference_euc2d_costs(coords.points)
         inst = load_instance_file(data_dir / "eil51.tsp")
-        assert inst.costs.cost.tobytes() == expected.tobytes()
+        assert inst.costs.cost.dtype == np.int16
+        assert np.array_equal(inst.costs.cost, expected)
         assert inst.clusters == reference_clusters(expected, 11)
 
     @pytest.mark.parametrize("n, tile", [(10, 4), (9, 3), (600, 256), (257, 256)])
@@ -347,7 +356,8 @@ class TestLoadPathEquivalence:
                 assert CostMatrix(cost).symmetric is bool(np.array_equal(cost, cost.T)) is False
 
     def test_int64_input_is_shared_read_only(self):
-        cost = np.array([[0, 2, 3], [2, 0, 4], [3, 4, 0]], dtype=np.int64)
+        # a cost of 2^31 needs int64, the narrowest type that holds it
+        cost = np.array([[0, 2, 3], [2, 0, 2**31], [3, 2**31, 0]], dtype=np.int64)
         costs = CostMatrix(cost)
         assert np.shares_memory(costs.cost, cost)
         assert not costs.cost.flags.writeable
@@ -355,11 +365,19 @@ class TestLoadPathEquivalence:
         with pytest.raises(ValueError, match="read-only"):
             costs.cost[0, 1] = 7
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, float])
+    @pytest.mark.parametrize("dtype, top", [(np.int16, 2**15 - 1), (np.int32, 2**31 - 1)])
+    def test_narrowest_input_is_shared_read_only(self, dtype, top):
+        cost = np.array([[0, top], [top, 0]], dtype=dtype)
+        costs = CostMatrix(cost)
+        assert costs.cost.dtype == dtype
+        assert np.shares_memory(costs.cost, cost)
+        assert not costs.cost.flags.writeable
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, float, np.int64])
     def test_other_dtypes_are_converted_read_only(self, dtype):
         cost = np.array([[0, 2], [2, 0]], dtype=dtype)
         costs = CostMatrix(cost)
-        assert costs.cost.dtype == np.int64
+        assert costs.cost.dtype == np.int16
         assert not np.shares_memory(costs.cost, cost)
         assert not costs.cost.flags.writeable
         assert costs.cost.tolist() == [[0, 2], [2, 0]]
@@ -372,10 +390,11 @@ class TestLoadPathEquivalence:
         inst = cluster_instance(coords, costs, m=m)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # the (m, n) cost-to-center block is 6.4 MB; a copy of the cost
-        # matrix alone would be 32 MB
+        # the (m, n) int16 cost-to-center block is 1.6 MB; a copy of the
+        # int16 cost matrix alone would be 8 MB
+        assert costs.cost.dtype == np.int16
         assert inst.p == m
-        assert peak < 8 * m * n + (4 << 20)
+        assert peak < 2 * m * n + (4 << 20)
 
 
 CLUSTERED_4 = """\
