@@ -9,10 +9,7 @@ order, a generalized nearest-neighbor heuristic, and two ant colony systems
 
 from .aco import (
     AcoParams,
-    ColonyState,
-    PheromoneMatrix,
     RunResult,
-    evaporation_reinit,
     run,
 )
 from .bench import (

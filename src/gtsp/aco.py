@@ -14,37 +14,40 @@ is the best cost seen so far. Once per iteration the best-so-far tour's edges
 are reinforced with deposit 1/L+, and any trail that climbed above tau_max is
 re-initialized to tau0.
 
-`run` is the one construction loop. Each iteration draws one (p, ants, 2)
+`iterate` is the one construction loop, a generator that yields each
+iteration's ant paths, trails and incumbent; `run` drives it under the
+stopping rule and keeps the incumbents. Each iteration draws one (p, ants, 2)
 block of uniforms: row 0 gives each ant its start cluster and then its member
 of that cluster (a uniform u picks index floor(u * k) of k), row s its q and
 its r at step s; r is drawn whether or not the pick uses it. From the block
-`run` lists once per iteration, step by step, the ants that explore (q > q0)
-and their r. An (ants, n) mask holds 1.0 on the nodes of each ant's unvisited
-clusters: it is refilled once per iteration, and each step zeroes only the
-members of the cluster each ant entered last, through a (p, largest cluster)
-table of cluster members. A step gathers the ants' rows of the weight matrix
-as one (ants, n) block, multiplies it by the mask, and `_pick_rows` picks
-every row at once: it takes the argmax of every row, and only for the
-exploring rows the running sums, to pick the first node whose running sum
-exceeds r times the row total. A row whose weights all underflowed to 0 is
-first rescued with `_relative_weights`. Then `_relax` writes the step's trails
-at once; an edge k ants wrote in the step (an unordered edge, on symmetric
-instances) is relaxed k times in a row, as writes in ant order would.
-`tests/oracles.py::lockstep_run` is the same colony in plain per-ant loops,
-and `run` reproduces it byte for byte. The masks make each tour feasible, so
-only a tour that becomes the new incumbent goes through `make_tour`
-(validated and re-costed). Pheromone scales use max(L, 1), so zero-cost tours
-do not divide by zero.
+`iterate` lists once per iteration, step by step, the ants that explore
+(q > q0) and their r. An (ants, n) mask holds 1.0 on the nodes of each ant's
+unvisited clusters: it is refilled once per iteration, and each step zeroes
+only the members of the cluster each ant entered last, through a (p, largest
+cluster) table of cluster members. A step gathers the ants' rows of the
+weight matrix as one (ants, n) block, multiplies it by the mask, and
+`_pick_rows` picks every row at once: it takes the argmax of every row, and
+only for the exploring rows the running sums, to pick the first node whose
+running sum exceeds r times the row total. A row whose weights all
+underflowed to 0 is first rescued with `_relative_weights`. Then `_relax`
+writes the step's trails at once; an edge k ants wrote in the step (an
+unordered edge, on symmetric instances) is relaxed k times in a row, as
+writes in ant order would. `tests/oracles.py::lockstep_run` is the same
+colony in plain per-ant loops, and `iterate` reproduces it byte for byte. The
+masks make each tour feasible, so only a tour that becomes the new incumbent
+goes through `make_tour` (validated and re-costed). Pheromone scales use
+max(L, 1), so zero-cost tours do not divide by zero.
 
-`run` keeps a weight matrix, trail times visibility^beta, next to the trails
-and rewrites an entry at every trail write, so a step gathers each ant's
-weights from one row. Visibility^beta comes from a table indexed by integer
-cost value, and the weights start as that table times tau0, gathered in row
-blocks with no n x n temporary; only instances whose largest cost reaches
-n^2 keep an n x n visibility matrix instead. Every trail write, local or
-global, goes through one relaxation (`_relax`). Trails change only through these writes, so `run`
-calls `evaporation_reinit` only in an iteration where some write went above
-tau_max, and refreshes the weights of the entries it reset.
+`iterate` keeps a weight matrix, trail times visibility^beta, next to the
+trails and rewrites an entry at every trail write, so a step gathers each
+ant's weights from one row. Visibility^beta comes from a table indexed by
+integer cost value, and the weights start as that table times tau0, gathered
+in row blocks with no n x n temporary; only instances whose largest cost
+reaches n^2 keep an n x n visibility matrix instead. Every trail write, local
+or global, goes through one relaxation (`_relax`). Trails change only through
+these writes, so `iterate` calls `evaporation_reinit(tau, tau0, tau_max)`
+only in an iteration where some write went above tau_max, refreshes the
+weights of the entries it reset, and yields its mask of them.
 
 A single run is sequential and deterministic given its seed. Independent runs
 share instances read-only and may execute in parallel.
@@ -57,7 +60,7 @@ import numbers
 import time
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from types import UnionType
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -153,31 +156,11 @@ class AcoParams:
 PARAMS = declared(AcoParams)
 
 
-@dataclass
-class PheromoneMatrix:
-    """Per-edge trail intensities with their initial value and upper bound."""
-
-    tau: np.ndarray  # shape (n, n), float64
-    tau0: float
-    tau_max: float
-
-    @classmethod
-    def for_instance(cls, instance: GtspInstance, l_nn: int, rho: float) -> "PheromoneMatrix":
-        n = instance.n
-        scale = max(l_nn, 1)  # a zero-cost NN tour keeps a finite scale
-        tau0 = 1.0 / (n * scale)
-        tau_max = 1.0 / ((1.0 - rho) * scale)
-        return cls(tau=np.full((n, n), tau0), tau0=tau0, tau_max=tau_max)
-
-
-@dataclass
-class ColonyState:
-    """Snapshot passed to iteration observers."""
-
-    pheromone: PheromoneMatrix
-    best_tour: Tour
-    iteration: int
-    elapsed: float
+def _trail_bounds(n: int, l_nn: int, rho: float) -> tuple[float, float]:
+    """The initial trail tau0 = 1/(n * L) and the bound tau_max = 1/((1 - rho)
+    * L), with L the NN cost; a zero-cost NN tour keeps a finite scale."""
+    scale = max(l_nn, 1)
+    return 1.0 / (n * scale), 1.0 / ((1.0 - rho) * scale)
 
 
 def _visibility_pow(cost: np.ndarray, beta: float) -> np.ndarray:
@@ -337,12 +320,12 @@ def _relax(
     return t
 
 
-def evaporation_reinit(pheromone: PheromoneMatrix) -> np.ndarray:
+def evaporation_reinit(tau: np.ndarray, tau0: float, tau_max: float) -> np.ndarray:
     """Reset trails that climbed strictly above tau_max back to tau0; other
     entries keep their value. Runs right after the global update. Returns the
     bool mask of the entries it reset."""
-    reset = pheromone.tau > pheromone.tau_max
-    pheromone.tau[reset] = pheromone.tau0
+    reset = tau > tau_max
+    tau[reset] = tau0
     return reset
 
 
@@ -372,32 +355,61 @@ class RunResult:
         return json.dumps(self.to_dict(include_elapsed), sort_keys=True)
 
 
-IterationObserver = Callable[[ColonyState, list[Tour]], None]
+class Iteration(NamedTuple):
+    """One colony iteration as `iterate` yields it. The arrays belong to the
+    colony and change in the next iteration (`paths` and `tau` are rewritten
+    in place), so copy what must outlive it."""
+
+    paths: np.ndarray  # (p, ants): paths[s] holds every ant's node s
+    lengths: np.ndarray  # (ants,): the cost of each ant's tour
+    tau: np.ndarray  # (n, n): the trails after the global write and any reinit
+    tau_max: float
+    reset: np.ndarray | None  # the mask `evaporation_reinit` returned; None if it did not run
+    incumbent: Tour  # the best tour so far, the NN tour until an ant beats it
 
 
-def run(
-    instance: GtspInstance,
-    params: AcoParams,
-    iteration_observer: IterationObserver | None = None,
-) -> RunResult:
+def run(instance: GtspInstance, params: AcoParams) -> RunResult:
     """Run a full colony on `instance` until time_max or max_iterations.
 
     The incumbent starts as the nearest-neighbor reference tour, so the
     returned cost never exceeds it and the per-iteration trace is
-    non-increasing. Deterministic given the seed when max_iterations is the
-    stopping rule.
+    non-increasing; a zero budget returns it without building the colony.
+    Deterministic given the seed when max_iterations is the stopping rule.
     """
     if params.time_max is None and params.max_iterations is None:
         raise ValueError("need a stopping rule: set time_max and/or max_iterations")
-    instance.check_tour_sums()
-
     started = time.perf_counter()
+    _, incumbent = nn_reference_cost(instance)
+    colony = iterate(instance, params)
+    trace: list[int] = []
+    while (params.max_iterations is None or len(trace) < params.max_iterations) and (
+        params.time_max is None or time.perf_counter() - started < params.time_max
+    ):
+        incumbent = next(colony).incumbent
+        trace.append(incumbent.cost)
+    return RunResult(
+        best=incumbent,
+        iterations=len(trace),
+        elapsed=time.perf_counter() - started,
+        params=replace(params),
+        trace=trace,
+    )
+
+
+def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
+    """The colony on `instance`, one `Iteration` per step of the generator,
+    without end: the caller applies any stopping rule (`run` does). The set-up
+    (trails, weights) runs at the first `next`. The arrays of each `Iteration`
+    belong to the colony and change in the next iteration. Deterministic given
+    the seed.
+    """
     rng = np.random.default_rng(params.seed)
     l_nn, incumbent = nn_reference_cost(instance)
-    pheromone = PheromoneMatrix.for_instance(instance, l_nn, params.rho)
-    tau, tau0, tau_max = pheromone.tau, pheromone.tau0, pheromone.tau_max
-    cost = instance.costs.cost
+    n, p, ants = instance.n, instance.p, params.num_ants
     beta, q0, rho, variant = params.beta, params.q0, params.rho, params.variant
+    tau0, tau_max = _trail_bounds(n, l_nn, rho)
+    tau = np.full((n, n), tau0)
+    cost = instance.costs.cost
     eta_at, seeded = _visibility_lookup(cost, beta, instance.max_cost, tau0)
     # weight == tau * visibility^beta, entry by entry, after every write below
     weight = seeded(...)
@@ -410,7 +422,6 @@ def run(
     # size by repeating its first node
     col = np.arange(sizes.max())
     members = grouped[offsets[:, None] + np.where(col < sizes[:, None], col, 0)]
-    n, p, ants = instance.n, instance.p, params.num_ants
     tau_flat, weight_flat = tau.ravel(), weight.ravel()
     mask = np.empty((ants, n))  # 1.0 on the nodes of each ant's unvisited clusters, else 0.0
     mask_flat = mask.ravel()
@@ -455,15 +466,7 @@ def run(
 
     nodes = np.array(incumbent.nodes)
     incumbent_edges = edges(nodes, nodes[successor])  # its cycle, closing edge included
-    trace: list[int] = []
-    iteration = 0
     while True:
-        if params.max_iterations is not None and iteration >= params.max_iterations:
-            break
-        if params.time_max is not None and time.perf_counter() - started >= params.time_max:
-            break
-        iteration += 1
-
         local_add = rho * _local_deposit(variant, n, incumbent.cost, tau0)
         # draws[0] gives each ant's start cluster and member, draws[s] its q
         # and r at step s; u * k < k for a uniform u < 1 and an integer k
@@ -501,26 +504,8 @@ def run(
         write(*incumbent_edges, rho * _global_deposit(incumbent.cost))
         # tau0 < tau_max, so every trail is <= tau_max after a reinit and only
         # a write above tau_max can give the next one something to reset
+        reset = None
         if above_max:
-            reset = evaporation_reinit(pheromone)
+            reset = evaporation_reinit(tau, tau0, tau_max)
             weight[reset] = seeded(reset)
-        trace.append(incumbent.cost)
-
-        if iteration_observer is not None:
-            state_snapshot = ColonyState(
-                pheromone=pheromone,
-                best_tour=incumbent,
-                iteration=iteration,
-                elapsed=time.perf_counter() - started,
-            )
-            ant_tours = [Tour(tuple(nodes), length)
-                         for nodes, length in zip(path.T.tolist(), lengths.tolist())]
-            iteration_observer(state_snapshot, ant_tours)
-
-    return RunResult(
-        best=incumbent,
-        iterations=iteration,
-        elapsed=time.perf_counter() - started,
-        params=replace(params),
-        trace=trace,
-    )
+        yield Iteration(path, lengths, tau, tau_max, reset, incumbent)

@@ -166,6 +166,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "ExperimentConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls) if f.init} | set(COLONY_KEYS)
         unknown = set(data) - known
         if unknown:
@@ -372,9 +374,11 @@ def emit_table(
     if out_base is not None:
         out_base = Path(out_base)
         out_base.parent.mkdir(parents=True, exist_ok=True)
-        out_base.with_suffix(".csv").write_text(_csv_table(reports, algorithms, include_elapsed))
+        # appended, not `with_suffix`: a dotted name like "run.v2" keeps its dot
+        csv_path, json_path = (out_base.with_name(out_base.name + s) for s in (".csv", ".json"))
+        csv_path.write_text(_csv_table(reports, algorithms, include_elapsed))
         payload = {"reports": [r.to_dict(include_elapsed) for r in reports]}
-        out_base.with_suffix(".json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
     return text
 
 

@@ -217,7 +217,7 @@ def reference_exact_solve(instance: GtspInstance) -> Tour:
 # member, each index floor(u * k)), row s its q and r at step s. At each step
 # every ant picks from the same trails, one ant after another over its
 # compressed candidate list in Python floats, and then the step's trail
-# writes run in ant order. `gtsp.aco.run` moves all ants as one
+# writes run in ant order. `gtsp.aco.iterate` moves all ants as one
 # (ants, n) block and must reproduce this byte for byte: same draws, same
 # ant tours and the same final trails. Only the visibility powers come from
 # numpy, as in the library: numpy's vectorised pow and the C library's pow
@@ -242,12 +242,13 @@ def _lockstep_pick(cost, tau, eta, cur, cand, q, r, q0, beta) -> int:
     return next(v for v, s in zip(cand, sums) if s > bar)
 
 
-def lockstep_run(instance: GtspInstance, params: AcoParams, iteration_observer=None):
+def lockstep_run(instance: GtspInstance, params: AcoParams):
     """Iteration-budgeted colony run by plain loops over steps and ants.
 
-    Returns the RunResult (elapsed 0), the final trail matrix and, for each
-    reinitialization, how many trail entries it reset. A reinitialization
-    runs only in an iteration where some write went above tau_max.
+    Returns the RunResult (elapsed 0), the final trail matrix, for each
+    reinitialization how many trail entries it reset, and per iteration the
+    ant tours (node tuples). A reinitialization runs only in an iteration
+    where some write went above tau_max.
     """
     rng = np.random.default_rng(params.seed)
     l_nn, incumbent = nn_reference_cost(instance)
@@ -271,6 +272,7 @@ def lockstep_run(instance: GtspInstance, params: AcoParams, iteration_observer=N
 
     trace = []
     resets = []
+    tours = []
     for _ in range(params.max_iterations):
         deposit = 1.0 / (n * max(incumbent.cost, 1)) if params.variant == "racs" else tau0
         starts, *draws = rng.random((p, ants, 2)).tolist()
@@ -308,11 +310,10 @@ def lockstep_run(instance: GtspInstance, params: AcoParams, iteration_observer=N
                         row[j] = tau0
                         resets[-1] += 1
         trace.append(incumbent.cost)
-        if iteration_observer is not None:
-            iteration_observer(ant_tours)
+        tours.append([t.nodes for t in ant_tours])
 
     result = RunResult(
         best=incumbent, iterations=params.max_iterations, elapsed=0.0,
         params=replace(params), trace=trace,
     )
-    return result, np.array(tau), resets
+    return result, np.array(tau), resets, tours

@@ -5,6 +5,7 @@ prints a single PASS/FAIL line (visible with `pytest -s tests/test_acceptance.py
 The slow corpora are shared through module-scoped fixtures.
 """
 
+import itertools
 import json
 import time
 from pathlib import Path
@@ -25,7 +26,7 @@ from gtsp import (
     tour_cost,
     validate_tour,
 )
-from gtsp.aco import _argmax_rows, _pick_rows, _relative_weights, _visibility_lookup
+from gtsp.aco import _argmax_rows, _pick_rows, _relative_weights, _visibility_lookup, iterate
 from gtsp.instance import CostMatrix, GtspInstance
 
 from oracles import brute_force_best_for_order, brute_force_optimum, random_matrix_instance
@@ -177,27 +178,19 @@ def test_criterion_6_pheromone_invariants_over_full_runs():
         p = int(rng.integers(3, 7))
         inst = random_matrix_instance(n, p, rng, symmetric=True)
         last_cost = None
-
-        def observer(state, ant_tours):
-            nonlocal violations, iterations_seen, last_cost
+        colony = iterate(inst, AcoParams(seed=i, variant="racs", **PAPER_PARAMS))
+        for it in itertools.islice(colony, 60):
             iterations_seen += 1
-            tau = state.pheromone.tau
-            if not (tau > 0).all() or not (tau <= state.pheromone.tau_max).all():
+            if not (it.tau > 0).all() or not (it.tau <= it.tau_max).all():
                 violations += 1
-            if last_cost is not None and state.best_tour.cost > last_cost:
+            if last_cost is not None and it.incumbent.cost > last_cost:
                 violations += 1
-            last_cost = state.best_tour.cost
-            for tour in ant_tours:
+            last_cost = it.incumbent.cost
+            for nodes in it.paths.T.tolist():
                 try:
-                    validate_tour(inst, tour.nodes)
+                    validate_tour(inst, nodes)
                 except ValueError:
                     violations += 1
-
-        run(
-            inst,
-            AcoParams(max_iterations=60, seed=i, variant="racs", **PAPER_PARAMS),
-            iteration_observer=observer,
-        )
     report(
         6,
         violations == 0,

@@ -13,8 +13,6 @@ from gtsp import (
     AcoParams,
     CostMatrix,
     GtspInstance,
-    PheromoneMatrix,
-    evaporation_reinit,
     exact_solve,
     generate_instance,
     load_instance_file,
@@ -34,7 +32,10 @@ from gtsp.aco import (
     _relative_weights,
     _relax,
     _repeats,
+    _trail_bounds,
     _visibility_lookup,
+    evaporation_reinit,
+    iterate,
 )
 
 from oracles import lockstep_run, random_matrix_instance
@@ -46,17 +47,20 @@ def two_candidate_instance():
     return GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1, 2)))
 
 
-def fresh_pheromone(instance, value=0.5, tau_max=10.0):
-    return PheromoneMatrix(
-        tau=np.full((instance.n, instance.n), value), tau0=value, tau_max=tau_max
-    )
+def fresh_trails(instance, value=0.5):
+    return np.full((instance.n, instance.n), value)
 
 
-# The ant step of `run`, for one ant (one row) at a time: the candidates of
+def ant_tours(it) -> list[tuple[int, ...]]:
+    """Each ant's tour in the `Iteration` `it`, as a node tuple."""
+    return [tuple(nodes) for nodes in it.paths.T.tolist()]
+
+
+# The ant step of `iterate`, for one ant (one row) at a time: the candidates of
 # its node mask, the masked weight row it gathers, then `_pick_rows`, and the
 # trail writes through `_relax`. `TestChooseNext::test_run_steps_match_these_helpers`
 # and `TestGlobalUpdate::test_run_reinforces_the_incumbent_cycle` check that
-# `run` does the same.
+# `iterate` does the same.
 
 
 def candidates(instance, *visited):
@@ -68,8 +72,8 @@ def candidates(instance, *visited):
 
 
 def step_weights(instance, tau, current, cand, beta):
-    """The (1, n) weight row `run` gathers from `current`: trail times
-    visibility^beta (from `_visibility_lookup`, as in `run`) on `cand`, 0.0
+    """The (1, n) weight row `iterate` gathers from `current`: trail times
+    visibility^beta (from `_visibility_lookup`, as in `iterate`) on `cand`, 0.0
     on the nodes of visited clusters."""
     _, eta_where = _visibility_lookup(instance.costs.cost, beta, instance.max_cost)
     row = np.zeros((1, instance.n))
@@ -78,7 +82,7 @@ def step_weights(instance, tau, current, cand, beta):
 
 
 def rescue(instance, tau, current, cand, beta):
-    """The row rescue `run` hands `_pick_rows` for that one row."""
+    """The row rescue `iterate` hands `_pick_rows` for that one row."""
     mask = np.zeros((1, instance.n))
     mask[0, cand] = 1.0
     cost, tau = instance.costs.cost[[current]], tau[[current]]
@@ -95,7 +99,7 @@ def distribution(instance, tau, current, cand, beta) -> dict[int, float]:
 
 
 def pick(instance, tau, current, cand, beta, q0, rng) -> int:
-    """One step's pick, drawing q and then r from `rng` as `run` does."""
+    """One step's pick, drawing q and then r from `rng` as `iterate` does."""
     q, r = rng.random(2)
     roulette = np.flatnonzero([q > q0])
     return int(_pick_rows(
@@ -124,26 +128,26 @@ def global_write(tau, best, rho, symmetric=True) -> None:
 class TestTransitionDistribution:
     def test_beta_one(self):
         inst = two_candidate_instance()
-        probs = distribution(inst, fresh_pheromone(inst).tau, 0, candidates(inst, 0), beta=1.0)
+        probs = distribution(inst, fresh_trails(inst), 0, candidates(inst, 0), beta=1.0)
         assert probs[1] == pytest.approx(2 / 3, abs=1e-12)
         assert probs[2] == pytest.approx(1 / 3, abs=1e-12)
 
     def test_beta_five(self):
         inst = two_candidate_instance()
-        probs = distribution(inst, fresh_pheromone(inst).tau, 0, candidates(inst, 0), beta=5.0)
+        probs = distribution(inst, fresh_trails(inst), 0, candidates(inst, 0), beta=5.0)
         assert probs[1] == pytest.approx(32 / 33, abs=1e-12)
         assert probs[2] == pytest.approx(1 / 33, abs=1e-12)
 
     def test_single_candidate(self):
         cost = np.array([[0, 4], [4, 0]])
         inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1,)))
-        probs = distribution(inst, fresh_pheromone(inst).tau, 0, candidates(inst, 0), beta=5.0)
+        probs = distribution(inst, fresh_trails(inst), 0, candidates(inst, 0), beta=5.0)
         assert probs == {1: 1.0}
 
     def test_zero_cost_edge_clamps_visibility(self):
         cost = np.array([[0, 0, 2], [0, 0, 5], [2, 5, 0]])
         inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1, 2)))
-        probs = distribution(inst, fresh_pheromone(inst).tau, 0, candidates(inst, 0), beta=1.0)
+        probs = distribution(inst, fresh_trails(inst), 0, candidates(inst, 0), beta=1.0)
         assert probs[1] == pytest.approx(2 / 3, abs=1e-12)  # clamped cost 1 vs cost 2
 
     @settings(max_examples=60)
@@ -165,7 +169,7 @@ class TestTransitionDistribution:
 class TestChooseNext:
     def test_pure_exploitation(self):
         inst = two_candidate_instance()
-        tau, cand = fresh_pheromone(inst).tau, candidates(inst, 0)
+        tau, cand = fresh_trails(inst), candidates(inst, 0)
         picks = {
             pick(inst, tau, 0, cand, 5.0, 1.0, np.random.default_rng(seed)) for seed in range(50)
         }
@@ -174,13 +178,13 @@ class TestChooseNext:
     def test_argmax_tie_breaks_to_lowest_id(self):
         cost = np.array([[0, 3, 3], [3, 0, 1], [3, 1, 0]])
         inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1, 2)))
-        tau, cand = fresh_pheromone(inst).tau, candidates(inst, 0)
+        tau, cand = fresh_trails(inst), candidates(inst, 0)
         assert pick(inst, tau, 0, cand, 5.0, 1.0, np.random.default_rng(0)) == 1
 
     def test_pure_exploration_follows_inverse_cdf(self):
         # weights 0.5 and 0.25: node 1 wins when its running sum exceeds r * 0.75
         inst = two_candidate_instance()
-        tau, cand = fresh_pheromone(inst).tau, candidates(inst, 0)
+        tau, cand = fresh_trails(inst), candidates(inst, 0)
         for seed in range(40):
             picked = pick(inst, tau, 0, cand, 1.0, 0.0, np.random.default_rng(seed))
             _, r = np.random.default_rng(seed).random(2)  # q, then r
@@ -190,14 +194,14 @@ class TestChooseNext:
     def test_replay_determinism(self):
         rng = np.random.default_rng(9)
         inst = random_matrix_instance(12, 4, rng)
-        tau, cand = fresh_pheromone(inst).tau, candidates(inst, 3)
+        tau, cand = fresh_trails(inst), candidates(inst, 3)
         a = pick(inst, tau, 3, cand, 5.0, 0.5, np.random.default_rng(77))
         b = pick(inst, tau, 3, cand, 5.0, 0.5, np.random.default_rng(77))
         assert a == b
 
     def test_empirical_frequencies_match_distribution(self):
         inst = two_candidate_instance()
-        tau, cand = fresh_pheromone(inst).tau, candidates(inst, 0)
+        tau, cand = fresh_trails(inst), candidates(inst, 0)
         rng = np.random.default_rng(123)
         draws = 20_000
         hits = sum(pick(inst, tau, 0, cand, 1.0, 0.0, rng) == 1 for _ in range(draws))
@@ -212,20 +216,19 @@ class TestChooseNext:
         # earlier steps; the step's writes then follow in ant order
         inst = random_matrix_instance(8, 3, np.random.default_rng(31), symmetric=symmetric)
         params = AcoParams(num_ants=5, max_iterations=3, seed=6, variant="racs")
-        blocks, iterations = [], []
+        blocks = []
         real_pick = gtsp.aco._pick_rows
 
         def recorded(w, *rest):
             blocks.append(w.copy())
             return real_pick(w, *rest)
 
-        def observer(state, ant_tours):
-            iterations.append(([t.nodes for t in ant_tours], state.best_tour))
-
         with mock.patch.object(gtsp.aco, "_pick_rows", recorded):
-            run(inst, params, iteration_observer=observer)
+            iterations = [(ant_tours(it), it.incumbent)
+                          for it in itertools.islice(iterate(inst, params), 3)]
         l_plus, _ = nn_reference_cost(inst)
-        pher = PheromoneMatrix.for_instance(inst, l_plus, params.rho)
+        tau0, tau_max = _trail_bounds(inst.n, l_plus, params.rho)
+        tau = np.full((inst.n, inst.n), tau0)
         steps = iter(blocks)
         for paths, best in iterations:
             for s in range(1, inst.p):
@@ -233,16 +236,16 @@ class TestChooseNext:
                 assert block.shape == (params.num_ants, inst.n)
                 for row, path in zip(block, paths):
                     cand = candidates(inst, *path[:s])
-                    expected = step_weights(inst, pher.tau, path[s - 1], cand, params.beta)
+                    expected = step_weights(inst, tau, path[s - 1], cand, params.beta)
                     assert np.array_equal(row, expected[0])
                 for path in paths:
-                    local_write(pher.tau, (path[s - 1], path[s]), params.rho, l_plus,
-                                inst.n, params.variant, pher.tau0, symmetric)
+                    local_write(tau, (path[s - 1], path[s]), params.rho, l_plus,
+                                inst.n, params.variant, tau0, symmetric)
             for path in paths:
-                local_write(pher.tau, (path[-1], path[0]), params.rho, l_plus,
-                            inst.n, params.variant, pher.tau0, symmetric)
-            global_write(pher.tau, best, params.rho, symmetric)
-            evaporation_reinit(pher)
+                local_write(tau, (path[-1], path[0]), params.rho, l_plus,
+                            inst.n, params.variant, tau0, symmetric)
+            global_write(tau, best, params.rho, symmetric)
+            evaporation_reinit(tau, tau0, tau_max)
             l_plus = best.cost
         assert next(steps, None) is None
 
@@ -362,25 +365,25 @@ class TestRepeats:
 
 class TestLocalUpdate:
     def test_racs_correction(self):
-        tau = fresh_pheromone(two_candidate_instance(), value=0.04).tau
+        tau = fresh_trails(two_candidate_instance(), value=0.04)
         local_write(tau, (0, 1), rho=0.5, l_plus=5, n=10, variant="racs", tau0=0.04)
         assert tau[0, 1] == pytest.approx(0.03, abs=1e-15)
         assert tau[1, 0] == tau[0, 1]  # symmetric instance mirrors
 
     def test_racs_fixed_point(self):
         deposit = 1.0 / (10 * 5)
-        tau = fresh_pheromone(two_candidate_instance(), value=deposit).tau
+        tau = fresh_trails(two_candidate_instance(), value=deposit)
         local_write(tau, (0, 1), rho=0.5, l_plus=5, n=10, variant="racs", tau0=deposit)
         assert tau[0, 1] == deposit
 
     def test_acs_fixed_point_at_tau0(self):
-        tau = fresh_pheromone(two_candidate_instance(), value=0.125).tau
+        tau = fresh_trails(two_candidate_instance(), value=0.125)
         local_write(tau, (0, 1), rho=0.5, l_plus=999, n=10, variant="acs", tau0=0.125)
         assert tau[0, 1] == 0.125
 
     def test_repeated_write_equals_writes_one_by_one(self):
         # an edge three ants wrote in one step, next to an edge written once
-        tau = fresh_pheromone(two_candidate_instance(), value=0.04).tau
+        tau = fresh_trails(two_candidate_instance(), value=0.04)
         one_by_one = tau.copy()
         for edge in [1, 1, 2, 1]:
             _relax(one_by_one.ravel(), np.array([edge]), None, 0.7, 0.009)
@@ -389,7 +392,7 @@ class TestLocalUpdate:
         assert new.tolist() == [tau[0, 1], tau[0, 2]]
 
     def test_asymmetric_updates_one_direction(self):
-        tau = fresh_pheromone(two_candidate_instance(), value=0.04).tau
+        tau = fresh_trails(two_candidate_instance(), value=0.04)
         local_write(tau, (0, 1), rho=0.5, l_plus=5, n=10, variant="racs", tau0=0.04,
                     symmetric=False)
         assert tau[0, 1] == pytest.approx(0.03, abs=1e-15)
@@ -400,7 +403,7 @@ class TestLocalUpdate:
         st.integers(1, 10**6), st.integers(2, 10**4),
     )
     def test_convex_combination_bound(self, value, rho, l_plus, n):
-        tau = fresh_pheromone(two_candidate_instance(), value=value).tau
+        tau = fresh_trails(two_candidate_instance(), value=value)
         local_write(tau, (0, 1), rho=rho, l_plus=l_plus, n=n, variant="racs", tau0=value)
         deposit = 1.0 / (n * l_plus)
         lo, hi = min(value, deposit), max(value, deposit)
@@ -423,21 +426,21 @@ class TestGlobalUpdate:
 
     def test_best_tour_edges(self):
         inst = self.four_node_tour_instance()
-        tau = fresh_pheromone(inst, value=0.03).tau
+        tau = fresh_trails(inst, value=0.03)
         global_write(tau, make_tour(inst, [0, 1, 2, 3]), rho=0.5)  # cost 4
         assert tau[0, 1] == pytest.approx(0.015 + 0.125, abs=1e-15)
         assert tau[3, 0] == pytest.approx(0.14, abs=1e-15)  # closing edge included
 
     def test_off_tour_edges_untouched(self):
         inst = self.four_node_tour_instance()
-        tau = fresh_pheromone(inst, value=0.03).tau
+        tau = fresh_trails(inst, value=0.03)
         global_write(tau, make_tour(inst, [0, 1, 2, 3]), rho=0.5)
         assert tau[0, 2] == 0.03
         assert tau[1, 3] == 0.03
 
     def test_repeated_application_converges_to_deposit(self):
         inst = self.four_node_tour_instance()
-        tau = fresh_pheromone(inst, value=0.03).tau
+        tau = fresh_trails(inst, value=0.03)
         tour = make_tour(inst, [0, 1, 2, 3])
         for _ in range(200):
             global_write(tau, tour, rho=0.5)
@@ -475,31 +478,29 @@ class TestGlobalUpdate:
 
 class TestEvaporationReinit:
     def test_at_bound_is_kept(self):
-        inst = two_candidate_instance()
-        pher = fresh_pheromone(inst, value=0.2, tau_max=0.2)
-        reset = evaporation_reinit(pher)
-        assert (pher.tau == 0.2).all()
-        assert reset.shape == pher.tau.shape and not reset.any()
+        tau = fresh_trails(two_candidate_instance(), value=0.2)
+        reset = evaporation_reinit(tau, 0.2, 0.2)
+        assert (tau == 0.2).all()
+        assert reset.shape == tau.shape and not reset.any()
 
     def test_above_bound_resets_entry(self):
-        inst = two_candidate_instance()
-        pher = fresh_pheromone(inst, value=0.1, tau_max=0.2)
-        pher.tau[0, 1] = 0.2 * 1.01
-        reset = evaporation_reinit(pher)
+        tau = fresh_trails(two_candidate_instance(), value=0.1)
+        tau[0, 1] = 0.2 * 1.01
+        reset = evaporation_reinit(tau, 0.05, 0.2)
         assert np.array_equal(np.argwhere(reset), [[0, 1]])  # the entries it reset
-        assert pher.tau[0, 1] == pher.tau0
-        assert pher.tau[1, 0] == 0.1  # untouched entries keep their value
-        assert (pher.tau <= pher.tau_max).all()
+        assert tau[0, 1] == 0.05  # back to tau0
+        assert tau[1, 0] == 0.1  # untouched entries keep their value
+        assert (tau <= 0.2).all()
 
     def test_fresh_matrix_unchanged(self):
         rng = np.random.default_rng(1)
         inst = random_matrix_instance(8, 3, rng)
         l_nn, _ = nn_reference_cost(inst)
-        pher = PheromoneMatrix.for_instance(inst, l_nn, rho=0.5)
-        assert pher.tau0 < pher.tau_max  # tau0 / tau_max = (1 - rho) / n < 1
-        before = pher.tau.copy()
-        evaporation_reinit(pher)
-        assert np.array_equal(pher.tau, before)
+        tau0, tau_max = _trail_bounds(inst.n, l_nn, rho=0.5)
+        assert tau0 < tau_max  # tau0 / tau_max = (1 - rho) / n < 1
+        tau = np.full((inst.n, inst.n), tau0)
+        evaporation_reinit(tau, tau0, tau_max)
+        assert (tau == tau0).all()
 
 
 class TestParams:
@@ -561,6 +562,20 @@ class TestRun:
         assert result.iterations == 0
         assert result.trace == []
 
+    def test_zero_time_budget_returns_nn_without_building_the_colony(self):
+        # n = 1000: one n x n float64 matrix is 8 MB, and the trails and the
+        # weights would be two of them
+        _, inst = generate_instance(1000, 200, seed=3)
+        tracemalloc.start()
+        try:
+            result = run(inst, AcoParams(time_max=0.0, seed=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        _, nn = nn_reference_cost(inst)
+        assert (result.best, result.iterations, result.trace) == (nn, 0, [])
+        assert peak < 8 * inst.n * inst.n
+
     def test_requires_stopping_rule(self):
         rng = np.random.default_rng(22)
         inst = random_matrix_instance(6, 3, rng)
@@ -591,15 +606,8 @@ class TestRun:
         inst = random_matrix_instance(16, 5, rng)
 
         def collect(seed):
-            tours = []
-            run(
-                inst,
-                AcoParams(max_iterations=3, seed=seed),
-                iteration_observer=lambda state, ant_tours: tours.extend(
-                    t.nodes for t in ant_tours
-                ),
-            )
-            return tours
+            colony = iterate(inst, AcoParams(seed=seed))
+            return [ant_tours(it) for it in itertools.islice(colony, 3)]
 
         assert collect(0) != collect(1)
 
@@ -618,18 +626,16 @@ class TestRun:
         rng = np.random.default_rng(instance_seed)
         inst = random_matrix_instance(15, 5, rng, symmetric=symmetric)
         seen = []
-
-        def observer(state, ant_tours):
-            assert (state.pheromone.tau > 0).all()
-            assert (state.pheromone.tau <= state.pheromone.tau_max).all()
-            for tour in ant_tours:
-                validate_tour(inst, tour.nodes)
-                assert tour_cost(inst, tour.nodes) == tour.cost
-            assert not seen or state.best_tour.cost <= seen[-1]
-            seen.append(state.best_tour.cost)
-
         params = AcoParams(beta=beta, variant=variant, max_iterations=50, seed=seed)
-        result = run(inst, params, iteration_observer=observer)
+        for it in itertools.islice(iterate(inst, params), 50):
+            assert (it.tau > 0).all()
+            assert (it.tau <= it.tau_max).all()
+            for nodes, length in zip(ant_tours(it), it.lengths.tolist()):
+                validate_tour(inst, nodes)
+                assert tour_cost(inst, nodes) == length
+            assert not seen or it.incumbent.cost <= seen[-1]
+            seen.append(it.incumbent.cost)
+        result = run(inst, params)
         assert seen == result.trace
         assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
 
@@ -637,29 +643,31 @@ class TestRun:
         rng = np.random.default_rng(27)
         inst = random_matrix_instance(15, 5, rng)
         counted = 0
-
-        def observer(state, ant_tours):
-            nonlocal counted
-            for tour in ant_tours:
-                validate_tour(inst, tour.nodes)
-                assert tour_cost(inst, tour.nodes) == tour.cost
+        for it in itertools.islice(iterate(inst, AcoParams(seed=8)), 1000):
+            for nodes, length in zip(ant_tours(it), it.lengths.tolist()):
+                validate_tour(inst, nodes)
+                assert tour_cost(inst, nodes) == length
                 counted += 1
-
-        run(inst, AcoParams(max_iterations=1000, seed=8), iteration_observer=observer)
         assert counted == 10_000
 
     @pytest.mark.parametrize("observed", [False, True])
     def test_make_tour_only_for_a_new_incumbent(self, observed):
+        # observed: the caller watches every iteration through `iterate`
+        # instead of taking `run`'s record
         rng = np.random.default_rng(30)
         inst = random_matrix_instance(15, 5, rng)
         calls = []
         make_tour = gtsp.aco.make_tour
-        observer = (lambda state, ant_tours: None) if observed else None
+        params = AcoParams(max_iterations=50, seed=2)
         with mock.patch.object(
             gtsp.aco, "make_tour", lambda *a: calls.append(1) or make_tour(*a)
         ):
-            result = run(inst, AcoParams(max_iterations=50, seed=2), iteration_observer=observer)
-        before = [nn_reference_cost(inst)[0]] + result.trace
+            if observed:
+                colony = itertools.islice(iterate(inst, params), params.max_iterations)
+                trace = [it.incumbent.cost for it in colony]
+            else:
+                trace = run(inst, params).trace
+        before = [nn_reference_cost(inst)[0]] + trace
         improving = sum(b < a for a, b in zip(before, before[1:]))
         assert improving >= 1
         assert len(calls) == improving
@@ -682,32 +690,23 @@ class TestRun:
 
 
 def traced_run(inst, params):
-    """`run` plus every ant tour, the final trail bytes and, for each of
-    its `evaporation_reinit` calls, how many trail entries it reset."""
-    tours = []
-    trails = []
-    resets = []
-    reinit = gtsp.aco.evaporation_reinit
-
-    def observer(state, ant_tours):
-        tours.append([t.nodes for t in ant_tours])
-        trails.append(state.pheromone.tau.tobytes())
-
-    def counted_reinit(pheromone):
-        reset = reinit(pheromone)
-        resets.append(int(reset.sum()))
-        return reset
-
-    with mock.patch.object(gtsp.aco, "evaporation_reinit", counted_reinit):
-        result = run(inst, params, iteration_observer=observer)
-    return result.to_json(include_elapsed=False), tours, trails[-1], resets
+    """`run`'s record plus, from `iterate` over the same budget, every ant
+    tour, the final trail bytes and, for each reinitialization, how many
+    trail entries it reset. The incumbents `iterate` yields must be `run`'s
+    trace."""
+    result = run(inst, params)
+    tours, resets, incumbents = [], [], []
+    for it in itertools.islice(iterate(inst, params), params.max_iterations):
+        tours.append(ant_tours(it))
+        if it.reset is not None:
+            resets.append(int(it.reset.sum()))
+        incumbents.append(it.incumbent.cost)
+    assert incumbents == result.trace
+    return result.to_json(include_elapsed=False), tours, it.tau.tobytes(), resets
 
 
 def traced_reference(inst, params):
-    tours = []
-    result, tau, resets = lockstep_run(
-        inst, params, iteration_observer=lambda ant_tours: tours.append([t.nodes for t in ant_tours])
-    )
+    result, tau, resets, tours = lockstep_run(inst, params)
     return result.to_json(include_elapsed=False), tours, tau.tobytes(), resets
 
 
@@ -753,44 +752,39 @@ REFERENCE_CASES = dict(
 )
 
 
-def assert_matches_reference(
-    observed, seed, n, p, symmetric, variant, q0, beta, num_ants, iterations, rho
-):
-    """With an observer attached, the tours, final trails and reinitializations
-    (each call and the entries it reset) must match too; without one (the path
-    the benchmark and the CLI take), the result record must be byte-identical."""
+def reference_case(seed, n, p, symmetric, variant, q0, beta, num_ants, iterations, rho):
     rng = np.random.default_rng(seed)
     inst = random_matrix_instance(n, min(p, n), rng, symmetric=symmetric)
     params = AcoParams(
         beta=beta, q0=q0, variant=variant, num_ants=num_ants,
         max_iterations=iterations, seed=seed, rho=rho,
     )
-    if observed:
-        assert traced_run(inst, params) == traced_reference(inst, params)
-    else:
-        reference, _, _ = lockstep_run(inst, params)
-        ours = run(inst, params).to_json(include_elapsed=False)
-        assert ours == reference.to_json(include_elapsed=False)
+    return inst, params
+
+
+def assert_matches_reference(**case):
+    """The result record, the ant tours, the final trails and the
+    reinitializations (each call and the entries it reset) must match."""
+    inst, params = reference_case(**case)
+    assert traced_run(inst, params) == traced_reference(inst, params)
 
 
 class TestReferenceEquivalence:
-    """`run`'s (ants, n) kernel against the plain-loop lockstep colony in
-    oracles.py."""
+    """`iterate`'s (ants, n) kernel, and `run` driving it, against the
+    plain-loop lockstep colony in oracles.py."""
 
     @settings(max_examples=160)
-    @given(observed=st.booleans(), **REFERENCE_CASES)
-    @example(observed=True, seed=1, n=2, p=2, symmetric=True, variant="racs", q0=0.5,
+    @given(**REFERENCE_CASES)
+    @example(seed=1, n=2, p=2, symmetric=True, variant="racs", q0=0.5,
              beta=5.0, num_ants=1, iterations=3, rho=0.5)
-    @example(observed=True, seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0,
+    @example(seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0,
              beta=12.0, num_ants=3, iterations=4, rho=0.5)
-    @example(observed=True, seed=3, n=20, p=2, symmetric=True, variant="racs", q0=1.0,
+    @example(seed=3, n=20, p=2, symmetric=True, variant="racs", q0=1.0,
              beta=1.0, num_ants=5, iterations=5, rho=0.5)
-    @example(observed=True, seed=4, n=2, p=2, symmetric=True, variant="racs", q0=0.5,
+    @example(seed=4, n=2, p=2, symmetric=True, variant="racs", q0=0.5,
              beta=5.0, num_ants=2, iterations=6, rho=0.9)
-    @example(observed=False, seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0,
-             beta=12.0, num_ants=3, iterations=4, rho=0.5)
-    def test_byte_identical_to_reference(self, observed, **case):
-        assert_matches_reference(observed, **case)
+    def test_byte_identical_to_reference(self, **case):
+        assert_matches_reference(**case)
 
     @pytest.mark.parametrize("q0", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("variant", ["acs", "racs"])
@@ -805,13 +799,8 @@ class TestReferenceEquivalence:
 
     def test_reinit_only_when_a_trail_exceeds_tau_max(self, data_dir):
         def reinit_calls(inst, iterations):
-            calls = []
-            reinit = gtsp.aco.evaporation_reinit
-            with mock.patch.object(
-                gtsp.aco, "evaporation_reinit", lambda ph: calls.append(1) or reinit(ph)
-            ):
-                run(inst, AcoParams(max_iterations=iterations, seed=100_000))
-            return len(calls)
+            colony = itertools.islice(iterate(inst, AcoParams(seed=100_000)), iterations)
+            return sum(it.reset is not None for it in colony)
 
         # no write goes above tau_max on 11EIL51, so there is no n^2 scan at all
         assert reinit_calls(load_instance_file(data_dir / "eil51.tsp"), 20) == 0
@@ -934,15 +923,18 @@ class TestReferenceEquivalence:
 
 
 class TestReferenceEquivalenceWithoutObserver:
-    """`run` with no observer attached, the path the benchmark and the CLI
-    take, against the plain-loop lockstep colony in oracles.py."""
+    """`run` on its own, with nothing watching the colony through `iterate`
+    (the path the benchmark and the CLI take), against the plain-loop
+    lockstep colony in oracles.py."""
 
     @settings(max_examples=80)
     @given(**REFERENCE_CASES)
     @example(seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0, beta=12.0,
              num_ants=3, iterations=4, rho=0.5)
     def test_json_identical_to_reference(self, **case):
-        assert_matches_reference(False, **case)
+        inst, params = reference_case(**case)
+        ours = run(inst, params).to_json(include_elapsed=False)
+        assert ours == traced_reference(inst, params)[0]
 
 
 class TestDegenerateInputs:
@@ -962,18 +954,20 @@ class TestDegenerateInputs:
             name="zero", costs=CostMatrix(np.zeros((4, 4), dtype=int)),
             clusters=((0, 1), (2, 3)),
         )
-        pher = PheromoneMatrix.for_instance(inst, 0, rho=0.5)
-        assert (pher.tau0, pher.tau_max) == (1 / 4, 2.0)
-        local_write(pher.tau, (0, 2), rho=0.5, l_plus=0, n=4, variant="racs", tau0=pher.tau0)
-        assert pher.tau[0, 2] == 0.5 * 0.25 + 0.5 * 0.25
-        global_write(pher.tau, make_tour(inst, [0, 2]), rho=0.5, symmetric=False)
-        assert pher.tau[0, 2] == pher.tau[2, 0] == 0.5 * 0.25 + 0.5 * 1.0
+        tau0, tau_max = _trail_bounds(inst.n, 0, rho=0.5)
+        assert (tau0, tau_max) == (1 / 4, 2.0)
+        tau = np.full((inst.n, inst.n), tau0)
+        local_write(tau, (0, 2), rho=0.5, l_plus=0, n=4, variant="racs", tau0=tau0)
+        assert tau[0, 2] == 0.5 * 0.25 + 0.5 * 0.25
+        global_write(tau, make_tour(inst, [0, 2]), rho=0.5, symmetric=False)
+        assert tau[0, 2] == tau[2, 0] == 0.5 * 0.25 + 0.5 * 1.0
 
     @pytest.mark.parametrize("q0", [0.0, 1.0])
     @pytest.mark.parametrize("variant", ["acs", "racs"])
     def test_beta_underflow_gives_valid_tours(self, q0, variant, monkeypatch, data_dir):
         inst = load_instance_file(data_dir / "eil51.tsp")
         seen = []
+        trace = []
         rescued = []
         relative = gtsp.aco._relative_weights
         monkeypatch.setattr(
@@ -981,32 +975,31 @@ class TestDegenerateInputs:
         )
         # underflow to 0 is the case under test; anything else must not happen
         with np.errstate(all="raise", under="ignore"):
-            result = run(
-                inst,
-                AcoParams(beta=200.0, q0=q0, variant=variant, max_iterations=3, seed=4),
-                iteration_observer=lambda state, tours: seen.extend(tours),
-            )
+            colony = iterate(inst, AcoParams(beta=200.0, q0=q0, variant=variant, seed=4))
+            for it in itertools.islice(colony, 3):
+                seen.extend(ant_tours(it))
+                trace.append(it.incumbent.cost)
         assert len(seen) == 30 and rescued  # some steps had only zero weights
-        for tour in seen + [result.best]:
-            validate_tour(inst, tour.nodes)
-        assert all(a >= b for a, b in zip(result.trace, result.trace[1:]))
+        for nodes in seen + [it.incumbent.nodes]:
+            validate_tour(inst, nodes)
+        assert all(a >= b for a, b in zip(trace, trace[1:]))
 
     @staticmethod
     def far_step(inst):
         """Node 12 of 11EIL51 with only cluster 0 left: every edge costs at
         least 61, so (1/c)^200 times the trail underflows to 0."""
         l_nn, _ = nn_reference_cost(inst)
-        pher = PheromoneMatrix.for_instance(inst, l_nn, rho=0.5)
+        tau0, _ = _trail_bounds(inst.n, l_nn, rho=0.5)
         cand = np.flatnonzero(inst.cluster_of == 0)
         assert inst.costs.cost[12, cand].min() == 61
-        return pher, cand
+        return np.full((inst.n, inst.n), tau0), cand
 
     def test_beta_underflow_distribution_is_finite(self, data_dir):
         inst = load_instance_file(data_dir / "eil51.tsp")
-        pher, cand = self.far_step(inst)
+        tau, cand = self.far_step(inst)
         with np.errstate(all="raise", under="ignore"):
-            assert not step_weights(inst, pher.tau, 12, cand, 200.0).any()
-            probs = distribution(inst, pher.tau, 12, cand, beta=200.0)
+            assert not step_weights(inst, tau, 12, cand, 200.0).any()
+            probs = distribution(inst, tau, 12, cand, beta=200.0)
         assert set(probs) == {int(v) for v in cand}
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
         # relative visibility (c_min/c)^beta: the cheapest candidate edge wins
@@ -1016,11 +1009,11 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("q0", [0.0, 1.0])
     def test_beta_underflow_pick_follows_relative_weights(self, q0, data_dir):
         inst = load_instance_file(data_dir / "eil51.tsp")
-        pher, cand = self.far_step(inst)
+        tau, cand = self.far_step(inst)
         cheapest = int(cand[np.argmin(inst.costs.cost[12, cand])])
         rng = np.random.default_rng(0)
         with np.errstate(all="raise", under="ignore"):
-            picks = [pick(inst, pher.tau, 12, cand, 200.0, q0, rng) for _ in range(200)]
+            picks = [pick(inst, tau, 12, cand, 200.0, q0, rng) for _ in range(200)]
         assert set(picks) <= {int(v) for v in cand}
         if q0 == 1.0:
             assert set(picks) == {cheapest}

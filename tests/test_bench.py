@@ -311,6 +311,12 @@ class TestEmitTable:
         cell = payload["reports"][0]["results"]["racs"]
         assert cell["best"] == 40 and cell["mean"] == 42.0 and cell["costs"] == [40, 44]
 
+    def test_dotted_name_keeps_its_dot(self, tmp_path):
+        out = tmp_path / "results" / "run.v2"
+        emit_table([report_row(nn=[42])], out_base=out)
+        written = sorted(p.name for p in out.parent.iterdir())
+        assert written == ["run.v2.csv", "run.v2.json"]
+
 
 class TestLoadInstanceFile:
     def test_loads_clustered_file(self, tmp_path):

@@ -347,10 +347,16 @@ class TestBenchCommand:
                      id="output-int"),
         pytest.param({"base_seed": "1", "algorithms": ["racs"], "max_iterations": 1},
                      "base_seed must be an integer >= 0, got '1'", id="base-seed-string"),
+        # a config that is not a JSON object is written as it is
+        pytest.param("abc", "config must be a JSON object, got str", id="not-object-string"),
+        pytest.param([], "config must be a JSON object, got list", id="not-object-list"),
+        pytest.param(None, "config must be a JSON object, got NoneType", id="not-object-null"),
     ])
     def test_bad_config_is_1(self, tmp_path, toy_file, config, message):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"instances": [str(toy_file)], **config}))
+        if isinstance(config, dict):
+            config = {"instances": [str(toy_file)], **config}
+        cfg.write_text(json.dumps(config))
         proc = gtsp_cli("bench", "--config", cfg)
         assert proc.returncode == 1
         assert f"gtsp bench: bad config: {message}" in proc.stderr

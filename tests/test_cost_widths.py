@@ -27,6 +27,7 @@ from gtsp import (
     run,
     tour_cost,
 )
+from gtsp.aco import iterate
 
 from oracles import brute_force_best_for_order, brute_force_optimum, cycle_cost, lockstep_run
 
@@ -112,11 +113,10 @@ class TestAtEachWidthLimit:
         inst = near_limit_instance(top, 200, 4, seed=top % 73)
         params = AcoParams(variant=variant, num_ants=4, max_iterations=5, seed=top % 71)
         lengths = []
-
-        def observer(state, ant_tours):
-            lengths.extend((t.cost, cycle_cost(inst.costs.cost, t.nodes)) for t in ant_tours)
-
-        result = run(inst, params, iteration_observer=observer)
+        for it in itertools.islice(iterate(inst, params), 5):
+            lengths.extend((length, cycle_cost(inst.costs.cost, tuple(nodes)))
+                           for nodes, length in zip(it.paths.T.tolist(), it.lengths.tolist()))
+        result = run(inst, params)
         assert len(lengths) == 4 * 5
         assert all(ours == oracle for ours, oracle in lengths)
         reference = lockstep_run(inst, params)[0]
@@ -142,7 +142,7 @@ def test_colony_setup_builds_no_matrix_beyond_trails_and_weights():
     n = inst.n
     tracemalloc.start()
     try:
-        run(inst, AcoParams(max_iterations=0, seed=1))
+        next(iterate(inst, AcoParams(seed=1)))  # the set-up, then one iteration
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
