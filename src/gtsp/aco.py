@@ -30,9 +30,8 @@ weight matrix as one (ants, n) block, multiplies it by the mask, and
 only for the exploring rows the running sums, to pick the first node whose
 running sum exceeds r times the row total. A row whose weights all
 underflowed to 0 is first rescued with `_relative_weights`. Then `_relax`
-writes the step's trails at once; an edge k ants wrote in the step (an
-unordered edge, on symmetric instances) is relaxed k times in a row, as
-writes in ant order would. `tests/oracles.py::lockstep_run` is the same
+writes the step's trails one by one, in ant order, as the rule reads: an edge
+two ants took is relaxed twice. `tests/oracles.py::lockstep_run` is the same
 colony in plain per-ant loops, and `iterate` reproduces it byte for byte. The
 masks make each tour feasible, so only a tour that becomes the new incumbent
 goes through `make_tour` (validated and re-costed). Pheromone scales use
@@ -42,12 +41,14 @@ max(L, 1), so zero-cost tours do not divide by zero.
 trails and rewrites an entry at every trail write, so a step gathers each
 ant's weights from one row. Visibility^beta comes from a table indexed by
 integer cost value, and the weights start as that table times tau0, gathered
-in row blocks with no n x n temporary; only instances whose largest cost
-reaches n^2 keep an n x n visibility matrix instead. Every trail write, local
-or global, goes through one relaxation (`_relax`). Trails change only through
-these writes, so `iterate` calls `evaporation_reinit(tau, tau0, tau_max)`
-only in an iteration where some write went above tau_max, refreshes the
-weights of the entries it reset, and yields its mask of them.
+in row blocks with no n x n temporary; only instances whose two tables (the
+plain one and the one times tau0) would outgrow an n x n matrix keep an n x n
+visibility matrix instead. Every trail write, local, closing or global, goes
+through one relaxation (`_relax`), which returns the largest value it wrote.
+Trails change only through these writes, so `iterate` calls
+`evaporation_reinit(tau, tau0, tau_max)` only in an iteration where some
+write went above tau_max, refreshes the weights of the entries it reset, and
+yields its mask of them.
 
 A single run is sequential and deterministic given its seed. Independent runs
 share instances read-only and may execute in parallel.
@@ -185,12 +186,12 @@ def _visibility_lookup(cost: np.ndarray, beta: float, max_cost: int, scale: floa
     The values come from a table over the integer cost values 0..max cost
     (and one pre-multiplied by `scale`), so no n x n matrix is built:
     `where(...)` gathers its result row block by row block, with
-    block-sized temporaries only. A table longer than n^2 would outgrow the
-    matrix (and could exhaust memory at costs like 2^40); only in that case
-    the n x n matrix is computed directly.
+    block-sized temporaries only. Two tables longer than n^2 together would
+    outgrow the matrix (and could exhaust memory at costs like 2^40); only
+    in that case the n x n matrix is computed directly.
     """
     n = cost.shape[0]
-    if max_cost + 1 <= n * n:
+    if 2 * (max_cost + 1) <= n * n:
         table = _visibility_pow(np.arange(max_cost + 1), beta)
         scaled = table * scale
         flat = cost.ravel()
@@ -278,46 +279,27 @@ def _global_deposit(best_cost: int) -> float:
     return 1.0 / max(best_cost, 1)
 
 
-def _repeats(keys: np.ndarray) -> tuple[list[int], list[int]] | None:
-    """For each distinct value of `keys`, the position of its first
-    occurrence and how often it occurs; None when no value repeats."""
-    seen = keys.tolist()
-    first, times = {}, {}
-    for k, key in enumerate(seen):
-        if key in times:
-            times[key] += 1
-        else:
-            first[key] = k
-            times[key] = 1
-    if len(times) == len(seen):
-        return None
-    return list(first.values()), list(times.values())
-
-
 def _relax(
-    tau: np.ndarray, edges: np.ndarray, mirrors: np.ndarray | None, keep: float, add: float,
-    times: list[int] | None = None,
-) -> np.ndarray:
+    tau: np.ndarray, weight: np.ndarray, edges: np.ndarray, mirrors: np.ndarray,
+    eta: np.ndarray, keep: float, add: float,
+) -> float:
     """The trail writes tau[e] <- keep * tau[e] + add on the flattened trail
-    matrix, for the flat edge indices `edges`, the k-th of them `times[k]`
-    times in a row (once each when `times` is None), with keep = 1 - rho and
-    add = rho * deposit. On symmetric instances each new value is mirrored to
-    the flat index in `mirrors`. No edge may occur twice in `edges` (no
-    unordered edge on symmetric instances), so the edges are independent.
-    Returns the new values. The repeats run on Python floats, whose arithmetic
-    is numpy's float64 arithmetic, so they equal writes made one by one."""
-    t = keep * tau[edges] + add
-    if times is not None:
-        for k, count in enumerate(times):
-            if count > 1:
-                value = float(t[k])
-                for _ in range(count - 1):
-                    value = keep * value + add
-                t[k] = value
-    tau[edges] = t
-    if mirrors is not None:
-        tau[mirrors] = t
-    return t
+    matrix, one by one in the order of the flat edge indices `edges`, with
+    keep = 1 - rho and add = rho * deposit. Each new value t is also stored at
+    the edge's mirror in `mirrors` (the edge itself on asymmetric instances),
+    and t * eta, with `eta` the edge's visibility^beta, at both places of the
+    flattened weight matrix. The values pass as Python floats, whose
+    arithmetic is numpy's float64 arithmetic. Returns the largest value
+    written."""
+    tau, weight = memoryview(tau), memoryview(weight)  # item by item, faster than numpy's
+    top = 0.0
+    for e, m, v in zip(edges.tolist(), mirrors.tolist(), eta.tolist()):
+        t = keep * tau[e] + add
+        tau[e] = tau[m] = t
+        weight[e] = weight[m] = t * v
+        if t > top:
+            top = t
+    return top
 
 
 def evaporation_reinit(tau: np.ndarray, tau0: float, tau_max: float) -> np.ndarray:
@@ -432,40 +414,19 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
     keep = 1.0 - rho
     above_max = False  # some write of this iteration went above tau_max
 
-    def write(e: np.ndarray, m: np.ndarray | None, add: float) -> None:
-        """Relax the trails at flat edge indices `e` (mirrors `m`, on
-        symmetric instances) and their weights as if one by one in order. An
-        edge written k times is relaxed k times in a row; the order of
-        distinct edges does not matter."""
+    def write(i: np.ndarray, j: np.ndarray, add: float) -> None:
+        """Relax the trails of the edges (i[k], j[k]) and their weights one
+        by one, in order; on symmetric instances each write is mirrored."""
         nonlocal above_max
-        times = None
-        repeats = _repeats(e if m is None else np.minimum(e, m))
-        if repeats is not None:
-            first, times = repeats
-            e, m = e[first], None if m is None else m[first]
-        t = _relax(tau_flat, e, m, keep, add, times)
-        weight_flat[e] = w = t * eta_at(e)
-        if m is not None:
-            weight_flat[m] = w
-        # Some write went above tau_max iff some value of t did: until the
-        # flag is set every trail is at or below tau_max, the k writes of a
-        # repeated edge move monotonically (the last is the largest if any
-        # rose), and keep * v + add rounds monotonically in v, so no write of
-        # a call whose keep * tau_max + add is at most tau_max goes above it.
-        if not above_max and keep * tau_max + add > tau_max:
-            above_max = bool((t > tau_max).any())
+        e = i * n + j
+        top = _relax(tau_flat, weight_flat, e, j * n + i if symmetric else e, eta_at(e), keep, add)
+        above_max = above_max or top > tau_max
 
     def rescue(rows: np.ndarray) -> np.ndarray:
         """`_relative_weights` of the selected rows at the current step."""
         return _relative_weights(cost[cur[rows]], tau[cur[rows]], mask[rows], beta)
 
-    def edges(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Flat indices of the edges (i[k], j[k]) and, on symmetric
-        instances, of their mirrors."""
-        return i * n + j, (j * n + i if symmetric else None)
-
-    nodes = np.array(incumbent.nodes)
-    incumbent_edges = edges(nodes, nodes[successor])  # its cycle, closing edge included
+    cycle = np.array(incumbent.nodes)  # the incumbent's nodes, in tour order
     while True:
         local_add = rho * _local_deposit(variant, n, incumbent.cost, tau0)
         # draws[0] gives each ant's start cluster and member, draws[s] its q
@@ -482,7 +443,6 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
         bounds = np.searchsorted(step_of, steps).tolist()
         mask.fill(1.0)
         path[0] = cur = start
-        cur_n = cur * n
         above_max = False
         for s, lo, hi in zip(range(1, p), bounds, bounds[1:]):
             # mask the cluster each ant is in: its start, then the one it entered last
@@ -490,18 +450,16 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
             w = weight.take(cur, axis=0)
             w *= mask
             nxt = _pick_rows(w, roulette[lo:hi], r_all[lo:hi], rescue)
-            nxt_n = nxt * n  # edges(cur, nxt), with cur * n kept from the last step
-            write(cur_n + nxt, nxt_n + cur if symmetric else None, local_add)
+            write(cur, nxt, local_add)
             path[s] = cur = nxt
-            cur_n = nxt_n
-        write(*edges(cur, start), local_add)
+        write(cur, start, local_add)
         lengths = cost[path, path[successor]].sum(axis=0)
 
         best = int(lengths.argmin())  # ties keep the first ant
         if lengths[best] < incumbent.cost:
             incumbent = make_tour(instance, path[:, best])
-            incumbent_edges = edges(path[:, best], path[successor, best])
-        write(*incumbent_edges, rho * _global_deposit(incumbent.cost))
+            cycle = np.array(incumbent.nodes)
+        write(cycle, cycle[successor], rho * _global_deposit(incumbent.cost))  # closing edge too
         # tau0 < tau_max, so every trail is <= tau_max after a reinit and only
         # a write above tau_max can give the next one something to reset
         reset = None

@@ -29,6 +29,7 @@ from .aco import PARAMS, VARIANTS, AcoParams, RunResult, check, declared, param,
 from .construct import nn_reference_cost
 from .exact import DEFAULT_CELL_CAP, CellCapExceeded, exact_solve
 from .instance import (
+    GRID,
     GtspInstance,
     check_cluster_count,
     cluster_instance,
@@ -80,9 +81,12 @@ class GeneratorSpec:
     where: InitVar[str] = ""
 
     def __post_init__(self, where: str) -> None:
+        prefix = f"{where}." if where else ""
         for f, hint in GENERATOR:
-            check(f"{where}.{f.name}" if where else f.name, getattr(self, f.name), hint,
-                  f.metadata["bound"])
+            check(prefix + f.name, getattr(self, f.name), hint, f.metadata["bound"])
+        if self.nodes > GRID * GRID:
+            raise ValueError(f"{prefix}nodes must be at most {GRID * GRID}, the points of the"
+                             f" {GRID} x {GRID} grid, got {self.nodes}")
         try:
             check_cluster_count(self.clusters, self.nodes)
         except ValueError as exc:

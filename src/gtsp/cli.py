@@ -134,6 +134,15 @@ def _write_output(cmd: str, text: str, out: str | None) -> int:
     return 0
 
 
+def _csv_cell(value):
+    """A record value as one CSV cell: a list space-separated, a dict as JSON."""
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    if isinstance(value, dict):
+        return json.dumps(value, sort_keys=True)
+    return value
+
+
 def _format_solution(record: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record, sort_keys=True)
@@ -142,10 +151,7 @@ def _format_solution(record: dict, fmt: str) -> str:
         writer = csv.writer(buf, lineterminator="\n")
         keys = sorted(record)
         writer.writerow(keys)
-        writer.writerow(
-            [" ".join(map(str, record[k])) if isinstance(record[k], list) else record[k]
-             for k in keys]
-        )
+        writer.writerow([_csv_cell(record[k]) for k in keys])
         return buf.getvalue()
     lines = [f"{k}: {record[k]}" for k in sorted(record)]
     return "\n".join(lines)

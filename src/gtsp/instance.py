@@ -513,14 +513,18 @@ def _fmt_coord(x: float) -> str:
     return str(int(x)) if float(x).is_integer() else repr(float(x))
 
 
+GRID = 1000  # generated points lie on the GRID x GRID integer grid
+
+
 def generate_instance(
     nodes: int, clusters: int, seed: int, name: str = "rand"
 ) -> tuple[NodeCoords, GtspInstance]:
-    """Random planar instance: distinct integer-grid points, clustered as usual."""
+    """Random planar instance: `nodes` distinct points of the GRID x GRID
+    integer grid (so at most GRID^2), clustered as usual."""
     check_cluster_count(clusters, nodes)
     rng = np.random.default_rng(seed)
-    flat = rng.choice(1000 * 1000, size=nodes, replace=False)
-    pts = np.stack([flat % 1000, flat // 1000], axis=1).astype(float)
+    flat = rng.choice(GRID * GRID, size=nodes, replace=False)
+    pts = np.stack([flat % GRID, flat // GRID], axis=1).astype(float)
     coords = NodeCoords(pts)
     costs = euc2d_costs(coords)
     return coords, cluster_instance(coords, costs, m=clusters, name=name)

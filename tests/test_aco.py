@@ -31,7 +31,6 @@ from gtsp.aco import (
     _pick_rows,
     _relative_weights,
     _relax,
-    _repeats,
     _trail_bounds,
     _visibility_lookup,
     evaporation_reinit,
@@ -108,21 +107,25 @@ def pick(instance, tau, current, cand, beta, q0, rng) -> int:
     )[0])
 
 
+def relax_trails(tau, pairs, keep, add, symmetric=True) -> float:
+    """`_relax` on the trails alone: the edges (i, j) of `pairs` in order,
+    with a throwaway weight matrix and visibility 1."""
+    n = tau.shape[0]
+    e = np.array([i * n + j for i, j in pairs])
+    m = np.array([j * n + i for i, j in pairs]) if symmetric else e
+    return _relax(tau.ravel(), np.empty(tau.size), e, m, np.ones(len(e)), keep, add)
+
+
 def local_write(tau, edge, rho, l_plus, n, variant, tau0, symmetric=True) -> None:
-    i, j = edge
-    size = tau.shape[0]
-    _relax(tau.ravel(), np.array([i * size + j]), np.array([j * size + i]) if symmetric else None,
-           1.0 - rho, rho * _local_deposit(variant, n, l_plus, tau0))
+    relax_trails(tau, [edge], 1.0 - rho, rho * _local_deposit(variant, n, l_plus, tau0),
+                 symmetric)
 
 
 def global_write(tau, best, rho, symmetric=True) -> None:
     """Every edge of `best`, closing edge included, toward `_global_deposit`."""
-    add = rho * _global_deposit(best.cost)
     nodes = best.nodes
-    n = tau.shape[0]
-    for a, b in zip(nodes, nodes[1:] + nodes[:1]):
-        _relax(tau.ravel(), np.array([a * n + b]), np.array([b * n + a]) if symmetric else None,
-               1.0 - rho, add)
+    relax_trails(tau, list(zip(nodes, nodes[1:] + nodes[:1])), 1.0 - rho,
+                 rho * _global_deposit(best.cost), symmetric)
 
 
 class TestTransitionDistribution:
@@ -354,15 +357,6 @@ class TestRowPick:
         ]
 
 
-class TestRepeats:
-    def test_distinct_keys_have_no_repeats(self):
-        assert _repeats(np.array([4, 1, 9])) is None
-
-    def test_first_positions_and_counts(self):
-        first, times = _repeats(np.array([7, 3, 7, 7, 3, 5]))
-        assert sorted(zip(first, times)) == [(0, 3), (1, 2), (5, 1)]
-
-
 class TestLocalUpdate:
     def test_racs_correction(self):
         tau = fresh_trails(two_candidate_instance(), value=0.04)
@@ -385,11 +379,23 @@ class TestLocalUpdate:
         # an edge three ants wrote in one step, next to an edge written once
         tau = fresh_trails(two_candidate_instance(), value=0.04)
         one_by_one = tau.copy()
-        for edge in [1, 1, 2, 1]:
-            _relax(one_by_one.ravel(), np.array([edge]), None, 0.7, 0.009)
-        new = _relax(tau.ravel(), np.array([1, 2]), None, 0.7, 0.009, times=[3, 1])
+        for edge in [(0, 1), (0, 1), (0, 2), (0, 1)]:
+            relax_trails(one_by_one, [edge], 0.7, 0.009, symmetric=False)
+        top = relax_trails(tau, [(0, 1), (0, 1), (0, 2), (0, 1)], 0.7, 0.009, symmetric=False)
         assert tau.tobytes() == one_by_one.tobytes()
-        assert new.tolist() == [tau[0, 1], tau[0, 2]]
+        assert top == max(tau[0, 1], tau[0, 2])
+
+    def test_weights_follow_the_trails(self):
+        # both places of an edge get the new trail times its visibility
+        tau = fresh_trails(two_candidate_instance(), value=0.04)
+        weight = np.zeros(tau.size)
+        e, m = np.array([1, 2, 1]), np.array([3, 6, 3])
+        top = _relax(tau.ravel(), weight, e, m, np.array([0.5, 0.25, 0.5]), 0.7, 0.009)
+        assert tau[0, 1] == tau[1, 0] == 0.7 * (0.7 * 0.04 + 0.009) + 0.009
+        assert weight[1] == weight[3] == tau[0, 1] * 0.5
+        assert weight[2] == weight[6] == tau[0, 2] * 0.25
+        # the largest value written, not the last: each write falls toward 0.03
+        assert top == 0.7 * 0.04 + 0.009 == tau[0, 2] > tau[0, 1]
 
     def test_asymmetric_updates_one_direction(self):
         tau = fresh_trails(two_candidate_instance(), value=0.04)
@@ -455,24 +461,22 @@ class TestGlobalUpdate:
         writes = []
         real_relax = gtsp.aco._relax
 
-        def recorded(tau, edges, mirrors, keep, add, times=None):
+        def recorded(tau, weight, edges, mirrors, eta, keep, add):
             n = inst.n
             pairs = [divmod(e, n) for e in edges.tolist()]
-            assert (mirrors is None) == (not symmetric)
-            if symmetric:
-                assert mirrors.tolist() == [j * n + i for i, j in pairs]
-            writes.append((pairs, keep, add, times or [1] * len(pairs)))
-            return real_relax(tau, edges, mirrors, keep, add, times)
+            assert mirrors.tolist() == [j * n + i if symmetric else i * n + j for i, j in pairs]
+            writes.append((pairs, keep, add))
+            return real_relax(tau, weight, edges, mirrors, eta, keep, add)
 
         with mock.patch.object(gtsp.aco, "_relax", recorded):
             best = run(inst, params).best
         nodes = best.nodes
         cycle = list(zip(nodes, nodes[1:] + nodes[:1]))
         add = params.rho * _global_deposit(best.cost)
-        # one call per step of all ants; an edge k ants share is written k times
+        # one call per step of all ants, each edge of it in ant order
         assert len(writes) == inst.p + 1
-        assert sum(sum(times) for *_, times in writes) == (params.num_ants + 1) * inst.p
-        assert writes[-1] == (cycle, 0.75, add, [1] * inst.p)
+        assert sum(len(pairs) for pairs, *_ in writes) == (params.num_ants + 1) * inst.p
+        assert writes[-1] == (cycle, 0.75, add)
         assert all(w[2] < add for w in writes[:-1])  # the local writes deposit less
 
 
@@ -737,7 +741,7 @@ def random_cost_instance(n: int, p: int, top: int, seed: int) -> GtspInstance:
     return GtspInstance(name="big", costs=CostMatrix(cost), clusters=tuple(map(tuple, clusters)))
 
 
-# random colonies for the two reference tests below
+# random colonies for the reference test below
 REFERENCE_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 24),
@@ -773,7 +777,7 @@ class TestReferenceEquivalence:
     """`iterate`'s (ants, n) kernel, and `run` driving it, against the
     plain-loop lockstep colony in oracles.py."""
 
-    @settings(max_examples=160)
+    @settings(max_examples=240)
     @given(**REFERENCE_CASES)
     @example(seed=1, n=2, p=2, symmetric=True, variant="racs", q0=0.5,
              beta=5.0, num_ants=1, iterations=3, rho=0.5)
@@ -823,13 +827,35 @@ class TestReferenceEquivalence:
             tracemalloc.stop()
             assert peak < 1 << 20
 
-    @pytest.mark.parametrize("top", [24, 25, 26])
+    @pytest.mark.parametrize("top", [11, 12, 13, 24, 25, 26])
     def test_visibility_table_boundary(self, top):
-        # n = 5: a largest cost of 24 fits a table of n^2 values, 25 does not
+        # n = 5: with a largest cost of 11, the two visibility tables of 12
+        # values each fit in n^2 cells, at 12 they do not; 24 | 25 is where
+        # one table of n^2 values stops fitting
         inst = random_cost_instance(5, 3, top, seed=top)
         for variant in ("acs", "racs"):
             params = AcoParams(variant=variant, num_ants=3, max_iterations=5, seed=top)
             assert traced_run(inst, params) == traced_reference(inst, params)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    def test_visibility_tables_hold_no_more_than_the_matrix(self, n):
+        def held(top):
+            """Bytes of array data `_visibility_lookup` keeps for costs up to `top`."""
+            cost = np.zeros((n, n), dtype=np.int16)
+            cost[0, 1] = top
+            tracemalloc.start()
+            lookup = _visibility_lookup(cost, 5.0, top, 0.5)  # alive at the snapshot
+            snapshot = tracemalloc.take_snapshot()
+            tracemalloc.stop()
+            arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+            return sum(t.size for t in snapshot.filter_traces([arrays]).traces)
+
+        matrix = held(n * n)  # far past the boundary: the n x n path
+        assert matrix == n * n * 8
+        # the last costs of the table path, the first of the n x n path, and
+        # the old boundary n^2 - 1 the two tables used to pass at twice the size
+        for top in (n * n // 2 - 1, n * n // 2, n * n // 2 + 1, n * n - 1):
+            assert held(top) <= matrix
 
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("symmetric", [True, False])
@@ -864,9 +890,9 @@ class TestReferenceEquivalence:
         calls = []
         relax = gtsp.aco._relax
 
-        def recorded(tau, edges, *rest):
+        def recorded(tau, weight, edges, *rest):
             calls.append(sorted(edges.tolist()))
-            return relax(tau, edges, *rest)
+            return relax(tau, weight, edges, *rest)
 
         with mock.patch.object(gtsp.aco, "_relax", recorded):
             ours = traced_run(inst, params)
@@ -920,21 +946,6 @@ class TestReferenceEquivalence:
                 variant=("acs", "racs")[i % 2],
             )
             assert traced_run(inst, params) == traced_reference(inst, params)
-
-
-class TestReferenceEquivalenceWithoutObserver:
-    """`run` on its own, with nothing watching the colony through `iterate`
-    (the path the benchmark and the CLI take), against the plain-loop
-    lockstep colony in oracles.py."""
-
-    @settings(max_examples=80)
-    @given(**REFERENCE_CASES)
-    @example(seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0, beta=12.0,
-             num_ants=3, iterations=4, rho=0.5)
-    def test_json_identical_to_reference(self, **case):
-        inst, params = reference_case(**case)
-        ours = run(inst, params).to_json(include_elapsed=False)
-        assert ours == traced_reference(inst, params)[0]
 
 
 class TestDegenerateInputs:

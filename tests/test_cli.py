@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -83,6 +85,13 @@ class TestSolve:
         assert proc.returncode == 0
         lines = proc.stdout.strip().splitlines()
         assert len(lines) == 2 and "cost" in lines[0]
+
+    def test_csv_params_cell_is_json(self, toy_file):
+        proc = gtsp_cli("solve", toy_file, "--algo", "racs", "--max-iters", 2,
+                        "--format", "csv")
+        assert proc.returncode == 0
+        (row,) = csv.DictReader(io.StringIO(proc.stdout))
+        assert json.loads(row["params"]) == AcoParams(max_iterations=2).to_dict()
 
     def test_out_file(self, toy_file, tmp_path):
         out = tmp_path / "solution.json"
@@ -269,6 +278,13 @@ class TestGenCommand:
         assert proc.stderr == (f"gtsp gen: cluster count m={clusters} must satisfy"
                                f" 2 <= m <= n={nodes}\n")
 
+    def test_more_nodes_than_grid_points_is_1(self):
+        # generated points are distinct points of the 1000 x 1000 grid
+        proc = gtsp_cli("gen", "--nodes", 1000001, "--clusters", 3)
+        assert proc.returncode == 1
+        assert proc.stderr == ("gtsp gen: nodes must be at most 1000000, the points of the"
+                               " 1000 x 1000 grid, got 1000001\n")
+
 
 class TestBenchCommand:
     def test_config_run_writes_tables(self, tmp_path, toy_file):
@@ -327,6 +343,8 @@ class TestBenchCommand:
         pytest.param({"instances": [{"nodes": 1, "clusters": 1}], "algorithms": ["nn"]},
                      "instances[0]: cluster count m=1 must satisfy 2 <= m <= n=1",
                      id="spec-one-node"),
+        pytest.param({"instances": [{"nodes": 1000001, "clusters": 3}], "algorithms": ["nn"]},
+                     "instances[0].nodes must be at most 1000000", id="spec-more-nodes-than-grid"),
         pytest.param({"cell_cap": "x", "algorithms": ["exact"]},
                      "cell_cap must be an integer >= 1", id="cell-cap-string"),
         pytest.param({"cell_cap": -1, "algorithms": ["exact"]},
