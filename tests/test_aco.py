@@ -741,7 +741,7 @@ def random_cost_instance(n: int, p: int, top: int, seed: int) -> GtspInstance:
     return GtspInstance(name="big", costs=CostMatrix(cost), clusters=tuple(map(tuple, clusters)))
 
 
-# random colonies for the reference test below
+# random colonies for the two reference tests below
 REFERENCE_CASES = dict(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(2, 24),
@@ -777,7 +777,7 @@ class TestReferenceEquivalence:
     """`iterate`'s (ants, n) kernel, and `run` driving it, against the
     plain-loop lockstep colony in oracles.py."""
 
-    @settings(max_examples=240)
+    @settings(max_examples=160)
     @given(**REFERENCE_CASES)
     @example(seed=1, n=2, p=2, symmetric=True, variant="racs", q0=0.5,
              beta=5.0, num_ants=1, iterations=3, rho=0.5)
@@ -946,6 +946,21 @@ class TestReferenceEquivalence:
                 variant=("acs", "racs")[i % 2],
             )
             assert traced_run(inst, params) == traced_reference(inst, params)
+
+
+class TestReferenceEquivalenceWithoutObserver:
+    """`run` on its own, with nothing watching the colony through `iterate`
+    (the path the benchmark and the CLI take), against the plain-loop
+    lockstep colony in oracles.py."""
+
+    @settings(max_examples=80)
+    @given(**REFERENCE_CASES)
+    @example(seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0, beta=12.0,
+             num_ants=3, iterations=4, rho=0.5)
+    def test_json_identical_to_reference(self, **case):
+        inst, params = reference_case(**case)
+        ours = run(inst, params).to_json(include_elapsed=False)
+        assert ours == traced_reference(inst, params)[0]
 
 
 class TestDegenerateInputs:
