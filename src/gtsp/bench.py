@@ -29,9 +29,9 @@ from .aco import PARAMS, VARIANTS, AcoParams, RunResult, check, declared, param,
 from .construct import nn_reference_cost
 from .exact import DEFAULT_CELL_CAP, CellCapExceeded, exact_solve
 from .instance import (
-    GRID,
     GtspInstance,
     check_cluster_count,
+    check_node_count,
     cluster_instance,
     euc2d_costs,
     generate_instance,
@@ -84,9 +84,7 @@ class GeneratorSpec:
         prefix = f"{where}." if where else ""
         for f, hint in GENERATOR:
             check(prefix + f.name, getattr(self, f.name), hint, f.metadata["bound"])
-        if self.nodes > GRID * GRID:
-            raise ValueError(f"{prefix}nodes must be at most {GRID * GRID}, the points of the"
-                             f" {GRID} x {GRID} grid, got {self.nodes}")
+        check_node_count(self.nodes, prefix + "nodes")
         try:
             check_cluster_count(self.clusters, self.nodes)
         except ValueError as exc:

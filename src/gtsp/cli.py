@@ -143,6 +143,11 @@ def _csv_cell(value):
     return value
 
 
+def _text_value(value) -> str:
+    """A record value for the text format: a string as it is, anything else as JSON."""
+    return value if isinstance(value, str) else json.dumps(value, sort_keys=True)
+
+
 def _format_solution(record: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record, sort_keys=True)
@@ -153,8 +158,7 @@ def _format_solution(record: dict, fmt: str) -> str:
         writer.writerow(keys)
         writer.writerow([_csv_cell(record[k]) for k in keys])
         return buf.getvalue()
-    lines = [f"{k}: {record[k]}" for k in sorted(record)]
-    return "\n".join(lines)
+    return "\n".join(f"{k}: {_text_value(record[k])}" for k in sorted(record))
 
 
 def _out_of_memory(doing: str, exc: MemoryError, status: int) -> int:

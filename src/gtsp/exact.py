@@ -24,6 +24,9 @@ DEFAULT_CELL_CAP = 2**25
 # or 2^14 int64 cells. exact_solve allocates its temporary per call; at 128 KiB
 # it adds little resident memory.
 _STEP_BYTES = 2**17
+# Source rows per min-plus chunk when a cluster's columns do not all fit the
+# budget: the temporary's innermost axis, so each add and min runs this long.
+_CHUNK_ROWS = 128
 
 
 class CellCapExceeded(RuntimeError):
@@ -125,6 +128,15 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     is O(p^2) rounds of numpy calls instead of a Python step per mask. The
     tour is rebuilt by walking back through the table.
 
+    The min-plus reduces over the width axis as its outermost axis. Each
+    chunk's gathered source rows are transposed once to (width, rows), the
+    temporary is (width, target columns, rows), and its min over axis 0 is
+    an elementwise minimum of width contiguous slabs, written back
+    transposed. A chunk takes all of cluster i's columns when that leaves at
+    least _CHUNK_ROWS rows (or all the round's rows) within _STEP_BYTES;
+    otherwise it takes _CHUNK_ROWS rows (fewer if one column of them would
+    exceed the budget) and splits the columns.
+
     Ties resolve to the lowest start node, then the lowest closing node, then,
     walking back, the lowest node id among the optimal predecessors.
     """
@@ -161,9 +173,8 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     # max_cost * (p-1)) = sentinel, and any stored value plus any cost is
     # <= iinfo(cell).max.
     sentinel = np.iinfo(cell).max - instance.max_cost
-    # arrive[c, j]: cost from column j into column c; the rows of one cluster
-    # are the contiguous block the min-plus below reads along j
-    arrive = cost.T[np.ix_(order, order)].astype(cell)
+    # leave[j, c]: cost from column j into column c
+    leave = cost[np.ix_(order, order)].astype(cell)
     dp = np.full((1 << m, s, width), sentinel, dtype=cell)
     opening = cost[np.ix_(starts, order)]
     for i in range(m):
@@ -175,22 +186,29 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     popcount = np.zeros(1 << m, dtype=np.int64)
     for i in range(m):
         popcount += (masks >> i) & 1
-    buffer = np.empty(max(_STEP_BYTES // arrive.itemsize, max(rest_sizes) * width), dtype=cell)
+    budget = _STEP_BYTES // leave.itemsize  # cells of one temporary
+    buffer = np.empty(max(budget, width), dtype=cell)
     for k in range(1, m):
         level = masks[popcount == k]
         for i in range(m):
             lo, hi = bounds[i], bounds[i + 1]
-            into = arrive[lo:hi]
             src = level[level & (1 << i) == 0]
             src_rows = (src[:, None] * s + np.arange(s)).ravel()
             tgt_rows = src_rows + (s << i)
-            # (chunk, |V_i|, width) temporaries near _STEP_BYTES, in the cell type
-            chunk = max(1, _STEP_BYTES // into.nbytes)
+            # (width, block, chunk) temporaries within _STEP_BYTES, or one
+            # width when a single cell per row exceeds it
+            whole = budget // (width * (hi - lo))
+            chunk = max(1, min(len(src_rows), budget // width, max(_CHUNK_ROWS, whole)))
+            block = max(1, min(hi - lo, budget // (width * chunk)))
             for r in range(0, len(src_rows), chunk):
-                gathered = rows[src_rows[r : r + chunk]]
-                step = buffer[: len(gathered) * into.size].reshape(len(gathered), *into.shape)
-                np.add(gathered[:, None, :], into, out=step)
-                rows[tgt_rows[r : r + chunk], lo:hi] = step.min(axis=2)
+                tgt = tgt_rows[r : r + chunk]
+                # (width, rows): the min over width runs along contiguous slabs
+                gathered = rows[src_rows[r : r + chunk]].T.copy()
+                for c in range(lo, hi, block):
+                    d = min(c + block, hi)
+                    step = buffer[: gathered.size * (d - c)].reshape(width, d - c, len(tgt))
+                    np.add(gathered[:, None, :], leave[:, c:d, None], out=step)
+                    rows[tgt, c:d] = step.min(axis=0).T
 
     totals = dp[full].astype(np.int64) + cost[np.ix_(order, starts)].T
     best = totals.min()
@@ -203,7 +221,7 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     while mask != 1 << int(owner[g]):
         prev = mask ^ 1 << int(owner[g])
         cols = columns(prev)
-        cands = cols[dp[prev, a, cols] + arrive[g, cols] == value]
+        cands = cols[dp[prev, a, cols] + leave[cols, g] == value]
         g = int(cands[np.argmin(order[cands])])
         mask, value = prev, dp[prev, a, g]
         path.append(int(order[g]))

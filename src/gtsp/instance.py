@@ -516,11 +516,20 @@ def _fmt_coord(x: float) -> str:
 GRID = 1000  # generated points lie on the GRID x GRID integer grid
 
 
+def check_node_count(nodes: int, name: str = "nodes") -> None:
+    """The bound on a generated instance: at most GRID^2 nodes, one per grid
+    point. `name` names the value in the error."""
+    if nodes > GRID * GRID:
+        raise ValueError(f"{name} must be at most {GRID * GRID}, the points of the"
+                         f" {GRID} x {GRID} grid, got {nodes}")
+
+
 def generate_instance(
     nodes: int, clusters: int, seed: int, name: str = "rand"
 ) -> tuple[NodeCoords, GtspInstance]:
     """Random planar instance: `nodes` distinct points of the GRID x GRID
     integer grid (so at most GRID^2), clustered as usual."""
+    check_node_count(nodes)
     check_cluster_count(clusters, nodes)
     rng = np.random.default_rng(seed)
     flat = rng.choice(GRID * GRID, size=nodes, replace=False)

@@ -25,7 +25,7 @@ from gtsp import (
     sidecar_optimum,
     solve,
 )
-from gtsp.bench import ALGORITHMS, AlgoResult, RunReport
+from gtsp.bench import ALGORITHMS, AlgoResult, GeneratorSpec, RunReport
 
 
 def small_config(**overrides):
@@ -63,6 +63,14 @@ class TestConfig:
 
     def test_base_seed_expansion(self):
         assert small_config().rep_seeds() == [7, 8]
+
+    @pytest.mark.parametrize("where, name", [("", "nodes"), ("instances[2]", "instances[2].nodes")])
+    def test_generator_spec_refuses_more_nodes_than_grid_points(self, where, name):
+        # generate_instance's own check, named by the spec's field
+        with pytest.raises(ValueError) as exc:
+            GeneratorSpec(nodes=1000001, clusters=3, where=where)
+        assert str(exc.value) == (f"{name} must be at most 1000000, the points of the"
+                                  " 1000 x 1000 grid, got 1000001")
 
     def test_from_file_resolves_relative_paths(self, tmp_path):
         inst_file = tmp_path / "toy.gtsp"

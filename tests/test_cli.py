@@ -93,6 +93,18 @@ class TestSolve:
         (row,) = csv.DictReader(io.StringIO(proc.stdout))
         assert json.loads(row["params"]) == AcoParams(max_iterations=2).to_dict()
 
+    def test_text_nested_values_are_json(self, toy_file):
+        args = ("solve", toy_file, "--algo", "racs", "--max-iters", 2)
+        text = gtsp_cli(*args, "--format", "text")
+        assert text.returncode == 0
+        lines = dict(line.split(": ", 1) for line in text.stdout.splitlines())
+        record = json.loads(gtsp_cli(*args, "--format", "json").stdout)
+        assert json.loads(lines["params"]) == AcoParams(max_iterations=2).to_dict()
+        assert '"time_max": null' in lines["params"]
+        assert json.loads(lines["nodes"]) == record["nodes"]
+        assert json.loads(lines["trace"]) == record["trace"]
+        assert lines["algo"] == "racs"
+
     def test_out_file(self, toy_file, tmp_path):
         out = tmp_path / "solution.json"
         proc = gtsp_cli("solve", toy_file, "--algo", "nn", "--format", "json",

@@ -27,6 +27,7 @@ from gtsp import (
     validate_tour,
 )
 
+import gtsp.exact
 from oracles import (
     brute_force_best_for_order,
     brute_force_optimum,
@@ -343,6 +344,28 @@ class TestReferenceEquivalence:
         assert tour.to_json() == reference_exact_solve(inst).to_json()
         # scaling every cost keeps the optimal tour and the tie rule's pick
         assert tour.nodes == exact_solve(base).nodes
+
+    # Budgets of a few cells: at 11 to 14 nodes, width is 9 to 13. From 16
+    # to 64 bytes a chunk holds one to three source rows and one target column
+    # (at 16 bytes not even one width fits, and the temporary is one width),
+    # so every round with more than one row and column is split both ways;
+    # at 200 and 600 bytes rounds of few rows take ragged column blocks. The
+    # default budget never reaches these edges on test-sized instances.
+    @pytest.mark.parametrize("step_bytes", [16, 64, 200, 600])
+    @pytest.mark.parametrize("scale", [1, 2**12, 2**40])  # int16, int32, int64 cells
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_when_every_round_is_split(self, monkeypatch, seed, scale,
+                                                         step_bytes):
+        monkeypatch.setattr(gtsp.exact, "_STEP_BYTES", step_bytes)
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(11, 15))
+        base = random_matrix_instance(n, int(rng.integers(4, 7)), rng,
+                                      symmetric=bool(seed % 2), high=30)
+        inst = GtspInstance(
+            name="x", costs=CostMatrix(base.costs.cost.astype(np.int64) * scale),
+            clusters=base.clusters,
+        )
+        assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
 
     @pytest.mark.parametrize("top", [4681, 4682])  # 4681 * 7 == 2**15 - 1, the int16 limit
     def test_matches_reference_at_the_int16_limit(self, top):

@@ -267,6 +267,12 @@ class TestClusterInstance:
         for k, c in enumerate(centers):
             assert c in inst.clusters[k]
 
+    def test_generate_refuses_more_nodes_than_grid_points(self):
+        # one node per point of the 1000 x 1000 grid; refused before any sampling
+        with pytest.raises(ValueError, match=r"^nodes must be at most 1000000, the points of"
+                                             r" the 1000 x 1000 grid, got 1000001$"):
+            generate_instance(1000001, 3, 0)
+
     @given(st.integers(0, 2**32 - 1), st.integers(4, 30), st.integers(2, 7))
     def test_partition_property(self, seed, n, p):
         if p > n:
