@@ -307,23 +307,28 @@ def _resolve_instance(spec) -> GtspInstance:
     return GeneratorSpec(**spec).generate()[1]
 
 
+def _error_text(exc: Exception) -> str:
+    """The message of `exc`, naming an allocation that failed as out of memory."""
+    return f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
+
+
 def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
     """Run every configured algorithm on every instance.
 
     Every cell goes through `solve`. Deterministic algorithms run once; the
     colonies run `repetitions` times, once per seed of `rep_seeds()`.
-    Unreadable instances, and those whose tour sums overflow int64, are
-    reported on `log` and skipped; an unreadable optimum sidecar is reported
-    on `log` and the row kept without an optimum; an exact-solver refusal
-    leaves a dash in that cell.
+    Unreadable instances, those whose tour sums overflow int64 and those that
+    run out of memory while they load are reported on `log` and skipped; an
+    unreadable optimum sidecar is reported on `log` and the row kept without
+    an optimum; an exact-solver refusal, or a solver that runs out of memory,
+    leaves a dash and its error in that cell.
     """
     reports: list[RunReport] = []
     for spec in config.instances:
         try:
             instance = _resolve_instance(spec)
-            instance.check_tour_sums()
-        except (OSError, ValueError) as exc:
-            print(f"gtsp bench: skipping {spec!r}: {exc}", file=log)
+        except (OSError, ValueError, MemoryError) as exc:
+            print(f"gtsp bench: skipping {spec!r}: {_error_text(exc)}", file=log)
             continue
         optimum = None
         if isinstance(spec, str):
@@ -338,8 +343,8 @@ def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
                 try:
                     result = solve(instance, algo, replace(config.params, seed=seed),
                                    config.cell_cap)
-                except CellCapExceeded as exc:
-                    cell.error = str(exc)
+                except (CellCapExceeded, MemoryError) as exc:
+                    cell.error = _error_text(exc)
                     break
                 cell.costs.append(result.best.cost)
                 cell.elapsed.append(result.elapsed)

@@ -3,9 +3,11 @@
 Subcommands: `solve` one instance with one algorithm, `bench` a configured
 experiment, `cluster` a raw TSPLIB file into a clustered instance file, and
 `gen` a random instance. Exit codes: 0 success, 1 usage error (an output path
-that cannot be written included), 2 instance error, 3 solver refusal. `solve`
-reports an allocation that fails as out of memory: exit 2 while the instance
-loads, 3 while the solver runs.
+that cannot be written included), 2 instance error, 3 solver refusal. An
+allocation that fails is reported as out of memory: exit 2 while an instance
+loads or is generated, 3 while a `solve` solver runs; `bench` skips the
+instance or leaves a dash in the solver's cell. `--clusters` below 2 is a
+usage error before the file is read.
 
 `solve` and `bench` both run their solvers through `gtsp.bench.solve`. The
 colony flags of `solve` are made from the `AcoParams` field declarations
@@ -65,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve_cmd.add_argument("--algo", required=True, choices=ALGORITHMS)
     _add_flags(solve_cmd, COLONY_KEYS.values())
     group = solve_cmd.add_mutually_exclusive_group()
-    group.add_argument("--clusters", type=int, default=None, metavar="M",
+    group.add_argument("--clusters", type=_cluster_count, default=None, metavar="M",
                        help="cluster a raw TSPLIB file into M sets")
     group.add_argument("--cluster-file", default=None, metavar="F",
                        help="take the set partition from clustered file F")
@@ -80,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.set_defaults(handler=_cmd_cluster)
     cluster.add_argument("file", help="TSPLIB file with EUC_2D coordinates")
     cluster.add_argument("--out", required=True, metavar="PATH")
-    cluster.add_argument("--clusters", type=int, default=None, metavar="M")
+    cluster.add_argument("--clusters", type=_cluster_count, default=None, metavar="M")
 
     gen = sub.add_parser("gen", help="generate a random Euclidean instance")
     gen.set_defaults(handler=_cmd_gen)
@@ -88,6 +90,18 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", default=None, metavar="PATH")
 
     return parser
+
+
+def _cluster_count(text: str) -> int:
+    """A `--clusters` value: an integer of at least 2. Whether it is at most
+    n depends on the file, an instance error."""
+    try:
+        m = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if m < 2:
+        raise argparse.ArgumentTypeError(f"cluster count m={m} must be at least 2")
+    return m
 
 
 def _add_flags(cmd, declared_fields) -> None:
@@ -100,9 +114,14 @@ def _add_flags(cmd, declared_fields) -> None:
                          metavar=f.metadata["metavar"])
 
 
+def _fail(cmd: str, message: str, status: int) -> int:
+    """Report an error of `gtsp cmd` on stderr, without a traceback."""
+    print(f"gtsp {cmd}: {message}", file=sys.stderr)
+    return status
+
+
 def _cannot_write(cmd: str, path, exc: OSError) -> int:
-    print(f"gtsp {cmd}: cannot write {path}: {exc}", file=sys.stderr)
-    return EXIT_USAGE
+    return _fail(cmd, f"cannot write {path}: {exc}", EXIT_USAGE)
 
 
 def _unwritable(path: str) -> OSError | None:
@@ -161,12 +180,6 @@ def _format_solution(record: dict, fmt: str) -> str:
     return "\n".join(f"{k}: {_text_value(record[k])}" for k in sorted(record))
 
 
-def _out_of_memory(doing: str, exc: MemoryError, status: int) -> int:
-    """Report an allocation that failed while `doing`, without a traceback."""
-    print(f"gtsp solve: out of memory {doing}: {exc}", file=sys.stderr)
-    return status
-
-
 def _cmd_solve(args) -> int:
     values = {f.name: getattr(args, f.name) for f, _ in COLONY_KEYS.values()}
     if values["time_max"] is None and values["max_iterations"] is None:
@@ -174,27 +187,24 @@ def _cmd_solve(args) -> int:
     try:
         params = AcoParams(**values)
     except ValueError as exc:
-        print(f"gtsp solve: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("solve", str(exc), EXIT_USAGE)
     if args.out is not None and (exc := _unwritable(args.out)):  # before the solver runs
         return _cannot_write("solve", args.out, exc)
     try:
         instance = load_instance_file(
             args.file, clusters=args.clusters, cluster_file=args.cluster_file
         )
-        instance.check_tour_sums()  # CostOverflowError, a ValueError, for every algorithm
     except (OSError, ValueError) as exc:
-        print(f"gtsp solve: {exc}", file=sys.stderr)
-        return EXIT_INSTANCE
+        return _fail("solve", str(exc), EXIT_INSTANCE)
     except MemoryError as exc:
-        return _out_of_memory(f"loading {args.file}", exc, EXIT_INSTANCE)
+        return _fail("solve", f"out of memory loading {args.file}: {exc}", EXIT_INSTANCE)
     try:
         result = solve(instance, args.algo, params)
     except CellCapExceeded as exc:
-        print(f"gtsp solve: {exc}", file=sys.stderr)
-        return EXIT_REFUSAL
+        return _fail("solve", str(exc), EXIT_REFUSAL)
     except MemoryError as exc:
-        return _out_of_memory(f"running {args.algo} on {instance.name}", exc, EXIT_REFUSAL)
+        return _fail("solve", f"out of memory running {args.algo} on {instance.name}: {exc}",
+                     EXIT_REFUSAL)
     record = {"problem": instance.name, "algo": args.algo, **result.to_dict()}
     return _write_output("solve", _format_solution(record, args.format), args.out)
 
@@ -203,8 +213,7 @@ def _cmd_bench(args) -> int:
     try:
         config = ExperimentConfig.from_file(args.config)
     except (OSError, TypeError, ValueError) as exc:  # TypeError: no instances key
-        print(f"gtsp bench: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("bench", f"bad config: {exc}", EXIT_USAGE)
     if config.output is not None:
         try:  # before any solver runs, not after the last one
             Path(config.output).parent.mkdir(parents=True, exist_ok=True)
@@ -212,8 +221,7 @@ def _cmd_bench(args) -> int:
             return _cannot_write("bench", config.output, exc)
     reports = run_experiment(config)
     if not reports:
-        print("gtsp bench: no instance could be loaded", file=sys.stderr)
-        return EXIT_INSTANCE
+        return _fail("bench", "no instance could be loaded", EXIT_INSTANCE)
     try:
         text = emit_table(reports, out_base=config.output)
     except OSError as exc:
@@ -229,8 +237,9 @@ def _cmd_cluster(args) -> int:
         instance = cluster_instance(coords, euc2d_costs(coords), m=args.clusters,
                                     name=Path(args.file).stem)
     except (OSError, ValueError) as exc:
-        print(f"gtsp cluster: {exc}", file=sys.stderr)
-        return EXIT_INSTANCE
+        return _fail("cluster", str(exc), EXIT_INSTANCE)
+    except MemoryError as exc:
+        return _fail("cluster", f"out of memory loading {args.file}: {exc}", EXIT_INSTANCE)
     text = format_clustered(instance.name, coords, instance.clusters)
     if status := _write_output("cluster", text, args.out):
         return status
@@ -243,8 +252,9 @@ def _cmd_gen(args) -> int:
         coords, instance = GeneratorSpec(**{f.name: getattr(args, f.name)
                                             for f, _ in GENERATOR}).generate()
     except ValueError as exc:
-        print(f"gtsp gen: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _fail("gen", str(exc), EXIT_USAGE)
+    except MemoryError as exc:
+        return _fail("gen", f"out of memory generating {args.nodes} nodes: {exc}", EXIT_INSTANCE)
     return _write_output("gen", format_clustered(instance.name, coords, instance.clusters),
                          args.out)
 

@@ -57,15 +57,14 @@ def validate_tour(instance: GtspInstance, nodes) -> None:
 
 
 def _closed_cost(instance: GtspInstance, seq: np.ndarray) -> int:
-    instance.check_tour_sums()
     return int(instance.costs.cost[seq, np.concatenate((seq[1:], seq[:1]))].sum())
 
 
 def tour_cost(instance: GtspInstance, nodes) -> int:
     """Cost of the closed tour through `nodes`, including the returning edge.
 
-    Like `make_tour`, it raises CostOverflowError on an instance whose tour
-    sums may overflow int64 (`GtspInstance.check_tour_sums`).
+    The sum is taken in int64 and is exact: `GtspInstance` refuses, when it is
+    built, an instance whose tour sums may overflow int64.
     """
     return _closed_cost(instance, _checked_sequence(instance, nodes))
 
@@ -104,7 +103,6 @@ def nn_reference_cost(instance: GtspInstance) -> tuple[int, Tour]:
     the instance, so it is computed once and kept on it, like
     `GtspInstance.cluster_arrays`.
     """
-    instance.check_tour_sums()
     cached = instance.__dict__.get("_nn_reference")
     if cached is None:
         cached = instance.__dict__["_nn_reference"] = _nn_reference(instance)

@@ -64,12 +64,11 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
     Forward dynamic programming over the layers, one start per node of the
     first cluster, O(sum_l |V_l|*|V_{l+1}|) per start, in start-row chunks
     that bound each step's temporary in bytes as in `exact_solve`. Sums are
-    int64 whatever the cost type, and exact (`check_tour_sums` admits the
-    instance first). Ties resolve to the lowest start node, then the lowest
-    member index per layer.
+    int64 whatever the cost type, and exact: `GtspInstance` refuses, when it
+    is built, an instance whose tour sums may overflow int64. Ties resolve to
+    the lowest start node, then the lowest member index per layer.
     """
     seq = _check_sequence(instance, order)
-    instance.check_tour_sums()
     cost = instance.costs.cost
     members = instance.cluster_arrays
     layers = [members[k] for k in seq]
@@ -143,7 +142,6 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     cells = dp_cell_count(instance)
     if cells > cell_cap:
         raise CellCapExceeded(cells, cell_cap)
-    instance.check_tour_sums()
     cost = instance.costs.cost
 
     members = instance.cluster_arrays

@@ -32,7 +32,8 @@ class ParseError(ValueError):
 
 class CostOverflowError(ValueError):
     """Costs do not fit in int64: distances between far-apart coordinates, or
-    the cost sums of an instance's tours (`GtspInstance.check_tour_sums`)."""
+    the cost sums of an instance's tours, which `GtspInstance` refuses when it
+    is built."""
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,7 @@ class CostMatrix:
 
     cost: np.ndarray  # shape (n, n), int16/int32/int64, read-only
     symmetric: bool = field(init=False)
+    max_cost: int = field(init=False)  # the largest cost, 0 for an empty matrix
 
     def __post_init__(self) -> None:
         c = np.asarray(self.cost)
@@ -93,7 +95,8 @@ class CostMatrix:
             c = as_int
         if c.size and c.min() < 0:
             raise ValueError("costs must be non-negative")
-        narrow = cost_dtype(int(c.max()) if c.size else 0)
+        object.__setattr__(self, "max_cost", int(c.max()) if c.size else 0)
+        narrow = cost_dtype(self.max_cost)
         c = c.view() if c.dtype == narrow else c.astype(narrow)
         c.flags.writeable = False
         if np.diagonal(c).any():
@@ -129,7 +132,12 @@ def _is_symmetric(c: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class GtspInstance:
-    """A cost matrix plus a partition of the nodes into p >= 2 clusters."""
+    """A cost matrix plus a partition of the nodes into p >= 2 clusters.
+
+    A tour has p edges, so `max_cost * p` bounds every tour cost. An instance
+    whose bound exceeds int64 is refused with CostOverflowError when it is
+    built, so every tour sum of an instance is exact in int64.
+    """
 
     name: str
     costs: CostMatrix
@@ -140,6 +148,11 @@ class GtspInstance:
         clusters, cluster_of = _partition(self.clusters, self.costs.n)
         object.__setattr__(self, "clusters", clusters)
         object.__setattr__(self, "cluster_of", cluster_of)
+        if self.max_cost * self.p > _INT64_MAX:
+            raise CostOverflowError(
+                f"costs too large for exact int64 tour sums: largest cost {self.max_cost}"
+                f" times {self.p} clusters exceeds {_INT64_MAX}"
+            )
 
     @property
     def n(self) -> int:
@@ -149,23 +162,10 @@ class GtspInstance:
     def p(self) -> int:
         return len(self.clusters)
 
-    @cached_property
+    @property
     def max_cost(self) -> int:
         """The largest edge cost."""
-        return int(self.costs.cost.max())
-
-    def check_tour_sums(self) -> None:
-        """Raise CostOverflowError unless every tour's cost sum fits in int64.
-
-        A tour has p edges, so `max_cost * p` bounds every tour cost. Tour
-        costing, NN, the colonies and the exact solver all call this; after
-        the first call it is O(1).
-        """
-        if self.max_cost * self.p > _INT64_MAX:
-            raise CostOverflowError(
-                f"costs too large for exact int64 tour sums: largest cost {self.max_cost}"
-                f" times {self.p} clusters exceeds {_INT64_MAX}"
-            )
+        return self.costs.max_cost
 
     @cached_property
     def cluster_arrays(self) -> tuple[np.ndarray, ...]:
@@ -199,41 +199,29 @@ def _partition(clusters, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarra
             flat = key - owner * n
         valid = np.bincount(flat, minlength=n).max() == 1
     if not valid:
-        raise _first_failure(flat, owner, np.array(sizes), n)
+        raise _first_failure(clusters, n)
     cluster_of = np.empty(n, dtype=np.int64)
     cluster_of[flat] = owner
     ids = flat.tolist()
     return tuple(tuple(ids[end - size : end]) for end, size in zip(ends, sizes)), cluster_of
 
 
-def _first_failure(flat, owner, sizes, n: int) -> ValueError:
+def _first_failure(clusters, n: int) -> ValueError:
     """The error of the first failure met scanning the clusters in order,
     members ascending: an empty cluster, a node out of range or a node seen
-    before; then the lowest node in no cluster. `flat` holds the members
-    cluster by cluster, `owner` their cluster indices."""
-    flat = flat[np.lexsort((flat, owner))]
-    inside = (flat >= 0) & (flat < n)
-    # first position of each in-range node; a later position is a repeat
-    at = np.flatnonzero(inside)
-    seen, first = np.unique(flat[at], return_index=True)
-    first_at = np.empty(n, dtype=np.int64)
-    first_at[seen] = at[first]
-    bad = ~inside
-    bad[at] = first_at[flat[at]] != at
-    b = int(bad.argmax()) if bad.any() else len(flat)
-    empty = np.flatnonzero(sizes == 0)
-    # an empty cluster k is met after every position of the clusters before it
-    if empty.size and sizes[: empty[0]].sum() <= b:
-        return ValueError(f"empty cluster {int(empty[0])}")
-    if b < len(flat):
-        v, k = int(flat[b]), int(owner[b])
-        if not inside[b]:
-            return ValueError(f"node {v} out of range 0..{n - 1}")
-        return ValueError(
-            f"not a partition: node {v} is in clusters {int(owner[first_at[v]])} and {k}"
-        )
-    unassigned = np.setdiff1d(np.arange(n), flat)
-    return ValueError(f"not a partition: node {int(unassigned[0])} is in no cluster")
+    before; then the lowest node in no cluster."""
+    owner: dict[int, int] = {}
+    for k, members in enumerate(clusters):
+        if not members:
+            return ValueError(f"empty cluster {k}")
+        for v in sorted(map(int, members)):
+            if not 0 <= v < n:
+                return ValueError(f"node {v} out of range 0..{n - 1}")
+            if v in owner:
+                return ValueError(f"not a partition: node {v} is in clusters {owner[v]} and {k}")
+            owner[v] = k
+    missing = next(v for v in range(n) if v not in owner)
+    return ValueError(f"not a partition: node {missing} is in no cluster")
 
 
 def parse_tsplib(text: str) -> NodeCoords:

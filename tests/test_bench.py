@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gtsp.bench
+import gtsp.instance
 from gtsp import (
     DEFAULT_TIME_MAX,
     AcoParams,
@@ -204,6 +206,37 @@ class TestRunExperiment:
         assert reports[0].results["nn"].best is not None
         table = emit_table(reports)
         assert "-" in table.splitlines()[2]
+
+    @pytest.mark.parametrize("algo", ["exact", "racs"])
+    def test_out_of_memory_leaves_dash_and_continues(self, monkeypatch, algo):
+        def failed_allocation(*args, **kwargs):
+            raise MemoryError("Unable to allocate 122. MiB")
+
+        monkeypatch.setattr(gtsp.bench, {"exact": "exact_solve", "racs": "run"}[algo],
+                            failed_allocation)
+        reports = run_experiment(small_config(algorithms=[algo, "nn"]))
+        assert len(reports) == 2
+        for rep in reports:
+            cell = rep.results[algo]
+            assert cell.error == "out of memory: Unable to allocate 122. MiB"
+            assert cell.best is None
+            assert rep.results["nn"].best is not None
+        assert emit_table(reports).splitlines()[2].split()[4] == "-"
+
+    def test_out_of_memory_while_loading_skipped(self, monkeypatch):
+        real = gtsp.instance.euc2d_costs
+
+        def costs(coords):  # the 12-node instance's matrix does not fit
+            if len(coords) == 12:
+                raise MemoryError("Unable to allocate 288. B")
+            return real(coords)
+
+        monkeypatch.setattr(gtsp.instance, "euc2d_costs", costs)
+        log = io.StringIO()
+        reports = run_experiment(small_config(algorithms=["nn"]), log=log)
+        assert [r.n for r in reports] == [10]
+        assert log.getvalue() == ("gtsp bench: skipping {'nodes': 12, 'clusters': 4, 'seed': 1}:"
+                                  " out of memory: Unable to allocate 288. B\n")
 
     def test_unreadable_instance_skipped(self, tmp_path, capsys):
         missing = tmp_path / "nope.gtsp"

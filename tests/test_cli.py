@@ -12,6 +12,7 @@ import pytest
 
 import gtsp.bench
 import gtsp.cli
+import gtsp.instance
 from gtsp import (
     AcoParams,
     ExperimentConfig,
@@ -26,6 +27,15 @@ from gtsp import (
 from gtsp.cli import build_parser, main
 
 DATA = Path(__file__).resolve().parents[1] / "data"
+
+
+ALLOCATION = ("Unable to allocate 1.82 TiB for an array with shape (1000000, 1000000)"
+              " and data type int16")
+
+
+def failed_allocation(*args, **kwargs):
+    """Stands in for an n x n allocation that the machine cannot hold."""
+    raise MemoryError(ALLOCATION)
 
 
 def gtsp_cli(*args, cwd=None):
@@ -190,6 +200,24 @@ class TestExitCodes:
         assert "costs too large for exact int64 tour sums" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["solve", "cluster"])
+    @pytest.mark.parametrize("clusters", ["0", "-3", "1"])
+    def test_clusters_below_two_is_1_before_reading(self, tmp_path, capsys, command, clusters):
+        # the file does not exist: the flag is refused before it is opened
+        args = ["--algo", "nn"] if command == "solve" else ["--out", str(tmp_path / "o")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(tmp_path / "missing.tsp"), *args, "--clusters", clusters])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"gtsp {command}: error: argument --clusters: cluster count"
+                            f" m={clusters} must be at least 2\n")
+        assert "missing.tsp" not in err
+
+    def test_clusters_above_n_is_2(self, capsys):
+        assert main(["solve", str(DATA / "eil51.tsp"), "--algo", "nn", "--clusters", "52"]) == 2
+        assert capsys.readouterr().err == (
+            "gtsp solve: cluster count m=52 must satisfy 2 <= m <= n=51\n")
+
     def test_exact_refusal_is_3(self, tmp_path):
         coords, inst = generate_instance(nodes=100, clusters=20, seed=1)
         big = tmp_path / "big.gtsp"
@@ -263,6 +291,27 @@ class TestClusterCommand:
         assert inst.p == 11
         assert inst.name == "11EIL51"
 
+    def test_tour_sum_overflow_is_2(self, tmp_path, capsys):
+        # it builds the instance, which refuses tour sums past int64
+        far = tmp_path / "far.tsp"
+        far.write_text(
+            "DIMENSION : 4\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
+            "1 0 0\n2 1 0\n3 9.2e18 0\n4 9.2e18 1\n"
+        )
+        out = tmp_path / "far.gtsp"
+        assert main(["cluster", str(far), "--out", str(out), "--clusters", "2"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "gtsp cluster: costs too large for exact int64 tour sums: ")
+        assert not out.exists()
+
+    def test_out_of_memory_is_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(gtsp.cli, "euc2d_costs", failed_allocation)
+        out = tmp_path / "11eil51.gtsp"
+        assert main(["cluster", str(DATA / "eil51.tsp"), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"gtsp cluster: out of memory loading {DATA / 'eil51.tsp'}: {ALLOCATION}\n")
+        assert not out.exists()
+
 
 class TestGenCommand:
     def test_stdout_roundtrip(self):
@@ -289,6 +338,12 @@ class TestGenCommand:
         assert proc.returncode == 1
         assert proc.stderr == (f"gtsp gen: cluster count m={clusters} must satisfy"
                                f" 2 <= m <= n={nodes}\n")
+
+    def test_out_of_memory_is_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(gtsp.instance, "euc2d_costs", failed_allocation)
+        assert main(["gen", "--nodes", "1000000", "--clusters", "2"]) == 2
+        assert capsys.readouterr() == (
+            "", f"gtsp gen: out of memory generating 1000000 nodes: {ALLOCATION}\n")
 
     def test_more_nodes_than_grid_points_is_1(self):
         # generated points are distinct points of the 1000 x 1000 grid

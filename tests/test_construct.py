@@ -7,12 +7,8 @@ import gtsp.construct
 from gtsp import (
     AcoParams,
     CostMatrix,
-    CostOverflowError,
     GtspInstance,
     InvalidTourError,
-    NodeCoords,
-    cluster_instance,
-    euc2d_costs,
     exact_solve,
     make_tour,
     nn_reference_cost,
@@ -245,41 +241,16 @@ class TestNnReference:
         assert l_nn >= exact_solve(inst).cost
 
 
-def far_apart_instance():
-    # every cost fits int64, but a tour over the two far pairs sums past it
-    coords = NodeCoords(np.array([[0, 0], [1, 0], [9.2e18, 0], [9.2e18, 1]]))
-    return cluster_instance(coords, euc2d_costs(coords), m=2, name="far")
-
-
 class TestTourSumGuard:
-    def test_instance_costs_fit_but_tour_sums_do_not(self):
-        inst = far_apart_instance()
-        assert inst.clusters == ((0, 1), (2, 3))
-        assert inst.max_cost * inst.p > np.iinfo(np.int64).max
-        with pytest.raises(CostOverflowError, match="too large"):
-            inst.check_tour_sums()
-
-    @pytest.mark.parametrize("solver", [
-        lambda inst: tour_cost(inst, [0, 2]),
-        lambda inst: make_tour(inst, [0, 2]),
-        nn_reference_cost,
-        lambda inst: run(inst, AcoParams(max_iterations=2, variant="acs")),
-        lambda inst: run(inst, AcoParams(max_iterations=2, variant="racs")),
-        exact_solve,
-    ], ids=["tour_cost", "make_tour", "nn", "acs", "racs", "exact"])
-    def test_every_solver_refuses(self, solver):
-        with pytest.raises(CostOverflowError, match="too large"):
-            solver(far_apart_instance())
-
-    def test_check_is_cached(self):
-        inst = far_apart_instance()
-        for _ in range(2):
-            with pytest.raises(CostOverflowError):
-                inst.check_tour_sums()
-        assert "max_cost" in inst.__dict__  # the O(n^2) scan ran once
-
+    # Construction refuses an instance whose tour sums may overflow int64
+    # (tests/test_instance.py::TestTourSumBound), so no tour reaches a solver
+    # unless its cost sums exactly; these cost tours at the bound.
     def test_largest_admitted_sum(self):
         limit = np.iinfo(np.int64).max
         cost = np.array([[0, limit // 2], [limit // 2, 0]])
         inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1,)))
         assert tour_cost(inst, [0, 1]) == 2 * (limit // 2)
+        assert nn_reference_cost(inst)[0] == exact_solve(inst).cost == 2 * (limit // 2)
+        for variant in ("acs", "racs"):
+            colony = run(inst, AcoParams(max_iterations=2, variant=variant))
+            assert colony.best.cost == 2 * (limit // 2)

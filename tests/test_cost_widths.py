@@ -84,6 +84,14 @@ class TestAtEachWidthLimit:
         assert inst.costs.cost.dtype == dtype
         assert inst.max_cost == top
 
+    def test_cost_matrix_keeps_its_largest_cost(self, top, dtype):
+        cost = near_limit_instance(top, 9, 3, seed=top % 79).costs.cost
+        for given in (cost, cost.astype(np.int64), cost.astype(np.uint64), cost.astype(float)):
+            costs = CostMatrix(given)
+            assert costs.cost.dtype == dtype
+            assert type(costs.max_cost) is int
+            assert costs.max_cost == int(costs.cost.max()) == top
+
     def test_tour_cost_and_nn_match_the_oracle(self, top, dtype):
         inst = near_limit_instance(top, 12, 4, seed=top % 89)
         cost = inst.costs.cost

@@ -12,7 +12,6 @@ from gtsp import (
     AcoParams,
     CellCapExceeded,
     CostMatrix,
-    CostOverflowError,
     GtspInstance,
     best_tour_for_sequence,
     cluster_instance,
@@ -88,13 +87,6 @@ class TestBestTourForSequence:
             )
             tour = best_tour_for_sequence(inst, (0, 1, 2))
             assert tour.cost == brute_force_best_for_order(inst, (0, 1, 2))
-
-    def test_tour_sum_overflow_is_refused(self):
-        cost = np.full((3, 3), 2**62)
-        np.fill_diagonal(cost, 0)
-        inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1,), (2,)))
-        with pytest.raises(CostOverflowError):
-            best_tour_for_sequence(inst, (0, 1, 2))
 
     @settings(max_examples=40)
     @given(st.integers(0, 2**32 - 1))
@@ -294,13 +286,6 @@ class TestExactSolve:
         for variant in ("acs", "racs"):
             colony = run(inst, AcoParams(max_iterations=3, seed=seed, variant=variant))
             assert optimum <= colony.best.cost
-
-    def test_refuses_costs_that_overflow_int64_sums(self):
-        cost = np.full((3, 3), 2**62)
-        np.fill_diagonal(cost, 0)
-        inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1,), (2,)))
-        with pytest.raises(ValueError, match="too large"):
-            exact_solve(inst)
 
     def test_asymmetric_direction_matters(self):
         cost = np.array([[0, 1, 10], [10, 0, 1], [1, 10, 0]])

@@ -635,6 +635,81 @@ class TestInvariants:
             GtspInstance(name="bad", costs=costs, clusters=((0, 1),))
 
 
+# Every cost fits int64, but a tour over the two far pairs sums past it.
+FAR_APART = NodeCoords(np.array([[0, 0], [1, 0], [9.2e18, 0], [9.2e18, 1]]))
+FAR_CLUSTERS = ((0, 1), (2, 3))
+TOO_LARGE = ("costs too large for exact int64 tour sums: largest cost 9200000000000000000"
+             " times 2 clusters exceeds 9223372036854775807")
+
+
+class TestTourSumBound:
+    """An instance whose largest cost times p exceeds int64 is refused when
+    it is built, by every route that builds one."""
+
+    def test_constructor(self):
+        costs = euc2d_costs(FAR_APART)
+        assert costs.max_cost * 2 > np.iinfo(np.int64).max
+        with pytest.raises(CostOverflowError) as exc:
+            GtspInstance(name="far", costs=costs, clusters=FAR_CLUSTERS)
+        assert str(exc.value) == TOO_LARGE
+
+    def test_cluster_instance(self):
+        with pytest.raises(CostOverflowError) as exc:
+            cluster_instance(FAR_APART, euc2d_costs(FAR_APART), m=2, name="far")
+        assert str(exc.value) == TOO_LARGE
+
+    def test_clustered_file(self, tmp_path):
+        text = format_clustered("far", FAR_APART, FAR_CLUSTERS)
+        with pytest.raises(ParseError) as exc:
+            parse_clustered(text)
+        assert str(exc.value) == TOO_LARGE
+        path = tmp_path / "far.gtsp"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="costs too large"):
+            load_instance_file(path)
+
+    def test_raw_file(self, tmp_path):
+        raw, sets = tmp_path / "far.tsp", tmp_path / "far.gtsp"
+        raw.write_text(MINIMAL_TSP.replace("DIMENSION : 3", "DIMENSION : 4")
+                       .replace("3 10 0", "3 9.2e18 0\n4 9.2e18 1"))
+        sets.write_text(format_clustered("far", FAR_APART, FAR_CLUSTERS))
+        with pytest.raises(CostOverflowError) as exc:
+            load_instance_file(raw, cluster_file=sets)
+        assert str(exc.value) == TOO_LARGE
+        with pytest.raises(CostOverflowError, match="costs too large"):
+            load_instance_file(raw, clusters=2)
+
+    def test_generate_instance(self, monkeypatch):
+        # generated costs stay on the grid; far-apart ones stand in for them
+        far = CostMatrix(np.array([[0, 2**62, 1], [2**62, 0, 1], [1, 1, 0]]))
+        monkeypatch.setattr(gtsp.instance, "euc2d_costs", lambda coords: far)
+        with pytest.raises(CostOverflowError, match="largest cost 4611686018427387904 times 3"):
+            generate_instance(3, 3, seed=0)
+
+    @staticmethod
+    def one_node_clusters(top: int, p: int) -> dict:
+        cost = np.full((p, p), top)
+        np.fill_diagonal(cost, 0)
+        return dict(name="x", costs=CostMatrix(cost), clusters=tuple((k,) for k in range(p)))
+
+    @pytest.mark.parametrize("top, p", [(2**62 - 1, 2), (np.iinfo(np.int64).max // 3, 3)])
+    def test_admitted_up_to_the_bound(self, top, p):
+        assert GtspInstance(**self.one_node_clusters(top, p)).max_cost == top
+
+    @pytest.mark.parametrize("top, p", [(2**62, 2), (np.iinfo(np.int64).max // 3 + 1, 3)])
+    def test_refused_past_the_bound(self, top, p):
+        with pytest.raises(CostOverflowError, match=f"largest cost {top} times {p} clusters"):
+            GtspInstance(**self.one_node_clusters(top, p))
+
+    def test_bound_reads_the_stored_maximum(self):
+        # the bound takes the maximum CostMatrix found when it chose the cost
+        # type; the matrix is not scanned again
+        costs = CostMatrix(np.zeros((2, 2), dtype=int))
+        object.__setattr__(costs, "max_cost", 2**62)
+        with pytest.raises(CostOverflowError, match="largest cost 4611686018427387904 times 2"):
+            GtspInstance(name="x", costs=costs, clusters=((0,), (1,)))
+
+
 class TestNaming:
     def test_format(self):
         assert format_instance_name("eil51", 11, 51) == "11EIL51"
