@@ -12,6 +12,8 @@ order, closed by a final layer that duplicates the first cluster;
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .construct import Tour, make_tour
@@ -124,8 +126,12 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     sources are the masks of popcount k without i; `mask -> mask | 1 << i` is
     one-to-one, so one chunked min-plus over their (mask, start) rows writes
     cluster i's columns of every target, and nothing else writes them. That
-    is O(p^2) rounds of numpy calls instead of a Python step per mask. The
-    tour is rebuilt by walking back through the table.
+    is O(p^2) rounds of numpy calls instead of a Python step per mask. Each
+    popcount level builds its plan once, in a few vectorised calls: for every
+    cluster i its C(m-1, k) sources in ascending order, and their targets.
+    A round slices its row of the plan and gathers and scatters whole masks
+    of the table, with no row indices. The tour is rebuilt by walking back
+    through the table.
 
     The min-plus reduces over the width axis as its outermost axis. Each
     chunk's gathered source rows are transposed once to (width, rows), the
@@ -134,7 +140,9 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     transposed. A chunk takes all of cluster i's columns when that leaves at
     least _CHUNK_ROWS rows (or all the round's rows) within _STEP_BYTES;
     otherwise it takes _CHUNK_ROWS rows (fewer if one column of them would
-    exceed the budget) and splits the columns.
+    exceed the budget) and splits the columns. The rows of a chunk are whole
+    masks, as many as that row count holds; when it is below s, a chunk is a
+    slice of one mask's start rows.
 
     Ties resolve to the lowest start node, then the lowest closing node, then,
     walking back, the lowest node id among the optimal predecessors.
@@ -155,7 +163,7 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     # DP columns: the nodes of the other clusters, cluster i at bounds[i]:bounds[i+1].
     order = np.concatenate(rest)
     owner = np.repeat(np.arange(m), rest_sizes)
-    bounds = np.concatenate(([0], np.cumsum(rest_sizes)))
+    bounds = [0, *accumulate(rest_sizes)]
 
     def columns(mask: int) -> np.ndarray:
         return np.flatnonzero((mask >> owner) & 1)
@@ -179,34 +187,44 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
         lo, hi = bounds[i], bounds[i + 1]
         dp[1 << i, :, lo:hi] = opening[:, lo:hi]
 
-    rows = dp.reshape(-1, width)  # row mask * s + a
-    masks = np.arange(1 << m)
-    popcount = np.zeros(1 << m, dtype=np.int64)
-    for i in range(m):
+    # sets of the first m-1 clusters, by popcount
+    masks = np.arange(1 << (m - 1))
+    popcount = np.zeros(len(masks), dtype=np.int64)
+    for i in range(m - 1):
         popcount += (masks >> i) & 1
+    bits = 1 << np.arange(m)[:, None]
     budget = _STEP_BYTES // leave.itemsize  # cells of one temporary
     buffer = np.empty(max(budget, width), dtype=cell)
     for k in range(1, m):
+        # The level's plan: row i holds the C(m-1, k) masks of popcount k
+        # without cluster i, ascending, and their targets mask | 1 << i. Each
+        # is a set of k of the first m-1 clusters with a zero bit inserted at
+        # i: adding its bits from i up shifts them one place left.
         level = masks[popcount == k]
+        sources = level & -bits
+        sources += level
+        targets = sources | bits
+        count = sources.shape[1]
         for i in range(m):
             lo, hi = bounds[i], bounds[i + 1]
-            src = level[level & (1 << i) == 0]
-            src_rows = (src[:, None] * s + np.arange(s)).ravel()
-            tgt_rows = src_rows + (s << i)
-            # (width, block, chunk) temporaries within _STEP_BYTES, or one
+            # (width, block, rows) temporaries within _STEP_BYTES, or one
             # width when a single cell per row exceeds it
             whole = budget // (width * (hi - lo))
-            chunk = max(1, min(len(src_rows), budget // width, max(_CHUNK_ROWS, whole)))
-            block = max(1, min(hi - lo, budget // (width * chunk)))
-            for r in range(0, len(src_rows), chunk):
-                tgt = tgt_rows[r : r + chunk]
-                # (width, rows): the min over width runs along contiguous slabs
-                gathered = rows[src_rows[r : r + chunk]].T.copy()
-                for c in range(lo, hi, block):
-                    d = min(c + block, hi)
-                    step = buffer[: gathered.size * (d - c)].reshape(width, d - c, len(tgt))
-                    np.add(gathered[:, None, :], leave[:, c:d, None], out=step)
-                    rows[tgt, c:d] = step.min(axis=0).T
+            chunk = max(1, min(count * s, budget // width, max(_CHUNK_ROWS, whole)))
+            # whole masks per chunk, or a slice of one mask's start rows
+            per, span = max(1, chunk // s), min(chunk, s)
+            block = max(1, min(hi - lo, budget // (width * per * span)))
+            for a in range(0, s, span):
+                part = dp[:, a : a + span]
+                for r in range(0, count, per):
+                    src, tgt = sources[i, r : r + per], targets[i, r : r + per]
+                    # (width, rows): the min over width runs along contiguous slabs
+                    gathered = part.take(src, axis=0).reshape(-1, width).T.copy()
+                    for c in range(lo, hi, block):
+                        d = min(c + block, hi)
+                        step = buffer[: gathered.size * (d - c)].reshape(width, d - c, -1)
+                        np.add(gathered[:, None, :], leave[:, c:d, None], out=step)
+                        part[tgt, :, c:d] = step.min(axis=0).T.reshape(len(tgt), span, d - c)
 
     totals = dp[full].astype(np.int64) + cost[np.ix_(order, starts)].T
     best = totals.min()

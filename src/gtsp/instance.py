@@ -3,7 +3,9 @@
 An instance is a complete graph with non-negative integer edge costs whose
 nodes are partitioned into clusters; a feasible tour visits exactly one node
 per cluster. Instances are immutable after construction and safe to share
-read-only across concurrent solver runs.
+read-only across concurrent solver runs: their arrays (coordinates, costs,
+the node -> cluster map and the per-cluster member arrays) are read-only, and
+they compare and hash by identity, so they can key a dict or sit in a set.
 
 Costs are stored in the narrowest of int16/int32/int64 that holds the largest
 cost (`cost_dtype`); TSPLIB EUC_2D costs on a 1000 x 1000 grid fit int16, so
@@ -36,11 +38,11 @@ class CostOverflowError(ValueError):
     is built."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeCoords:
-    """Planar coordinates indexed by 0-based node id."""
+    """Planar coordinates indexed by 0-based node id, read-only."""
 
-    points: np.ndarray  # shape (n, 2), float64
+    points: np.ndarray  # shape (n, 2), float64, read-only
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=float)
@@ -50,6 +52,8 @@ class NodeCoords:
             raise ValueError("need at least 2 nodes")
         if not np.all(np.isfinite(pts)):
             raise ValueError("coordinates must be finite")
+        pts = pts.view()  # the flag goes on a view, not on the caller's array
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
@@ -68,7 +72,7 @@ def cost_dtype(max_cost: int) -> type:
     raise CostOverflowError(f"largest cost {max_cost} does not fit in int64")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostMatrix:
     """Complete n x n matrix of non-negative integer edge costs, zero diagonal.
 
@@ -130,7 +134,7 @@ def _is_symmetric(c: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GtspInstance:
     """A cost matrix plus a partition of the nodes into p >= 2 clusters.
 
@@ -142,7 +146,7 @@ class GtspInstance:
     name: str
     costs: CostMatrix
     clusters: tuple[tuple[int, ...], ...]
-    cluster_of: np.ndarray = field(init=False)  # node id -> cluster index
+    cluster_of: np.ndarray = field(init=False)  # node id -> cluster index, read-only
 
     def __post_init__(self) -> None:
         clusters, cluster_of = _partition(self.clusters, self.costs.n)
@@ -169,8 +173,11 @@ class GtspInstance:
 
     @cached_property
     def cluster_arrays(self) -> tuple[np.ndarray, ...]:
-        """Per-cluster member ids as int64 arrays, ascending within each cluster."""
-        return tuple(np.asarray(c, dtype=np.int64) for c in self.clusters)
+        """Per-cluster member ids as read-only int64 arrays, ascending within each cluster."""
+        arrays = tuple(np.asarray(c, dtype=np.int64) for c in self.clusters)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
 
 def _partition(clusters, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
@@ -202,6 +209,7 @@ def _partition(clusters, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarra
         raise _first_failure(clusters, n)
     cluster_of = np.empty(n, dtype=np.int64)
     cluster_of[flat] = owner
+    cluster_of.flags.writeable = False
     ids = flat.tolist()
     return tuple(tuple(ids[end - size : end]) for end, size in zip(ends, sizes)), cluster_of
 

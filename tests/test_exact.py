@@ -27,6 +27,7 @@ from gtsp import (
 )
 
 import gtsp.exact
+from gtsp.instance import cost_dtype
 from oracles import (
     brute_force_best_for_order,
     brute_force_optimum,
@@ -293,6 +294,20 @@ class TestExactSolve:
         assert exact_solve(inst).cost == 3  # 0 -> 1 -> 2 -> 0 uses the cheap arcs
 
 
+def wide_cluster_instance(p: int, rng: np.random.Generator) -> GtspInstance:
+    """A random asymmetric instance of 3p to 4p - 1 nodes whose p clusters
+    each hold three nodes or more."""
+    n = 3 * p + int(rng.integers(0, p))
+    cost = rng.integers(1, 100, size=(n, n))
+    np.fill_diagonal(cost, 0)
+    nodes = rng.permutation(n).tolist()
+    clusters = [nodes[3 * k : 3 * k + 3] for k in range(p)]
+    for v in nodes[3 * p :]:
+        clusters[int(rng.integers(p))].append(v)
+    return GtspInstance(name=f"{p}RND{n}", costs=CostMatrix(cost),
+                        clusters=tuple(tuple(c) for c in clusters))
+
+
 class TestReferenceEquivalence:
     """The popcount-batched dense DP returns the Tour of the original
     mask-by-mask ragged DP, byte for byte, tie rule included."""
@@ -351,6 +366,38 @@ class TestReferenceEquivalence:
             clusters=base.clusters,
         )
         assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
+
+    # p = 8 to 12, past the hypothesis range above, and 11EIL51. Every
+    # cluster of the generated instances holds three nodes or more, and at 16
+    # and 64 bytes a chunk holds fewer rows than one mask's s start rows, so
+    # the chunks slice a mask's start rows; None keeps the default budget.
+    # Each instance is relabelled so that its optimum leaves the first or
+    # the last start row, which a dropped or misplaced slice would miss.
+    @pytest.mark.parametrize("step_bytes, row", [(None, -1), (16, -1), (64, 0)])
+    @pytest.mark.parametrize("p", [8, 9, 10, 11, 12, "11EIL51"])
+    def test_matches_reference_at_eight_to_twelve_clusters(self, monkeypatch, eil51_text, p,
+                                                           step_bytes, row):
+        if p == "11EIL51":
+            coords = parse_tsplib(eil51_text)
+            base = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+        else:
+            base = wide_cluster_instance(p, np.random.default_rng(p))
+        sizes = [len(c) for c in base.clusters]
+        s, starts = min(sizes), base.clusters[sizes.index(min(sizes))]
+        assert s >= (2 if p == "11EIL51" else 3)
+        # swap the optimum's start node with the start of the wanted row
+        v, w = reference_exact_solve(base).nodes[0], starts[row]
+        swap = np.arange(base.n)
+        swap[[v, w]] = w, v
+        inst = GtspInstance(name=base.name, costs=CostMatrix(base.costs.cost[np.ix_(swap, swap)]),
+                            clusters=base.clusters)
+        expected = reference_exact_solve(inst)
+        assert expected.nodes[0] == w
+        if step_bytes is not None:
+            monkeypatch.setattr(gtsp.exact, "_STEP_BYTES", step_bytes)
+            cell_bytes = np.dtype(cost_dtype(inst.max_cost * inst.p)).itemsize
+            assert step_bytes // cell_bytes // (inst.n - s) < s  # rows a chunk holds
+        assert exact_solve(inst).to_json() == expected.to_json()
 
     @pytest.mark.parametrize("top", [4681, 4682])  # 4681 * 7 == 2**15 - 1, the int16 limit
     def test_matches_reference_at_the_int16_limit(self, top):

@@ -19,6 +19,7 @@ from gtsp import (
     format_clustered,
     format_instance_name,
     generate_instance,
+    nn_reference_cost,
     parse_clustered,
     parse_instance_name,
     parse_tsplib,
@@ -633,6 +634,64 @@ class TestInvariants:
         costs = CostMatrix(np.zeros((2, 2), dtype=int))
         with pytest.raises(ValueError, match="at least 2 clusters"):
             GtspInstance(name="bad", costs=costs, clusters=((0, 1),))
+
+
+class TestValueSemantics:
+    """Instances, cost matrices and coordinates compare and hash by identity,
+    and every array they hold is read-only."""
+
+    def test_equal_valued_matrices_compare_unequal_without_raising(self):
+        cost = np.array([[0, 2], [2, 0]])
+        a, b = CostMatrix(cost), CostMatrix(cost.copy())
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+    def test_instances_and_coords_hash(self, eil51_text):
+        coords = parse_tsplib(eil51_text)
+        again = NodeCoords(coords.points.copy())
+        inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+        twin = GtspInstance(name=inst.name, costs=inst.costs, clusters=inst.clusters)
+        assert coords != again and inst != twin and inst == inst
+        assert {inst: 1, twin: 2}[inst] == 1
+        assert len({inst, twin, inst}) == 2 and len({coords, again}) == 2
+
+    def test_nn_reference_cost_is_kept_on_the_instance(self, eil51_text):
+        coords = parse_tsplib(eil51_text)
+        inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+        first = nn_reference_cost(inst)
+        assert inst.__dict__["_nn_reference"] is first
+        assert nn_reference_cost(inst) is first
+        assert {inst}  # hashing does not read the cached entry
+
+    def test_points_are_a_read_only_view(self):
+        points = np.array([[0.0, 0.0], [3.0, 4.0]])
+        coords = NodeCoords(points)
+        assert np.shares_memory(coords.points, points)
+        assert points.flags.writeable  # the caller's own array is left as it was
+        with pytest.raises(ValueError, match="read-only"):
+            coords.points[0, 0] = 1.0
+        converted = NodeCoords([[0, 0], [3, 4]])
+        with pytest.raises(ValueError, match="read-only"):
+            converted.points[1] = (5.0, 5.0)
+
+    def test_cluster_arrays_are_read_only(self, eil51_text):
+        coords = parse_tsplib(eil51_text)
+        inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+        with pytest.raises(ValueError, match="read-only"):
+            inst.cluster_of[0] = 1
+        for members in inst.cluster_arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                members[0] = members[-1]
+        assert inst.cluster_arrays is inst.cluster_arrays  # cached, one tuple
+        assert sorted(np.concatenate(inst.cluster_arrays).tolist()) == list(range(inst.n))
+
+    def test_every_builder_returns_read_only_arrays(self, data_dir):
+        coords, generated = generate_instance(nodes=30, clusters=5, seed=2)
+        loaded = load_instance_file(data_dir / "eil51.tsp")
+        parsed = parse_clustered(format_clustered("g", coords, generated.clusters))
+        for inst in (generated, loaded, parsed):
+            arrays = (inst.costs.cost, inst.cluster_of, *inst.cluster_arrays)
+            assert not any(a.flags.writeable for a in arrays)
 
 
 # Every cost fits int64, but a tour over the two far pairs sums past it.
