@@ -650,18 +650,12 @@ class TestValueSemantics:
         coords = parse_tsplib(eil51_text)
         again = NodeCoords(coords.points.copy())
         inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+        nn = nn_reference_cost(inst)  # kept in the instance's __dict__
         twin = GtspInstance(name=inst.name, costs=inst.costs, clusters=inst.clusters)
         assert coords != again and inst != twin and inst == inst
         assert {inst: 1, twin: 2}[inst] == 1
         assert len({inst, twin, inst}) == 2 and len({coords, again}) == 2
-
-    def test_nn_reference_cost_is_kept_on_the_instance(self, eil51_text):
-        coords = parse_tsplib(eil51_text)
-        inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
-        first = nn_reference_cost(inst)
-        assert inst.__dict__["_nn_reference"] is first
-        assert nn_reference_cost(inst) is first
-        assert {inst}  # hashing does not read the cached entry
+        assert nn_reference_cost(inst) is nn
 
     def test_points_are_a_read_only_view(self):
         points = np.array([[0.0, 0.0], [3.0, 4.0]])
