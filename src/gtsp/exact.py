@@ -142,7 +142,7 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     otherwise it takes _CHUNK_ROWS rows (fewer if one column of them would
     exceed the budget) and splits the columns. The rows of a chunk are whole
     masks, as many as that row count holds; when it is below s, a chunk is a
-    slice of one mask's start rows.
+    slice of one mask's start rows, the last slice holding what is left.
 
     Ties resolve to the lowest start node, then the lowest closing node, then,
     walking back, the lowest node id among the optimal predecessors.
@@ -215,7 +215,8 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
             per, span = max(1, chunk // s), min(chunk, s)
             block = max(1, min(hi - lo, budget // (width * per * span)))
             for a in range(0, s, span):
-                part = dp[:, a : a + span]
+                part = dp[:, a : a + span]  # the last slice may hold fewer rows
+                rows = part.shape[1]
                 for r in range(0, count, per):
                     src, tgt = sources[i, r : r + per], targets[i, r : r + per]
                     # (width, rows): the min over width runs along contiguous slabs
@@ -224,7 +225,7 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
                         d = min(c + block, hi)
                         step = buffer[: gathered.size * (d - c)].reshape(width, d - c, -1)
                         np.add(gathered[:, None, :], leave[:, c:d, None], out=step)
-                        part[tgt, :, c:d] = step.min(axis=0).T.reshape(len(tgt), span, d - c)
+                        part[tgt, :, c:d] = step.min(axis=0).T.reshape(len(tgt), rows, d - c)
 
     totals = dp[full].astype(np.int64) + cost[np.ix_(order, starts)].T
     best = totals.min()

@@ -399,6 +399,40 @@ class TestReferenceEquivalence:
             assert step_bytes // cell_bytes // (inst.n - s) < s  # rows a chunk holds
         assert exact_solve(inst).to_json() == expected.to_json()
 
+    # A chunk holds more than one but fewer than s start rows, and s is not a
+    # multiple of it, so the last slice of each mask's start rows is shorter
+    # than the others. Three clusters of 150 at the default budget take 128
+    # rows per chunk and leave a slice of 22; at 64 and 128 bytes, s = 3 and a
+    # width of 12 take two rows and leave one. A tour of cost-1 arcs through
+    # the last node of every cluster is the unique optimum, and it leaves the
+    # last start row, which lies in the short slice.
+    @pytest.mark.parametrize("sizes, step_bytes, scale", [
+        ((150, 150, 150), None, 1),
+        ((3, 4, 4, 4), 64, 1),
+        ((3, 4, 4, 4), 128, 2**12),
+        ((3, 3, 3, 3, 3), 64, 1),
+    ])
+    def test_matches_reference_when_the_last_start_slice_is_short(self, monkeypatch, sizes,
+                                                                   step_bytes, scale):
+        rng = np.random.default_rng(sum(sizes))
+        n, s = sum(sizes), sizes[0]
+        clusters = tuple(tuple(range(k, k + size)) for k, size in
+                         zip(itertools.accumulate((0, *sizes)), sizes))
+        cost = rng.integers(2, 1000, size=(n, n))
+        np.fill_diagonal(cost, 0)
+        planted = [c[-1] for c in clusters]
+        cost[planted, np.roll(planted, -1)] = 1
+        inst = GtspInstance(name="x", costs=CostMatrix(cost * scale), clusters=clusters)
+        expected = reference_exact_solve(inst)
+        assert expected.nodes == tuple(planted)
+        if step_bytes is not None:
+            monkeypatch.setattr(gtsp.exact, "_STEP_BYTES", step_bytes)
+        width = n - s
+        budget = gtsp.exact._STEP_BYTES // np.dtype(cost_dtype(inst.max_cost * inst.p)).itemsize
+        rows = min(budget // width, max(gtsp.exact._CHUNK_ROWS, budget // (width * max(sizes))))
+        assert 1 < rows < s and s % rows
+        assert exact_solve(inst).to_json() == expected.to_json()
+
     @pytest.mark.parametrize("top", [4681, 4682])  # 4681 * 7 == 2**15 - 1, the int16 limit
     def test_matches_reference_at_the_int16_limit(self, top):
         rng = np.random.default_rng(top)
