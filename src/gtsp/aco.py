@@ -45,10 +45,14 @@ in row blocks with no n x n temporary; only instances whose two tables (the
 plain one and the one times tau0) would outgrow an n x n matrix keep an n x n
 visibility matrix instead. Every trail write, local, closing or global, goes
 through one relaxation (`_relax`), which returns the largest value it wrote.
-Trails change only through these writes, so `iterate` calls
-`evaporation_reinit(tau, tau0, tau_max)` only in an iteration where some
-write went above tau_max, refreshes the weights of the entries it reset, and
-yields its mask of them.
+It takes a call's edges as two lists of nodes, a and b, and in one Python
+loop finds each edge's flat index a * n + b, its mirror b * n + a (on
+symmetric instances) and its visibility^beta, read from the table through
+memoryviews of the table and of the flattened costs (or from the n x n
+matrix), so a write builds no numpy temporary. Trails change only through
+these writes, so `iterate` calls `evaporation_reinit(tau, tau0, tau_max)`
+only in an iteration where some write went above tau_max, refreshes the
+weights of the entries it reset, and yields its mask of them.
 
 A single run is sequential and deterministic given its seed. Independent runs
 share instances read-only and may execute in parallel.
@@ -177,24 +181,26 @@ _GATHER_CELLS = 1 << 16
 
 def _visibility_lookup(cost: np.ndarray, beta: float, max_cost: int, scale: float = 1.0):
     """Visibility^beta of the edges of `cost`, whose largest entry is
-    `max_cost`, as `(at, where)`: `at(e)` gives the values of the edges at
-    flat indices `e` (i * n + j), equal to the entries of
-    `_visibility_pow(cost, beta)`; `where(mask)` gives `scale` times those of
+    `max_cost`, as `((vis, idx), where)`. `vis` and `idx` are Python-indexable
+    views: the edge at flat index e (i * n + j) has visibility
+    `vis[idx[e]]`, a Python float equal to the entry of
+    `_visibility_pow(cost, beta)`. `where(mask)` gives `scale` times those of
     the edges a bool mask (or `...`) selects, each the float64 product of the
     two.
 
     The values come from a table over the integer cost values 0..max cost
-    (and one pre-multiplied by `scale`), so no n x n matrix is built:
-    `where(...)` gathers its result row block by row block, with
+    (and one pre-multiplied by `scale`), so no n x n matrix is built: `vis`
+    views the table and `idx` the flattened costs, with no copy of either,
+    and `where(...)` gathers its result row block by row block, with
     block-sized temporaries only. Two tables longer than n^2 together would
     outgrow the matrix (and could exhaust memory at costs like 2^40); only
-    in that case the n x n matrix is computed directly.
+    in that case the n x n matrix is computed directly, `vis` views it
+    flattened and `idx` is `range(n * n)`.
     """
     n = cost.shape[0]
     if 2 * (max_cost + 1) <= n * n:
         table = _visibility_pow(np.arange(max_cost + 1), beta)
         scaled = table * scale
-        flat = cost.ravel()
 
         def where(mask):
             if mask is not ...:
@@ -207,11 +213,9 @@ def _visibility_lookup(cost: np.ndarray, beta: float, max_cost: int, scale: floa
                 np.take(scaled, cost[lo:lo + rows], out=out[lo:lo + rows], mode="clip")
             return out
 
-        # numpy indexes with a narrower index array more slowly than it casts
-        # the few costs of a write to intp
-        return (lambda e: table[flat[e].astype(np.intp, copy=False)]), where
+        return (memoryview(table), memoryview(cost.ravel())), where
     eta = _visibility_pow(cost, beta)
-    return eta.ravel().__getitem__, (lambda mask: eta[mask] * scale)
+    return (memoryview(eta.ravel()), range(n * n)), (lambda mask: eta[mask] * scale)
 
 
 def _relative_weights(
@@ -280,23 +284,27 @@ def _global_deposit(best_cost: int) -> float:
 
 
 def _relax(
-    tau: np.ndarray, weight: np.ndarray, edges: np.ndarray, mirrors: np.ndarray,
-    eta: np.ndarray, keep: float, add: float,
+    tau: memoryview, weight: memoryview, rows: list[int], cols: list[int], n: int,
+    symmetric: bool, visibility, keep: float, add: float,
 ) -> float:
     """The trail writes tau[e] <- keep * tau[e] + add on the flattened trail
-    matrix, one by one in the order of the flat edge indices `edges`, with
-    keep = 1 - rho and add = rho * deposit. Each new value t is also stored at
-    the edge's mirror in `mirrors` (the edge itself on asymmetric instances),
-    and t * eta, with `eta` the edge's visibility^beta, at both places of the
-    flattened weight matrix. The values pass as Python floats, whose
-    arithmetic is numpy's float64 arithmetic. Returns the largest value
-    written."""
-    tau, weight = memoryview(tau), memoryview(weight)  # item by item, faster than numpy's
+    matrix, one by one in the order of the edges (rows[k], cols[k]), with
+    keep = 1 - rho and add = rho * deposit. Each edge (a, b) has flat index
+    e = a * n + b. The new value t is also stored at its mirror b * n + a on
+    symmetric instances, and t * vis[idx[e]], with `visibility` the `(vis,
+    idx)` views of `_visibility_lookup`, at both places of the flattened
+    weight matrix. `tau` and `weight` are memoryviews of the two flattened
+    matrices: they read and write item by item faster than numpy, and the
+    values pass as Python floats, whose arithmetic is numpy's float64
+    arithmetic. Returns the largest value written."""
+    vis, idx = visibility
     top = 0.0
-    for e, m, v in zip(edges.tolist(), mirrors.tolist(), eta.tolist()):
+    for a, b in zip(rows, cols):
+        e = a * n + b
+        m = b * n + a if symmetric else e
         t = keep * tau[e] + add
         tau[e] = tau[m] = t
-        weight[e] = weight[m] = t * v
+        weight[e] = weight[m] = t * vis[idx[e]]
         if t > top:
             top = t
     return top
@@ -392,7 +400,7 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
     tau0, tau_max = _trail_bounds(n, l_nn, rho)
     tau = np.full((n, n), tau0)
     cost = instance.costs.cost
-    eta_at, seeded = _visibility_lookup(cost, beta, instance.max_cost, tau0)
+    visibility, seeded = _visibility_lookup(cost, beta, instance.max_cost, tau0)
     # weight == tau * visibility^beta, entry by entry, after every write below
     weight = seeded(...)
     symmetric = instance.costs.symmetric
@@ -404,7 +412,7 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
     # size by repeating its first node
     col = np.arange(sizes.max())
     members = grouped[offsets[:, None] + np.where(col < sizes[:, None], col, 0)]
-    tau_flat, weight_flat = tau.ravel(), weight.ravel()
+    tau_flat, weight_flat = memoryview(tau.ravel()), memoryview(weight.ravel())
     mask = np.empty((ants, n))  # 1.0 on the nodes of each ant's unvisited clusters, else 0.0
     mask_flat = mask.ravel()
     ant_rows = np.arange(ants)[:, None] * n  # flat index of each ant's row of `mask`
@@ -416,10 +424,11 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
 
     def write(i: np.ndarray, j: np.ndarray, add: float) -> None:
         """Relax the trails of the edges (i[k], j[k]) and their weights one
-        by one, in order; on symmetric instances each write is mirrored."""
+        by one, in order, the node arrays passed to `_relax` as lists; on
+        symmetric instances each write is mirrored."""
         nonlocal above_max
-        e = i * n + j
-        top = _relax(tau_flat, weight_flat, e, j * n + i if symmetric else e, eta_at(e), keep, add)
+        top = _relax(tau_flat, weight_flat, i.tolist(), j.tolist(), n, symmetric, visibility,
+                     keep, add)
         above_max = above_max or top > tau_max
 
     def rescue(rows: np.ndarray) -> np.ndarray:

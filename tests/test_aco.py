@@ -110,10 +110,9 @@ def pick(instance, tau, current, cand, beta, q0, rng) -> int:
 def relax_trails(tau, pairs, keep, add, symmetric=True) -> float:
     """`_relax` on the trails alone: the edges (i, j) of `pairs` in order,
     with a throwaway weight matrix and visibility 1."""
-    n = tau.shape[0]
-    e = np.array([i * n + j for i, j in pairs])
-    m = np.array([j * n + i for i, j in pairs]) if symmetric else e
-    return _relax(tau.ravel(), np.empty(tau.size), e, m, np.ones(len(e)), keep, add)
+    rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
+    return _relax(memoryview(tau.ravel()), memoryview(np.empty(tau.size)), rows, cols,
+                  tau.shape[0], symmetric, ([1.0], [0] * tau.size), keep, add)
 
 
 def local_write(tau, edge, rho, l_plus, n, variant, tau0, symmetric=True) -> None:
@@ -389,13 +388,57 @@ class TestLocalUpdate:
         # both places of an edge get the new trail times its visibility
         tau = fresh_trails(two_candidate_instance(), value=0.04)
         weight = np.zeros(tau.size)
-        e, m = np.array([1, 2, 1]), np.array([3, 6, 3])
-        top = _relax(tau.ravel(), weight, e, m, np.array([0.5, 0.25, 0.5]), 0.7, 0.009)
+        # the flat edges 1, 2, 1 with mirrors 3, 6, 3, of visibility 0.5, 0.25, 0.5
+        vis = [0.0, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        top = _relax(memoryview(tau.ravel()), memoryview(weight), [0, 0, 0], [1, 2, 1], 3, True,
+                     (vis, range(9)), 0.7, 0.009)
         assert tau[0, 1] == tau[1, 0] == 0.7 * (0.7 * 0.04 + 0.009) + 0.009
         assert weight[1] == weight[3] == tau[0, 1] * 0.5
         assert weight[2] == weight[6] == tau[0, 2] * 0.25
         # the largest value written, not the last: each write falls toward 0.03
         assert top == 0.7 * 0.04 + 0.009 == tau[0, 2] > tau[0, 1]
+
+    @settings(max_examples=120)
+    @given(
+        seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8), symmetric=st.booleans(),
+        matrix=st.booleans(), keep=st.floats(0.01, 0.99), add=st.floats(0.0, 1.0),
+        data=st.data(),
+    )
+    def test_relax_equals_a_numpy_scalar_loop(self, seed, n, symmetric, matrix, keep, add, data):
+        # a largest cost of n^2 / 2 - 1 takes the table path, of n^2 the n x n one
+        rng = np.random.default_rng(seed)
+        top_cost = n * n if matrix else n * n // 2 - 1
+        cost = rng.integers(0, top_cost + 1, size=(n, n))
+        cost[0, 1] = top_cost
+        if symmetric:
+            cost = np.triu(cost, 1) + np.triu(cost, 1).T
+        np.fill_diagonal(cost, 0)
+        costs = CostMatrix(cost)
+        visibility, _ = _visibility_lookup(costs.cost, 5.0, costs.max_cost)
+        assert isinstance(visibility[1], range) == matrix
+        node = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=6))
+        # repeat some edges and add the mirrors of some, in a drawn order
+        extra = data.draw(st.lists(st.sampled_from(edges), max_size=6))
+        edges = data.draw(st.permutations(edges + extra + [(b, a) for a, b in extra[::2]]))
+        tau, weight = rng.random(n * n), rng.random(n * n)
+        ours_tau, ours_weight = tau.copy(), weight.copy()
+        rows, cols = [a for a, _ in edges], [b for _, b in edges]
+        top = _relax(memoryview(ours_tau), memoryview(ours_weight), rows, cols, n,
+                     costs.symmetric, visibility, keep, add)
+        # the rule on numpy scalars, with the whole visibility^beta matrix
+        eta = gtsp.aco._visibility_pow(costs.cost, 5.0).ravel()
+        expected = np.float64(0.0)
+        for a, b in edges:
+            e = a * n + b
+            m = b * n + a if costs.symmetric else e
+            t = np.float64(keep) * tau[e] + np.float64(add)
+            tau[e] = tau[m] = t
+            weight[e] = weight[m] = t * eta[e]
+            expected = max(expected, t)
+        assert ours_tau.tobytes() == tau.tobytes()
+        assert ours_weight.tobytes() == weight.tobytes()
+        assert np.float64(top).tobytes() == expected.tobytes()
 
     def test_asymmetric_updates_one_direction(self):
         tau = fresh_trails(two_candidate_instance(), value=0.04)
@@ -461,12 +504,11 @@ class TestGlobalUpdate:
         writes = []
         real_relax = gtsp.aco._relax
 
-        def recorded(tau, weight, edges, mirrors, eta, keep, add):
-            n = inst.n
-            pairs = [divmod(e, n) for e in edges.tolist()]
-            assert mirrors.tolist() == [j * n + i if symmetric else i * n + j for i, j in pairs]
-            writes.append((pairs, keep, add))
-            return real_relax(tau, weight, edges, mirrors, eta, keep, add)
+        def recorded(tau, weight, rows, cols, n, mirrored, visibility, keep, add):
+            # each write is mirrored exactly on symmetric instances
+            assert (n, mirrored) == (inst.n, symmetric)
+            writes.append((list(zip(rows, cols)), keep, add))
+            return real_relax(tau, weight, rows, cols, n, mirrored, visibility, keep, add)
 
         with mock.patch.object(gtsp.aco, "_relax", recorded):
             best = run(inst, params).best
@@ -890,9 +932,9 @@ class TestReferenceEquivalence:
         calls = []
         relax = gtsp.aco._relax
 
-        def recorded(tau, weight, edges, *rest):
-            calls.append(sorted(edges.tolist()))
-            return relax(tau, weight, edges, *rest)
+        def recorded(tau, weight, rows, cols, n, *rest):
+            calls.append(sorted(a * n + b for a, b in zip(rows, cols)))
+            return relax(tau, weight, rows, cols, n, *rest)
 
         with mock.patch.object(gtsp.aco, "_relax", recorded):
             ours = traced_run(inst, params)

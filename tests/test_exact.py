@@ -399,6 +399,30 @@ class TestReferenceEquivalence:
             assert step_bytes // cell_bytes // (inst.n - s) < s  # rows a chunk holds
         assert exact_solve(inst).to_json() == expected.to_json()
 
+    # Each start row in turn holds the unique optimum: a constant larger than
+    # max_cost * p, added to every edge at the smallest cluster's other starts,
+    # makes each tour through one of them dearer than any tour through the
+    # chosen start. At 16 and 64 bytes a chunk holds fewer rows than s.
+    @pytest.mark.parametrize("step_bytes", [None, 16, 64])
+    @pytest.mark.parametrize("p", [3, 5, 8])
+    def test_matches_reference_from_every_start_row(self, monkeypatch, p, step_bytes):
+        base = wide_cluster_instance(p, np.random.default_rng(40 + p))
+        sizes = [len(c) for c in base.clusters]
+        starts = base.clusters[sizes.index(min(sizes))]
+        penalty = base.max_cost * base.p + 1
+        if step_bytes is not None:
+            monkeypatch.setattr(gtsp.exact, "_STEP_BYTES", step_bytes)
+        for start in starts:
+            others = [v for v in starts if v != start]
+            cost = base.costs.cost.astype(np.int64)
+            cost[others, :] += penalty
+            cost[:, others] += penalty
+            np.fill_diagonal(cost, 0)
+            inst = GtspInstance(name=base.name, costs=CostMatrix(cost), clusters=base.clusters)
+            tour = exact_solve(inst)
+            assert tour.to_json() == reference_exact_solve(inst).to_json()
+            assert tour.nodes[0] == start
+
     # A chunk holds more than one but fewer than s start rows, and s is not a
     # multiple of it, so the last slice of each mask's start rows is shorter
     # than the others. Three clusters of 150 at the default budget take 128

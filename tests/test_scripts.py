@@ -1,0 +1,49 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(solve_s, steps_per_s, calls, failed=0):
+    """A perfbench last-line result with its call count, as bench_pairs keeps it."""
+    return {"correct": True, "attempted": calls + failed, "failed": failed, "calls": calls,
+            "metrics": {"solve_s": {"value": solve_s, "unit": "s"},
+                        "steps_per_s": {"value": steps_per_s, "unit": "1/s"}}}
+
+
+class TestBenchPairsSummary:
+    def test_quartiles_ratio_and_wins(self):
+        bench_pairs = load_script("bench_pairs")
+        parent = [result(s, 1 / s, 100) for s in (4.0, 5.0, 6.0, 7.0)]
+        # the change is faster in three pairs and equal in one, which is no win
+        change = [result(s, 1 / s, 120, failed=k) for k, s in enumerate((3.0, 5.0, 4.0, 5.0))]
+        summary = bench_pairs.summarize(
+            parent, change, {"solve_s": "lower", "steps_per_s": "higher"}
+        )
+        solve = summary["solve_s"]
+        assert solve["parent_q1_median_q3"] == [4.75, 5.5, 6.25]
+        assert solve["change_q1_median_q3"] == [3.75, 4.5, 5.0]
+        assert solve["change_over_parent_median"] == pytest.approx(4.5 / 5.5)
+        assert solve["change_wins"] == "3/4"
+        assert summary["steps_per_s"]["change_wins"] == "3/4"
+        assert summary["calls_median"] == {"parent": 100, "change": 120}
+        assert summary["failed"] == {"parent": 0, "change": 6}
+
+    def test_seed_ranges(self):
+        bench_pairs = load_script("bench_pairs")
+        assert bench_pairs.seed_range("2201-2204") == [2201, 2202, 2203, 2204]
+        assert bench_pairs.seed_range("7") == [7]
+
+    def test_directions_are_the_benchmarks(self):
+        directions = load_script("bench_pairs").metric_directions()
+        assert directions["solve_s"] == "lower"
+        assert directions["steps_per_s"] == "higher"
