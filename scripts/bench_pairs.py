@@ -32,6 +32,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+COMMAND = "python3 perfbench/run.py --workload W --seed N --seconds 30 --trace 0"
 
 
 def metric_directions() -> dict[str, str]:
@@ -40,11 +41,11 @@ def metric_directions() -> dict[str, str]:
     return {m["name"]: m["better"] for m in declared["end_to_end"]}
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def perfbench(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     """One perfbench run from `tree`: its last-line result and its report."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", "30", "--trace", "0"],
         cwd=tree, check=True, capture_output=True, text=True,
     ).stdout.rstrip("\n")
     report, _, last = out.rpartition("\n")
@@ -88,8 +89,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_range, required=True, metavar="A-B")
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="perfbench --seconds (default 30, the benchmark's own)")
     args = parser.parse_args(argv)
 
     trees = {"parent": args.parent, "change": args.change}
@@ -99,15 +98,14 @@ def main(argv=None) -> int:
         sides = ["parent", "change"] if k % 2 == 0 else ["change", "parent"]
         order.append(f"{sides[0]} first")
         for side in sides:
-            result, report = perfbench(trees[side], args.workload, seed, args.seconds)
+            result, report = perfbench(trees[side], args.workload, seed)
             runs[side].append({**result, "calls": report["calls"], "seed": seed})
             machine = report["machine"]
             print(f"{args.workload} seed {seed} {side}: solve_s "
                   f"{result['metrics']['solve_s']['value']:.6g}", file=sys.stderr)
 
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record["command"] = ("python3 perfbench/run.py --workload W --seed N "
-                         f"--seconds {args.seconds:g} --trace 0")
+    record["command"] = COMMAND
     record["machine"] = machine
     record.setdefault("workloads", {})[args.workload] = {
         "seeds": args.seeds, "order": order, **runs,

@@ -76,15 +76,16 @@ def cost_dtype(max_cost: int) -> type:
 class CostMatrix:
     """Complete n x n matrix of non-negative integer edge costs, zero diagonal.
 
-    The costs are stored in `cost_dtype` of the largest one. The `symmetric`
-    flag is computed from the data, never trusted from input. An array
-    already in that type is kept as a read-only view, not copied: it shares
-    memory with the caller's array, so the caller must not write to it
-    afterwards. Other integer arrays, and floats holding integers, are
-    converted.
+    The costs are stored in `cost_dtype` of the largest one, in C order:
+    the colony indexes them, and the arrays it makes from them, by flat
+    index i * n + j. The `symmetric` flag is computed from the data, never
+    trusted from input. An array already in that type and order is kept as a
+    read-only view, not copied: it shares memory with the caller's array, so
+    the caller must not write to it afterwards. Other integer arrays, and
+    floats holding integers, are converted.
     """
 
-    cost: np.ndarray  # shape (n, n), int16/int32/int64, read-only
+    cost: np.ndarray  # shape (n, n), int16/int32/int64, C order, read-only
     symmetric: bool = field(init=False)
     max_cost: int = field(init=False)  # the largest cost, 0 for an empty matrix
 
@@ -101,7 +102,7 @@ class CostMatrix:
             raise ValueError("costs must be non-negative")
         object.__setattr__(self, "max_cost", int(c.max()) if c.size else 0)
         narrow = cost_dtype(self.max_cost)
-        c = c.view() if c.dtype == narrow else c.astype(narrow)
+        c = c.view() if c.dtype == narrow and c.flags.c_contiguous else c.astype(narrow, order="C")
         c.flags.writeable = False
         if np.diagonal(c).any():
             raise ValueError("diagonal costs must be zero")

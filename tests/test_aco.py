@@ -923,6 +923,17 @@ class TestReferenceEquivalence:
         params = replace(params, max_iterations=5)
         assert traced_run(inst, params) == traced_reference(inst, params)
 
+    @pytest.mark.parametrize("top", [60, 150])  # n = 12: the table path, the n x n one
+    def test_fortran_ordered_costs(self, top):
+        # the trail and weight writes index the costs' arrays by i * n + j
+        cost = np.random.default_rng(top).integers(1, top + 1, size=(12, 12))
+        np.fill_diagonal(cost, 0)
+        clusters = tuple(tuple(range(k, 12, 4)) for k in range(4))
+        inst = GtspInstance(name="x", costs=CostMatrix(np.asfortranarray(cost)),
+                            clusters=clusters)
+        params = AcoParams(beta=1.0, max_iterations=20, seed=top)
+        assert traced_run(inst, params) == traced_reference(inst, params)
+
     def test_opposite_asymmetric_edges_are_two_entries(self):
         # ants on nodes 0 and 1 write (0, 1) and (1, 0) in one step
         cost = np.array([[0, 3], [5, 0]])

@@ -389,6 +389,14 @@ class TestLoadPathEquivalence:
         assert not costs.cost.flags.writeable
         assert costs.cost.tolist() == [[0, 2], [2, 0]]
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_other_orders_are_copied_to_c_order(self, dtype):
+        cost = np.asfortranarray(np.array([[0, 2, 3], [4, 0, 5], [6, 7, 0]], dtype=dtype))
+        costs = CostMatrix(cost)
+        assert costs.cost.flags.c_contiguous
+        assert not np.shares_memory(costs.cost, cost)
+        assert costs.cost.tolist() == cost.tolist()
+
     def test_clustering_temporaries_are_bounded(self):
         n, m = 2000, 400
         coords = NodeCoords(np.random.default_rng(4).uniform(0, 10_000, size=(n, 2)))
