@@ -254,7 +254,7 @@ def load_instance_file(
 ) -> GtspInstance:
     """Load a clustered instance, or cluster a raw TSPLIB file on the fly.
 
-    A file containing a GTSP_SET_SECTION is taken as already clustered, and
+    A file with a GTSP_SET_SECTION line is taken as already clustered, and
     `clusters` must then be None; otherwise the center-based procedure
     partitions it into `clusters` sets (default one fifth of the nodes).
     `cluster_file` substitutes the set section of another clustered file,
@@ -275,7 +275,12 @@ def load_instance_file(
             )
         return GtspInstance(name=name or path.stem, costs=euc2d_costs(base_coords),
                             clusters=clusters)
-    if "GTSP_SET_SECTION" in text.upper():
+    # a line that is the section keyword, stripped and in any case, as the
+    # TSPLIB reader finds sections; the substring test spares most raw files
+    # the line split
+    if "GTSP_SET_SECTION" in text.upper() and any(
+        line.strip().upper() == "GTSP_SET_SECTION" for line in text.splitlines()
+    ):
         if clusters is not None:
             raise ValueError(f"--clusters {clusters} given, but {path.name} is already"
                              " clustered; the flag applies to raw TSPLIB files only")

@@ -20,10 +20,10 @@ it, and clustering reads it in place.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -184,53 +184,36 @@ class GtspInstance:
 def _partition(clusters, n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     """Clusters with members ascending, and the node -> cluster index array.
 
-    A partition of 0..n-1 has n members, all in range, and no node twice,
-    which one concatenation and a bincount check (members not given in
-    ascending order are sorted first). Otherwise raises ValueError naming the
-    first failure a scan of the clusters in order, members ascending, would
-    meet (`_first_failure`).
+    One scan of the clusters in order, members ascending, builds both and
+    raises ValueError at the first failure it meets: a node id that is not
+    an integer (read with `operator.index`, so numpy integers pass and
+    0.5 does not), an empty cluster, a node out of range or a node seen
+    before; after the scan, the lowest node in no cluster.
     """
-    clusters = [tuple(c) for c in clusters]
+    clusters = list(clusters)
     if len(clusters) < 2:
         raise ValueError(f"need at least 2 clusters, got {len(clusters)}")
-    sizes = [len(c) for c in clusters]
-    flat = np.fromiter(chain.from_iterable(clusters), dtype=np.int64, count=sum(sizes))
-    owner = np.repeat(np.arange(len(clusters)), sizes)
-    ends = list(accumulate(sizes))
-    valid = len(flat) == n and 0 not in sizes and flat.min() >= 0 and flat.max() < n
-    if valid:
-        rises = np.diff(flat)
-        rises[[end - 1 for end in ends[:-1]]] = 1  # from one cluster into the next
-        if rises.min() <= 0:
-            key = owner * n + flat
-            key.sort()  # clusters in order, members ascending within each
-            flat = key - owner * n
-        valid = np.bincount(flat, minlength=n).max() == 1
-    if not valid:
-        raise _first_failure(clusters, n)
-    cluster_of = np.empty(n, dtype=np.int64)
-    cluster_of[flat] = owner
-    cluster_of.flags.writeable = False
-    ids = flat.tolist()
-    return tuple(tuple(ids[end - size : end]) for end, size in zip(ends, sizes)), cluster_of
-
-
-def _first_failure(clusters, n: int) -> ValueError:
-    """The error of the first failure met scanning the clusters in order,
-    members ascending: an empty cluster, a node out of range or a node seen
-    before; then the lowest node in no cluster."""
-    owner: dict[int, int] = {}
+    owner = [-1] * n
+    scanned = []
     for k, members in enumerate(clusters):
+        try:
+            members = sorted(map(operator.index, members))
+        except TypeError as exc:
+            raise ValueError(f"node ids must be integers; cluster {k}: {exc}") from None
         if not members:
-            return ValueError(f"empty cluster {k}")
-        for v in sorted(map(int, members)):
+            raise ValueError(f"empty cluster {k}")
+        for v in members:
             if not 0 <= v < n:
-                return ValueError(f"node {v} out of range 0..{n - 1}")
-            if v in owner:
-                return ValueError(f"not a partition: node {v} is in clusters {owner[v]} and {k}")
+                raise ValueError(f"node {v} out of range 0..{n - 1}")
+            if owner[v] >= 0:
+                raise ValueError(f"not a partition: node {v} is in clusters {owner[v]} and {k}")
             owner[v] = k
-    missing = next(v for v in range(n) if v not in owner)
-    return ValueError(f"not a partition: node {missing} is in no cluster")
+        scanned.append(tuple(members))
+    if -1 in owner:
+        raise ValueError(f"not a partition: node {owner.index(-1)} is in no cluster")
+    cluster_of = np.array(owner, dtype=np.int64)
+    cluster_of.flags.writeable = False
+    return tuple(scanned), cluster_of
 
 
 def parse_tsplib(text: str) -> NodeCoords:

@@ -5,10 +5,11 @@ they stay independent of the library's own cost and search code.
 `lockstep_run` is the colony in plain loops over steps and ants, which the
 library's (ants, n) construction kernel must reproduce byte for byte;
 `reference_euc2d_costs` and `reference_clusters` are the original instance
-load path, for the lean one in `gtsp.instance`; `reference_partition` is the
-original per-node partition check of `GtspInstance`, and
-`reference_exact_solve` the original mask-by-mask subset DP, for the batched
-one in `gtsp.exact`.
+load path, for the lean one in `gtsp.instance`; `reference_partition` is an
+independent partition check (a numpy node -> cluster array, clusters sorted
+up front), whose results and messages the one scan of `GtspInstance` must
+reproduce; `reference_exact_solve` is the original mask-by-mask subset DP,
+for the batched one in `gtsp.exact`.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def reference_clusters(cost: np.ndarray, m: int) -> tuple[tuple[int, ...], ...]:
 
 
 def reference_partition(clusters, n: int) -> np.ndarray:
-    """The original partition check of `GtspInstance`: node -> cluster index,
+    """The partition check `GtspInstance` must match: node -> cluster index,
     or the ValueError of the first failure met member by member, clusters in
     order and members ascending."""
     clusters = tuple(tuple(sorted(int(v) for v in c)) for c in clusters)

@@ -411,6 +411,13 @@ class TestLoadInstanceFile:
         with pytest.raises(ValueError, match="--clusters 2 given, but toy.gtsp is already"):
             load_instance_file(path, clusters=2)
 
+    def test_comment_naming_the_set_section_leaves_a_file_raw(self, tmp_path, eil51_text):
+        path = tmp_path / "toy.tsp"
+        path.write_text(eil51_text.replace(
+            "NAME", "COMMENT : no GTSP_SET_SECTION here\nNAME", 1))
+        assert load_instance_file(path).p == 11
+        assert load_instance_file(path, clusters=2).p == 2
+
     def test_cluster_count_with_cluster_file_is_refused(self, tmp_path, data_dir):
         donor = tmp_path / "donor.gtsp"
         donor.write_text("never read")

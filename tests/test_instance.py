@@ -603,6 +603,21 @@ class TestInvariants:
         with pytest.raises(ValueError, match="not a partition: node 2"):
             GtspInstance(name="bad", costs=costs, clusters=((0,), (1,)))
 
+    @pytest.mark.parametrize("member", [0.5, 1.0, np.float64(1.0), "1", None],
+                             ids=["half", "float", "numpy-float", "str", "none"])
+    def test_instance_rejects_non_integer_node_ids(self, member):
+        costs = CostMatrix(np.zeros((4, 4), dtype=int))
+        with pytest.raises(ValueError, match="node ids must be integers; cluster 1:"):
+            GtspInstance(name="x", costs=costs, clusters=((0, 1), (member, 2, 3)))
+
+    def test_instance_takes_numpy_integer_members_as_python_ints(self):
+        costs = CostMatrix(np.zeros((4, 4), dtype=int))
+        inst = GtspInstance(name="x", costs=costs, clusters=(
+            np.array([1, 0], dtype=np.int64), np.array([3, 2], dtype=np.uint8)))
+        assert inst.clusters == ((0, 1), (2, 3))
+        assert all(type(v) is int for c in inst.clusters for v in c)
+        assert inst.cluster_of.tolist() == [0, 0, 1, 1]
+
     @given(
         n=st.integers(1, 8),
         clusters=st.lists(st.lists(st.integers(-2, 9), max_size=4), max_size=5),
@@ -617,6 +632,10 @@ class TestInvariants:
     @example(n=3, clusters=[[0], [], [5]], shuffled=list(range(8)), parts=1,
              use_partition=False)
     @example(n=4, clusters=[[3, 0], [1]], shuffled=list(range(8)), parts=1,
+             use_partition=False)
+    @example(n=4, clusters=[np.array([3, 0], dtype=np.int64), np.array([2, 1], dtype=np.int64)],
+             shuffled=list(range(8)), parts=1, use_partition=False)
+    @example(n=5, clusters=[(4, 2, 0), (3, 1)], shuffled=list(range(8)), parts=1,
              use_partition=False)
     def test_partition_check_matches_reference(
         self, n, clusters, shuffled, parts, use_partition
