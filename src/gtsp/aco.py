@@ -70,7 +70,7 @@ from typing import Iterator, NamedTuple, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .construct import Tour, make_tour, nn_reference_cost
-from .instance import GtspInstance
+from .instance import GtspInstance, per_block
 
 VARIANTS = ("acs", "racs")
 
@@ -174,11 +174,6 @@ def _visibility_pow(cost: np.ndarray, beta: float) -> np.ndarray:
     return (1.0 / np.maximum(cost, 1)) ** beta
 
 
-# Cells per row block of the gather that seeds `run`'s weights: its index and
-# output buffers stay near 512 KiB each whatever n is.
-_GATHER_CELLS = 1 << 16
-
-
 def _visibility_lookup(cost: np.ndarray, beta: float, max_cost: int, scale: float = 1.0):
     """Visibility^beta of the edges of `cost`, whose largest entry is
     `max_cost`, as `((vis, idx), where)`. `vis` and `idx` are Python-indexable
@@ -191,11 +186,11 @@ def _visibility_lookup(cost: np.ndarray, beta: float, max_cost: int, scale: floa
     The values come from a table over the integer cost values 0..max cost
     (and one pre-multiplied by `scale`), so no n x n matrix is built: `vis`
     views the table and `idx` the flattened costs, with no copy of either,
-    and `where(...)` gathers its result row block by row block, with
-    block-sized temporaries only. Two tables longer than n^2 together would
-    outgrow the matrix (and could exhaust memory at costs like 2^40); only
-    in that case the n x n matrix is computed directly, `vis` views it
-    flattened and `idx` is `range(n * n)`.
+    and `where(...)` gathers its result row block by row block, each
+    block's temporary within `gtsp.instance.BLOCK_BYTES`. Two tables longer
+    than n^2 together would outgrow the matrix (and could exhaust memory at
+    costs like 2^40); only in that case the n x n matrix is computed
+    directly, `vis` views it flattened and `idx` is `range(n * n)`.
     """
     n = cost.shape[0]
     if 2 * (max_cost + 1) <= n * n:
@@ -206,7 +201,7 @@ def _visibility_lookup(cost: np.ndarray, beta: float, max_cost: int, scale: floa
             if mask is not ...:
                 return scaled[cost[mask]]
             out = np.empty((n, n))
-            rows = max(1, _GATHER_CELLS // n)
+            rows = per_block(8 * n)  # the gather's intp copy of a cost block
             for lo in range(0, n, rows):
                 # every cost lies in 0..max_cost, so "clip" moves no index;
                 # unlike "raise" it writes into `out` without a buffer

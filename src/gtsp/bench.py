@@ -35,6 +35,7 @@ from .instance import (
     cluster_instance,
     euc2d_costs,
     generate_instance,
+    is_clustered,
     parse_clustered,
     parse_set_partition,
     parse_tsplib,
@@ -254,9 +255,10 @@ def load_instance_file(
 ) -> GtspInstance:
     """Load a clustered instance, or cluster a raw TSPLIB file on the fly.
 
-    A file with a GTSP_SET_SECTION line is taken as already clustered, and
-    `clusters` must then be None; otherwise the center-based procedure
-    partitions it into `clusters` sets (default one fifth of the nodes).
+    A file with a set section (`is_clustered`) is taken as already
+    clustered, and `clusters` must then be None; otherwise the center-based
+    procedure partitions it into `clusters` sets (default one fifth of the
+    nodes).
     `cluster_file` substitutes the set section of another clustered file,
     of which only the headers and sets are read; `clusters` must then be
     None too.
@@ -275,12 +277,7 @@ def load_instance_file(
             )
         return GtspInstance(name=name or path.stem, costs=euc2d_costs(base_coords),
                             clusters=clusters)
-    # a line that is the section keyword, stripped and in any case, as the
-    # TSPLIB reader finds sections; the substring test spares most raw files
-    # the line split
-    if "GTSP_SET_SECTION" in text.upper() and any(
-        line.strip().upper() == "GTSP_SET_SECTION" for line in text.splitlines()
-    ):
+    if is_clustered(text):
         if clusters is not None:
             raise ValueError(f"--clusters {clusters} given, but {path.name} is already"
                              " clustered; the flag applies to raw TSPLIB files only")

@@ -17,17 +17,14 @@ from itertools import accumulate
 import numpy as np
 
 from .construct import Tour, make_tour
-from .instance import GtspInstance, cost_dtype
+from .instance import GtspInstance, cost_dtype, per_block
 
 # Cells of the subset DP table, 64/128/256 MiB at int16/int32/int64: admits
 # n=80/p=16, refuses n=100/p=20.
 DEFAULT_CELL_CAP = 2**25
-# Bytes of one min-plus temporary, where the sizes allow: 2^16 int16, 2^15 int32
-# or 2^14 int64 cells. exact_solve allocates its temporary per call; at 128 KiB
-# it adds little resident memory.
-_STEP_BYTES = 2**17
-# Source rows per min-plus chunk when a cluster's columns do not all fit the
-# budget: the temporary's innermost axis, so each add and min runs this long.
+# Source rows per min-plus chunk when a cluster's columns do not all fit one
+# block (`per_block`): the temporary's innermost axis, so each add and min
+# runs this long.
 _CHUNK_ROWS = 128
 
 
@@ -65,7 +62,7 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
 
     Forward dynamic programming over the layers, one start per node of the
     first cluster, O(sum_l |V_l|*|V_{l+1}|) per start, in start-row chunks
-    that bound each step's temporary in bytes as in `exact_solve`. Sums are
+    whose step temporary stays within `gtsp.instance.BLOCK_BYTES`. Sums are
     int64 whatever the cost type, and exact: `GtspInstance` refuses, when it
     is built, an instance whose tour sums may overflow int64. Ties resolve to
     the lowest start node, then the lowest member index per layer.
@@ -85,8 +82,8 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
         block = cost[np.ix_(layers[l], layers[l + 1])]
         parent = np.empty((s, block.shape[1]), dtype=np.intp)
         reached = np.empty((s, block.shape[1]), dtype=np.int64)
-        # start-row chunks keep the (chunk, |V_l|, |V_l+1|) int64 temporary near _STEP_BYTES
-        chunk = max(1, _STEP_BYTES // (block.size * dist.itemsize))
+        # start-row chunks keep the (chunk, |V_l|, |V_l+1|) int64 temporary within a block
+        chunk = per_block(block.size * dist.itemsize)
         for r in range(0, s, chunk):
             stacked = dist[r : r + chunk, :, None] + block
             stacked.argmin(axis=1, out=parent[r : r + chunk])
@@ -138,11 +135,12 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     temporary is (width, target columns, rows), and its min over axis 0 is
     an elementwise minimum of width contiguous slabs, written back
     transposed. A chunk takes all of cluster i's columns when that leaves at
-    least _CHUNK_ROWS rows (or all the round's rows) within _STEP_BYTES;
-    otherwise it takes _CHUNK_ROWS rows (fewer if one column of them would
-    exceed the budget) and splits the columns. The rows of a chunk are whole
-    masks, as many as that row count holds; when it is below s, a chunk is a
-    slice of one mask's start rows, the last slice holding what is left.
+    least _CHUNK_ROWS rows (or all the round's rows) within
+    `gtsp.instance.BLOCK_BYTES`; otherwise it takes _CHUNK_ROWS rows (fewer
+    if one column of them would exceed the budget) and splits the columns.
+    The rows of a chunk are whole masks, as many as that row count holds;
+    when it is below s, a chunk is a slice of one mask's start rows, the
+    last slice holding what is left.
 
     Ties resolve to the lowest start node, then the lowest closing node, then,
     walking back, the lowest node id among the optimal predecessors.
@@ -164,9 +162,6 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     order = np.concatenate(rest)
     owner = np.repeat(np.arange(m), rest_sizes)
     bounds = [0, *accumulate(rest_sizes)]
-
-    def columns(mask: int) -> np.ndarray:
-        return np.flatnonzero((mask >> owner) & 1)
 
     s, width = len(starts), len(order)
     bound = instance.max_cost * instance.p
@@ -193,7 +188,7 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     for i in range(m - 1):
         popcount += (masks >> i) & 1
     bits = 1 << np.arange(m)[:, None]
-    budget = _STEP_BYTES // leave.itemsize  # cells of one temporary
+    budget = per_block(leave.itemsize)  # cells of one temporary
     buffer = np.empty(max(budget, width), dtype=cell)
     for k in range(1, m):
         # The level's plan: row i holds the C(m-1, k) masks of popcount k
@@ -207,7 +202,7 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
         count = sources.shape[1]
         for i in range(m):
             lo, hi = bounds[i], bounds[i + 1]
-            # (width, block, rows) temporaries within _STEP_BYTES, or one
+            # (width, block, rows) temporaries within the budget, or one
             # width when a single cell per row exceeds it
             whole = budget // (width * (hi - lo))
             chunk = max(1, min(count * s, budget // width, max(_CHUNK_ROWS, whole)))
@@ -237,7 +232,7 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     mask, value = full, dp[full, a, g]
     while mask != 1 << int(owner[g]):
         prev = mask ^ 1 << int(owner[g])
-        cols = columns(prev)
+        cols = np.flatnonzero((prev >> owner) & 1)  # the columns of prev's clusters
         cands = cols[dp[prev, a, cols] + leave[cols, g] == value]
         g = int(cands[np.argmin(order[cands])])
         mask, value = prev, dp[prev, a, g]

@@ -15,6 +15,8 @@ Loading a raw TSPLIB file (`parse_tsplib`, `euc2d_costs`, `cluster_instance`)
 holds one n x n matrix at a time: costs are computed in row blocks into the
 matrix, `CostMatrix` keeps that array as a read-only view instead of copying
 it, and clustering reads it in place.
+Every blocked loop, here and in `gtsp.aco` and `gtsp.exact`, sizes its
+temporaries by one byte budget, `BLOCK_BYTES`, read when the loop runs.
 """
 
 from __future__ import annotations
@@ -114,10 +116,16 @@ class CostMatrix:
         return self.cost.shape[0]
 
 
-# Side of the square tiles `_is_symmetric` compares: a tile and its mirror
-# (2 x 128 KiB at int16, 2 x 512 KiB at int64) stay in cache while they are
-# compared.
-_SYMMETRY_TILE = 256
+# Bytes of one temporary array in a blocked loop: the row blocks of
+# `euc2d_costs`, the tiles of `_is_symmetric`, the row blocks that seed the
+# colony's weights and the min-plus steps of the exact solvers.
+BLOCK_BYTES = 1 << 19
+
+
+def per_block(item_bytes: int) -> int:
+    """How many items of `item_bytes` bytes one temporary of `BLOCK_BYTES`
+    holds, at least one. It reads `BLOCK_BYTES` at each call."""
+    return max(1, BLOCK_BYTES // item_bytes)
 
 
 def _is_symmetric(c: np.ndarray) -> bool:
@@ -125,9 +133,10 @@ def _is_symmetric(c: np.ndarray) -> bool:
 
     Each tile on or above the diagonal is compared with the transpose of its
     mirror tile, so no n x n temporary is built and an asymmetric matrix is
-    usually refused after one tile.
+    usually refused after one tile. A tile is the largest square within
+    `BLOCK_BYTES`; its comparison builds a bool tile of a byte per cell.
     """
-    n, b = c.shape[0], _SYMMETRY_TILE
+    n, b = c.shape[0], math.isqrt(per_block(c.itemsize))
     for lo in range(0, n, b):
         for lo2 in range(lo, n, b):
             if not np.array_equal(c[lo:lo + b, lo2:lo2 + b], c[lo2:lo2 + b, lo:lo + b].T):
@@ -261,10 +270,6 @@ def _parse_coords(
     return NodeCoords(points)
 
 
-# Rows per block times n in `euc2d_costs`: the float temporaries of one block
-# stay near 2^17 pairs (a few MB) instead of growing as n^2.
-_EUC2D_BLOCK_PAIRS = 1 << 17
-
 # Distances are cast to an integer type; 2^63 is the first float that no
 # int64 holds.
 _INT64_LIMIT = float(2**63)
@@ -276,7 +281,8 @@ def euc2d_costs(coords: NodeCoords) -> CostMatrix:
 
     Each cost is `floor(sqrt(dx*dx + dy*dy) + 0.5)` in float64, computed in
     row blocks from the x and y columns and written straight into the
-    matrix, so the temporaries stay a few MB whatever n is. Only the blocks
+    matrix; each of a block's two float64 temporaries stays within
+    `BLOCK_BYTES` (one row at least) whatever n is. Only the blocks
     on and above the diagonal are computed; the rest is their mirror. The
     bounding box's diagonal bounds every distance, so the matrix is
     allocated in its `cost_dtype` and no cast wraps (`CostMatrix` narrows
@@ -298,7 +304,7 @@ def euc2d_costs(coords: NodeCoords) -> CostMatrix:
             f"coordinates span {span_x:g} x {span_y:g}; their distances overflow int64 costs"
         )
     cost = np.empty((n, n), dtype=cost_dtype(int(longest)))
-    rows = max(1, _EUC2D_BLOCK_PAIRS // n)
+    rows = per_block(8 * n)
     for lo in range(0, n, rows):
         hi = min(lo + rows, n)
         # the block's rows from column lo on; fl(a - b) == -fl(b - a), so
@@ -404,6 +410,14 @@ def parse_clustered(text: str, name: str = "") -> GtspInstance:
                             costs=euc2d_costs(coords), clusters=clusters)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+
+
+def is_clustered(text: str) -> bool:
+    """Whether `text` has a set section by the TSPLIB scanner's rule: a line,
+    before any EOF line, that is GTSP_SET_SECTION stripped and in any case.
+    A text that does not hold the keyword at all is not split into lines."""
+    keyword = "GTSP_SET_SECTION"
+    return keyword in text.upper() and any(upper == keyword for *_, upper in _lines(text))
 
 
 def parse_set_partition(text: str) -> tuple[str, int, tuple[tuple[int, ...], ...]]:
@@ -539,6 +553,16 @@ _SECTION_KEYWORDS = {
 }
 
 
+def _lines(text: str):
+    """The records of a file: each non-blank line before the first EOF line
+    as (lineno, line stripped, stripped line upper-cased)."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if line := raw.strip():
+            if (upper := line.upper()) == "EOF":
+                return
+            yield lineno, line, upper
+
+
 def _scan_records(text: str):
     """Split a file into header records and raw section lines.
 
@@ -549,13 +573,7 @@ def _scan_records(text: str):
     headers: dict[str, tuple[int, str]] = {}
     sections: dict[str, list[tuple[int, str]]] = {}
     current: str | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        upper = line.upper()
-        if upper == "EOF":
-            break
+    for lineno, line, upper in _lines(text):
         if upper in _SECTION_KEYWORDS:
             current = _SECTION_KEYWORDS[upper]
             sections.setdefault(current, [])

@@ -24,6 +24,7 @@ from gtsp import (
 )
 
 import gtsp.aco
+import gtsp.instance
 from gtsp.aco import (
     _argmax_rows,
     _global_deposit,
@@ -621,6 +622,20 @@ class TestRun:
         _, nn = nn_reference_cost(inst)
         assert (result.best, result.iterations, result.trace) == (nn, 0, [])
         assert peak < 8 * inst.n * inst.n
+
+    def test_set_up_holds_the_trails_and_weights_and_block_temporaries(self):
+        # the weights are seeded row block by row block: each block's gather
+        # stays within one budget, where a whole-matrix gather would add an
+        # 8 MB index copy
+        _, inst = generate_instance(1000, 200, seed=3)
+        colony = iterate(inst, AcoParams(seed=1))
+        tracemalloc.start()
+        try:
+            next(colony)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * inst.n * inst.n + 2 * gtsp.instance.BLOCK_BYTES + (1 << 20)
 
     def test_requires_stopping_rule(self):
         rng = np.random.default_rng(22)

@@ -418,6 +418,14 @@ class TestLoadInstanceFile:
         assert load_instance_file(path).p == 11
         assert load_instance_file(path, clusters=2).p == 2
 
+    def test_set_section_after_eof_leaves_a_file_raw(self, tmp_path, eil51_text):
+        # the TSPLIB reader stops at EOF, so what follows it is not a section
+        path = tmp_path / "toy.tsp"
+        path.write_text(eil51_text + "GTSP_SET_SECTION\n1 1 -1\n")
+        assert eil51_text.rstrip().endswith("EOF")
+        assert load_instance_file(path).p == 11
+        assert load_instance_file(path, clusters=2).p == 2
+
     def test_cluster_count_with_cluster_file_is_refused(self, tmp_path, data_dir):
         donor = tmp_path / "donor.gtsp"
         donor.write_text("never read")

@@ -27,6 +27,7 @@ from gtsp import (
 )
 
 import gtsp.exact
+import gtsp.instance
 from gtsp.instance import cost_dtype
 from oracles import (
     brute_force_best_for_order,
@@ -356,7 +357,7 @@ class TestReferenceEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_reference_when_every_round_is_split(self, monkeypatch, seed, scale,
                                                          step_bytes):
-        monkeypatch.setattr(gtsp.exact, "_STEP_BYTES", step_bytes)
+        monkeypatch.setattr(gtsp.instance, "BLOCK_BYTES", step_bytes)
         rng = np.random.default_rng(100 + seed)
         n = int(rng.integers(11, 15))
         base = random_matrix_instance(n, int(rng.integers(4, 7)), rng,
@@ -394,7 +395,7 @@ class TestReferenceEquivalence:
         expected = reference_exact_solve(inst)
         assert expected.nodes[0] == w
         if step_bytes is not None:
-            monkeypatch.setattr(gtsp.exact, "_STEP_BYTES", step_bytes)
+            monkeypatch.setattr(gtsp.instance, "BLOCK_BYTES", step_bytes)
             cell_bytes = np.dtype(cost_dtype(inst.max_cost * inst.p)).itemsize
             assert step_bytes // cell_bytes // (inst.n - s) < s  # rows a chunk holds
         assert exact_solve(inst).to_json() == expected.to_json()
@@ -411,7 +412,7 @@ class TestReferenceEquivalence:
         starts = base.clusters[sizes.index(min(sizes))]
         penalty = base.max_cost * base.p + 1
         if step_bytes is not None:
-            monkeypatch.setattr(gtsp.exact, "_STEP_BYTES", step_bytes)
+            monkeypatch.setattr(gtsp.instance, "BLOCK_BYTES", step_bytes)
         for start in starts:
             others = [v for v in starts if v != start]
             cost = base.costs.cost.astype(np.int64)
@@ -450,12 +451,39 @@ class TestReferenceEquivalence:
         expected = reference_exact_solve(inst)
         assert expected.nodes == tuple(planted)
         if step_bytes is not None:
-            monkeypatch.setattr(gtsp.exact, "_STEP_BYTES", step_bytes)
+            monkeypatch.setattr(gtsp.instance, "BLOCK_BYTES", step_bytes)
         width = n - s
-        budget = gtsp.exact._STEP_BYTES // np.dtype(cost_dtype(inst.max_cost * inst.p)).itemsize
+        cell_bytes = np.dtype(cost_dtype(inst.max_cost * inst.p)).itemsize
+        budget = gtsp.instance.BLOCK_BYTES // cell_bytes
         rows = min(budget // width, max(gtsp.exact._CHUNK_ROWS, budget // (width * max(sizes))))
         assert 1 < rows < s and s % rows
         assert exact_solve(inst).to_json() == expected.to_json()
+
+    # The optimum through each cluster's last member, whose DP column is the
+    # last of its cluster and so lies in the cluster's last column block:
+    # at 16 and 64 bytes every block is one column wide. The m cyclic shifts
+    # of one visiting order put each other cluster at every position of the
+    # tour once, so each round (popcount, target cluster) that the optimum
+    # passes through finds its part of it in that last block. Cost-1 arcs
+    # along the tour, every other cost 2 or more, make it the unique optimum.
+    @pytest.mark.parametrize("step_bytes", [None, 16, 64])
+    def test_matches_reference_through_every_last_column_block(self, monkeypatch, step_bytes):
+        sizes = (2, 3, 4, 3, 5)
+        n, m = sum(sizes), len(sizes) - 1
+        clusters = tuple(tuple(range(k, k + size)) for k, size in
+                         zip(itertools.accumulate((0, *sizes)), sizes))
+        if step_bytes is not None:
+            monkeypatch.setattr(gtsp.instance, "BLOCK_BYTES", step_bytes)
+        for shift in range(m):
+            cost = np.random.default_rng(shift).integers(2, 1000, size=(n, n))
+            np.fill_diagonal(cost, 0)
+            visits = [0] + [1 + (j + shift) % m for j in range(m)]
+            planted = [clusters[k][-1] for k in visits]
+            cost[planted, np.roll(planted, -1)] = 1
+            inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=clusters)
+            expected = reference_exact_solve(inst)
+            assert expected.nodes == tuple(planted)
+            assert exact_solve(inst).to_json() == expected.to_json()
 
     @pytest.mark.parametrize("top", [4681, 4682])  # 4681 * 7 == 2**15 - 1, the int16 limit
     def test_matches_reference_at_the_int16_limit(self, top):
@@ -492,8 +520,10 @@ class TestReferenceEquivalence:
         assert inst.max_cost * inst.p == 7 * top
         assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
 
-    # int16 cells, 2^16 per min-plus temporary: 300/3 takes two source rows
-    # per chunk, 200/8 seven to nineteen, 400/3 one
+    # int16 cells, 2^18 per min-plus temporary at the default budget: 300/3
+    # and 400/3 take one mask (80 and 111 start rows) per chunk and split
+    # each cluster's columns into blocks of 14 and 8, the last one ragged;
+    # 200/8 takes one to nine masks per chunk and blocks of 11 to 50 columns
     @pytest.mark.parametrize("nodes, clusters", [(300, 3), (200, 8), (400, 3)])
     def test_matches_reference_on_large_clusters(self, nodes, clusters):
         _, inst = generate_instance(nodes=nodes, clusters=clusters, seed=1)

@@ -128,7 +128,7 @@ class TestEuc2dCosts:
     def test_matches_per_pair_formula(self, n, block_pairs, monkeypatch):
         # small blocks split the rows at every boundary, including a last
         # partial block; halves test the rounding
-        monkeypatch.setattr(gtsp.instance, "_EUC2D_BLOCK_PAIRS", block_pairs)
+        monkeypatch.setattr(gtsp.instance, "BLOCK_BYTES", 8 * block_pairs)  # float64 pairs
         rng = np.random.default_rng(n * block_pairs)
         for scale in (10, 1e4, 1e7):
             pts = np.round(rng.uniform(-scale, scale, size=(n, 2)) * 2) / 2
@@ -298,16 +298,17 @@ coordinate_lists = st.integers(2, 40).flatmap(
 class TestLoadPathEquivalence:
     """The lean load path against the original code in oracles.py, byte for byte."""
 
-    @given(coordinate_lists, st.booleans(), st.sampled_from([1, 7, 40, 1 << 17]),
-           st.sampled_from([1, 3, 4, 256]), st.integers(0, 2**32 - 1))
-    @example([0] * 8, False, 1 << 17, 256, 0)  # all-zero costs: top == 0
-    @example([5, 5] * 9, True, 7, 4, 1)
-    def test_raw_load_matches_reference(self, ints, half, block_pairs, tile, seed):
+    # Row blocks of one pair to all of them, and symmetry tiles of side 1
+    # (8 bytes at int32 and int64) up to 724 (2^20 bytes at int16).
+    @given(coordinate_lists, st.booleans(), st.sampled_from([8, 32, 56, 320, 1 << 17, 1 << 20]),
+           st.integers(0, 2**32 - 1))
+    @example([0] * 8, False, 1 << 20, 0)  # all-zero costs: top == 0
+    @example([5, 5] * 9, True, 32, 1)  # one row per block, int16 tiles of side 4
+    def test_raw_load_matches_reference(self, ints, half, block_bytes, seed):
         pts = np.array(ints, dtype=float).reshape(-1, 2) / (2 if half else 1)
         n = len(pts)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gtsp.instance, "_EUC2D_BLOCK_PAIRS", block_pairs)
-            mp.setattr(gtsp.instance, "_SYMMETRY_TILE", tile)
+            mp.setattr(gtsp.instance, "BLOCK_BYTES", block_bytes)
             coords = NodeCoords(pts)
             costs = euc2d_costs(coords)
             expected = reference_euc2d_costs(pts)
@@ -318,11 +319,12 @@ class TestLoadPathEquivalence:
             inst = cluster_instance(coords, costs, m=m)
             assert inst.clusters == reference_clusters(expected, m)
 
+    # int16 costs: tiles of side 3, 4 and 256
     @given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5, 1000]),
-           st.booleans(), st.sampled_from([3, 4, 256]))
-    @example(6, 0, 1, True, 4)  # every cost 0 (high=1)
-    @example(5, 1, 2, False, 3)
-    def test_matrix_clustering_matches_reference(self, n, seed, high, symmetric, tile):
+           st.booleans(), st.sampled_from([18, 32, 1 << 17]))
+    @example(6, 0, 1, True, 32)  # every cost 0 (high=1)
+    @example(5, 1, 2, False, 18)
+    def test_matrix_clustering_matches_reference(self, n, seed, high, symmetric, block_bytes):
         rng = np.random.default_rng(seed)
         cost = rng.integers(0, high, size=(n, n))
         if symmetric:
@@ -330,7 +332,7 @@ class TestLoadPathEquivalence:
         np.fill_diagonal(cost, 0)
         m = int(rng.integers(2, n + 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(gtsp.instance, "_SYMMETRY_TILE", tile)
+            mp.setattr(gtsp.instance, "BLOCK_BYTES", block_bytes)
             costs = CostMatrix(cost)
             assert costs.symmetric == bool(np.array_equal(cost, cost.T))
             inst = cluster_instance(NodeCoords(np.zeros((n, 2))), costs, m=m)
@@ -346,9 +348,10 @@ class TestLoadPathEquivalence:
         assert np.array_equal(inst.costs.cost, expected)
         assert inst.clusters == reference_clusters(expected, 11)
 
+    # int16 costs, so a tile of side t takes 2 * t^2 bytes
     @pytest.mark.parametrize("n, tile", [(10, 4), (9, 3), (600, 256), (257, 256)])
     def test_symmetry_check_at_tile_edges(self, n, tile, monkeypatch):
-        monkeypatch.setattr(gtsp.instance, "_SYMMETRY_TILE", tile)
+        monkeypatch.setattr(gtsp.instance, "BLOCK_BYTES", 2 * tile * tile)
         rng = np.random.default_rng(n)
         base = np.triu(rng.integers(1, 50, size=(n, n)), 1)
         base = base + base.T
@@ -361,6 +364,19 @@ class TestLoadPathEquivalence:
                 cost = base.copy()
                 cost[i, j] += 1
                 assert CostMatrix(cost).symmetric is bool(np.array_equal(cost, cost.T)) is False
+
+    def test_symmetry_check_temporaries_are_bounded(self):
+        n = 2000
+        base = np.triu(np.random.default_rng(4).integers(1, 1000, size=(n, n), dtype=np.int16), 1)
+        cost = base + base.T
+        tracemalloc.start()
+        costs = CostMatrix(cost)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the matrix is kept, not copied, and compared tile by tile; c == c.T
+        # would build a 4 MB bool matrix
+        assert costs.symmetric and np.shares_memory(costs.cost, cost)
+        assert peak < 2 * gtsp.instance.BLOCK_BYTES
 
     def test_int64_input_is_shared_read_only(self):
         # a cost of 2^31 needs int64, the narrowest type that holds it

@@ -1,4 +1,5 @@
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,36 @@ class TestBenchPairsSummary:
         directions = load_script("bench_pairs").metric_directions()
         assert directions["solve_s"] == "lower"
         assert directions["steps_per_s"] == "higher"
+
+
+class TestExactShapesSummary:
+    def test_quartiles_in_ms_and_median_over_the_parents(self):
+        exact_shapes = load_script("exact_shapes")
+        summary = exact_shapes.summarize({"parent": [0.004, 0.005, 0.006, 0.007],
+                                          "2^19": [0.003, 0.005, 0.004, 0.005]})
+        assert summary["parent"] == {"q1_median_q3_ms": [4.75, 5.5, 6.25], "over_parent": 1.0}
+        assert summary["2^19"] == {"q1_median_q3_ms": [3.75, 4.5, 5.0],
+                                   "over_parent": round(4.5 / 5.5, 4)}
+
+    def test_rounds_rotate_the_first_side_and_outputs_are_compared(self):
+        exact_shapes = load_script("exact_shapes")
+        made = []
+
+        def side(name, output):
+            return lambda: made.append(name) or output
+
+        calls = {"parent": side("p", [1, 2]), "2^17": side("a", [1, 2]), "2^18": side("b", [1, 2])}
+        times, same = exact_shapes.alternate(calls, seconds=0.0)  # the fewest rounds, 5
+        assert same
+        assert {name: len(t) for name, t in times.items()} == {"parent": 5, "2^17": 5, "2^18": 5}
+        # warm-up of each side, one call to size the rounds, then the rounds
+        assert "".join(made) == "pab" + "p" + "pab" + "abp" + "bpa" + "pab" + "abp"
+        calls["2^18"] = side("b", [1, 3])
+        assert not exact_shapes.alternate(calls, seconds=0.0)[1]
+
+    def test_a_budget_is_set_before_each_call(self):
+        exact_shapes = load_script("exact_shapes")
+        module = types.SimpleNamespace(BLOCK_BYTES=1 << 19)
+        call = exact_shapes.with_budget(module, 16, lambda: module.BLOCK_BYTES)
+        module.BLOCK_BYTES = 1 << 20
+        assert call() == 16
