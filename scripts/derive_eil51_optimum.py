@@ -20,7 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def main() -> None:
     text = (ROOT / "data" / "eil51.tsp").read_text()
     coords = parse_tsplib(text)
-    instance = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+    instance = cluster_instance(euc2d_costs(coords), name="eil51")
     print(f"instance {instance.name}: {instance.n} nodes, {instance.p} clusters")
     print("cluster sizes:", [len(c) for c in instance.clusters])
 

@@ -69,8 +69,8 @@ def inputs(g, eil51_text: str) -> tuple[dict, object, object]:
     shapes = {}
     for name, shape in SHAPES.items():
         if shape is None:
-            coords = g.parse_tsplib(eil51_text)
-            shapes[name] = g.cluster_instance(coords, g.euc2d_costs(coords), name="eil51")
+            costs = g.euc2d_costs(g.parse_tsplib(eil51_text))
+            shapes[name] = g.cluster_instance(costs, name="eil51")
         else:
             shapes[name] = g.generate_instance(*shape[:2], seed=shape[2])[1]
     return shapes, *g.generate_instance(LOOP_NODES, LOOP_NODES // 5, seed=1)

@@ -17,7 +17,6 @@ from .bench import (
     ExperimentConfig,
     RunReport,
     emit_table,
-    load_instance_file,
     run_experiment,
     sidecar_optimum,
     solve,
@@ -50,8 +49,8 @@ from .instance import (
     format_clustered,
     format_instance_name,
     generate_instance,
+    load_instance_file,
     parse_clustered,
-    parse_instance_name,
     parse_tsplib,
 )
 

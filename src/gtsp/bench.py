@@ -32,13 +32,8 @@ from .instance import (
     GtspInstance,
     check_cluster_count,
     check_node_count,
-    cluster_instance,
-    euc2d_costs,
     generate_instance,
-    is_clustered,
-    parse_clustered,
-    parse_set_partition,
-    parse_tsplib,
+    load_instance_file,
 )
 
 ALGORITHMS = ("exact", "nn", "acs", "racs")
@@ -132,7 +127,7 @@ class ExperimentConfig:
     kept only as `params` (seeded with `base_seed`).
     """
 
-    instances: list = param()  # file paths (str) or generator specs (`GeneratorSpec` keys)
+    instances: list = param()  # file paths (str) or generator specs, kept as `GeneratorSpec`
     algorithms: list[str] = param(ALGORITHMS, ALGORITHMS)
     repetitions: int = param(5, 1)
     seeds: list[int] | None = param(None, 0)
@@ -146,13 +141,16 @@ class ExperimentConfig:
             setattr(self, f.name, check(f.name, getattr(self, f.name), hint, f.metadata["bound"]))
         if not self.instances:
             raise ValueError("config lists no instances")
+        specs = []
         for i, spec in enumerate(self.instances):
             if isinstance(spec, dict) and spec.keys() - set(_SPEC_OPTIONAL) == set(_SPEC_REQUIRED):
-                GeneratorSpec(**spec, where=f"instances[{i}]")
+                spec = GeneratorSpec(**spec, where=f"instances[{i}]")
             elif not isinstance(spec, str):
                 raise ValueError(f"instances[{i}] must be a path or a generator spec with keys"
                                  f" {', '.join(_SPEC_REQUIRED)} and optionally"
                                  f" {', '.join(_SPEC_OPTIONAL)}, got {spec!r}")
+            specs.append(spec)
+        self.instances = specs
         if self.seeds is not None and len(self.seeds) < self.repetitions:
             raise ValueError(f"{self.repetitions} repetitions need {self.repetitions} seeds,"
                              f" got {len(self.seeds)}")
@@ -248,48 +246,11 @@ class RunReport:
         }
 
 
-def load_instance_file(
-    path: str | Path,
-    clusters: int | None = None,
-    cluster_file: str | Path | None = None,
-) -> GtspInstance:
-    """Load a clustered instance, or cluster a raw TSPLIB file on the fly.
-
-    A file with a set section (`is_clustered`) is taken as already
-    clustered, and `clusters` must then be None; otherwise the center-based
-    procedure partitions it into `clusters` sets (default one fifth of the
-    nodes).
-    `cluster_file` substitutes the set section of another clustered file,
-    of which only the headers and sets are read; `clusters` must then be
-    None too.
-    """
-    path = Path(path)
-    if cluster_file is not None and clusters is not None:
-        raise ValueError(f"--clusters {clusters} given together with a cluster file;"
-                         " the partition comes from one or the other")
-    text = path.read_text()
-    if cluster_file is not None:
-        base_coords = parse_tsplib(text)
-        name, n, clusters = parse_set_partition(Path(cluster_file).read_text())
-        if n != len(base_coords):
-            raise ValueError(
-                f"cluster file covers {n} nodes but {path.name} has {len(base_coords)}"
-            )
-        return GtspInstance(name=name or path.stem, costs=euc2d_costs(base_coords),
-                            clusters=clusters)
-    if is_clustered(text):
-        if clusters is not None:
-            raise ValueError(f"--clusters {clusters} given, but {path.name} is already"
-                             " clustered; the flag applies to raw TSPLIB files only")
-        return parse_clustered(text, name=path.stem)
-    coords = parse_tsplib(text)
-    return cluster_instance(coords, euc2d_costs(coords), m=clusters, name=path.stem)
-
-
 def sidecar_optimum(path: str | Path) -> int | None:
     """Known optimum from `<instance-file>.opt`, if present.
 
-    Raises ValueError when the file does not start with an integer.
+    Raises ValueError when the file does not start with a non-negative
+    integer.
     """
     opt_path = Path(str(path) + ".opt")
     if not opt_path.exists():
@@ -298,15 +259,12 @@ def sidecar_optimum(path: str | Path) -> int | None:
     if not tokens:
         raise ValueError(f"{opt_path.name} is empty")
     try:
-        return int(tokens[0])
+        optimum = int(tokens[0])
     except ValueError:
-        raise ValueError(f"{opt_path.name}: {tokens[0]!r} is not an integer optimum") from None
-
-
-def _resolve_instance(spec) -> GtspInstance:
-    if isinstance(spec, str):
-        return load_instance_file(spec)
-    return GeneratorSpec(**spec).generate()[1]
+        optimum = -1  # refused below, with the negative ones
+    if optimum < 0:
+        raise ValueError(f"{opt_path.name}: {tokens[0]!r} is not a non-negative integer optimum")
+    return optimum
 
 
 def _error_text(exc: Exception) -> str:
@@ -328,9 +286,10 @@ def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
     reports: list[RunReport] = []
     for spec in config.instances:
         try:
-            instance = _resolve_instance(spec)
+            instance = load_instance_file(spec) if isinstance(spec, str) else spec.generate()[1]
         except (OSError, ValueError, MemoryError) as exc:
-            print(f"gtsp bench: skipping {spec!r}: {_error_text(exc)}", file=log)
+            label = spec if isinstance(spec, str) else vars(spec)
+            print(f"gtsp bench: skipping {label!r}: {_error_text(exc)}", file=log)
             continue
         optimum = None
         if isinstance(spec, str):

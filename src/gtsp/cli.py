@@ -234,7 +234,7 @@ def _cmd_cluster(args) -> int:
     try:
         text = Path(args.file).read_text()
         coords = parse_tsplib(text)
-        instance = cluster_instance(coords, euc2d_costs(coords), m=args.clusters,
+        instance = cluster_instance(euc2d_costs(coords), m=args.clusters,
                                     name=Path(args.file).stem)
     except (OSError, ValueError) as exc:
         return _fail("cluster", str(exc), EXIT_INSTANCE)

@@ -11,10 +11,11 @@ Costs are stored in the narrowest of int16/int32/int64 that holds the largest
 cost (`cost_dtype`); TSPLIB EUC_2D costs on a 1000 x 1000 grid fit int16, so
 a matrix takes 2 bytes per node pair. No sum of costs is taken in that type:
 tour costs sum in int64, and the solvers widen before they add.
-Loading a raw TSPLIB file (`parse_tsplib`, `euc2d_costs`, `cluster_instance`)
-holds one n x n matrix at a time: costs are computed in row blocks into the
-matrix, `CostMatrix` keeps that array as a read-only view instead of copying
-it, and clustering reads it in place.
+`load_instance_file` reads every kind of instance file. Loading a raw
+TSPLIB file (`parse_tsplib`, `euc2d_costs`, `cluster_instance`) holds one
+n x n matrix at a time: costs are computed in row blocks into the matrix,
+`CostMatrix` keeps that array as a read-only view instead of copying it,
+and clustering reads it in place.
 Every blocked loop, here and in `gtsp.aco` and `gtsp.exact`, sizes its
 temporaries by one byte budget, `BLOCK_BYTES`, read when the loop runs.
 """
@@ -26,6 +27,7 @@ import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 
@@ -334,12 +336,7 @@ def check_cluster_count(m: int, n: int) -> None:
         raise ValueError(f"cluster count m={m} must satisfy 2 <= m <= n={n}")
 
 
-def cluster_instance(
-    coords: NodeCoords,
-    costs: CostMatrix,
-    m: int | None = None,
-    name: str = "",
-) -> GtspInstance:
+def cluster_instance(costs: CostMatrix, m: int | None = None, name: str = "") -> GtspInstance:
     """Partition nodes into m clusters around mutually-far centers.
 
     The first center is the lowest-id node on a maximum-cost pair; each next
@@ -347,9 +344,7 @@ def cluster_instance(
     other node joins its nearest center. All ties break to the lowest node id
     (or lowest center index), so the result is a pure function of its inputs.
     """
-    n = len(coords)
-    if costs.n != n:
-        raise ValueError(f"coords have {n} nodes but cost matrix has {costs.n}")
+    n = costs.n
     if m is None:
         m = default_cluster_count(n)
     check_cluster_count(m, n)
@@ -402,7 +397,11 @@ def parse_clustered(text: str, name: str = "") -> GtspInstance:
 
     The instance takes the file's NAME record, or `name` when it has none.
     """
-    headers, coord_records, set_records = _scan_records(text)
+    return _clustered(*_scan_records(text), name)
+
+
+def _clustered(headers, coord_records, set_records, name: str) -> GtspInstance:
+    """The instance of a clustered file's scanned records (`_scan_records`)."""
     coords = _parse_coords(headers, coord_records)
     clusters = _parse_set_section(headers, set_records, len(coords))
     try:
@@ -412,23 +411,48 @@ def parse_clustered(text: str, name: str = "") -> GtspInstance:
         raise ParseError(str(exc)) from None
 
 
-def is_clustered(text: str) -> bool:
-    """Whether `text` has a set section by the TSPLIB scanner's rule: a line,
-    before any EOF line, that is GTSP_SET_SECTION stripped and in any case.
-    A text that does not hold the keyword at all is not split into lines."""
-    keyword = "GTSP_SET_SECTION"
-    return keyword in text.upper() and any(upper == keyword for *_, upper in _lines(text))
+def load_instance_file(
+    path: str | Path,
+    clusters: int | None = None,
+    cluster_file: str | Path | None = None,
+) -> GtspInstance:
+    """Load a clustered instance, or cluster a raw TSPLIB file on the fly.
 
-
-def parse_set_partition(text: str) -> tuple[str, int, tuple[tuple[int, ...], ...]]:
-    """NAME, DIMENSION and 0-based clusters of a clustered file.
-
-    Reads only the headers and the set section: no coordinates are parsed
-    and no cost matrix is built.
+    A file is clustered when the scan that reads it finds a set section: a
+    line, before any EOF line, that is GTSP_SET_SECTION stripped and in any
+    case. A text that does not hold that keyword at all is raw and goes
+    straight to `parse_tsplib`. A clustered file's records build its
+    instance, and `clusters` must then be None; a raw file is partitioned by
+    `cluster_instance` into `clusters` sets (default one fifth of the nodes).
+    `cluster_file` substitutes the set section of another clustered file,
+    of which only the headers and sets are read; `clusters` must then be
+    None too.
     """
-    headers, _, set_records = _scan_records(text)
-    n = _required_int_header(headers, "DIMENSION")
-    return headers.get("NAME", (0, ""))[1], n, _parse_set_section(headers, set_records, n)
+    path = Path(path)
+    if cluster_file is not None and clusters is not None:
+        raise ValueError(f"--clusters {clusters} given together with a cluster file;"
+                         " the partition comes from one or the other")
+    text = path.read_text()
+    if cluster_file is not None:
+        coords = parse_tsplib(text)
+        headers, _, set_records = _scan_records(Path(cluster_file).read_text())
+        n = _required_int_header(headers, "DIMENSION")
+        sets = _parse_set_section(headers, set_records, n)
+        if n != len(coords):
+            raise ValueError(f"cluster file covers {n} nodes but {path.name} has {len(coords)}")
+        return GtspInstance(name=headers.get("NAME", (0, ""))[1] or path.stem,
+                            costs=euc2d_costs(coords), clusters=sets)
+    if "GTSP_SET_SECTION" not in text.upper():
+        coords = parse_tsplib(text)
+    else:
+        headers, coord_records, set_records = _scan_records(text)
+        if set_records is not None:
+            if clusters is not None:
+                raise ValueError(f"--clusters {clusters} given, but {path.name} is already"
+                                 " clustered; the flag applies to raw TSPLIB files only")
+            return _clustered(headers, coord_records, set_records, path.stem)
+        coords = _parse_coords(headers, coord_records)
+    return cluster_instance(euc2d_costs(coords), m=clusters, name=path.stem)
 
 
 def _parse_set_section(
@@ -529,8 +553,7 @@ def generate_instance(
     flat = rng.choice(GRID * GRID, size=nodes, replace=False)
     pts = np.stack([flat % GRID, flat // GRID], axis=1).astype(float)
     coords = NodeCoords(pts)
-    costs = euc2d_costs(coords)
-    return coords, cluster_instance(coords, costs, m=clusters, name=name)
+    return coords, cluster_instance(euc2d_costs(coords), m=clusters, name=name)
 
 
 def format_instance_name(base: str, nc: int, n: int) -> str:
@@ -539,32 +562,15 @@ def format_instance_name(base: str, nc: int, n: int) -> str:
     return f"{nc}{stem}{n}"
 
 
-def parse_instance_name(name: str) -> tuple[int, str, int]:
-    """Split a benchmark name like 11EIL51 into (clusters, stem, nodes)."""
-    m = re.fullmatch(r"(\d+)(\D+?)(\d+)", name)
-    if not m:
-        raise ValueError(f"name {name!r} does not follow the <nc><NAME><n> convention")
-    return int(m.group(1)), m.group(2), int(m.group(3))
-
-
 _SECTION_KEYWORDS = {
     "NODE_COORD_SECTION": "coords",
     "GTSP_SET_SECTION": "sets",
 }
 
 
-def _lines(text: str):
-    """The records of a file: each non-blank line before the first EOF line
-    as (lineno, line stripped, stripped line upper-cased)."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if line := raw.strip():
-            if (upper := line.upper()) == "EOF":
-                return
-            yield lineno, line, upper
-
-
 def _scan_records(text: str):
-    """Split a file into header records and raw section lines.
+    """Split a file into header records and raw section lines, in one pass
+    over its non-blank lines before the first EOF line.
 
     Returns (headers, coord_records, set_records) where headers maps KEY to
     (lineno, value) and each *_records is a list of (lineno, line) or None if
@@ -573,7 +579,11 @@ def _scan_records(text: str):
     headers: dict[str, tuple[int, str]] = {}
     sections: dict[str, list[tuple[int, str]]] = {}
     current: str | None = None
-    for lineno, line, upper in _lines(text):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        if not (line := raw.strip()):
+            continue
+        if (upper := line.upper()) == "EOF":
+            break
         if upper in _SECTION_KEYWORDS:
             current = _SECTION_KEYWORDS[upper]
             sections.setdefault(current, [])

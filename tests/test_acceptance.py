@@ -141,7 +141,7 @@ def test_criterion_4_racs_vs_acs_and_nn(certified_corpus, racs_best_of_five):
 def test_criterion_5_eil51_derived_optimum():
     text = (DATA / "eil51.tsp").read_text()
     coords = parse_tsplib(text)
-    instance = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+    instance = cluster_instance(euc2d_costs(coords), name="eil51")
     assert instance.p == 11 and instance.name == "11EIL51"
 
     fixture = json.loads((DATA / "derived" / "11eil51_optimum.json").read_text())

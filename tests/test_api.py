@@ -25,8 +25,7 @@ def test_package_exports():
         # instances
         "CostMatrix", "CostOverflowError", "GtspInstance", "NodeCoords", "ParseError",
         "cluster_instance", "default_cluster_count", "euc2d_costs", "format_clustered",
-        "format_instance_name", "generate_instance", "parse_clustered", "parse_instance_name",
-        "parse_tsplib",
+        "format_instance_name", "generate_instance", "parse_clustered", "parse_tsplib",
     }
 
 

@@ -14,6 +14,7 @@ from gtsp import (
     CellCapExceeded,
     ExperimentConfig,
     NodeCoords,
+    ParseError,
     RunResult,
     cluster_instance,
     emit_table,
@@ -103,6 +104,12 @@ class TestConfig:
     def test_params_is_not_a_config_key(self):
         with pytest.raises(ValueError, match=r"unknown config keys: \['params'\]"):
             ExperimentConfig.from_dict({"instances": ["x"], "params": {}})
+
+    def test_generator_specs_are_kept_as_checked(self):
+        spec = {"nodes": 8, "clusters": 3}
+        cfg = small_config(instances=["x.gtsp", spec])
+        assert cfg.instances == ["x.gtsp", GeneratorSpec(nodes=8, clusters=3, seed=0)]
+        assert spec == {"nodes": 8, "clusters": 3}  # the caller's entry is left as it was
 
     def test_defaults_come_from_aco_params(self):
         cfg = ExperimentConfig(instances=["x"])
@@ -272,7 +279,8 @@ class TestRunExperiment:
             assert cell.best >= reports[0].optimum
 
     @pytest.mark.parametrize(
-        "text", ["", "\n", "opt=7\n", "12.5\n"], ids=["empty", "blank", "word", "decimal"]
+        "text", ["", "\n", "opt=7\n", "12.5\n", "-5\n"],
+        ids=["empty", "blank", "word", "decimal", "negative"]
     )
     def test_bad_sidecar_reported_and_row_kept(self, tmp_path, text):
         coords, inst = generate_instance(nodes=10, clusters=3, seed=4)
@@ -409,6 +417,15 @@ class TestLoadInstanceFile:
         path = tmp_path / "toy.gtsp"
         path.write_text(format_clustered(inst.name, coords, inst.clusters))
         with pytest.raises(ValueError, match="--clusters 2 given, but toy.gtsp is already"):
+            load_instance_file(path, clusters=2)
+
+    def test_bad_line_of_clustered_file_reported_before_cluster_count(self, tmp_path):
+        # the scan that finds the set section reads the bad line first
+        coords, inst = generate_instance(nodes=9, clusters=3, seed=5)
+        path = tmp_path / "toy.gtsp"
+        path.write_text(format_clustered(inst.name, coords, inst.clusters)
+                        .replace("TYPE : GTSP", "TYPE GTSP"))
+        with pytest.raises(ParseError, match="line 2: expected 'KEY : VALUE' record"):
             load_instance_file(path, clusters=2)
 
     def test_comment_naming_the_set_section_leaves_a_file_raw(self, tmp_path, eil51_text):

@@ -380,7 +380,7 @@ class TestReferenceEquivalence:
                                                            step_bytes, row):
         if p == "11EIL51":
             coords = parse_tsplib(eil51_text)
-            base = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+            base = cluster_instance(euc2d_costs(coords), name="eil51")
         else:
             base = wide_cluster_instance(p, np.random.default_rng(p))
         sizes = [len(c) for c in base.clusters]
@@ -531,7 +531,7 @@ class TestReferenceEquivalence:
 
     def test_matches_reference_on_11eil51(self, eil51_text):
         coords = parse_tsplib(eil51_text)
-        inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+        inst = cluster_instance(euc2d_costs(coords), name="eil51")
         tour = exact_solve(inst)
         assert tour.to_json() == reference_exact_solve(inst).to_json()
         assert tour.cost == 174

@@ -21,7 +21,6 @@ from gtsp import (
     generate_instance,
     nn_reference_cost,
     parse_clustered,
-    parse_instance_name,
     parse_tsplib,
 )
 
@@ -197,17 +196,17 @@ class TestEuc2dCosts:
 class TestClusterInstance:
     def test_collinear_pair_of_clusters(self):
         coords = NodeCoords(np.array([[0, 0], [1, 0], [9, 0], [10, 0]], dtype=float))
-        inst = cluster_instance(coords, euc2d_costs(coords), m=2)
+        inst = cluster_instance(euc2d_costs(coords), m=2)
         assert inst.clusters == ((0, 1), (2, 3))
 
     def test_m_equals_n_degenerates_to_tsp(self):
         coords = NodeCoords(np.array([[0, 0], [5, 1], [2, 8], [9, 4]], dtype=float))
-        inst = cluster_instance(coords, euc2d_costs(coords), m=4)
+        inst = cluster_instance(euc2d_costs(coords), m=4)
         assert sorted(inst.clusters) == [(0,), (1,), (2,), (3,)]
 
     def test_eil51_default_gives_eleven_clusters(self, eil51_text):
         coords = parse_tsplib(eil51_text)
-        inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+        inst = cluster_instance(euc2d_costs(coords), name="eil51")
         assert inst.p == 11
         assert inst.name == "11EIL51"
 
@@ -220,14 +219,14 @@ class TestClusterInstance:
     def test_invalid_cluster_count(self, m):
         coords = NodeCoords(np.array([[0, 0], [1, 0], [2, 0]], dtype=float))
         with pytest.raises(ValueError, match="cluster count"):
-            cluster_instance(coords, euc2d_costs(coords), m=m)
+            cluster_instance(euc2d_costs(coords), m=m)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         coords = NodeCoords(rng.uniform(0, 100, size=(30, 2)))
         costs = euc2d_costs(coords)
-        a = cluster_instance(coords, costs, m=6)
-        b = cluster_instance(coords, costs, m=6)
+        a = cluster_instance(costs, m=6)
+        b = cluster_instance(costs, m=6)
         assert a.clusters == b.clusters
         assert np.array_equal(a.cluster_of, b.cluster_of)
 
@@ -239,7 +238,7 @@ class TestClusterInstance:
         rng = np.random.default_rng(seed)
         coords = NodeCoords(rng.uniform(0, 100, size=(n, 2)))
         costs = euc2d_costs(coords)
-        inst = cluster_instance(coords, costs, m=m)
+        inst = cluster_instance(costs, m=m)
 
         cost = costs.cost
         off = cost.copy()
@@ -316,7 +315,7 @@ class TestLoadPathEquivalence:
             assert np.array_equal(costs.cost, expected)
             assert costs.symmetric is True
             m = int(np.random.default_rng(seed).integers(2, n + 1))
-            inst = cluster_instance(coords, costs, m=m)
+            inst = cluster_instance(costs, m=m)
             assert inst.clusters == reference_clusters(expected, m)
 
     # int16 costs: tiles of side 3, 4 and 256
@@ -335,7 +334,7 @@ class TestLoadPathEquivalence:
             mp.setattr(gtsp.instance, "BLOCK_BYTES", block_bytes)
             costs = CostMatrix(cost)
             assert costs.symmetric == bool(np.array_equal(cost, cost.T))
-            inst = cluster_instance(NodeCoords(np.zeros((n, 2))), costs, m=m)
+            inst = cluster_instance(costs, m=m)
         # the reference reads the matrix itself, so an asymmetric input takes
         # the library's cost.T path
         assert inst.clusters == reference_clusters(cost, m)
@@ -418,7 +417,7 @@ class TestLoadPathEquivalence:
         coords = NodeCoords(np.random.default_rng(4).uniform(0, 10_000, size=(n, 2)))
         costs = euc2d_costs(coords)
         tracemalloc.start()
-        inst = cluster_instance(coords, costs, m=m)
+        inst = cluster_instance(costs, m=m)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         # the (m, n) int16 cost-to-center block is 1.6 MB; a copy of the
@@ -481,7 +480,7 @@ class TestParseClustered:
     def test_roundtrip_through_writer(self):
         rng = np.random.default_rng(11)
         coords = NodeCoords(rng.integers(0, 100, size=(15, 2)).astype(float))
-        inst = cluster_instance(coords, euc2d_costs(coords), m=4, name="round")
+        inst = cluster_instance(euc2d_costs(coords), m=4, name="round")
         text = format_clustered(inst.name, coords, inst.clusters)
         back = parse_clustered(text)
         assert back.name == inst.name
@@ -519,6 +518,14 @@ class TestScanOnce:
         assert len(scans) == 1
         load_instance_file(raw, cluster_file=clustered)
         assert len(scans) == 3  # one scan of each file
+
+    def test_raw_file_naming_the_set_section(self, tmp_path, scans):
+        # the keyword sends the file to the scan, which finds no section and
+        # builds the coordinates from its own records
+        raw = tmp_path / "raw.tsp"
+        raw.write_text(MINIMAL_TSP.replace("NAME", "COMMENT : no GTSP_SET_SECTION\nNAME", 1))
+        assert load_instance_file(raw, clusters=2).p == 2
+        assert len(scans) == 1
 
 
 class TestRoundTrip:
@@ -692,7 +699,7 @@ class TestValueSemantics:
     def test_instances_and_coords_hash(self, eil51_text):
         coords = parse_tsplib(eil51_text)
         again = NodeCoords(coords.points.copy())
-        inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+        inst = cluster_instance(euc2d_costs(coords), name="eil51")
         nn = nn_reference_cost(inst)  # kept in the instance's __dict__
         twin = GtspInstance(name=inst.name, costs=inst.costs, clusters=inst.clusters)
         assert coords != again and inst != twin and inst == inst
@@ -713,7 +720,7 @@ class TestValueSemantics:
 
     def test_cluster_arrays_are_read_only(self, eil51_text):
         coords = parse_tsplib(eil51_text)
-        inst = cluster_instance(coords, euc2d_costs(coords), name="eil51")
+        inst = cluster_instance(euc2d_costs(coords), name="eil51")
         with pytest.raises(ValueError, match="read-only"):
             inst.cluster_of[0] = 1
         for members in inst.cluster_arrays:
@@ -751,7 +758,7 @@ class TestTourSumBound:
 
     def test_cluster_instance(self):
         with pytest.raises(CostOverflowError) as exc:
-            cluster_instance(FAR_APART, euc2d_costs(FAR_APART), m=2, name="far")
+            cluster_instance(euc2d_costs(FAR_APART), m=2, name="far")
         assert str(exc.value) == TOO_LARGE
 
     def test_clustered_file(self, tmp_path):
@@ -809,15 +816,4 @@ class TestTourSumBound:
 class TestNaming:
     def test_format(self):
         assert format_instance_name("eil51", 11, 51) == "11EIL51"
-
-    def test_parse(self):
-        assert parse_instance_name("11EIL51") == (11, "EIL", 51)
-
-    def test_roundtrip(self):
-        name = format_instance_name("kroA100", 20, 100)
-        assert name == "20KROA100"
-        assert parse_instance_name(name) == (20, "KROA", 100)
-
-    def test_parse_rejects_junk(self):
-        with pytest.raises(ValueError):
-            parse_instance_name("EIL51")
+        assert format_instance_name("kroA100", 20, 100) == "20KROA100"

@@ -81,3 +81,32 @@ class TestExactShapesSummary:
         call = exact_shapes.with_budget(module, 16, lambda: module.BLOCK_BYTES)
         module.BLOCK_BYTES = 1 << 20
         assert call() == 16
+
+
+# a docstring, a comment, blank lines, a string-only statement, and one
+# statement over three lines: 1 + 3 code lines
+CODE_LINES_MODULE = '''"""A module docstring
+over two lines."""
+
+# a comment
+import os
+
+"a string used as a comment"
+total = (1 +
+         2 +
+         3)
+'''
+
+
+class TestCodeLines:
+    def test_counts_only_code(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(CODE_LINES_MODULE)
+        assert load_script("code_lines").code_lines(path) == 4
+
+    def test_total_is_the_sum_of_the_modules(self, tmp_path, capsys):
+        (tmp_path / "a.py").write_text(CODE_LINES_MODULE)
+        (tmp_path / "b.py").write_text("x = 1\n\n\ndef f():\n    return x\n")
+        assert load_script("code_lines").main([str(tmp_path)]) == 0
+        counts = dict(line.split() for line in capsys.readouterr().out.splitlines())
+        assert counts == {"a.py": "4", "b.py": "3", "total": "7"}
