@@ -7,12 +7,11 @@ of this repository, summarised as a `BENCH_*.json` record.
 Both trees' `gtsp` packages are loaded side by side into this one process.
 The change's one block budget, `gtsp.instance.BLOCK_BYTES`, is set to each
 candidate 2^k of `--budgets` before each of its calls; the parent runs as it
-is. Each loop (`exact_solve` on every shape in SHAPES, `best_tour_for_sequence`,
-`euc2d_costs`, `_is_symmetric` and the seeding of the colony's weights) is
-called once per side per round, the side that goes first rotating from round
-to round, after one warm-up call per side; the round count is chosen from the
-warm-up so that each side takes about S seconds (at least 5 rounds, at most
-201). Both sides read the same inputs, built once by the change's package.
+is. Each loop (`exact_solve` on every shape in SHAPES, `euc2d_costs`,
+`_is_symmetric` and the seeding of the colony's weights) is called once per
+side per round, the side that goes first rotating from round to round,
+after one warm-up call per side; the round count is chosen from the warm-up
+so that each side takes about S seconds (at least 5 rounds, at most 201). Both sides read the same inputs, built once by the change's package.
 Every call's output must equal the parent's: the exact tours compared as
 JSON, the arrays element by element; the script exits 1 if one differs.
 
@@ -81,8 +80,6 @@ def loops(g, shapes: dict, coords, big) -> dict:
     arguments that returns something comparable across trees."""
     out = {f"exact_solve {name}": lambda inst=inst: g.exact_solve(inst).to_json()
            for name, inst in shapes.items()}
-    out["best_tour_for_sequence n=450/p=3"] = (
-        lambda: g.best_tour_for_sequence(shapes["n=450/p=3"], (0, 1, 2)).to_json())
     cost = big.costs.cost
     out[f"euc2d_costs n={LOOP_NODES}"] = lambda: g.euc2d_costs(coords).cost
     out[f"_is_symmetric n={LOOP_NODES}"] = lambda: g.instance._is_symmetric(cost)

@@ -1,10 +1,10 @@
 """Generalized traveling salesman problem toolkit.
 
 Solvers for complete graphs whose nodes are partitioned into clusters and a
-tour must visit exactly one node per cluster: an exact subset dynamic program
-over clusters (Held-Karp), with `best_tour_for_sequence` for a fixed cluster
-order, a generalized nearest-neighbor heuristic, and two ant colony systems
-(the classic ACS and a reinforcing variant, RACS), plus a benchmark harness.
+tour must visit exactly one node per cluster: one exact algorithm, a subset
+dynamic program over clusters (Held-Karp), a generalized nearest-neighbor
+heuristic, and two ant colony systems (the classic ACS and a reinforcing
+variant, RACS), plus a benchmark harness.
 """
 
 from .aco import (
@@ -33,7 +33,6 @@ from .construct import (
 from .exact import (
     DEFAULT_CELL_CAP,
     CellCapExceeded,
-    best_tour_for_sequence,
     dp_cell_count,
     exact_solve,
 )
@@ -50,7 +49,6 @@ from .instance import (
     format_instance_name,
     generate_instance,
     load_instance_file,
-    parse_clustered,
     parse_tsplib,
 )
 

@@ -1,13 +1,14 @@
 """Command line interface.
 
 Subcommands: `solve` one instance with one algorithm, `bench` a configured
-experiment, `cluster` a raw TSPLIB file into a clustered instance file, and
-`gen` a random instance. Exit codes: 0 success, 1 usage error (an output path
-that cannot be written included), 2 instance error, 3 solver refusal. An
-allocation that fails is reported as out of memory: exit 2 while an instance
-loads or is generated, 3 while a `solve` solver runs; `bench` skips the
-instance or leaves a dash in the solver's cell. `--clusters` below 2 is a
-usage error before the file is read.
+experiment, `cluster` a raw TSPLIB file into a clustered instance file (a
+clustered input is an instance error), and `gen` a random instance. Exit
+codes: 0 success, 1 usage error (an output path that cannot be written
+included), 2 instance error, 3 solver refusal. An allocation that fails is
+reported as out of memory: exit 2 while an instance loads or is generated,
+3 while a `solve` solver runs; `bench` skips the instance or leaves a dash
+in the solver's cell. `--clusters` below 2 is a usage error before the file
+is read.
 
 `solve` and `bench` both run their solvers through `gtsp.bench.solve`. The
 colony flags of `solve` are made from the `AcoParams` field declarations
@@ -44,7 +45,7 @@ from .bench import (
     solve,
 )
 from .exact import CellCapExceeded
-from .instance import cluster_instance, euc2d_costs, format_clustered, parse_tsplib
+from .instance import _read_file, format_clustered
 
 EXIT_USAGE = 1
 EXIT_INSTANCE = 2
@@ -232,10 +233,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_cluster(args) -> int:
     try:
-        text = Path(args.file).read_text()
-        coords = parse_tsplib(text)
-        instance = cluster_instance(euc2d_costs(coords), m=args.clusters,
-                                    name=Path(args.file).stem)
+        coords, instance = _read_file(Path(args.file), args.clusters, raw_only=True)
     except (OSError, ValueError) as exc:
         return _fail("cluster", str(exc), EXIT_INSTANCE)
     except MemoryError as exc:

@@ -4,10 +4,9 @@ The global optimum comes from the classical subset dynamic program over
 clusters (Held-Karp applied to clusters, as in Henry-Labordere 1969 and
 Srivastava et al. 1969), O(2^p * n^2) time. `exact_solve` keeps it in one
 dense integer table and fills it popcount by popcount, one batched min-plus
-per (popcount, target cluster). For a fixed cluster visiting order, the optimal
-tour is also a shortest path in a layered DAG: one layer per cluster in
-order, closed by a final layer that duplicates the first cluster;
-`best_tour_for_sequence` solves that subproblem.
+per (popcount, target cluster). It is the package's one exact algorithm.
+The optimal tour for a fixed cluster order, a shortest path in a layered
+DAG, is kept in `tests/oracles.py` as a reference that checks this one.
 """
 
 from __future__ import annotations
@@ -48,60 +47,6 @@ def dp_cell_count(instance: GtspInstance) -> int:
     """
     s = min(len(c) for c in instance.clusters)
     return s * (instance.n - s) << (instance.p - 1)
-
-
-def _check_sequence(instance: GtspInstance, order) -> list[int]:
-    seq = [int(k) for k in order]
-    if sorted(seq) != list(range(instance.p)):
-        raise ValueError(f"sequence {seq} is not a permutation of 0..{instance.p - 1}")
-    return seq
-
-
-def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
-    """Cheapest tour visiting the clusters in the given order.
-
-    Forward dynamic programming over the layers, one start per node of the
-    first cluster, O(sum_l |V_l|*|V_{l+1}|) per start, in start-row chunks
-    whose step temporary stays within `gtsp.instance.BLOCK_BYTES`. Sums are
-    int64 whatever the cost type, and exact: `GtspInstance` refuses, when it
-    is built, an instance whose tour sums may overflow int64. Ties resolve to
-    the lowest start node, then the lowest member index per layer.
-    """
-    seq = _check_sequence(instance, order)
-    cost = instance.costs.cost
-    members = instance.cluster_arrays
-    layers = [members[k] for k in seq]
-    starts = layers[0]
-    s = len(starts)
-
-    # dist[a, j]: start a, then node j of layer 1; int64, so no sum with a
-    # cost wraps in the narrower cost type
-    dist = cost[np.ix_(starts, layers[1])].astype(np.int64)
-    parents: list[np.ndarray] = []
-    for l in range(1, len(layers) - 1):
-        block = cost[np.ix_(layers[l], layers[l + 1])]
-        parent = np.empty((s, block.shape[1]), dtype=np.intp)
-        reached = np.empty((s, block.shape[1]), dtype=np.int64)
-        # start-row chunks keep the (chunk, |V_l|, |V_l+1|) int64 temporary within a block
-        chunk = per_block(block.size * dist.itemsize)
-        for r in range(0, s, chunk):
-            stacked = dist[r : r + chunk, :, None] + block
-            stacked.argmin(axis=1, out=parent[r : r + chunk])
-            stacked.min(axis=1, out=reached[r : r + chunk])
-        parents.append(parent)
-        dist = reached
-
-    closing = cost[np.ix_(layers[-1], starts)]  # back to the duplicated first layer
-    totals = dist + closing.T
-    s_idx, j_idx = divmod(int(totals.argmin()), totals.shape[1])
-
-    choice = [j_idx]  # member index per layer, last layer first
-    for parent in reversed(parents):
-        choice.append(int(parent[s_idx, choice[-1]]))
-    choice.append(s_idx)
-    tour = make_tour(instance, [int(layer[c]) for layer, c in zip(layers, reversed(choice))])
-    assert tour.cost == int(totals[s_idx, j_idx])
-    return tour
 
 
 def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tour:

@@ -12,8 +12,9 @@ cost (`cost_dtype`); TSPLIB EUC_2D costs on a 1000 x 1000 grid fit int16, so
 a matrix takes 2 bytes per node pair. No sum of costs is taken in that type:
 tour costs sum in int64, and the solvers widen before they add.
 `load_instance_file` reads every kind of instance file. Loading a raw
-TSPLIB file (`parse_tsplib`, `euc2d_costs`, `cluster_instance`) holds one
-n x n matrix at a time: costs are computed in row blocks into the matrix,
+TSPLIB file (`parse_tsplib`, `euc2d_costs`, `cluster_instance`, the one
+raw-file path, which `gtsp cluster` reads through too) holds one n x n
+matrix at a time: costs are computed in row blocks into the matrix,
 `CostMatrix` keeps that array as a read-only view instead of copying it,
 and clustering reads it in place.
 Every blocked loop, here and in `gtsp.aco` and `gtsp.exact`, sizes its
@@ -120,7 +121,7 @@ class CostMatrix:
 
 # Bytes of one temporary array in a blocked loop: the row blocks of
 # `euc2d_costs`, the tiles of `_is_symmetric`, the row blocks that seed the
-# colony's weights and the min-plus steps of the exact solvers.
+# colony's weights and the min-plus steps of `exact_solve`.
 BLOCK_BYTES = 1 << 19
 
 
@@ -392,16 +393,10 @@ def _farthest_centers(rows: np.ndarray, m: int, symmetric: bool) -> list[int]:
     return centers
 
 
-def parse_clustered(text: str, name: str = "") -> GtspInstance:
-    """Parse a clustered instance: a TSPLIB EUC_2D body plus GTSP set records.
-
-    The instance takes the file's NAME record, or `name` when it has none.
-    """
-    return _clustered(*_scan_records(text), name)
-
-
 def _clustered(headers, coord_records, set_records, name: str) -> GtspInstance:
-    """The instance of a clustered file's scanned records (`_scan_records`)."""
+    """The instance of a clustered file's scanned records (`_scan_records`): a
+    TSPLIB EUC_2D body plus GTSP set records. It takes the file's NAME
+    record, or `name` when it has none."""
     coords = _parse_coords(headers, coord_records)
     clusters = _parse_set_section(headers, set_records, len(coords))
     try:
@@ -429,19 +424,34 @@ def load_instance_file(
     None too.
     """
     path = Path(path)
-    if cluster_file is not None and clusters is not None:
+    if cluster_file is None:
+        return _read_file(path, clusters)[1]
+    if clusters is not None:
         raise ValueError(f"--clusters {clusters} given together with a cluster file;"
                          " the partition comes from one or the other")
+    coords = parse_tsplib(path.read_text())
+    headers, _, set_records = _scan_records(Path(cluster_file).read_text())
+    n = _required_int_header(headers, "DIMENSION")
+    sets = _parse_set_section(headers, set_records, n)
+    if n != len(coords):
+        raise ValueError(f"cluster file covers {n} nodes but {path.name} has {len(coords)}")
+    return GtspInstance(name=headers.get("NAME", (0, ""))[1] or path.stem,
+                        costs=euc2d_costs(coords), clusters=sets)
+
+
+def _read_file(
+    path: Path, clusters: int | None, raw_only: bool = False
+) -> tuple[NodeCoords | None, GtspInstance]:
+    """The coordinates and instance of file `path`, read in one scan.
+
+    This is the one home of the raw-file path, `parse_tsplib` (or the
+    coordinate records of a scan that found no set section), `euc2d_costs`,
+    then `cluster_instance` into `clusters` sets; `load_instance_file` and
+    `gtsp cluster` both read through it. A clustered file's records build
+    its instance, returned without coordinates; it is refused when
+    `clusters` is given or `raw_only` is set.
+    """
     text = path.read_text()
-    if cluster_file is not None:
-        coords = parse_tsplib(text)
-        headers, _, set_records = _scan_records(Path(cluster_file).read_text())
-        n = _required_int_header(headers, "DIMENSION")
-        sets = _parse_set_section(headers, set_records, n)
-        if n != len(coords):
-            raise ValueError(f"cluster file covers {n} nodes but {path.name} has {len(coords)}")
-        return GtspInstance(name=headers.get("NAME", (0, ""))[1] or path.stem,
-                            costs=euc2d_costs(coords), clusters=sets)
     if "GTSP_SET_SECTION" not in text.upper():
         coords = parse_tsplib(text)
     else:
@@ -450,9 +460,12 @@ def load_instance_file(
             if clusters is not None:
                 raise ValueError(f"--clusters {clusters} given, but {path.name} is already"
                                  " clustered; the flag applies to raw TSPLIB files only")
-            return _clustered(headers, coord_records, set_records, path.stem)
+            if raw_only:
+                raise ValueError(f"{path.name} is already clustered; only a raw TSPLIB file"
+                                 " can be clustered")
+            return None, _clustered(headers, coord_records, set_records, path.stem)
         coords = _parse_coords(headers, coord_records)
-    return cluster_instance(euc2d_costs(coords), m=clusters, name=path.stem)
+    return coords, cluster_instance(euc2d_costs(coords), m=clusters, name=path.stem)
 
 
 def _parse_set_section(
@@ -508,7 +521,8 @@ def _parse_set_section(
 
 
 def format_clustered(name: str, coords: NodeCoords, clusters: tuple[tuple[int, ...], ...]) -> str:
-    """Render a clustered instance file that parse_clustered reads back verbatim."""
+    """Render a clustered instance file that `load_instance_file` reads back
+    verbatim."""
     lines = [
         f"NAME : {name}",
         "TYPE : GTSP",

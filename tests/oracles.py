@@ -9,7 +9,11 @@ load path, for the lean one in `gtsp.instance`; `reference_partition` is an
 independent partition check (a numpy node -> cluster array, clusters sorted
 up front), whose results and messages the one scan of `GtspInstance` must
 reproduce; `reference_exact_solve` is the original mask-by-mask subset DP,
-for the batched one in `gtsp.exact`.
+for the batched one in `gtsp.exact`; `best_tour_for_sequence` is the
+layered-DAG shortest path for a fixed cluster order, the subproblem of the
+paper's exact method, which checks `exact_solve` and criterion 2;
+`parse_clustered` reads a clustered instance from text, by the loader's own
+scan and builder.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from dataclasses import replace
 
 import numpy as np
 
+import gtsp.instance
 from gtsp import (
     AcoParams,
     CostMatrix,
@@ -29,6 +34,7 @@ from gtsp import (
     make_tour,
     nn_reference_cost,
 )
+from gtsp.instance import per_block
 
 
 def random_matrix_instance(
@@ -128,6 +134,76 @@ def brute_force_optimum(instance: GtspInstance) -> int:
         brute_force_best_for_order(instance, (0,) + rest)
         for rest in itertools.permutations(others)
     )
+
+
+def parse_clustered(text: str, name: str = "") -> GtspInstance:
+    """A clustered instance file's text as its instance, by the one scan and
+    the builder `gtsp.instance.load_instance_file` reads a clustered file
+    with. The instance takes the text's NAME record, or `name` when it has
+    none."""
+    return gtsp.instance._clustered(*gtsp.instance._scan_records(text), name)
+
+
+# --- Fixed-order exact solver -----------------------------------------------
+#
+# For a fixed cluster visiting order, the optimal tour is a shortest path in a
+# layered DAG: one layer per cluster in order, closed by a final layer that
+# duplicates the first cluster. The paper's exact method enumerates orders
+# and solves this subproblem; the package keeps only the subset DP.
+
+
+def _check_sequence(instance: GtspInstance, order) -> list[int]:
+    seq = [int(k) for k in order]
+    if sorted(seq) != list(range(instance.p)):
+        raise ValueError(f"sequence {seq} is not a permutation of 0..{instance.p - 1}")
+    return seq
+
+
+def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
+    """Cheapest tour visiting the clusters in the given order.
+
+    Forward dynamic programming over the layers, one start per node of the
+    first cluster, O(sum_l |V_l|*|V_{l+1}|) per start, in start-row chunks
+    whose step temporary stays within `gtsp.instance.BLOCK_BYTES`. Sums are
+    int64 whatever the cost type, and exact: `GtspInstance` refuses, when it
+    is built, an instance whose tour sums may overflow int64. Ties resolve to
+    the lowest start node, then the lowest member index per layer.
+    """
+    seq = _check_sequence(instance, order)
+    cost = instance.costs.cost
+    members = instance.cluster_arrays
+    layers = [members[k] for k in seq]
+    starts = layers[0]
+    s = len(starts)
+
+    # dist[a, j]: start a, then node j of layer 1; int64, so no sum with a
+    # cost wraps in the narrower cost type
+    dist = cost[np.ix_(starts, layers[1])].astype(np.int64)
+    parents: list[np.ndarray] = []
+    for l in range(1, len(layers) - 1):
+        block = cost[np.ix_(layers[l], layers[l + 1])]
+        parent = np.empty((s, block.shape[1]), dtype=np.intp)
+        reached = np.empty((s, block.shape[1]), dtype=np.int64)
+        # start-row chunks keep the (chunk, |V_l|, |V_l+1|) int64 temporary within a block
+        chunk = per_block(block.size * dist.itemsize)
+        for r in range(0, s, chunk):
+            stacked = dist[r : r + chunk, :, None] + block
+            stacked.argmin(axis=1, out=parent[r : r + chunk])
+            stacked.min(axis=1, out=reached[r : r + chunk])
+        parents.append(parent)
+        dist = reached
+
+    closing = cost[np.ix_(layers[-1], starts)]  # back to the duplicated first layer
+    totals = dist + closing.T
+    s_idx, j_idx = divmod(int(totals.argmin()), totals.shape[1])
+
+    choice = [j_idx]  # member index per layer, last layer first
+    for parent in reversed(parents):
+        choice.append(int(parent[s_idx, choice[-1]]))
+    choice.append(s_idx)
+    tour = make_tour(instance, [int(layer[c]) for layer, c in zip(layers, reversed(choice))])
+    assert tour.cost == int(totals[s_idx, j_idx])
+    return tour
 
 
 # --- Reference exact solver -------------------------------------------------

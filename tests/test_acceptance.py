@@ -15,7 +15,6 @@ import pytest
 
 from gtsp import (
     AcoParams,
-    best_tour_for_sequence,
     cluster_instance,
     euc2d_costs,
     exact_solve,
@@ -29,7 +28,12 @@ from gtsp import (
 from gtsp.aco import _argmax_rows, _pick_rows, _relative_weights, _visibility_lookup, iterate
 from gtsp.instance import CostMatrix, GtspInstance
 
-from oracles import brute_force_best_for_order, brute_force_optimum, random_matrix_instance
+from oracles import (
+    best_tour_for_sequence,
+    brute_force_best_for_order,
+    brute_force_optimum,
+    random_matrix_instance,
+)
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 PAPER_PARAMS = dict(beta=5.0, rho=0.5, q0=0.5, num_ants=10)

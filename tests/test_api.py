@@ -20,12 +20,11 @@ def test_package_exports():
         "InvalidTourError", "Tour", "make_tour", "nn_reference_cost", "nn_tour", "tour_cost",
         "validate_tour",
         # exact
-        "DEFAULT_CELL_CAP", "CellCapExceeded", "best_tour_for_sequence", "dp_cell_count",
-        "exact_solve",
+        "DEFAULT_CELL_CAP", "CellCapExceeded", "dp_cell_count", "exact_solve",
         # instances
         "CostMatrix", "CostOverflowError", "GtspInstance", "NodeCoords", "ParseError",
         "cluster_instance", "default_cluster_count", "euc2d_costs", "format_clustered",
-        "format_instance_name", "generate_instance", "parse_clustered", "parse_tsplib",
+        "format_instance_name", "generate_instance", "parse_tsplib",
     }
 
 

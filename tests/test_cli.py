@@ -21,10 +21,11 @@ from gtsp import (
     exact_solve,
     format_clustered,
     generate_instance,
-    parse_clustered,
     run_experiment,
 )
 from gtsp.cli import build_parser, main
+
+from oracles import parse_clustered
 
 DATA = Path(__file__).resolve().parents[1] / "data"
 
@@ -305,11 +306,23 @@ class TestClusterCommand:
         assert not out.exists()
 
     def test_out_of_memory_is_2(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(gtsp.cli, "euc2d_costs", failed_allocation)
+        monkeypatch.setattr(gtsp.instance, "euc2d_costs", failed_allocation)
         out = tmp_path / "11eil51.gtsp"
         assert main(["cluster", str(DATA / "eil51.tsp"), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"gtsp cluster: out of memory loading {DATA / 'eil51.tsp'}: {ALLOCATION}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--clusters", "3"]])
+    def test_clustered_input_is_2(self, tmp_path, capsys, flags):
+        # re-clustering would drop the file's own partition and NAME without a word
+        gen = tmp_path / "gen.gtsp"
+        assert main(["gen", "--nodes", "60", "--clusters", "12", "--seed", "0",
+                     "--out", str(gen)]) == 0
+        out = tmp_path / "re.gtsp"
+        assert main(["cluster", str(gen), "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gtsp cluster: ") and "gen.gtsp is already clustered" in err
         assert not out.exists()
 
 

@@ -19,7 +19,6 @@ from gtsp import (
     CostMatrix,
     GtspInstance,
     NodeCoords,
-    best_tour_for_sequence,
     euc2d_costs,
     exact_solve,
     generate_instance,
@@ -29,7 +28,13 @@ from gtsp import (
 )
 from gtsp.aco import iterate
 
-from oracles import brute_force_best_for_order, brute_force_optimum, cycle_cost, lockstep_run
+from oracles import (
+    best_tour_for_sequence,
+    brute_force_best_for_order,
+    brute_force_optimum,
+    cycle_cost,
+    lockstep_run,
+)
 
 # (largest cost, narrowest type that holds it)
 LIMITS = [

@@ -13,7 +13,6 @@ from gtsp import (
     CellCapExceeded,
     CostMatrix,
     GtspInstance,
-    best_tour_for_sequence,
     cluster_instance,
     dp_cell_count,
     euc2d_costs,
@@ -30,6 +29,7 @@ import gtsp.exact
 import gtsp.instance
 from gtsp.instance import cost_dtype
 from oracles import (
+    best_tour_for_sequence,
     brute_force_best_for_order,
     brute_force_optimum,
     random_matrix_instance,

@@ -20,14 +20,18 @@ from gtsp import (
     format_instance_name,
     generate_instance,
     nn_reference_cost,
-    parse_clustered,
     parse_tsplib,
 )
 
 import gtsp.instance
 from gtsp.bench import load_instance_file
 
-from oracles import reference_clusters, reference_euc2d_costs, reference_partition
+from oracles import (
+    parse_clustered,
+    reference_clusters,
+    reference_euc2d_costs,
+    reference_partition,
+)
 
 
 def narrowest(top: int) -> type:

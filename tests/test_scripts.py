@@ -75,6 +75,16 @@ class TestExactShapesSummary:
         calls["2^18"] = side("b", [1, 3])
         assert not exact_shapes.alternate(calls, seconds=0.0)[1]
 
+    def test_every_loop_runs_on_this_trees_package(self):
+        # a name the package no longer has fails here, not at the next record run
+        exact_shapes = load_script("exact_shapes")
+        g = exact_shapes.load_package(SCRIPTS.parent, "tree_gtsp")
+        shared = exact_shapes.inputs(g, (SCRIPTS.parent / "data" / "eil51.tsp").read_text())
+        loops = exact_shapes.loops(g, *shared)
+        assert len(loops) == len(exact_shapes.SHAPES) + 3
+        for call in loops.values():
+            call()
+
     def test_a_budget_is_set_before_each_call(self):
         exact_shapes = load_script("exact_shapes")
         module = types.SimpleNamespace(BLOCK_BYTES=1 << 19)
