@@ -34,7 +34,6 @@ from gtsp import (
     make_tour,
     nn_reference_cost,
 )
-from gtsp.instance import per_block
 
 
 def random_matrix_instance(
@@ -185,7 +184,7 @@ def best_tour_for_sequence(instance: GtspInstance, order) -> Tour:
         parent = np.empty((s, block.shape[1]), dtype=np.intp)
         reached = np.empty((s, block.shape[1]), dtype=np.int64)
         # start-row chunks keep the (chunk, |V_l|, |V_l+1|) int64 temporary within a block
-        chunk = per_block(block.size * dist.itemsize)
+        chunk = gtsp.instance.per_block(block.size * dist.itemsize)
         for r in range(0, s, chunk):
             stacked = dist[r : r + chunk, :, None] + block
             stacked.argmin(axis=1, out=parent[r : r + chunk])
