@@ -12,8 +12,8 @@ reproduce; `reference_exact_solve` is the original mask-by-mask subset DP,
 for the batched one in `gtsp.exact`; `best_tour_for_sequence` is the
 layered-DAG shortest path for a fixed cluster order, the subproblem of the
 paper's exact method, which checks `exact_solve` and criterion 2;
-`parse_clustered` reads a clustered instance from text, by the loader's own
-scan and builder.
+`parse_clustered` reads a clustered instance from text with the loader's own
+scan and construction (`_scan_records`, `_clustered`).
 """
 
 from __future__ import annotations
@@ -136,10 +136,10 @@ def brute_force_optimum(instance: GtspInstance) -> int:
 
 
 def parse_clustered(text: str, name: str = "") -> GtspInstance:
-    """A clustered instance file's text as its instance, by the one scan and
-    the builder `gtsp.instance.load_instance_file` reads a clustered file
-    with. The instance takes the text's NAME record, or `name` when it has
-    none."""
+    """A clustered instance file's text as its instance, read by the one scan
+    and the construction that `gtsp.instance.load_instance_file` reads a
+    clustered file with. The instance takes the text's NAME record, or
+    `name` when it has none."""
     return gtsp.instance._clustered(*gtsp.instance._scan_records(text), name)
 
 
