@@ -1,0 +1,415 @@
+"""Parent-versus-change records of two trees of this repository, merged into a
+`BENCH_*.json`.
+
+    python3 scripts/two_trees.py perfbench --parent DIR --change DIR --workload W \\
+        --seeds A-B --out FILE
+    python3 scripts/two_trees.py loops --parent DIR --change DIR --out FILE \\
+        [--budgets 17,18,19,20] [--seconds S]
+    python3 scripts/two_trees.py quality --other DIR [--seeds 0-19] --out FILE
+
+`perfbench` runs `python3 perfbench/run.py --workload W --seed N --seconds 30
+--trace 0` once from each tree (its own perfbench and package) for each seed N
+from A to B, one process at a time. It keeps every run's last-line result with
+the report's call count, and per end-to-end metric of BENCHMARK.json a summary,
+then the median call counts and the failed calls. A run that exits non-zero is
+printed with its stderr, and the script exits 1.
+
+`loops` loads both trees' packages into this one process and times
+`exact_solve` on each shape of SHAPES, `euc2d_costs`, `_is_symmetric` and the
+seeding of the colony's weights. The change's `gtsp.instance.BLOCK_BYTES` is set
+to each candidate 2^K of `--budgets` before each of its calls, and each budget
+is summarised as a change side; the parent runs as it is. Each loop is called
+once per side per round after one warm-up call per side, with as many rounds
+(5 to 201) as make each side take about S seconds. Every output must equal the
+parent's: the exact tours compared as JSON, the arrays element by element; the
+script exits 1 if one differs.
+
+`quality` runs this tree's colony (the change) and that of the tree at `--other`
+(the parent, say the parent commit unpacked with `git archive`) on the same
+instances, seeds and ant-step budgets. A run's gap is 100 * (cost - optimum) /
+optimum, with the optimum from this tree's `exact_solve`; a seed's gap is the
+mean over the instances of its set. Per set the record keeps both sides'
+per-seed gaps and the mean and standard error of the per-seed change (this tree
+minus the other); the change holds when its mean is at most its standard error,
+so at least 2 seeds are needed. Sets: 11EIL51 at 20 iterations x 10 ants, with
+ACS and with RACS; the 50 instances of acceptance criterion 3 (n = 8..20, p =
+3..6) at 500 x 10 with RACS; generated instances with p = 8..16 at 100 x 10 with
+RACS. Default colony parameters otherwise; 20 seeds take a few minutes.
+
+What the three share:
+- A tree's package is loaded from its `src/gtsp` under its own module name,
+  `parent_gtsp` or `change_gtsp`, never as `gtsp` (`load`).
+- The side that goes first rotates: in pair or round k, side k mod the number
+  of sides goes first, so with two sides the parent goes first in pair 0 and
+  they alternate (`in_turn`).
+- A metric is summarised per change side against the parent (`summarize`):
+  each side's quartiles (linear-interpolated percentiles), the change's median
+  over the parent's, and the pairs or rounds the change won, strictly better
+  in the direction BENCHMARK.json gives (loop times: lower).
+- FILE gets one key per subcommand, holding its command, `machine` block,
+  `method` ("processes", or "in-process, shared inputs" when both sides read
+  the same arrays in this process) and results; `perfbench` results are keyed
+  by workload, so one record can gather several. If FILE exists, every other
+  key is kept (`write_record`).
+
+The criterion 3 corpus comes from tests/oracles.py, which imports `gtsp`: run
+the script with this tree's package installed (`pip install -e .`) or on
+`PYTHONPATH=src`.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+PROCESSES, IN_PROCESS = "processes", "in-process, shared inputs"
+USAGE = {
+    "perfbench": "--parent DIR --change DIR --workload W --seeds A-B --out FILE",
+    "loops": "--parent DIR --change DIR --out FILE [--budgets K,K,...] [--seconds S]",
+    "quality": "--other DIR [--seeds A-B] --out FILE",
+}
+
+# Name -> (nodes, clusters, seed) of a generated instance, or None for
+# data/eil51.tsp in its default 11 clusters.
+SHAPES = {
+    "11EIL51": None,
+    "p=10 (n=50)": (50, 10, 1),
+    "p=11 (n=55)": (55, 11, 1),
+    "p=12 (n=60)": (60, 12, 1),
+    "n=80/p=16": (80, 16, 0),
+    "n=200/p=8": (200, 8, 1),
+    "n=300/p=3": (300, 3, 1),
+    "n=450/p=3": (450, 3, 1),
+}
+LOOP_NODES = 2000  # n of the euc2d_costs, symmetry and seeding inputs
+
+
+def load(path: Path, name: str):
+    """The module at `path`, a `.py` file or a package directory, imported as `name`."""
+    package = path.is_dir()
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py" if package else path,
+        submodule_search_locations=[str(path)] if package else None,
+    )
+    module = importlib.util.module_from_spec(spec)
+    for stale in [key for key in sys.modules if key.startswith(f"{name}.")]:
+        del sys.modules[stale]  # else a second load under `name` reuses them
+    sys.modules[name] = module
+    spec.loader.exec_module(module)  # a package binds its submodules as name.aco, ...
+    return module
+
+
+oracles = load(ROOT / "tests" / "oracles.py", "two_trees_oracles")
+
+
+def packages(parent: Path, change: Path) -> tuple:
+    """The `gtsp` packages of the trees at `parent` and `change`, side by side."""
+    return (load(parent / "src" / "gtsp", "parent_gtsp"),
+            load(change / "src" / "gtsp", "change_gtsp"))
+
+
+def seed_range(text: str, least: int = 1) -> list[int]:
+    """The seeds A to B of "A-B", or the one seed of "A"; a range that is
+    empty, reversed or shorter than `least` is a usage error."""
+    lo, _, hi = text.partition("-")
+    try:
+        seeds = list(range(int(lo), int(hi or lo) + 1))
+    except ValueError:
+        seeds = []
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a seed range A-B with A <= B")
+    if len(seeds) < least:
+        raise argparse.ArgumentTypeError(f"{text!r} gives {len(seeds)} seed; at least "
+                                         f"{least} are needed")
+    return seeds
+
+
+def in_turn(sides: list, k: int) -> list:
+    """`sides` in the order of pair or round k: side k mod len(sides) first."""
+    k %= len(sides)
+    return sides[k:] + sides[:k]
+
+
+def summarize(parent: list[float], change: list[float], better: str = "lower") -> dict:
+    """Paired values of one metric, `parent[k]` against `change[k]`."""
+    wins = sum(c < p if better == "lower" else c > p for p, c in zip(parent, change))
+    return {
+        "parent_q1_median_q3": [float(q) for q in np.percentile(parent, [25, 50, 75])],
+        "change_q1_median_q3": [float(q) for q in np.percentile(change, [25, 50, 75])],
+        "change_over_parent_median": statistics.median(change) / statistics.median(parent),
+        "change_wins": f"{wins}/{len(parent)}",
+    }
+
+
+def machine() -> dict:
+    """The machine block of an in-process record."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform()}
+
+
+def write_record(path: Path, name: str, entries: dict, method: str, block: dict) -> None:
+    """Merge `entries` into key `name` of the record at `path`, with the
+    command, machine block and method; every other key is kept."""
+    record = json.loads(path.read_text()) if path.exists() else {}
+    record.setdefault(name, {}).update(
+        command=f"python3 scripts/two_trees.py {name} {USAGE[name]}",
+        machine=block, method=method, **entries,
+    )
+    path.write_text(json.dumps(record, indent=1) + "\n")
+
+
+# perfbench
+
+def metric_directions() -> dict[str, str]:
+    """Each end-to-end metric of BENCHMARK.json with its "lower" or "higher"."""
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in declared["end_to_end"]}
+
+
+def perfbench(tree: Path, workload: str, seed: int, side: str) -> tuple[dict, dict]:
+    """One perfbench run from `tree`: its last-line result and its report. A
+    failed run is printed with its stderr and ends the script with exit 1."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", "30", "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if done.returncode:
+        print(f"{workload} seed {seed} {side}: perfbench exited {done.returncode}\n"
+              f"{done.stderr}", file=sys.stderr)
+        raise SystemExit(1)
+    report, _, last = done.stdout.rstrip("\n").rpartition("\n")
+    return json.loads(last), json.loads(report)
+
+
+def summarize_runs(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """The summary of paired perfbench runs: `parent[k]` and `change[k]` are the
+    results of pair k, each a last-line result with its `calls`."""
+    out = {name: summarize([r["metrics"][name]["value"] for r in parent],
+                           [r["metrics"][name]["value"] for r in change], direction)
+           for name, direction in better.items()}
+    runs = {"parent": parent, "change": change}
+    out["calls_median"] = {side: statistics.median(r["calls"] for r in rs)
+                           for side, rs in runs.items()}
+    out["failed"] = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
+    return out
+
+
+def run_perfbench(args) -> int:
+    trees = {"parent": args.parent, "change": args.change}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    order, block = [], None
+    for k, seed in enumerate(args.seeds):
+        sides = in_turn(list(trees), k)
+        order.append(f"{sides[0]} first")
+        for side in sides:
+            result, report = perfbench(trees[side], args.workload, seed, side)
+            runs[side].append({**result, "calls": report["calls"], "seed": seed})
+            block = report["machine"]
+            print(f"{args.workload} seed {seed} {side}: solve_s "
+                  f"{result['metrics']['solve_s']['value']:.6g}", file=sys.stderr)
+    summary = summarize_runs(runs["parent"], runs["change"], metric_directions())
+    write_record(args.out, "perfbench", {args.workload: {
+        "seeds": args.seeds, "order": order, **runs, "summary": summary,
+    }}, PROCESSES, block)
+    return 0
+
+
+# loops
+
+def inputs(g) -> tuple[dict, object, object]:
+    """The loops' inputs, built with package `g`: each shape's instance, and
+    the coordinates and instance of the n = LOOP_NODES input."""
+    shapes = {}
+    for name, shape in SHAPES.items():
+        if shape is None:
+            costs = g.euc2d_costs(g.parse_tsplib((ROOT / "data" / "eil51.tsp").read_text()))
+            shapes[name] = g.cluster_instance(costs, name="eil51")
+        else:
+            shapes[name] = g.generate_instance(*shape[:2], seed=shape[2])[1]
+    return shapes, *g.generate_instance(LOOP_NODES, LOOP_NODES // 5, seed=1)
+
+
+def loops(g, shapes: dict, coords, big) -> dict:
+    """Each timed loop of package `g` on the given inputs, as a call without
+    arguments that returns something comparable across trees."""
+    out = {f"exact_solve {name}": lambda inst=inst: g.exact_solve(inst).to_json()
+           for name, inst in shapes.items()}
+    cost = big.costs.cost
+    out[f"euc2d_costs n={LOOP_NODES}"] = lambda: g.euc2d_costs(coords).cost
+    out[f"_is_symmetric n={LOOP_NODES}"] = lambda: g.instance._is_symmetric(cost)
+    seeded = g.aco._visibility_lookup(cost, 5.0, big.max_cost, 1e-6)[1]
+    out[f"weight seeding n={LOOP_NODES}"] = lambda: seeded(...)
+    return out
+
+
+def side_loops(parent, change) -> tuple[dict, dict]:
+    """Both sides' loops on inputs built once by the change's package: both
+    read the same arrays, so their memory placement is the same."""
+    shared = inputs(change)
+    return loops(parent, *shared), loops(change, *shared)
+
+
+def with_budget(instance_module, budget: int, call):
+    """`call` run with `instance_module.BLOCK_BYTES` set to `budget`."""
+    def timed():
+        instance_module.BLOCK_BYTES = budget
+        return call()
+    return timed
+
+
+def alternate(calls: dict, seconds: float) -> tuple[dict, bool]:
+    """Per side of `calls`, its call times in seconds over the rounds, and
+    whether every output equalled the first side's."""
+    sides = list(calls)
+    first = {side: calls[side]() for side in sides}  # warm-up, and the outputs
+    same = all(np.array_equal(first[side], first[sides[0]]) for side in sides)
+    started = time.perf_counter()
+    calls[sides[0]]()
+    rounds = max(5, min(201, int(seconds / max(time.perf_counter() - started, 1e-9))))
+    times = {side: [] for side in sides}
+    for r in range(rounds):
+        for side in in_turn(sides, r):
+            started = time.perf_counter()
+            calls[side]()
+            times[side].append(time.perf_counter() - started)
+    return times, same
+
+
+def summarize_times(times: dict[str, list[float]]) -> dict:
+    """Each side but the parent, summarised against the parent in ms."""
+    ms = {side: [t * 1e3 for t in ts] for side, ts in times.items()}
+    return {side: summarize(ms["parent"], t) for side, t in ms.items() if side != "parent"}
+
+
+def run_loops(args) -> int:
+    parent, change = packages(args.parent, args.change)
+    chosen = change.instance.BLOCK_BYTES
+    parent_loops, change_loops = side_loops(parent, change)
+    budgets = [int(k) for k in args.budgets.split(",")]
+    summary, identical = {}, {}
+    for name, call in parent_loops.items():
+        calls = {"parent": call}
+        for k in budgets:
+            calls[f"2^{k}"] = with_budget(change.instance, 1 << k, change_loops[name])
+        times, identical[name] = alternate(calls, args.seconds)
+        summary[name] = summarize_times(times)
+        print(f"{name}: " + ", ".join(f"{side} {s['change_over_parent_median']:.3f}"
+                                      for side, s in summary[name].items()), file=sys.stderr)
+    change.instance.BLOCK_BYTES = chosen
+    write_record(args.out, "loops", {
+        "budgets": budgets, "seconds": args.seconds, "unit": "ms",
+        "block_bytes": chosen, "outputs_identical": identical, "summary": summary,
+    }, IN_PROCESS, machine())
+    return 0 if all(identical.values()) else 1
+
+
+# quality
+
+def rebuild(package, instance):
+    """`instance` as an instance of `package`, on the same arrays."""
+    return package.GtspInstance(name=instance.name, clusters=instance.clusters,
+                                costs=package.CostMatrix(instance.costs.cost))
+
+
+def sets(change) -> dict[str, dict]:
+    """Each set's instances with their optima, colony variant and budget."""
+    eil51 = change.load_instance_file(ROOT / "data" / "eil51.tsp")
+    rng = np.random.default_rng(20240603)  # the criterion 3 corpus
+    corpus = [rebuild(change, oracles.random_matrix_instance(
+        int(rng.integers(8, 21)), int(rng.integers(3, 7)), rng)) for _ in range(50)]
+    generated = [change.generate_instance(nodes, clusters, seed=0)[1]
+                 for nodes, clusters in ((40, 8), (50, 10), (60, 12), (70, 14), (80, 16))]
+    return {name: dict(instances=[(inst, change.exact_solve(inst).cost) for inst in instances],
+                       variant=variant, iterations=iterations)
+            for name, instances, variant, iterations in (
+                ("11EIL51 acs 20x10", [eil51], "acs", 20),
+                ("11EIL51 racs 20x10", [eil51], "racs", 20),
+                ("criterion-3 corpus racs 500x10", corpus, "racs", 500),
+                ("generated p<=16 racs 100x10", generated, "racs", 100),
+            )}
+
+
+def gap(package, instance, optimum: int, variant: str, iterations: int, seed: int) -> float:
+    params = package.AcoParams(variant=variant, num_ants=10, max_iterations=iterations, seed=seed)
+    cost = package.run(rebuild(package, instance), params).best.cost
+    return 100.0 * (cost - optimum) / optimum
+
+
+def paired_change(this: list[float], other: list[float]) -> dict:
+    """The mean and standard error of the per-seed change `this - other`, and
+    whether the change holds: its mean at most its standard error."""
+    change = [a - b for a, b in zip(this, other)]
+    mean = statistics.fmean(change)
+    se = statistics.stdev(change) / len(change) ** 0.5
+    return {"mean_change_pct": mean, "se_change_pct": se, "holds": mean <= se}
+
+
+def run_quality(args) -> int:
+    other, this = packages(args.other, ROOT)
+    report = {}
+    for name, spec in sets(this).items():
+        per_seed = {"other": [], "this": []}
+        for k, seed in enumerate(args.seeds):
+            for side in in_turn(list(per_seed), k):
+                per_seed[side].append(statistics.fmean(
+                    gap(this if side == "this" else other, inst, opt, spec["variant"],
+                        spec["iterations"], seed) for inst, opt in spec["instances"]))
+        instances = spec["instances"]
+        report[name] = dict(
+            instances=[f"{inst.name} (optimum {opt})" for inst, opt in instances]
+            if len(instances) <= 5 else f"{len(instances)} instances",
+            budget=f"{spec['iterations']} iterations x 10 ants", seeds=args.seeds,
+            this_gap_pct=per_seed["this"], other_gap_pct=per_seed["other"],
+            this_mean_gap_pct=statistics.fmean(per_seed["this"]),
+            other_mean_gap_pct=statistics.fmean(per_seed["other"]),
+            **paired_change(per_seed["this"], per_seed["other"]),
+        )
+        r = report[name]
+        print(f"{name}: gap {r['other_mean_gap_pct']:.3f}% -> {r['this_mean_gap_pct']:.3f}%, "
+              f"change {r['mean_change_pct']:+.3f} (se {r['se_change_pct']:.3f}) "
+              f"{'holds' if r['holds'] else 'FAILS'}", file=sys.stderr)
+    write_record(args.out, "quality", report, IN_PROCESS, machine())
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    commands = parser.add_subparsers(dest="command", required=True)
+    parsers = {name: commands.add_parser(name, usage=f"%(prog)s {usage}")
+               for name, usage in USAGE.items()}
+    for name in ("perfbench", "loops"):
+        parsers[name].add_argument("--parent", type=Path, required=True,
+                                   help="root of the parent tree")
+        parsers[name].add_argument("--change", type=Path, required=True,
+                                   help="root of the changed tree")
+    parsers["perfbench"].add_argument("--workload", required=True)
+    parsers["perfbench"].add_argument("--seeds", type=seed_range, required=True, metavar="A-B")
+    parsers["loops"].add_argument("--budgets", default="17,18,19,20", metavar="K,K,...",
+                                  help="candidate budgets, as powers of two")
+    parsers["loops"].add_argument("--seconds", type=float, default=1.0,
+                                  help="time per side and loop")
+    parsers["quality"].add_argument("--other", type=Path, required=True, metavar="DIR",
+                                    help="root of the parent tree")
+    parsers["quality"].add_argument("--seeds", type=lambda text: seed_range(text, least=2),
+                                    default="0-19", metavar="A-B")
+    for name, run in (("perfbench", run_perfbench), ("loops", run_loops),
+                      ("quality", run_quality)):
+        parsers[name].add_argument("--out", type=Path, required=True, metavar="FILE")
+        parsers[name].set_defaults(run=run)
+    args = parser.parse_args(argv)
+    return args.run(args)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -220,6 +220,9 @@ def _cmd_bench(args) -> int:
             Path(config.output).parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             return _cannot_write("bench", config.output, exc)
+        for path in (f"{config.output}.csv", f"{config.output}.json"):
+            if exc := _unwritable(path):
+                return _cannot_write("bench", path, exc)
     reports = run_experiment(config)
     if not reports:
         return _fail("bench", "no instance could be loaded", EXIT_INSTANCE)

@@ -489,15 +489,23 @@ class TestUnwritableOutput:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
-    def test_bench_checks_output_before_solving(self, tmp_path, toy_file, capsys):
+    # the output's parent is a file; or one of its two files is a directory
+    @pytest.mark.parametrize("output, blocked", [("blocker/out", "blocker/out"),
+                                                 ("res/table", "res/table.csv"),
+                                                 ("res/table", "res/table.json")])
+    def test_bench_checks_output_before_solving(self, tmp_path, toy_file, capsys,
+                                                output, blocked):
         (tmp_path / "blocker").write_text("")
+        if blocked.startswith("res/"):
+            (tmp_path / blocked).mkdir(parents=True)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
-            "instances": [str(toy_file)], "algorithms": ["nn"], "output": "blocker/out",
+            "instances": [str(toy_file)], "algorithms": ["nn"], "output": output,
         }))
         with mock.patch.object(gtsp.cli, "run_experiment", side_effect=AssertionError):
             assert main(["bench", "--config", str(cfg)]) == 1
-        assert "gtsp bench: cannot write" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"gtsp bench: cannot write {tmp_path / blocked}: ")
 
 
     @pytest.mark.parametrize("target", ["missing/out.txt", "blocker/out.txt", "."])

@@ -1,10 +1,15 @@
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
 def load_script(name):
@@ -15,19 +20,42 @@ def load_script(name):
 
 
 def result(solve_s, steps_per_s, calls, failed=0):
-    """A perfbench last-line result with its call count, as bench_pairs keeps it."""
+    """A perfbench last-line result with its call count, as two_trees keeps it."""
     return {"correct": True, "attempted": calls + failed, "failed": failed, "calls": calls,
             "metrics": {"solve_s": {"value": solve_s, "unit": "s"},
                         "steps_per_s": {"value": steps_per_s, "unit": "1/s"}}}
 
 
-class TestBenchPairsSummary:
-    def test_quartiles_ratio_and_wins(self):
-        bench_pairs = load_script("bench_pairs")
+# A stand-in for perfbench/run.py: a report, then a last-line result whose
+# every metric reads the seed; it fails for seed 13.
+FAKE_PERFBENCH = '''import json, sys
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+if seed == 13:
+    sys.exit("no such seed")
+print(json.dumps({"calls": 10, "machine": {"nproc": 2}}, indent=1))
+print(json.dumps({"failed": 0, "metrics": {name: {"value": seed} for name in %r}}))
+'''
+
+
+@pytest.fixture(scope="module")
+def two_trees():
+    return load_script("two_trees")
+
+
+@pytest.fixture
+def fake_tree(tmp_path, two_trees):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        FAKE_PERFBENCH % list(two_trees.metric_directions()))
+    return tmp_path
+
+
+class TestPerfbench:
+    def test_quartiles_ratio_and_wins(self, two_trees):
         parent = [result(s, 1 / s, 100) for s in (4.0, 5.0, 6.0, 7.0)]
         # the change is faster in three pairs and equal in one, which is no win
         change = [result(s, 1 / s, 120, failed=k) for k, s in enumerate((3.0, 5.0, 4.0, 5.0))]
-        summary = bench_pairs.summarize(
+        summary = two_trees.summarize_runs(
             parent, change, {"solve_s": "lower", "steps_per_s": "higher"}
         )
         solve = summary["solve_s"]
@@ -39,58 +67,164 @@ class TestBenchPairsSummary:
         assert summary["calls_median"] == {"parent": 100, "change": 120}
         assert summary["failed"] == {"parent": 0, "change": 6}
 
-    def test_seed_ranges(self):
-        bench_pairs = load_script("bench_pairs")
-        assert bench_pairs.seed_range("2201-2204") == [2201, 2202, 2203, 2204]
-        assert bench_pairs.seed_range("7") == [7]
+    def test_seed_ranges(self, two_trees):
+        assert two_trees.seed_range("2201-2204") == [2201, 2202, 2203, 2204]
+        assert two_trees.seed_range("7") == [7]
 
-    def test_directions_are_the_benchmarks(self):
-        directions = load_script("bench_pairs").metric_directions()
+    @pytest.mark.parametrize("argv", [
+        ["perfbench", "--parent", ".", "--change", ".", "--workload", "w", "--seeds", "5-3"],
+        ["perfbench", "--parent", ".", "--change", ".", "--workload", "w", "--seeds", "x"],
+        ["quality", "--other", ".", "--seeds", "1"],
+        ["quality", "--other", ".", "--seeds", "4-4"],
+    ])
+    def test_bad_seeds_are_usage_errors_before_any_run(self, two_trees, tmp_path, argv,
+                                                      capsys):
+        with pytest.raises(SystemExit) as exit_:
+            two_trees.main(argv + ["--out", str(tmp_path / "r.json")])
+        assert exit_.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_directions_are_the_benchmarks(self, two_trees):
+        directions = two_trees.metric_directions()
         assert directions["solve_s"] == "lower"
         assert directions["steps_per_s"] == "higher"
 
+    def test_record_merges_one_workload_and_keeps_every_other_key(self, two_trees, fake_tree):
+        out = fake_tree / "BENCH.json"
+        out.write_text(json.dumps({"what": "kept", "perfbench": {"other-workload": 1}}))
+        argv = ["perfbench", "--parent", str(fake_tree), "--change", str(fake_tree),
+                "--workload", "w", "--seeds", "3-5", "--out", str(out)]
+        assert two_trees.main(argv) == 0
+        record = json.loads(out.read_text())
+        assert record["what"] == "kept"
+        section = record["perfbench"]
+        assert section["other-workload"] == 1
+        assert section["method"] == "processes"
+        assert section["machine"] == {"nproc": 2}
+        run = section["w"]
+        assert run["seeds"] == [3, 4, 5]
+        assert run["order"] == ["parent first", "change first", "parent first"]
+        assert [r["seed"] for r in run["change"]] == [3, 4, 5]
+        assert run["summary"]["solve_s"]["change_wins"] == "0/3"
+        assert run["summary"]["failed"] == {"parent": 0, "change": 0}
 
-class TestExactShapesSummary:
-    def test_quartiles_in_ms_and_median_over_the_parents(self):
-        exact_shapes = load_script("exact_shapes")
-        summary = exact_shapes.summarize({"parent": [0.004, 0.005, 0.006, 0.007],
-                                          "2^19": [0.003, 0.005, 0.004, 0.005]})
-        assert summary["parent"] == {"q1_median_q3_ms": [4.75, 5.5, 6.25], "over_parent": 1.0}
-        assert summary["2^19"] == {"q1_median_q3_ms": [3.75, 4.5, 5.0],
-                                   "over_parent": round(4.5 / 5.5, 4)}
+    def test_a_failed_run_is_reported_with_its_stderr(self, two_trees, fake_tree, capsys):
+        out = fake_tree / "BENCH.json"
+        argv = ["perfbench", "--parent", str(fake_tree), "--change", str(fake_tree),
+                "--workload", "w", "--seeds", "12-13", "--out", str(out)]
+        with pytest.raises(SystemExit) as exit_:
+            two_trees.main(argv)
+        assert exit_.value.code == 1
+        err = capsys.readouterr().err
+        assert "w seed 13 change: perfbench exited 1" in err  # pair 1: the change goes first
+        assert "no such seed" in err
+        assert not out.exists()
 
-    def test_rounds_rotate_the_first_side_and_outputs_are_compared(self):
-        exact_shapes = load_script("exact_shapes")
+
+class TestCommittedRecords:
+    """The committed records reproduce through the one summary."""
+
+    @pytest.mark.parametrize("name", ["BENCH_25.json", "BENCH_26.json"])
+    def test_perfbench_summaries(self, two_trees, name):
+        record = json.loads((ROOT / name).read_text())
+        directions = two_trees.metric_directions()
+        for workload, runs in record["workloads"].items():
+            assert two_trees.summarize_runs(runs["parent"], runs["change"], directions) \
+                == record["summary"][workload]
+
+    def test_paired_quality(self, two_trees):
+        sets = json.loads((ROOT / "BENCH_14.json").read_text())["quality"]["paired_20_seeds"]
+        assert len(sets) == 4
+        for entry in sets.values():
+            stats = two_trees.paired_change(entry["this_gap_pct"], entry["other_gap_pct"])
+            assert stats == {key: entry[key]
+                             for key in ("mean_change_pct", "se_change_pct", "holds")}
+
+
+class TestLoops:
+    def test_quartiles_in_ms_and_median_over_the_parents(self, two_trees):
+        summary = two_trees.summarize_times({"parent": [0.004, 0.005, 0.006, 0.007],
+                                             "2^19": [0.003, 0.005, 0.004, 0.005]})
+        assert list(summary) == ["2^19"]
+        assert summary["2^19"] == {"parent_q1_median_q3": [4.75, 5.5, 6.25],
+                                   "change_q1_median_q3": [3.75, 4.5, 5.0],
+                                   "change_over_parent_median": pytest.approx(4.5 / 5.5),
+                                   "change_wins": "3/4"}
+
+    def test_rounds_rotate_the_first_side_and_outputs_are_compared(self, two_trees):
         made = []
 
         def side(name, output):
             return lambda: made.append(name) or output
 
         calls = {"parent": side("p", [1, 2]), "2^17": side("a", [1, 2]), "2^18": side("b", [1, 2])}
-        times, same = exact_shapes.alternate(calls, seconds=0.0)  # the fewest rounds, 5
+        times, same = two_trees.alternate(calls, seconds=0.0)  # the fewest rounds, 5
         assert same
         assert {name: len(t) for name, t in times.items()} == {"parent": 5, "2^17": 5, "2^18": 5}
         # warm-up of each side, one call to size the rounds, then the rounds
         assert "".join(made) == "pab" + "p" + "pab" + "abp" + "bpa" + "pab" + "abp"
         calls["2^18"] = side("b", [1, 3])
-        assert not exact_shapes.alternate(calls, seconds=0.0)[1]
+        assert not two_trees.alternate(calls, seconds=0.0)[1]
 
-    def test_every_loop_runs_on_this_trees_package(self):
+    def test_every_loop_runs_on_this_trees_package(self, two_trees):
         # a name the package no longer has fails here, not at the next record run
-        exact_shapes = load_script("exact_shapes")
-        g = exact_shapes.load_package(SCRIPTS.parent, "tree_gtsp")
-        shared = exact_shapes.inputs(g, (SCRIPTS.parent / "data" / "eil51.tsp").read_text())
-        loops = exact_shapes.loops(g, *shared)
-        assert len(loops) == len(exact_shapes.SHAPES) + 3
-        for call in loops.values():
+        parent, change = two_trees.packages(ROOT, ROOT)
+        parent_loops, change_loops = two_trees.side_loops(parent, change)
+        assert list(parent_loops) == list(change_loops)
+        assert len(change_loops) == len(two_trees.SHAPES) + 3
+        for call in change_loops.values():
             call()
 
-    def test_a_budget_is_set_before_each_call(self):
-        exact_shapes = load_script("exact_shapes")
+    def test_a_budget_is_set_before_each_call(self, two_trees):
         module = types.SimpleNamespace(BLOCK_BYTES=1 << 19)
-        call = exact_shapes.with_budget(module, 16, lambda: module.BLOCK_BYTES)
+        call = two_trees.with_budget(module, 16, lambda: module.BLOCK_BYTES)
         module.BLOCK_BYTES = 1 << 20
         assert call() == 16
+
+
+class TestMethod:
+    def test_each_side_is_its_own_package(self, two_trees):
+        parent, change = two_trees.packages(ROOT, ROOT)
+        assert parent.__name__ == "parent_gtsp" and change.__name__ == "change_gtsp"
+        assert parent is not change and parent.aco is not change.aco
+        assert parent.aco.__name__ == "parent_gtsp.aco"
+        assert change.run is not parent.run
+
+    def test_both_sides_read_the_same_inputs(self, two_trees, monkeypatch):
+        parent, change = two_trees.packages(ROOT, ROOT)
+        seen = []  # the arguments of each recorded call, the outermost first
+
+        def record(real):
+            return lambda *args: seen.append(args) or real(*args)
+
+        for g in (parent, change):
+            monkeypatch.setattr(g.aco, "_visibility_lookup", record(g.aco._visibility_lookup))
+        parent_loops, change_loops = two_trees.side_loops(parent, change)
+        firsts = [seen[:]]  # the seeding's lookup, once per side as the loops are built
+        for g in (parent, change):
+            for owner, name in ((g, "exact_solve"), (g, "euc2d_costs"),
+                                (g.instance, "_is_symmetric")):
+                monkeypatch.setattr(owner, name, record(getattr(owner, name)))
+        for name in parent_loops:  # each loop's own call, once per side
+            firsts.append([])
+            for loop in (parent_loops[name], change_loops[name]):
+                seen.clear()
+                loop()
+                firsts[-1] += seen[:1]
+        assert sum(len(pair) == 2 for pair in firsts) == len(parent_loops)  # all but seeding
+        for pair in firsts:
+            assert len(pair) in (0, 2)
+            assert all(a is b for a, b in zip(*pair, strict=True))
+
+    @pytest.mark.parametrize("command", ["perfbench", "loops", "quality"])
+    def test_help_exits_0(self, command):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        proc = subprocess.run([sys.executable, str(SCRIPTS / "two_trees.py"), command, "--help"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith(f"usage: two_trees.py {command} ")
 
 
 # a docstring, a comment, blank lines, a string-only statement, and one
