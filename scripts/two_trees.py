@@ -15,14 +15,17 @@ then the median call counts and the failed calls. A run that exits non-zero is
 printed with its stderr, and the script exits 1.
 
 `loops` loads both trees' packages into this one process and times
-`exact_solve` on each shape of SHAPES, `euc2d_costs`, `_is_symmetric` and the
-seeding of the colony's weights. The change's `gtsp.instance.BLOCK_BYTES` is set
+`exact_solve` on each shape of SHAPES, `euc2d_costs`, `_is_symmetric`, the
+seeding of the colony's weights and two small-p colony loops: 11EIL51 with ACS
+and with RACS at 20 iterations x 10 ants, and the first 10 instances of the
+criterion 3 corpus with RACS at 100 x 10, each run giving its `run` JSON
+without elapsed time. The change's `gtsp.instance.BLOCK_BYTES` is set
 to each candidate 2^K of `--budgets` before each of its calls, and each budget
 is summarised as a change side; the parent runs as it is. Each loop is called
 once per side per round after one warm-up call per side, with as many rounds
 (5 to 201) as make each side take about S seconds. Every output must equal the
-parent's: the exact tours compared as JSON, the arrays element by element; the
-script exits 1 if one differs.
+parent's: the exact tours and colony runs compared as JSON, the arrays element
+by element; the script exits 1 if one differs.
 
 `quality` runs this tree's colony (the change) and that of the tree at `--other`
 (the parent, say the parent commit unpacked with `git archive`) on the same
@@ -92,6 +95,7 @@ SHAPES = {
     "n=450/p=3": (450, 3, 1),
 }
 LOOP_NODES = 2000  # n of the euc2d_costs, symmetry and seeding inputs
+CRITERION_3_LOOP = 10  # instances of the criterion 3 corpus in its colony loop
 
 
 def load(path: Path, name: str):
@@ -116,6 +120,19 @@ def packages(parent: Path, change: Path) -> tuple:
     """The `gtsp` packages of the trees at `parent` and `change`, side by side."""
     return (load(parent / "src" / "gtsp", "parent_gtsp"),
             load(change / "src" / "gtsp", "change_gtsp"))
+
+
+def rebuild(package, instance):
+    """`instance` as an instance of `package`, on the same arrays."""
+    return package.GtspInstance(name=instance.name, clusters=instance.clusters,
+                                costs=package.CostMatrix(instance.costs.cost))
+
+
+def criterion_3_corpus(package) -> list:
+    """The 50 instances of acceptance criterion 3, as instances of `package`."""
+    rng = np.random.default_rng(20240603)
+    return [rebuild(package, oracles.random_matrix_instance(
+        int(rng.integers(8, 21)), int(rng.integers(3, 7)), rng)) for _ in range(50)]
 
 
 def seed_range(text: str, least: int = 1) -> list[int]:
@@ -227,9 +244,10 @@ def run_perfbench(args) -> int:
 
 # loops
 
-def inputs(g) -> tuple[dict, object, object]:
-    """The loops' inputs, built with package `g`: each shape's instance, and
-    the coordinates and instance of the n = LOOP_NODES input."""
+def inputs(g) -> tuple[dict, object, object, list]:
+    """The loops' inputs, built with package `g`: each shape's instance, the
+    coordinates and instance of the n = LOOP_NODES input, and the first
+    CRITERION_3_LOOP instances of the criterion 3 corpus."""
     shapes = {}
     for name, shape in SHAPES.items():
         if shape is None:
@@ -237,10 +255,22 @@ def inputs(g) -> tuple[dict, object, object]:
             shapes[name] = g.cluster_instance(costs, name="eil51")
         else:
             shapes[name] = g.generate_instance(*shape[:2], seed=shape[2])[1]
-    return shapes, *g.generate_instance(LOOP_NODES, LOOP_NODES // 5, seed=1)
+    big = g.generate_instance(LOOP_NODES, LOOP_NODES // 5, seed=1)
+    return shapes, *big, criterion_3_corpus(g)[:CRITERION_3_LOOP]
 
 
-def loops(g, shapes: dict, coords, big) -> dict:
+def colony_runs(g, instances: list, variants: tuple, iterations: int):
+    """A call that runs package `g`'s colony with each variant on each
+    instance at `iterations` x 10 ants, seed 0, and returns the run JSONs
+    without elapsed time."""
+    def runs():
+        return [g.run(inst, g.AcoParams(variant=variant, num_ants=10, max_iterations=iterations,
+                                        seed=0)).to_json(include_elapsed=False)
+                for inst in instances for variant in variants]
+    return runs
+
+
+def loops(g, shapes: dict, coords, big, corpus: list) -> dict:
     """Each timed loop of package `g` on the given inputs, as a call without
     arguments that returns something comparable across trees."""
     out = {f"exact_solve {name}": lambda inst=inst: g.exact_solve(inst).to_json()
@@ -250,6 +280,9 @@ def loops(g, shapes: dict, coords, big) -> dict:
     out[f"_is_symmetric n={LOOP_NODES}"] = lambda: g.instance._is_symmetric(cost)
     seeded = g.aco._visibility_lookup(cost, 5.0, big.max_cost, 1e-6)[1]
     out[f"weight seeding n={LOOP_NODES}"] = lambda: seeded(...)
+    out["colony 11EIL51 acs+racs 20x10"] = colony_runs(g, [shapes["11EIL51"]], ("acs", "racs"), 20)
+    out[f"colony criterion-3 first {len(corpus)} racs 100x10"] = colony_runs(
+        g, corpus, ("racs",), 100)
     return out
 
 
@@ -316,18 +349,10 @@ def run_loops(args) -> int:
 
 # quality
 
-def rebuild(package, instance):
-    """`instance` as an instance of `package`, on the same arrays."""
-    return package.GtspInstance(name=instance.name, clusters=instance.clusters,
-                                costs=package.CostMatrix(instance.costs.cost))
-
-
 def sets(change) -> dict[str, dict]:
     """Each set's instances with their optima, colony variant and budget."""
     eil51 = change.load_instance_file(ROOT / "data" / "eil51.tsp")
-    rng = np.random.default_rng(20240603)  # the criterion 3 corpus
-    corpus = [rebuild(change, oracles.random_matrix_instance(
-        int(rng.integers(8, 21)), int(rng.integers(3, 7)), rng)) for _ in range(50)]
+    corpus = criterion_3_corpus(change)
     generated = [change.generate_instance(nodes, clusters, seed=0)[1]
                  for nodes, clusters in ((40, 8), (50, 10), (60, 12), (70, 14), (80, 16))]
     return {name: dict(instances=[(inst, change.exact_solve(inst).cost) for inst in instances],

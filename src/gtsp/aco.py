@@ -14,14 +14,27 @@ is the best cost seen so far. Once per iteration the best-so-far tour's edges
 are reinforced with deposit 1/L+, and any trail that climbed above tau_max is
 re-initialized to tau0.
 
+Every trail write is (1 - rho) * t + rho * d, a convex combination of the old
+trail and a target d of tau0, 1/(n * L+) or 1/L+, each at most max(tau0,
+1/L+); L+ only falls, and a reinit writes tau0. So every trail stays at most
+max(tau0, 1/L+), up to rounding, and since tau_max = 1/((1 - rho) * L_nn) a
+reinit can happen only once L+ < (1 - rho) * L_nn: a colony must beat the NN
+tour by that factor first (`tests/test_aco.py::TestTrailBound`).
+
 `iterate` is the one construction loop, a generator that yields each
 iteration's ant paths, trails and incumbent; `run` drives it under the
-stopping rule and keeps the incumbents. Each iteration draws one (p, ants, 2)
-block of uniforms: row 0 gives each ant its start cluster and then its member
+stopping rule and keeps the incumbents. Each iteration consumes a (p, ants, 2)
+array of uniforms: row 0 gives each ant its start cluster and then its member
 of that cluster (a uniform u picks index floor(u * k) of k), row s its q and
-its r at step s; r is drawn whether or not the pick uses it. From the block
-`iterate` lists once per iteration, step by step, the ants that explore
-(q > q0) and their r. An (ants, n) mask holds 1.0 on the nodes of each ant's
+its r at step s; r is drawn whether or not the pick uses it. `iterate` draws
+these arrays for a block of iterations at once, one (chunk, p, ants, 2) call
+within `gtsp.instance.BLOCK_BYTES` (one iteration's draws if those alone
+exceed it) and at most `max_iterations` iterations when that is set. The
+generator yields its doubles in order, so the block holds exactly the draws
+of `chunk` successive iterations and its size changes no trajectory. From the
+block `iterate` derives, in a few vectorised calls, every start and, per
+iteration and step, the ants that explore (q > q0) and their r; an iteration
+only slices them. An (ants, n) mask holds 1.0 on the nodes of each ant's
 unvisited clusters: it is refilled once per iteration, and each step zeroes
 only the members of the cluster each ant entered last, through a (p, largest
 cluster) table of cluster members. A step gathers the ants' rows of the
@@ -31,11 +44,14 @@ only for the exploring rows the running sums, to pick the first node whose
 running sum exceeds r times the row total. A row whose weights all
 underflowed to 0 is first rescued with `_relative_weights`. Then `_relax`
 writes the step's trails one by one, in ant order, as the rule reads: an edge
-two ants took is relaxed twice. `tests/oracles.py::lockstep_run` is the same
-colony in plain per-ant loops, and `iterate` reproduces it byte for byte. The
-masks make each tour feasible, so only a tour that becomes the new incumbent
-goes through `make_tour` (validated and re-costed). Pheromone scales use
-max(L, 1), so zero-cost tours do not divide by zero.
+two ants took is relaxed twice. A step's picks become a Python list once,
+for its writes and as the next step's edge sources; the incumbent cycle is
+kept as a list, rebuilt only when the incumbent changes.
+`tests/oracles.py::lockstep_run` is the same colony in plain per-ant loops,
+and `iterate` reproduces it byte for byte. The masks make each tour
+feasible, so only a tour that becomes the new incumbent goes through
+`make_tour` (validated and re-costed). Pheromone scales use max(L, 1), so
+zero-cost tours do not divide by zero.
 
 `iterate` keeps a weight matrix, trail times visibility^beta, next to the
 trails and rewrites an entry at every trail write, so a step gathers each
@@ -51,8 +67,9 @@ symmetric instances) and its visibility^beta, read from the table through
 memoryviews of the table and of the flattened costs (or from the n x n
 matrix), so a write builds no numpy temporary. Trails change only through
 these writes, so `iterate` calls `evaporation_reinit(tau, tau0, tau_max)`
-only in an iteration where some write went above tau_max, refreshes the
-weights of the entries it reset, and yields its mask of them.
+only in an iteration where the largest trail its writes returned is above
+tau_max, refreshes the weights of the entries it reset, and yields its mask
+of them.
 
 A single run is sequential and deterministic given its seed. Independent runs
 share instances read-only and may execute in parallel.
@@ -261,7 +278,7 @@ def _pick_rows(w: np.ndarray, roulette: np.ndarray, r: np.ndarray, relative) -> 
     """
     picks = _argmax_rows(w, relative)
     if len(roulette):
-        c = w.take(roulette, axis=0).cumsum(axis=1)
+        c = np.add.accumulate(w.take(roulette, axis=0), axis=1)
         total = c[:, -1]
         bar = np.minimum(r * total, np.nextafter(total, 0.0))
         picks[roulette] = (c > bar[:, None]).argmax(axis=1)
@@ -387,6 +404,13 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
     (trails, weights) runs at the first `next`. The arrays of each `Iteration`
     belong to the colony and change in the next iteration. Deterministic given
     the seed.
+
+    The uniforms come in blocks of `chunk` iterations, one (chunk, p, ants,
+    2) draw within `gtsp.instance.BLOCK_BYTES` (a single iteration's if that
+    alone exceeds it) and of at most `max_iterations` iterations when that is
+    set; `BLOCK_BYTES` is read at the first `next`. A block holds exactly what
+    `chunk` successive (p, ants, 2) draws would, so its size changes no
+    trajectory.
     """
     rng = np.random.default_rng(params.seed)
     l_nn, incumbent = nn_reference_cost(instance)
@@ -412,62 +436,74 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
     mask_flat = mask.ravel()
     ant_rows = np.arange(ants)[:, None] * n  # flat index of each ant's row of `mask`
     path = np.empty((p, ants), dtype=np.int64)  # path[s] holds every ant's node s
-    steps = np.arange(p)
-    successor = np.roll(steps, -1)
+    successor = np.roll(np.arange(p), -1)
     keep = 1.0 - rho
-    above_max = False  # some write of this iteration went above tau_max
+    chunk = per_block(p * ants * 16)  # iterations per draw block
+    if params.max_iterations is not None:
+        chunk = max(1, min(chunk, params.max_iterations))
+    step_rows = np.arange(chunk * (p - 1) + 1)
 
-    def write(i: np.ndarray, j: np.ndarray, add: float) -> None:
-        """Relax the trails of the edges (i[k], j[k]) and their weights one
-        by one, in order, the node arrays passed to `_relax` as lists; on
-        symmetric instances each write is mirrored."""
-        nonlocal above_max
-        top = _relax(tau_flat, weight_flat, i.tolist(), j.tolist(), n, symmetric, visibility,
-                     keep, add)
-        above_max = above_max or top > tau_max
+    def write(a: list[int], b: list[int], add: float) -> float:
+        """Relax the trails of the edges (a[k], b[k]) and their weights one
+        by one, in order; on symmetric instances each write is mirrored.
+        Returns the largest trail written."""
+        return _relax(tau_flat, weight_flat, a, b, n, symmetric, visibility, keep, add)
 
     def rescue(rows: np.ndarray) -> np.ndarray:
         """`_relative_weights` of the selected rows at the current step."""
         return _relative_weights(cost[cur[rows]], tau[cur[rows]], mask[rows], beta)
 
-    cycle = np.array(incumbent.nodes)  # the incumbent's nodes, in tour order
+    cycle = list(incumbent.nodes)  # the incumbent's nodes, in tour order
+    cycle_next = cycle[1:] + cycle[:1]  # each one's successor, closing edge too
     while True:
-        local_add = rho * _local_deposit(variant, n, incumbent.cost, tau0)
-        # draws[0] gives each ant's start cluster and member, draws[s] its q
-        # and r at step s; u * k < k for a uniform u < 1 and an integer k
-        draws = rng.random((p, ants, 2))
-        start_cluster = (draws[0, :, 0] * p).astype(np.int64)
-        start = grouped[offsets[start_cluster]
-                        + (draws[0, :, 1] * sizes[start_cluster]).astype(np.int64)]
-        # the ants that explore (q > q0) at step s are roulette[bounds[s - 1]:bounds[s]],
-        # with their r at the same positions of r_all
-        explore = draws[1:, :, 0] > q0
-        step_of, roulette = explore.nonzero()
-        r_all = draws[1:, :, 1][explore]
-        bounds = np.searchsorted(step_of, steps).tolist()
-        mask.fill(1.0)
-        path[0] = cur = start
-        above_max = False
-        for s, lo, hi in zip(range(1, p), bounds, bounds[1:]):
-            # mask the cluster each ant is in: its start, then the one it entered last
-            mask_flat[ant_rows + members.take(cluster_of.take(cur), axis=0)] = 0.0
-            w = weight.take(cur, axis=0)
-            w *= mask
-            nxt = _pick_rows(w, roulette[lo:hi], r_all[lo:hi], rescue)
-            write(cur, nxt, local_add)
-            path[s] = cur = nxt
-        write(cur, start, local_add)
-        lengths = cost[path, path[successor]].sum(axis=0)
+        # draws[k, 0] gives each ant's start cluster and member in the block's
+        # iteration k, draws[k, s] its q and r at step s; u * k < k for a
+        # uniform u < 1 and an integer k
+        draws = rng.random((chunk, p, ants, 2))
+        start_cluster = (draws[:, 0, :, 0] * p).astype(np.int64)
+        starts = grouped[offsets[start_cluster]
+                         + (draws[:, 0, :, 1] * sizes[start_cluster]).astype(np.int64)]
+        # row k * (p - 1) + s - 1 of `explore` marks the ants that explore
+        # (q > q0) at step s of iteration k; they are
+        # roulette[bounds[row]:bounds[row + 1]], with their r at the same
+        # positions of r_all
+        explore = draws[:, 1:, :, 0] > q0
+        r_all = draws[:, 1:, :, 1][explore]
+        del draws  # freed before the index arrays are made
+        row_of, roulette = explore.reshape(-1, ants).nonzero()
+        bounds = np.searchsorted(row_of, step_rows).tolist()
+        del row_of
+        start_lists = starts.tolist()
+        for k in range(chunk):
+            local_add = rho * _local_deposit(variant, n, incumbent.cost, tau0)
+            mask.fill(1.0)
+            path[0] = cur = starts[k]
+            a = first = start_lists[k]
+            top = 0.0  # the largest trail this iteration writes
+            step_bounds = bounds[k * (p - 1):(k + 1) * (p - 1) + 1]
+            for s, lo, hi in zip(range(1, p), step_bounds, step_bounds[1:]):
+                # mask the cluster each ant is in: its start, then the one it entered last
+                mask_flat[ant_rows + members.take(cluster_of.take(cur), axis=0)] = 0.0
+                w = weight.take(cur, axis=0)
+                w *= mask
+                nxt = _pick_rows(w, roulette[lo:hi], r_all[lo:hi], rescue)
+                b = nxt.tolist()
+                top = max(top, write(a, b, local_add))
+                path[s] = cur = nxt
+                a = b
+            top = max(top, write(a, first, local_add))
+            lengths = cost[path, path[successor]].sum(axis=0)
 
-        best = int(lengths.argmin())  # ties keep the first ant
-        if lengths[best] < incumbent.cost:
-            incumbent = make_tour(instance, path[:, best])
-            cycle = np.array(incumbent.nodes)
-        write(cycle, cycle[successor], rho * _global_deposit(incumbent.cost))  # closing edge too
-        # tau0 < tau_max, so every trail is <= tau_max after a reinit and only
-        # a write above tau_max can give the next one something to reset
-        reset = None
-        if above_max:
-            reset = evaporation_reinit(tau, tau0, tau_max)
-            weight[reset] = seeded(reset)
-        yield Iteration(path, lengths, tau, tau_max, reset, incumbent)
+            best = int(lengths.argmin())  # ties keep the first ant
+            if lengths[best] < incumbent.cost:
+                incumbent = make_tour(instance, path[:, best])
+                cycle = list(incumbent.nodes)
+                cycle_next = cycle[1:] + cycle[:1]
+            top = max(top, write(cycle, cycle_next, rho * _global_deposit(incumbent.cost)))
+            # tau0 < tau_max, so every trail is <= tau_max after a reinit and only
+            # a write above tau_max can give the next one something to reset
+            reset = None
+            if top > tau_max:
+                reset = evaporation_reinit(tau, tau0, tau_max)
+                weight[reset] = seeded(reset)
+            yield Iteration(path, lengths, tau, tau_max, reset, incumbent)

@@ -121,7 +121,8 @@ class CostMatrix:
 
 # Bytes of one temporary array in a blocked loop: the row blocks of
 # `euc2d_costs`, the tiles of `_is_symmetric`, the row blocks that seed the
-# colony's weights and the min-plus steps of `exact_solve`.
+# colony's weights, the colony's blocks of uniform draws and the min-plus
+# steps of `exact_solve`.
 BLOCK_BYTES = 1 << 19
 
 

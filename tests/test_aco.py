@@ -108,6 +108,24 @@ def pick(instance, tau, current, cand, beta, q0, rng) -> int:
     )[0])
 
 
+def drawn_shapes(monkeypatch) -> list[tuple]:
+    """The shape of each uniform block the colony draws from now on: the
+    generators `np.random.default_rng` makes record each `random` call."""
+    shapes = []
+    make = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def random(self, size):
+            shapes.append(size)
+            return self.rng.random(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    return shapes
+
+
 def relax_trails(tau, pairs, keep, add, symmetric=True) -> float:
     """`_relax` on the trails alone: the edges (i, j) of `pairs` in order,
     with a throwaway weight matrix and visibility 1."""
@@ -623,11 +641,13 @@ class TestRun:
         assert (result.best, result.iterations, result.trace) == (nn, 0, [])
         assert peak < 8 * inst.n * inst.n
 
-    def test_set_up_holds_the_trails_and_weights_and_block_temporaries(self):
+    def test_set_up_holds_the_trails_and_weights_and_block_temporaries(self, monkeypatch):
         # the weights are seeded row block by row block: each block's gather
         # stays within one budget, where a whole-matrix gather would add an
-        # 8 MB index copy
+        # 8 MB index copy; the first draw block, alive with its index arrays
+        # through the first iteration, stays within one budget too
         _, inst = generate_instance(1000, 200, seed=3)
+        shapes = drawn_shapes(monkeypatch)
         colony = iterate(inst, AcoParams(seed=1))
         tracemalloc.start()
         try:
@@ -636,6 +656,9 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak < 16 * inst.n * inst.n + 2 * gtsp.instance.BLOCK_BYTES + (1 << 20)
+        (shape,) = shapes
+        assert shape[1:] == (inst.p, 10, 2) and shape[0] > 1
+        assert 8 * math.prod(shape) <= gtsp.instance.BLOCK_BYTES
 
     def test_requires_stopping_rule(self):
         rng = np.random.default_rng(22)
@@ -748,6 +771,83 @@ class TestRun:
         b = run(inst, AcoParams(max_iterations=1, seed=11, variant="racs"))
         assert a.params.variant == "acs" and b.params.variant == "racs"
         assert a.best.nodes and b.best.nodes
+
+
+class TestDrawBlocks:
+    """`iterate` draws the uniforms of many iterations at once; where a block
+    ends changes nothing."""
+
+    @staticmethod
+    def stream(inst, params, iterations):
+        """Per iteration the ant tours, lengths, incumbent and reset mask, then
+        the final trail bytes."""
+        seen = []
+        for it in itertools.islice(iterate(inst, params), iterations):
+            seen.append((ant_tours(it), it.lengths.tolist(), it.incumbent,
+                         None if it.reset is None else it.reset.tobytes()))
+        return seen, it.tau.tobytes()
+
+    @pytest.mark.parametrize("trap", [False, True])
+    @pytest.mark.parametrize("budget", [None, 4])
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    def test_block_boundaries_change_no_iteration(self, chunk, budget, trap, monkeypatch):
+        inst = trap_instance(True) if trap else random_matrix_instance(
+            12, 4, np.random.default_rng(40))
+        params = AcoParams(num_ants=3, max_iterations=budget, seed=7)
+        iterations = 7  # past the budget: the colony goes on after it
+        expected = self.stream(inst, params, iterations)
+        assert trap == any(reset is not None for *_, reset in expected[0])
+        monkeypatch.setattr(gtsp.instance, "BLOCK_BYTES", chunk * inst.p * 3 * 16)
+        shapes = drawn_shapes(monkeypatch)
+        assert self.stream(inst, params, iterations) == expected
+        assert shapes == [(chunk, inst.p, 3, 2)] * -(-iterations // chunk)
+
+    def test_a_block_holds_at_most_the_budgeted_iterations(self, monkeypatch):
+        inst = random_matrix_instance(12, 4, np.random.default_rng(41))
+        shapes = drawn_shapes(monkeypatch)
+        list(itertools.islice(iterate(inst, AcoParams(max_iterations=5, seed=1)), 12))
+        assert shapes == [(5, 4, 10, 2)] * 3
+        shapes.clear()
+        next(iterate(inst, AcoParams(max_iterations=0, seed=1)))
+        assert shapes == [(1, 4, 10, 2)]
+
+
+class TestTrailBound:
+    """Every trail write is (1 - rho) * t + rho * d with a target d of tau0,
+    1/(n * L+) or 1/L+, so no trail goes above max(tau0, 1/L+), and a reinit
+    needs L+ < (1 - rho) * L_nn."""
+
+    @staticmethod
+    def assert_bounded(inst, params, iterations):
+        l_nn = nn_reference_cost(inst)[0]
+        tau0, _ = _trail_bounds(inst.n, l_nn, params.rho)
+        resets = 0
+        for it in itertools.islice(iterate(inst, params), iterations):
+            bound = max(tau0, _global_deposit(it.incumbent.cost))
+            assert it.tau.max() <= np.nextafter(bound, np.inf)
+            if it.incumbent.cost >= (1 - params.rho) * l_nn:
+                assert it.reset is None
+            resets += it.reset is not None
+        return resets
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 16), p=st.integers(2, 6),
+           symmetric=st.booleans(), variant=st.sampled_from(["acs", "racs"]),
+           rho=st.sampled_from([0.1, 0.5, 0.9]), q0=st.sampled_from([0.0, 0.5, 1.0]),
+           high=st.sampled_from([3, 10, 100]))
+    def test_trails_stay_within_the_best_deposit(self, seed, n, p, symmetric, variant, rho,
+                                                 q0, high):
+        rng = np.random.default_rng(seed)
+        inst = random_matrix_instance(n, min(p, n), rng, symmetric=symmetric, high=high)
+        params = AcoParams(rho=rho, q0=q0, variant=variant, num_ants=3, seed=seed)
+        self.assert_bounded(inst, params, 40)
+
+    @pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("variant", ["acs", "racs"])
+    def test_trap_resets_only_below_the_threshold(self, variant, rho):
+        # L_nn = 103 and the optimum 6 < (1 - rho) * 103 at every rho here
+        params = AcoParams(rho=rho, variant=variant, num_ants=3, seed=5)
+        assert self.assert_bounded(trap_instance(True), params, 200) > 0
 
 
 def traced_run(inst, params):

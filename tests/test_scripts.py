@@ -172,9 +172,22 @@ class TestLoops:
         parent, change = two_trees.packages(ROOT, ROOT)
         parent_loops, change_loops = two_trees.side_loops(parent, change)
         assert list(parent_loops) == list(change_loops)
-        assert len(change_loops) == len(two_trees.SHAPES) + 3
+        assert len(change_loops) == len(two_trees.SHAPES) + 5
         for call in change_loops.values():
             call()
+
+    def test_colony_loops_give_run_records_without_elapsed_time(self, two_trees):
+        parent, change = two_trees.packages(ROOT, ROOT)
+        change_loops = two_trees.side_loops(parent, change)[1]
+        eil51 = change_loops["colony 11EIL51 acs+racs 20x10"]()
+        corpus = change_loops["colony criterion-3 first 10 racs 100x10"]()
+        assert len(eil51) == 2 and len(corpus) == 10
+        for text, variant, budget in [*((t, v, 20) for t, v in zip(eil51, ("acs", "racs"))),
+                                      *((t, "racs", 100) for t in corpus)]:
+            record = json.loads(text)
+            assert "elapsed_seconds" not in record
+            assert record["params"]["variant"] == variant
+            assert record["iterations"] == budget and record["params"]["num_ants"] == 10
 
     def test_a_budget_is_set_before_each_call(self, two_trees):
         module = types.SimpleNamespace(BLOCK_BYTES=1 << 19)
@@ -195,17 +208,19 @@ class TestMethod:
         parent, change = two_trees.packages(ROOT, ROOT)
         seen = []  # the arguments of each recorded call, the outermost first
 
-        def record(real):
-            return lambda *args: seen.append(args) or real(*args)
+        def record(real, kept=None):
+            # a colony run's parameters are each package's own object, so only
+            # its instance is compared
+            return lambda *args: seen.append(args[:kept]) or real(*args)
 
         for g in (parent, change):
             monkeypatch.setattr(g.aco, "_visibility_lookup", record(g.aco._visibility_lookup))
         parent_loops, change_loops = two_trees.side_loops(parent, change)
         firsts = [seen[:]]  # the seeding's lookup, once per side as the loops are built
         for g in (parent, change):
-            for owner, name in ((g, "exact_solve"), (g, "euc2d_costs"),
-                                (g.instance, "_is_symmetric")):
-                monkeypatch.setattr(owner, name, record(getattr(owner, name)))
+            for owner, name, kept in ((g, "exact_solve", None), (g, "euc2d_costs", None),
+                                      (g.instance, "_is_symmetric", None), (g, "run", 1)):
+                monkeypatch.setattr(owner, name, record(getattr(owner, name), kept))
         for name in parent_loops:  # each loop's own call, once per side
             firsts.append([])
             for loop in (parent_loops[name], change_loops[name]):
