@@ -3,9 +3,8 @@
 
     python3 scripts/two_trees.py perfbench --parent DIR --change DIR --workload W \\
         --seeds A-B --out FILE
-    python3 scripts/two_trees.py loops --parent DIR --change DIR --out FILE \\
-        [--budgets 17,18,19,20] [--seconds S]
-    python3 scripts/two_trees.py quality --other DIR [--seeds 0-19] --out FILE
+    python3 scripts/two_trees.py loops --parent DIR --change DIR --out FILE [--seconds S]
+    python3 scripts/two_trees.py quality --other DIR --seeds A-B --out FILE
 
 `perfbench` runs `python3 perfbench/run.py --workload W --seed N --seconds 30
 --trace 0` once from each tree (its own perfbench and package) for each seed N
@@ -19,13 +18,12 @@ printed with its stderr, and the script exits 1.
 seeding of the colony's weights and two small-p colony loops: 11EIL51 with ACS
 and with RACS at 20 iterations x 10 ants, and the first 10 instances of the
 criterion 3 corpus with RACS at 100 x 10, each run giving its `run` JSON
-without elapsed time. The change's `gtsp.instance.BLOCK_BYTES` is set
-to each candidate 2^K of `--budgets` before each of its calls, and each budget
-is summarised as a change side; the parent runs as it is. Each loop is called
-once per side per round after one warm-up call per side, with as many rounds
-(5 to 201) as make each side take about S seconds. Every output must equal the
-parent's: the exact tours and colony runs compared as JSON, the arrays element
-by element; the script exits 1 if one differs.
+without elapsed time. Each loop is called once per side per round after one
+warm-up call per side, with as many rounds (5 to 201) as make each side take
+about S seconds (default 3). The change's output must equal the parent's: the
+exact tours and colony runs compared as JSON, the arrays element by element;
+the script exits 1 if one differs. To time another block budget, pass as
+--change a copy of the tree with `gtsp.instance.BLOCK_BYTES` edited.
 
 `quality` runs this tree's colony (the change) and that of the tree at `--other`
 (the parent, say the parent commit unpacked with `git archive`) on the same
@@ -37,15 +35,15 @@ minus the other); the change holds when its mean is at most its standard error,
 so at least 2 seeds are needed. Sets: 11EIL51 at 20 iterations x 10 ants, with
 ACS and with RACS; the 50 instances of acceptance criterion 3 (n = 8..20, p =
 3..6) at 500 x 10 with RACS; generated instances with p = 8..16 at 100 x 10 with
-RACS. Default colony parameters otherwise; 20 seeds take a few minutes.
+RACS. Default colony parameters otherwise; 20 seeds take a few minutes. Seeds
+are required, so that each record names a range no earlier record spent.
 
 What the three share:
 - A tree's package is loaded from its `src/gtsp` under its own module name,
   `parent_gtsp` or `change_gtsp`, never as `gtsp` (`load`).
-- The side that goes first rotates: in pair or round k, side k mod the number
-  of sides goes first, so with two sides the parent goes first in pair 0 and
-  they alternate (`in_turn`).
-- A metric is summarised per change side against the parent (`summarize`):
+- Two sides, the parent and the change, and the side that goes first
+  alternates: the parent goes first in pair or round 0 (`in_turn`).
+- A metric is summarised as the change against the parent (`summarize`):
   each side's quartiles (linear-interpolated percentiles), the change's median
   over the parent's, and the pairs or rounds the change won, strictly better
   in the direction BENCHMARK.json gives (loop times: lower).
@@ -78,8 +76,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PROCESSES, IN_PROCESS = "processes", "in-process, shared inputs"
 USAGE = {
     "perfbench": "--parent DIR --change DIR --workload W --seeds A-B --out FILE",
-    "loops": "--parent DIR --change DIR --out FILE [--budgets K,K,...] [--seconds S]",
-    "quality": "--other DIR [--seeds A-B] --out FILE",
+    "loops": "--parent DIR --change DIR --out FILE [--seconds S]",
+    "quality": "--other DIR --seeds A-B --out FILE",
 }
 
 # Name -> (nodes, clusters, seed) of a generated instance, or None for
@@ -293,26 +291,17 @@ def side_loops(parent, change) -> tuple[dict, dict]:
     return loops(parent, *shared), loops(change, *shared)
 
 
-def with_budget(instance_module, budget: int, call):
-    """`call` run with `instance_module.BLOCK_BYTES` set to `budget`."""
-    def timed():
-        instance_module.BLOCK_BYTES = budget
-        return call()
-    return timed
-
-
-def alternate(calls: dict, seconds: float) -> tuple[dict, bool]:
-    """Per side of `calls`, its call times in seconds over the rounds, and
-    whether every output equalled the first side's."""
-    sides = list(calls)
-    first = {side: calls[side]() for side in sides}  # warm-up, and the outputs
-    same = all(np.array_equal(first[side], first[sides[0]]) for side in sides)
+def alternate(parent, change, seconds: float) -> tuple[dict, bool]:
+    """The call times in seconds of `parent` and `change` over the rounds,
+    and whether their outputs are equal."""
+    calls = {"parent": parent, "change": change}
+    same = np.array_equal(parent(), change())  # warm-up, and the outputs
     started = time.perf_counter()
-    calls[sides[0]]()
+    parent()
     rounds = max(5, min(201, int(seconds / max(time.perf_counter() - started, 1e-9))))
-    times = {side: [] for side in sides}
+    times = {side: [] for side in calls}
     for r in range(rounds):
-        for side in in_turn(sides, r):
+        for side in in_turn(list(calls), r):
             started = time.perf_counter()
             calls[side]()
             times[side].append(time.perf_counter() - started)
@@ -320,29 +309,20 @@ def alternate(calls: dict, seconds: float) -> tuple[dict, bool]:
 
 
 def summarize_times(times: dict[str, list[float]]) -> dict:
-    """Each side but the parent, summarised against the parent in ms."""
-    ms = {side: [t * 1e3 for t in ts] for side, ts in times.items()}
-    return {side: summarize(ms["parent"], t) for side, t in ms.items() if side != "parent"}
+    """The change's call times summarised against the parent's, in ms."""
+    return summarize([t * 1e3 for t in times["parent"]], [t * 1e3 for t in times["change"]])
 
 
 def run_loops(args) -> int:
-    parent, change = packages(args.parent, args.change)
-    chosen = change.instance.BLOCK_BYTES
-    parent_loops, change_loops = side_loops(parent, change)
-    budgets = [int(k) for k in args.budgets.split(",")]
+    parent_loops, change_loops = side_loops(*packages(args.parent, args.change))
     summary, identical = {}, {}
     for name, call in parent_loops.items():
-        calls = {"parent": call}
-        for k in budgets:
-            calls[f"2^{k}"] = with_budget(change.instance, 1 << k, change_loops[name])
-        times, identical[name] = alternate(calls, args.seconds)
+        times, identical[name] = alternate(call, change_loops[name], args.seconds)
         summary[name] = summarize_times(times)
-        print(f"{name}: " + ", ".join(f"{side} {s['change_over_parent_median']:.3f}"
-                                      for side, s in summary[name].items()), file=sys.stderr)
-    change.instance.BLOCK_BYTES = chosen
+        print(f"{name}: change over parent {summary[name]['change_over_parent_median']:.3f}",
+              file=sys.stderr)
     write_record(args.out, "loops", {
-        "budgets": budgets, "seconds": args.seconds, "unit": "ms",
-        "block_bytes": chosen, "outputs_identical": identical, "summary": summary,
+        "seconds": args.seconds, "unit": "ms", "outputs_identical": identical, "summary": summary,
     }, IN_PROCESS, machine())
     return 0 if all(identical.values()) else 1
 
@@ -420,14 +400,12 @@ def main(argv=None) -> int:
                                    help="root of the changed tree")
     parsers["perfbench"].add_argument("--workload", required=True)
     parsers["perfbench"].add_argument("--seeds", type=seed_range, required=True, metavar="A-B")
-    parsers["loops"].add_argument("--budgets", default="17,18,19,20", metavar="K,K,...",
-                                  help="candidate budgets, as powers of two")
-    parsers["loops"].add_argument("--seconds", type=float, default=1.0,
+    parsers["loops"].add_argument("--seconds", type=float, default=3.0,
                                   help="time per side and loop")
     parsers["quality"].add_argument("--other", type=Path, required=True, metavar="DIR",
                                     help="root of the parent tree")
     parsers["quality"].add_argument("--seeds", type=lambda text: seed_range(text, least=2),
-                                    default="0-19", metavar="A-B")
+                                    required=True, metavar="A-B")
     for name, run in (("perfbench", run_perfbench), ("loops", run_loops),
                       ("quality", run_quality)):
         parsers[name].add_argument("--out", type=Path, required=True, metavar="FILE")

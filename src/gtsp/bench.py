@@ -272,14 +272,14 @@ def _error_text(exc: Exception) -> str:
     return f"out of memory: {exc}" if isinstance(exc, MemoryError) else str(exc)
 
 
-def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
+def run_experiment(config: ExperimentConfig) -> list[RunReport]:
     """Run every configured algorithm on every instance.
 
     Every cell goes through `solve`. Deterministic algorithms run once; the
     colonies run `repetitions` times, once per seed of `rep_seeds()`.
     Unreadable instances, those whose tour sums overflow int64 and those that
-    run out of memory while they load are reported on `log` and skipped; an
-    unreadable optimum sidecar is reported on `log` and the row kept without
+    run out of memory while they load are reported on stderr and skipped; an
+    unreadable optimum sidecar is reported on stderr and the row kept without
     an optimum; an exact-solver refusal, or a solver that runs out of memory,
     leaves a dash and its error in that cell.
     """
@@ -289,14 +289,14 @@ def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
             instance = load_instance_file(spec) if isinstance(spec, str) else spec.generate()[1]
         except (OSError, ValueError, MemoryError) as exc:
             label = spec if isinstance(spec, str) else vars(spec)
-            print(f"gtsp bench: skipping {label!r}: {_error_text(exc)}", file=log)
+            print(f"gtsp bench: skipping {label!r}: {_error_text(exc)}", file=sys.stderr)
             continue
         optimum = None
         if isinstance(spec, str):
             try:
                 optimum = sidecar_optimum(spec)
             except (OSError, ValueError) as exc:
-                print(f"gtsp bench: ignoring the optimum of {spec!r}: {exc}", file=log)
+                print(f"gtsp bench: ignoring the optimum of {spec!r}: {exc}", file=sys.stderr)
         results: dict[str, AlgoResult] = {}
         for algo in config.algorithms:
             cell = results[algo] = AlgoResult()
@@ -325,6 +325,13 @@ def run_experiment(config: ExperimentConfig, log=sys.stderr) -> list[RunReport]:
     return reports
 
 
+def output_paths(out_base: str | Path) -> tuple[Path, Path]:
+    """The `.csv` and `.json` files of output base `out_base`: the suffix is
+    appended, not `with_suffix`, so a dotted name like "run.v2" keeps its dot."""
+    base = str(Path(out_base))
+    return Path(base + ".csv"), Path(base + ".json")
+
+
 def emit_table(
     reports: list[RunReport],
     out_base: str | Path | None = None,
@@ -340,10 +347,8 @@ def emit_table(
     algorithms = list(reports[0].results)
     text = _text_table(reports, algorithms)
     if out_base is not None:
-        out_base = Path(out_base)
-        out_base.parent.mkdir(parents=True, exist_ok=True)
-        # appended, not `with_suffix`: a dotted name like "run.v2" keeps its dot
-        csv_path, json_path = (out_base.with_name(out_base.name + s) for s in (".csv", ".json"))
+        csv_path, json_path = output_paths(out_base)
+        csv_path.parent.mkdir(parents=True, exist_ok=True)
         csv_path.write_text(_csv_table(reports, algorithms, include_elapsed))
         payload = {"reports": [r.to_dict(include_elapsed) for r in reports]}
         json_path.write_text(json.dumps(payload, indent=2, sort_keys=True))

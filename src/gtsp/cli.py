@@ -41,6 +41,7 @@ from .bench import (
     GeneratorSpec,
     emit_table,
     load_instance_file,
+    output_paths,
     run_experiment,
     solve,
 )
@@ -125,7 +126,7 @@ def _cannot_write(cmd: str, path, exc: OSError) -> int:
     return _fail(cmd, f"cannot write {path}: {exc}", EXIT_USAGE)
 
 
-def _unwritable(path: str) -> OSError | None:
+def _unwritable(path: str | Path) -> OSError | None:
     """The error writing file `path` would meet, found without creating or
     truncating it: a missing parent directory, a directory in its place or no
     write permission. None when it can be written."""
@@ -220,7 +221,7 @@ def _cmd_bench(args) -> int:
             Path(config.output).parent.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             return _cannot_write("bench", config.output, exc)
-        for path in (f"{config.output}.csv", f"{config.output}.json"):
+        for path in output_paths(config.output):
             if exc := _unwritable(path):
                 return _cannot_write("bench", path, exc)
     reports = run_experiment(config)

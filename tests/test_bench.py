@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import tracemalloc
@@ -230,7 +231,7 @@ class TestRunExperiment:
             assert rep.results["nn"].best is not None
         assert emit_table(reports).splitlines()[2].split()[4] == "-"
 
-    def test_out_of_memory_while_loading_skipped(self, monkeypatch):
+    def test_out_of_memory_while_loading_skipped(self, monkeypatch, capsys):
         real = gtsp.instance.euc2d_costs
 
         def costs(coords):  # the 12-node instance's matrix does not fit
@@ -239,32 +240,35 @@ class TestRunExperiment:
             return real(coords)
 
         monkeypatch.setattr(gtsp.instance, "euc2d_costs", costs)
-        log = io.StringIO()
-        reports = run_experiment(small_config(algorithms=["nn"]), log=log)
+        reports = run_experiment(small_config(algorithms=["nn"]))
         assert [r.n for r in reports] == [10]
-        assert log.getvalue() == ("gtsp bench: skipping {'nodes': 12, 'clusters': 4, 'seed': 1}:"
+        assert capsys.readouterr().err == ("gtsp bench: skipping {'nodes': 12, 'clusters': 4, 'seed': 1}:"
                                   " out of memory: Unable to allocate 288. B\n")
 
     def test_unreadable_instance_skipped(self, tmp_path, capsys):
         missing = tmp_path / "nope.gtsp"
         cfg = small_config(instances=[str(missing), {"nodes": 8, "clusters": 3, "seed": 0}])
-        import io
-
-        log = io.StringIO()
-        reports = run_experiment(cfg, log=log)
+        reports = run_experiment(cfg)
         assert len(reports) == 1
-        assert "skipping" in log.getvalue()
+        assert "skipping" in capsys.readouterr().err
 
-    def test_tour_sum_overflow_skipped(self, tmp_path):
+    def test_messages_go_to_stderr_as_it_is_when_called(self, tmp_path):
+        cfg = small_config(instances=[str(tmp_path / "nope.gtsp"),
+                                      {"nodes": 8, "clusters": 3, "seed": 0}])
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            run_experiment(cfg)
+        assert err.getvalue().startswith("gtsp bench: skipping ")
+
+    def test_tour_sum_overflow_skipped(self, tmp_path, capsys):
         # every cost fits int64, but a tour over the two far pairs does not
         far = tmp_path / "far.gtsp"
         coords = NodeCoords(np.array([[0, 0], [1, 0], [9.2e18, 0], [9.2e18, 1]]))
         far.write_text(format_clustered("far", coords, ((0, 1), (2, 3))))
         cfg = small_config(instances=[str(far), {"nodes": 8, "clusters": 3, "seed": 0}])
-        log = io.StringIO()
-        reports = run_experiment(cfg, log=log)
+        reports = run_experiment(cfg)
         assert [r.n for r in reports] == [8]
-        assert "skipping" in log.getvalue() and "too large" in log.getvalue()
+        err = capsys.readouterr().err
+        assert "skipping" in err and "too large" in err
 
     def test_sidecar_optimum_read(self, tmp_path):
         coords, inst = generate_instance(nodes=10, clusters=3, seed=4)
@@ -282,18 +286,18 @@ class TestRunExperiment:
         "text", ["", "\n", "opt=7\n", "12.5\n", "-5\n"],
         ids=["empty", "blank", "word", "decimal", "negative"]
     )
-    def test_bad_sidecar_reported_and_row_kept(self, tmp_path, text):
+    def test_bad_sidecar_reported_and_row_kept(self, tmp_path, text, capsys):
         coords, inst = generate_instance(nodes=10, clusters=3, seed=4)
         path = tmp_path / "toy.gtsp"
         path.write_text(format_clustered(inst.name, coords, inst.clusters))
         (tmp_path / "toy.gtsp.opt").write_text(text)
         with pytest.raises(ValueError, match="toy.gtsp.opt"):
             sidecar_optimum(path)
-        log = io.StringIO()
-        reports = run_experiment(small_config(instances=[str(path)], algorithms=["nn"]), log=log)
+        reports = run_experiment(small_config(instances=[str(path)], algorithms=["nn"]))
         assert len(reports) == 1 and reports[0].optimum is None
         assert reports[0].results["nn"].best is not None
-        assert "toy.gtsp.opt" in log.getvalue() and "skipping" not in log.getvalue()
+        err = capsys.readouterr().err
+        assert "toy.gtsp.opt" in err and "skipping" not in err
 
     def test_reproducible_outputs(self, tmp_path):
         cfg = small_config()

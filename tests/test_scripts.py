@@ -1,9 +1,9 @@
 import importlib.util
 import json
 import os
+import shutil
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -76,6 +76,7 @@ class TestPerfbench:
         ["perfbench", "--parent", ".", "--change", ".", "--workload", "w", "--seeds", "x"],
         ["quality", "--other", ".", "--seeds", "1"],
         ["quality", "--other", ".", "--seeds", "4-4"],
+        ["quality", "--other", "."],  # 0-19 and 20-419 are spent, so no range is the default
     ])
     def test_bad_seeds_are_usage_errors_before_any_run(self, two_trees, tmp_path, argv,
                                                       capsys):
@@ -145,12 +146,11 @@ class TestCommittedRecords:
 class TestLoops:
     def test_quartiles_in_ms_and_median_over_the_parents(self, two_trees):
         summary = two_trees.summarize_times({"parent": [0.004, 0.005, 0.006, 0.007],
-                                             "2^19": [0.003, 0.005, 0.004, 0.005]})
-        assert list(summary) == ["2^19"]
-        assert summary["2^19"] == {"parent_q1_median_q3": [4.75, 5.5, 6.25],
-                                   "change_q1_median_q3": [3.75, 4.5, 5.0],
-                                   "change_over_parent_median": pytest.approx(4.5 / 5.5),
-                                   "change_wins": "3/4"}
+                                             "change": [0.003, 0.005, 0.004, 0.005]})
+        assert summary == {"parent_q1_median_q3": [4.75, 5.5, 6.25],
+                           "change_q1_median_q3": [3.75, 4.5, 5.0],
+                           "change_over_parent_median": pytest.approx(4.5 / 5.5),
+                           "change_wins": "3/4"}
 
     def test_rounds_rotate_the_first_side_and_outputs_are_compared(self, two_trees):
         made = []
@@ -158,14 +158,52 @@ class TestLoops:
         def side(name, output):
             return lambda: made.append(name) or output
 
-        calls = {"parent": side("p", [1, 2]), "2^17": side("a", [1, 2]), "2^18": side("b", [1, 2])}
-        times, same = two_trees.alternate(calls, seconds=0.0)  # the fewest rounds, 5
+        times, same = two_trees.alternate(side("p", [1, 2]), side("c", [1, 2]),
+                                          seconds=0.0)  # the fewest rounds, 5
         assert same
-        assert {name: len(t) for name, t in times.items()} == {"parent": 5, "2^17": 5, "2^18": 5}
+        assert {name: len(t) for name, t in times.items()} == {"parent": 5, "change": 5}
         # warm-up of each side, one call to size the rounds, then the rounds
-        assert "".join(made) == "pab" + "p" + "pab" + "abp" + "bpa" + "pab" + "abp"
-        calls["2^18"] = side("b", [1, 3])
-        assert not two_trees.alternate(calls, seconds=0.0)[1]
+        assert "".join(made) == "pc" + "p" + "pc" + "cp" + "pc" + "cp" + "pc"
+        assert not two_trees.alternate(side("p", [1, 2]), side("c", [1, 3]), seconds=0.0)[1]
+
+    def test_a_record_times_the_parent_and_the_change_only(self, two_trees, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(two_trees, "side_loops",
+                            lambda parent, change: ({"x": lambda: [1]}, {"x": lambda: [1]}))
+        out = tmp_path / "r.json"
+        argv = ["loops", "--parent", str(ROOT), "--change", str(ROOT), "--out", str(out)]
+        assert two_trees.main(argv + ["--seconds", "0"]) == 0
+        record = json.loads(out.read_text())["loops"]
+        assert set(record) == {"command", "machine", "method", "seconds", "unit",
+                               "outputs_identical", "summary"}
+        assert record["outputs_identical"] == {"x": True}
+        assert set(record["summary"]["x"]) == set(two_trees.summarize([1.0], [1.0]))
+        assert record["summary"]["x"]["change_wins"].endswith("/5")  # the fewest rounds
+
+    def test_budgets_are_a_usage_error(self, two_trees, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            two_trees.main(["loops", "--parent", ".", "--change", ".", "--out",
+                            str(tmp_path / "r.json"), "--budgets", "18,19"])
+        assert exit_.value.code == 2
+        assert "--budgets" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_a_budget_is_measured_as_a_tree(self, two_trees, tmp_path):
+        # the change is a copy of this tree with another block budget
+        source = (ROOT / "src" / "gtsp" / "instance.py").read_text()
+        copy = tmp_path / "src" / "gtsp"
+        shutil.copytree(ROOT / "src" / "gtsp", copy, ignore=shutil.ignore_patterns("__pycache__"))
+        assert source.count("\nBLOCK_BYTES = 1 << 19\n") == 1
+        (copy / "instance.py").write_text(source.replace("\nBLOCK_BYTES = 1 << 19\n",
+                                                         "\nBLOCK_BYTES = 1 << 12\n"))
+        parent, change = two_trees.packages(ROOT, tmp_path)
+        assert change.instance.BLOCK_BYTES == 1 << 12
+        assert parent.instance.BLOCK_BYTES == 1 << 19
+        # 300 nodes: 218 cost rows a block at 2^19 bytes, 1 at 2^12
+        coords = parent.generate_instance(300, 60, seed=1)[0]
+        assert (parent.instance.per_block(300 * 8), change.instance.per_block(300 * 8)) == (218, 1)
+        assert two_trees.alternate(lambda: parent.euc2d_costs(coords).cost,
+                                   lambda: change.euc2d_costs(coords).cost, seconds=0.0)[1]
 
     def test_every_loop_runs_on_this_trees_package(self, two_trees):
         # a name the package no longer has fails here, not at the next record run
@@ -188,12 +226,6 @@ class TestLoops:
             assert "elapsed_seconds" not in record
             assert record["params"]["variant"] == variant
             assert record["iterations"] == budget and record["params"]["num_ants"] == 10
-
-    def test_a_budget_is_set_before_each_call(self, two_trees):
-        module = types.SimpleNamespace(BLOCK_BYTES=1 << 19)
-        call = two_trees.with_budget(module, 16, lambda: module.BLOCK_BYTES)
-        module.BLOCK_BYTES = 1 << 20
-        assert call() == 16
 
 
 class TestMethod:
