@@ -141,6 +141,8 @@ class ExperimentConfig:
             setattr(self, f.name, check(f.name, getattr(self, f.name), hint, f.metadata["bound"]))
         if not self.instances:
             raise ValueError("config lists no instances")
+        if self.output is not None and self.output.rpartition("/")[2] in ("", ".", ".."):
+            raise ValueError(f"output must name a file, got {self.output!r}")
         specs = []
         for i, spec in enumerate(self.instances):
             if isinstance(spec, dict) and spec.keys() - set(_SPEC_OPTIONAL) == set(_SPEC_REQUIRED):

@@ -79,16 +79,20 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     chunk's gathered source rows are transposed once to (width, rows), the
     temporary is (width, target columns, rows), and its min over axis 0 is
     an elementwise minimum of width contiguous slabs, written back
-    transposed. A chunk takes all of cluster i's columns when that leaves at
-    least _CHUNK_ROWS rows (or all the round's rows) within
-    `gtsp.instance.BLOCK_BYTES`; otherwise it takes _CHUNK_ROWS rows (fewer
-    if one column of them would exceed the budget) and splits the columns.
-    The rows of a chunk are whole masks, as many as that row count holds;
-    when it is below s, a chunk is a slice of one mask's start rows, the
-    last slice holding what is left.
+    transposed. A round whose whole temporary, width * (cluster i's columns)
+    * (its count * s rows) cells, fits `gtsp.instance.BLOCK_BYTES` runs as
+    one chunk, without the chunk loops; at the default budget that is every
+    round of 11EIL51. Otherwise a chunk takes all of cluster i's columns
+    when that leaves at least _CHUNK_ROWS rows within the budget, or else
+    _CHUNK_ROWS rows (fewer if one column of them would exceed the budget)
+    and splits the columns. The rows of a chunk are whole masks, as many as
+    that row count holds; when it is below s, a chunk is a slice of one
+    mask's start rows, the last slice holding what is left.
 
     Ties resolve to the lowest start node, then the lowest closing node, then,
-    walking back, the lowest node id among the optimal predecessors.
+    walking back, the lowest node id among the optimal predecessors. The
+    tour's cost is checked against the table's optimum, and a mismatch
+    raises RuntimeError (a check that `python -O` keeps).
     """
     cells = dp_cell_count(instance)
     if cells > cell_cap:
@@ -122,16 +126,13 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
     # leave[j, c]: cost from column j into column c
     leave = cost[np.ix_(order, order)].astype(cell)
     dp = np.full((1 << m, s, width), sentinel, dtype=cell)
-    opening = cost[np.ix_(starts, order)]
-    for i in range(m):
-        lo, hi = bounds[i], bounds[i + 1]
-        dp[1 << i, :, lo:hi] = opening[:, lo:hi]
+    dp[1 << owner, :, np.arange(width)] = cost[np.ix_(starts, order)].T
 
-    # sets of the first m-1 clusters, by popcount
-    masks = np.arange(1 << (m - 1))
-    popcount = np.zeros(len(masks), dtype=np.int64)
-    for i in range(m - 1):
-        popcount += (masks >> i) & 1
+    # popcounts of the sets of the first m-1 clusters, by doubling: the sets
+    # holding cluster i are those below 2^i plus 2^i
+    popcount = np.zeros(1, dtype=np.int64)
+    for _ in range(m - 1):
+        popcount = np.concatenate((popcount, popcount + 1))
     bits = 1 << np.arange(m)[:, None]
     budget = per_block(leave.itemsize)  # cells of one temporary
     buffer = np.empty(max(budget, width), dtype=cell)
@@ -140,13 +141,20 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
         # without cluster i, ascending, and their targets mask | 1 << i. Each
         # is a set of k of the first m-1 clusters with a zero bit inserted at
         # i: adding its bits from i up shifts them one place left.
-        level = masks[popcount == k]
+        level = np.flatnonzero(popcount == k)
         sources = level & -bits
         sources += level
         targets = sources | bits
         count = sources.shape[1]
         for i in range(m):
             lo, hi = bounds[i], bounds[i + 1]
+            if width * (hi - lo) * count * s <= budget:
+                # the whole round in one chunk: every source mask, all columns
+                gathered = dp.take(sources[i], axis=0).reshape(-1, width).T.copy()
+                step = buffer[: gathered.size * (hi - lo)].reshape(width, hi - lo, -1)
+                np.add(gathered[:, None, :], leave[:, lo:hi, None], out=step)
+                dp[targets[i], :, lo:hi] = step.min(axis=0).T.reshape(count, s, hi - lo)
+                continue
             # (width, block, rows) temporaries within the budget, or one
             # width when a single cell per row exceeds it
             whole = budget // (width * (hi - lo))
@@ -168,20 +176,26 @@ def exact_solve(instance: GtspInstance, cell_cap: int = DEFAULT_CELL_CAP) -> Tou
                         part[tgt, :, c:d] = step.min(axis=0).T.reshape(len(tgt), rows, d - c)
 
     totals = dp[full].astype(np.int64) + cost[np.ix_(order, starts)].T
-    best = totals.min()
+    best = int(totals.min())
     a = int(np.flatnonzero(totals.min(axis=1) == best)[0])  # starts ascend by id
     ends = np.flatnonzero(totals[a] == best)
     g = int(ends[np.argmin(order[ends])])
 
-    path = [int(order[g])]
+    # Walking back, the predecessors of column g in mask are the columns j of
+    # prev = mask without g's cluster with dp[prev, a, j] + leave[j, g] equal
+    # to dp[mask, a, g]. The row's other columns hold the sentinel, which
+    # plus a zero cost can equal a value at the sentinel, so their owners
+    # keep them out.
+    ids, owners = order.tolist(), owner.tolist()
+    path = [ids[g]]
     mask, value = full, dp[full, a, g]
-    while mask != 1 << int(owner[g]):
-        prev = mask ^ 1 << int(owner[g])
-        cols = np.flatnonzero((prev >> owner) & 1)  # the columns of prev's clusters
-        cands = cols[dp[prev, a, cols] + leave[cols, g] == value]
-        g = int(cands[np.argmin(order[cands])])
+    while mask != 1 << owners[g]:
+        prev = mask ^ 1 << owners[g]
+        hits = np.flatnonzero(dp[prev, a] + leave[:, g] == value).tolist()
+        g = min((j for j in hits if prev >> owners[j] & 1), key=ids.__getitem__)
         mask, value = prev, dp[prev, a, g]
-        path.append(int(order[g]))
+        path.append(ids[g])
     tour = make_tour(instance, [int(starts[a])] + path[::-1])
-    assert tour.cost == int(best)
+    if tour.cost != best:
+        raise RuntimeError(f"walk-back tour costs {tour.cost}, the table's optimum {best}")
     return tour

@@ -461,6 +461,22 @@ class TestBenchCommand:
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    # read from the working directory, "" and "." would become "." and write
+    # "..csv" and "..json" there, ".." would write "...csv", and a trailing
+    # "/" names a directory
+    @pytest.mark.parametrize("output", ["", ".", "..", "res/..", "res/.", "res/"])
+    def test_output_that_names_no_file_is_1(self, tmp_path, toy_file, capsys, monkeypatch,
+                                            output):
+        monkeypatch.chdir(tmp_path)
+        Path("cfg.json").write_text(json.dumps({
+            "instances": [str(toy_file)], "algorithms": ["nn"], "output": output,
+        }))
+        with mock.patch.object(gtsp.cli, "run_experiment", side_effect=AssertionError):
+            assert main(["bench", "--config", "cfg.json"]) == 1
+        assert capsys.readouterr().err == (f"gtsp bench: bad config: output must name a file,"
+                                           f" got {output!r}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
     def test_all_instances_unreadable_is_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"instances": ["ghost.gtsp"], "algorithms": ["nn"]}))

@@ -1,4 +1,7 @@
 import itertools
+import math
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -189,6 +192,32 @@ class TestExactSolve:
         finally:
             tracemalloc.stop()
         assert table_bytes <= peak < table_bytes + 4 * 2**20
+
+    def test_wrong_tour_cost_raises_under_python_O(self):
+        # the final check is a raise, not an assert, so `python -O` keeps it:
+        # a make_tour that returns the walked-back nodes at one more than
+        # their cost must be refused
+        _, inst = generate_instance(nodes=12, clusters=4, seed=0)
+        optimum = exact_solve(inst).cost
+        script = (
+            "import sys\n"
+            "import gtsp, gtsp.exact\n"
+            "real = gtsp.exact.make_tour\n"
+            "def wrong(instance, nodes):\n"
+            "    tour = real(instance, nodes)\n"
+            "    return gtsp.Tour(tour.nodes, tour.cost + 1)\n"
+            "gtsp.exact.make_tour = wrong\n"
+            "print(sys.flags.optimize)\n"
+            "try:\n"
+            "    gtsp.exact_solve(gtsp.generate_instance(nodes=12, clusters=4, seed=0)[1])\n"
+            "except RuntimeError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (f"1\nwalk-back tour costs {optimum + 1}, "
+                               f"the table's optimum {optimum}\n")
 
     def test_tie_rule_on_reversal_tie(self):
         # corners 0..3 of a square and copies 4..7 of them; each cluster holds
@@ -485,6 +514,32 @@ class TestReferenceEquivalence:
             assert expected.nodes == tuple(planted)
             assert exact_solve(inst).to_json() == expected.to_json()
 
+    # The largest round's temporary, width * z * count * s cells (z the target
+    # cluster's columns, count its source masks), as the budget: that round
+    # and every smaller one run as one chunk. One cell less and that round
+    # goes through the chunk loops, its columns split into blocks of z - 1
+    # and 1. Clusters of 2, 3, 4, 3 and 5 nodes: s = 2, width 15, and the
+    # largest round, 15 * 5 * 3 * 2 = 450 cells, targets the 5-node cluster.
+    @pytest.mark.parametrize("over", [0, 1])
+    @pytest.mark.parametrize("scale", [1, 2**12, 2**40])  # int16, int32, int64 cells
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_at_the_one_chunk_boundary(self, monkeypatch, seed, scale, over):
+        sizes = (2, 3, 4, 3, 5)
+        n = sum(sizes)
+        clusters = tuple(tuple(range(k, k + size)) for k, size in
+                         zip(itertools.accumulate((0, *sizes)), sizes))
+        rng = np.random.default_rng(300 + seed)
+        cost = rng.integers(1, 1000, size=(n, n))
+        np.fill_diagonal(cost, 0)
+        inst = GtspInstance(name="x", costs=CostMatrix(cost * scale), clusters=clusters)
+        s, rest = sizes[0], sizes[1:]
+        width, m = sum(rest), len(rest)
+        cells = max(width * z * math.comb(m - 1, k) * s for k in range(1, m) for z in rest)
+        assert cells == 450
+        cell_bytes = np.dtype(cost_dtype(inst.max_cost * inst.p)).itemsize
+        monkeypatch.setattr(gtsp.instance, "BLOCK_BYTES", (cells - over) * cell_bytes)
+        assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
+
     @pytest.mark.parametrize("top", [4681, 4682])  # 4681 * 7 == 2**15 - 1, the int16 limit
     def test_matches_reference_at_the_int16_limit(self, top):
         rng = np.random.default_rng(top)
@@ -518,6 +573,22 @@ class TestReferenceEquivalence:
         np.fill_diagonal(cost, 0)
         inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=base.clusters)
         assert inst.max_cost * inst.p == 7 * top
+        assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
+
+    # Every cost top, with top * 7 the largest value of the cell type
+    # (2**15 - 1 and 2**63 - 1): every tour ties, and the walk back starts
+    # from a value equal to the sentinel. A column outside the predecessors'
+    # clusters holds the sentinel, and the closing node's own column plus its
+    # zero diagonal cost matches that value, with the lowest id of all; only
+    # the predecessors may be taken.
+    @pytest.mark.parametrize("top", [4681, (2**63 - 1) // 7])
+    def test_matches_reference_when_a_path_value_is_the_sentinel(self, top):
+        base = random_matrix_instance(12, 7, np.random.default_rng(top))
+        cost = np.full((12, 12), top)
+        np.fill_diagonal(cost, 0)
+        inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=base.clusters)
+        cell = cost_dtype(inst.max_cost * inst.p)
+        assert top * (inst.p - 1) == np.iinfo(cell).max - top  # the sentinel
         assert exact_solve(inst).to_json() == reference_exact_solve(inst).to_json()
 
     # int16 cells, 2^18 per min-plus temporary at the default budget: 300/3

@@ -134,6 +134,16 @@ class TestCommittedRecords:
             assert two_trees.summarize_runs(runs["parent"], runs["change"], directions) \
                 == record["summary"][workload]
 
+    def test_two_trees_perfbench_summaries(self, two_trees):
+        # a record of `two_trees.py perfbench`: its runs and summary per workload
+        record = json.loads((ROOT / "BENCH_30.json").read_text())["perfbench"]
+        assert record["exact-p11"]["seeds"] == list(range(3011, 3021))
+        directions = two_trees.metric_directions()
+        for workload in ("exact-p11", "colony-eil51", "colony-large"):
+            runs = record[workload]
+            assert two_trees.summarize_runs(runs["parent"], runs["change"], directions) \
+                == runs["summary"]
+
     def test_paired_quality(self, two_trees):
         sets = json.loads((ROOT / "BENCH_14.json").read_text())["quality"]["paired_20_seeds"]
         assert len(sets) == 4
