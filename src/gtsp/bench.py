@@ -8,11 +8,12 @@ Both `gtsp solve` and `run_experiment` call it and read that record.
 The experiment protocol mirrors the usual benchmark setup: deterministic
 algorithms run once, the ant colonies run `repetitions` times (default five)
 under a wall clock budget (default `DEFAULT_TIME_MAX`, ten minutes), and each
-table cell reports the best and the mean over those runs. The colony keys of
-`ExperimentConfig` are made from the `AcoParams` field declarations, and every
-key is checked by `gtsp.aco.check` when the config is built, before any solver
-runs. Pin `max_iterations` instead of `time_max` whenever reproducible output
-bytes matter; `scripts/benchmark.json` does.
+table cell reports the best and the mean over those runs. An
+`ExperimentConfig` holds its colony parameters as one `AcoParams`; a config
+file gives them as flat keys made from the `AcoParams` field declarations
+(`COLONY_KEYS`). Every key is checked by `gtsp.aco.check` when the config is
+built, before any solver runs. Pin `max_iterations` instead of `time_max`
+whenever reproducible output bytes matter; `scripts/benchmark.json` does.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import io
 import json
 import sys
 import time
-from dataclasses import MISSING, InitVar, dataclass, field, fields, replace
+from dataclasses import MISSING, InitVar, dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 from .aco import PARAMS, VARIANTS, AcoParams, RunResult, check, declared, param, run
@@ -102,29 +104,16 @@ _SPEC_OPTIONAL = [f.name for f, _ in GENERATOR if f.default is not MISSING]
 COLONY_KEYS = {f.metadata["key"] or f.name: (f, h) for f, h in PARAMS if f.metadata["flag"]}
 
 
-def _with_colony_keys(cls):
-    """`dataclass(cls)` that also takes each of `COLONY_KEYS` as an init-only
-    argument after the fields of `cls`. A key defaults to its `AcoParams`
-    default, or to the class attribute of that name when `cls` sets one.
-    `__post_init__` receives the keys in order; they are kept only in the
-    `AcoParams` it builds."""
-    for key, (f, hint) in COLONY_KEYS.items():
-        cls.__annotations__[key] = InitVar[hint]
-        setattr(cls, key, vars(cls).get(key, f.default))
-    cls = dataclass(cls)
-    for key in COLONY_KEYS:
-        delattr(cls, key)
-    return cls
-
-
-@_with_colony_keys
+@dataclass
 class ExperimentConfig:
     """Everything one benchmark run needs; mirrors the JSON config file.
 
-    Its keys are its own fields plus `COLONY_KEYS`, all declared with `param`.
-    `__post_init__` checks each one with `check` under its key, so a bad value
-    fails when the config loads, before any solver runs. The colony keys are
-    kept only as `params` (seeded with `base_seed`).
+    A config's own keys are the fields before `params`, each declared with
+    `param` and checked by `__post_init__` with `check` under its key. The
+    colony keys (`COLONY_KEYS`) are the flat keys of `params`; `from_dict`
+    checks each under its key and builds `params` from them, with `time_max`
+    defaulting to `DEFAULT_TIME_MAX` even when `max_iterations` is set. So a
+    bad value fails when the config loads, before any solver runs.
     """
 
     instances: list = param()  # file paths (str) or generator specs, kept as `GeneratorSpec`
@@ -133,11 +122,10 @@ class ExperimentConfig:
     seeds: list[int] | None = param(None, 0)
     cell_cap: int = param(DEFAULT_CELL_CAP, 1)
     output: str | None = param(None)
-    params: AcoParams = field(init=False)
-    time_max = DEFAULT_TIME_MAX  # a config's default budget, even when max_iterations is set
+    params: AcoParams = field(default_factory=partial(AcoParams, time_max=DEFAULT_TIME_MAX))
 
-    def __post_init__(self, *colony) -> None:
-        for f, hint in declared(ExperimentConfig):
+    def __post_init__(self) -> None:
+        for f, hint in OWN_KEYS:
             setattr(self, f.name, check(f.name, getattr(self, f.name), hint, f.metadata["bound"]))
         if not self.instances:
             raise ValueError("config lists no instances")
@@ -156,11 +144,8 @@ class ExperimentConfig:
         if self.seeds is not None and len(self.seeds) < self.repetitions:
             raise ValueError(f"{self.repetitions} repetitions need {self.repetitions} seeds,"
                              f" got {len(self.seeds)}")
-        values = {f.name: check(key, value, hint, f.metadata["bound"])
-                  for (key, (f, hint)), value in zip(COLONY_KEYS.items(), colony)}
-        if values["time_max"] is None and values["max_iterations"] is None:
+        if self.params.time_max is None and self.params.max_iterations is None:
             raise ValueError("need a stopping rule: set time_max and/or max_iterations")
-        self.params = AcoParams(**values)
 
     def rep_seeds(self) -> list[int]:
         if self.seeds is not None:
@@ -171,11 +156,13 @@ class ExperimentConfig:
     def from_dict(cls, data: dict, base_dir: Path | None = None) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
-        known = {f.name for f in fields(cls) if f.init} | set(COLONY_KEYS)
-        unknown = set(data) - known
+        unknown = data.keys() - {f.name for f, _ in OWN_KEYS} - COLONY_KEYS.keys()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**data)
+        colony = {f.name: check(key, data[key], hint, f.metadata["bound"])
+                  for key, (f, hint) in COLONY_KEYS.items() if key in data}
+        own = {key: value for key, value in data.items() if key not in COLONY_KEYS}
+        cfg = cls(**own, params=AcoParams(**{"time_max": DEFAULT_TIME_MAX, **colony}))
         if base_dir is not None:
             cfg.instances = [str(base_dir / s) if isinstance(s, str) else s for s in cfg.instances]
             if cfg.output is not None:
@@ -187,6 +174,10 @@ class ExperimentConfig:
         path = Path(path)
         data = json.loads(path.read_text())
         return cls.from_dict(data, base_dir=path.parent)
+
+
+# the config's own keys: the fields of ExperimentConfig before `params`, in order
+OWN_KEYS = declared(ExperimentConfig)[:-1]
 
 
 @dataclass

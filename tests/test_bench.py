@@ -45,7 +45,7 @@ def small_config(**overrides):
         base_seed=7,
     )
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return ExperimentConfig.from_dict(base)
 
 
 class TestConfig:
@@ -116,6 +116,21 @@ class TestConfig:
         cfg = ExperimentConfig(instances=["x"])
         assert cfg.params == AcoParams(time_max=DEFAULT_TIME_MAX)
 
+    def test_params_need_a_stopping_rule(self):
+        with pytest.raises(ValueError, match="need a stopping rule"):
+            ExperimentConfig(instances=["x"], params=AcoParams(time_max=None))
+
+    def test_colony_key_is_checked_before_own_keys(self):
+        with pytest.raises(ValueError, match="^rho must"):
+            ExperimentConfig.from_dict({"instances": ["x"], "repetitions": 0, "rho": 2.0})
+
+    def test_readme_config_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        cli = readme[readme.index("\n## CLI\n"):]
+        example = cli[cli.index("```json\n") + len("```json\n"):]
+        cfg = ExperimentConfig.from_dict(json.loads(example[: example.index("```")]))
+        assert (cfg.params.time_max, cfg.params.max_iterations) == (None, 500)
+
     def test_params_built_from_fields(self):
         cfg = small_config(num_ants=3, beta=2.0, rho=0.25, q0=0.75)
         assert cfg.params == AcoParams(beta=2.0, rho=0.25, q0=0.75, num_ants=3,
@@ -129,7 +144,7 @@ class TestConfig:
         ({"max_iterations": None}, "need a stopping rule"),
         ({"num_ants": 2.5}, "num_ants must be an integer"),
         ({"max_iterations": 1.5}, "max_iterations must be an integer"),
-        ({"base_seed": -1}, "seed must be an integer"),
+        ({"base_seed": -1}, "base_seed must be an integer >= 0, got -1"),
         ({"repetitions": 1.5}, "repetitions must be an integer"),
         ({"seeds": [-5, 3]}, r"seeds\[0\] must be an integer"),
         ({"seeds": [3, 1.5]}, r"seeds\[1\] must be an integer"),
@@ -408,6 +423,18 @@ class TestLoadInstanceFile:
         donor.write_text(format_clustered(inst.name, coords, inst.clusters))
         with pytest.raises(ValueError, match="covers 9 nodes"):
             load_instance_file(data_dir / "eil51.tsp", cluster_file=donor)
+
+    @pytest.mark.parametrize("donor_text, message", [
+        ("DIMENSION : 51\nGTSP_SETS : 2\nEOF\n", "missing GTSP_SET_SECTION"),
+        ("DIMENSION : 4\nGTSP_SETS : 2\nGTSP_SET_SECTION\n1 1 2 -1\n2 3 4 -1\nEOF\n",
+         "cluster file covers 4 nodes but eil51.tsp has 51"),
+    ])
+    def test_cluster_file_refusal_messages(self, tmp_path, data_dir, donor_text, message):
+        donor = tmp_path / "donor.gtsp"
+        donor.write_text(donor_text)
+        with pytest.raises(ValueError) as exc:
+            load_instance_file(data_dir / "eil51.tsp", cluster_file=donor)
+        assert str(exc.value) == message
 
     def test_clustered_file_without_name_takes_the_file_stem(self, tmp_path):
         coords, inst = generate_instance(nodes=9, clusters=3, seed=5)

@@ -39,12 +39,11 @@ def failed_allocation(*args, **kwargs):
     raise MemoryError(ALLOCATION)
 
 
-def gtsp_cli(*args, cwd=None):
+def gtsp_cli(*args):
     return subprocess.run(
         [sys.executable, "-m", "gtsp.cli", *map(str, args)],
         capture_output=True,
         text=True,
-        cwd=cwd,
     )
 
 
@@ -561,8 +560,8 @@ class TestSolveMatchesBench:
                         "--format", "json")
         assert proc.returncode == 0, proc.stderr
         record = json.loads(proc.stdout)
-        config = ExperimentConfig(instances=[str(gen_file)], algorithms=[algo],
-                                  repetitions=1, seeds=[4], time_max=None, max_iterations=3)
+        config = ExperimentConfig(instances=[str(gen_file)], algorithms=[algo], repetitions=1,
+                                  seeds=[4], params=AcoParams(max_iterations=3))
         results = []
         real_solve = gtsp.bench.solve
         with mock.patch.object(gtsp.bench, "solve",

@@ -100,6 +100,19 @@ class TestParseTsplib:
         with pytest.raises(ParseError, match="line 6: coordinates must be finite"):
             parse_tsplib(text)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("EDGE_WEIGHT_TYPE : EUC_2D\n", "", "missing EDGE_WEIGHT_TYPE record"),
+        ("NODE_COORD_SECTION\n1 0 0\n2 3 4\n3 10 0\n", "", "missing NODE_COORD_SECTION"),
+        ("2 3 4", "2 3", "line 6: bad coordinate record '2 3'"),
+        ("2 3 4", "2 3 x", "line 6: bad coordinate record '2 3 x'"),
+        ("DIMENSION : 3", "DIMENSION : three", "line 2: DIMENSION is not an integer: 'three'"),
+    ])
+    def test_refusal_messages(self, old, new, message):
+        assert old in MINIMAL_TSP
+        with pytest.raises(ParseError) as exc:
+            parse_tsplib(MINIMAL_TSP.replace(old, new))
+        assert str(exc.value) == message
+
     def test_out_of_order_ids_map_to_node_order(self):
         text = (
             "DIMENSION : 3\nEDGE_WEIGHT_TYPE : EUC_2D\nNODE_COORD_SECTION\n"
@@ -476,6 +489,20 @@ class TestParseClustered:
         with pytest.raises(ParseError, match="missing GTSP_SETS"):
             parse_clustered(text)
 
+    @pytest.mark.parametrize("old, new, message", [
+        ("2 3 4 -1", "2 3 x -1", "line 13: bad set record token 'x'"),
+        ("2 3 4 -1\n", "", "expected 2 set records, found 1"),
+        ("2 3 4 -1", "3 3 4 -1", "line 13: expected set 2, got 3"),
+        ("1 1 2 -1\n2 3 4 -1", "1 1 2 3 4", "line 12: set 1 not terminated by -1"),
+        ("2 3 4 -1", "2 3 9 -1", "line 13: node 9 outside 1..4"),
+        ("2 3 4 -1", "2 3 4 -1\n3 -1", "line 14: unexpected data after set 2"),
+    ])
+    def test_set_section_refusal_messages(self, old, new, message):
+        assert old in CLUSTERED_4
+        with pytest.raises(ParseError) as exc:
+            parse_clustered(CLUSTERED_4.replace(old, new))
+        assert str(exc.value) == message
+
     def test_members_may_wrap_lines(self):
         text = CLUSTERED_4.replace("1 1 2 -1", "1 1\n2 -1")
         inst = parse_clustered(text)
@@ -614,6 +641,22 @@ class TestInvariants:
     def test_cost_matrix_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError, match="diagonal"):
             CostMatrix(np.array([[1, 2], [2, 0]]))
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: NodeCoords(np.zeros((3, 3))), ValueError,
+         "expected an (n, 2) coordinate array, got shape (3, 3)"),
+        (lambda: NodeCoords(np.zeros((1, 2))), ValueError, "need at least 2 nodes"),
+        (lambda: CostMatrix(np.zeros((2, 3), dtype=int)), ValueError,
+         "cost matrix must be square, got shape (2, 3)"),
+        (lambda: CostMatrix(np.array([[0, 1.5], [1.5, 0]])), ValueError,
+         "costs must be integers"),
+        (lambda: gtsp.instance.cost_dtype(2**63), CostOverflowError,
+         "largest cost 9223372036854775808 does not fit in int64"),
+    ], ids=["coords-shape", "one-node", "non-square", "float-cost", "cost-overflow"])
+    def test_constructors_refuse_bad_input(self, build, error, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert (exc.type, str(exc.value)) == (error, message)
 
     def test_symmetry_flag_is_computed(self):
         sym = CostMatrix(np.array([[0, 2], [2, 0]]))
