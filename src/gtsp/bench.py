@@ -116,7 +116,7 @@ class ExperimentConfig:
     bad value fails when the config loads, before any solver runs.
     """
 
-    instances: list = param()  # file paths (str) or generator specs, kept as `GeneratorSpec`
+    instances: list = param(())  # file paths (str) or generator specs, kept as `GeneratorSpec`
     algorithms: list[str] = param(ALGORITHMS, ALGORITHMS)
     repetitions: int = param(5, 1)
     seeds: list[int] | None = param(None, 0)
@@ -129,13 +129,15 @@ class ExperimentConfig:
             setattr(self, f.name, check(f.name, getattr(self, f.name), hint, f.metadata["bound"]))
         if not self.instances:
             raise ValueError("config lists no instances")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ValueError(f"algorithms must list each algorithm once, got {self.algorithms}")
         if self.output is not None and self.output.rpartition("/")[2] in ("", ".", ".."):
             raise ValueError(f"output must name a file, got {self.output!r}")
         specs = []
         for i, spec in enumerate(self.instances):
             if isinstance(spec, dict) and spec.keys() - set(_SPEC_OPTIONAL) == set(_SPEC_REQUIRED):
                 spec = GeneratorSpec(**spec, where=f"instances[{i}]")
-            elif not isinstance(spec, str):
+            elif not isinstance(spec, (str, GeneratorSpec)):
                 raise ValueError(f"instances[{i}] must be a path or a generator spec with keys"
                                  f" {', '.join(_SPEC_REQUIRED)} and optionally"
                                  f" {', '.join(_SPEC_OPTIONAL)}, got {spec!r}")

@@ -214,7 +214,7 @@ def _cmd_solve(args) -> int:
 def _cmd_bench(args) -> int:
     try:
         config = ExperimentConfig.from_file(args.config)
-    except (OSError, TypeError, ValueError) as exc:  # TypeError: no instances key
+    except (OSError, ValueError) as exc:
         return _fail("bench", f"bad config: {exc}", EXIT_USAGE)
     if config.output is not None:
         try:  # before any solver runs, not after the last one

@@ -414,10 +414,9 @@ def load_instance_file(
 ) -> GtspInstance:
     """Load a clustered instance, or cluster a raw TSPLIB file on the fly.
 
-    A file is clustered when the scan that reads it finds a set section: a
-    line, before any EOF line, that is GTSP_SET_SECTION stripped and in any
-    case. A text that does not hold that keyword at all is raw and goes
-    straight to `parse_tsplib`. A clustered file's records build its
+    Every file is read by one scan, and it is clustered when that scan finds
+    a set section: a line, before any EOF line, that is GTSP_SET_SECTION
+    stripped and in any case. A clustered file's records build its
     instance, and `clusters` must then be None; a raw file is partitioned by
     `cluster_instance` into `clusters` sets (default one fifth of the nodes).
     `cluster_file` substitutes the set section of another clustered file,
@@ -445,27 +444,24 @@ def _read_file(
 ) -> tuple[NodeCoords | None, GtspInstance]:
     """The coordinates and instance of file `path`, read in one scan.
 
-    This is the one home of the raw-file path, `parse_tsplib` (or the
-    coordinate records of a scan that found no set section), `euc2d_costs`,
-    then `cluster_instance` into `clusters` sets; `load_instance_file` and
+    Every file takes one `_scan_records` pass, and the file is raw exactly
+    when that scan finds no set section. This is the one home of the
+    raw-file path: the scan's coordinate records, `euc2d_costs`, then
+    `cluster_instance` into `clusters` sets; `load_instance_file` and
     `gtsp cluster` both read through it. A clustered file's records build
     its instance, returned without coordinates; it is refused when
     `clusters` is given or `raw_only` is set.
     """
-    text = path.read_text()
-    if "GTSP_SET_SECTION" not in text.upper():
-        coords = parse_tsplib(text)
-    else:
-        headers, coord_records, set_records = _scan_records(text)
-        if set_records is not None:
-            if clusters is not None:
-                raise ValueError(f"--clusters {clusters} given, but {path.name} is already"
-                                 " clustered; the flag applies to raw TSPLIB files only")
-            if raw_only:
-                raise ValueError(f"{path.name} is already clustered; only a raw TSPLIB file"
-                                 " can be clustered")
-            return None, _clustered(headers, coord_records, set_records, path.stem)
-        coords = _parse_coords(headers, coord_records)
+    headers, coord_records, set_records = _scan_records(path.read_text())
+    if set_records is not None:
+        if clusters is not None:
+            raise ValueError(f"--clusters {clusters} given, but {path.name} is already"
+                             " clustered; the flag applies to raw TSPLIB files only")
+        if raw_only:
+            raise ValueError(f"{path.name} is already clustered; only a raw TSPLIB file"
+                             " can be clustered")
+        return None, _clustered(headers, coord_records, set_records, path.stem)
+    coords = _parse_coords(headers, coord_records)
     return coords, cluster_instance(euc2d_costs(coords), m=clusters, name=path.stem)
 
 

@@ -1116,21 +1116,6 @@ class TestReferenceEquivalence:
             assert traced_run(inst, params) == traced_reference(inst, params)
 
 
-class TestReferenceEquivalenceWithoutObserver:
-    """`run` on its own, with nothing watching the colony through `iterate`
-    (the path the benchmark and the CLI take), against the plain-loop
-    lockstep colony in oracles.py."""
-
-    @settings(max_examples=80)
-    @given(**REFERENCE_CASES)
-    @example(seed=2, n=7, p=7, symmetric=False, variant="acs", q0=0.0, beta=12.0,
-             num_ants=3, iterations=4, rho=0.5)
-    def test_json_identical_to_reference(self, **case):
-        inst, params = reference_case(**case)
-        ours = run(inst, params).to_json(include_elapsed=False)
-        assert ours == traced_reference(inst, params)[0]
-
-
 class TestDegenerateInputs:
     def test_zero_cost_instance_runs(self):
         inst = GtspInstance(

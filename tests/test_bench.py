@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,21 @@ class TestConfig:
         cfg = small_config(instances=["x.gtsp", spec])
         assert cfg.instances == ["x.gtsp", GeneratorSpec(nodes=8, clusters=3, seed=0)]
         assert spec == {"nodes": 8, "clusters": 3}  # the caller's entry is left as it was
+
+    def test_generator_spec_entries_are_accepted(self):
+        spec = GeneratorSpec(nodes=10, clusters=3)
+        assert ExperimentConfig(instances=[spec]).instances == [spec]
+        cfg = small_config(instances=[{"nodes": 10, "clusters": 3}])
+        assert replace(cfg, repetitions=3).instances == [spec]
+
+    def test_missing_instances_is_refused_by_key(self):
+        with pytest.raises(ValueError, match="^config lists no instances$"):
+            ExperimentConfig.from_dict({"algorithms": ["nn"]})
+
+    @pytest.mark.parametrize("algorithms", [["nn", "nn"], ["nn", "racs", "NN"]])
+    def test_rejects_repeated_algorithm(self, algorithms):
+        with pytest.raises(ValueError, match=r"^algorithms must list each algorithm once"):
+            small_config(algorithms=algorithms)
 
     def test_defaults_come_from_aco_params(self):
         cfg = ExperimentConfig(instances=["x"])

@@ -442,6 +442,9 @@ class TestBenchCommand:
                      id="algorithms-int"),
         pytest.param({"output": 5, "algorithms": ["nn"]}, "output must be a string, got 5",
                      id="output-int"),
+        pytest.param({"algorithms": ["nn", "NN"]},
+                     "algorithms must list each algorithm once, got ['nn', 'nn']",
+                     id="algorithm-repeated"),
         pytest.param({"base_seed": "1", "algorithms": ["racs"], "max_iterations": 1},
                      "base_seed must be an integer >= 0, got '1'", id="base-seed-string"),
         # a config that is not a JSON object is written as it is
@@ -458,6 +461,14 @@ class TestBenchCommand:
         assert proc.returncode == 1
         assert f"gtsp bench: bad config: {message}" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_config_without_instances_is_1(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algorithms": ["nn"]}))
+        proc = gtsp_cli("bench", "--config", cfg)
+        assert proc.returncode == 1
+        assert proc.stderr == "gtsp bench: bad config: config lists no instances\n"
         assert proc.stdout == ""
 
     # read from the working directory, "" and "." would become "." and write

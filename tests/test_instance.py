@@ -551,8 +551,8 @@ class TestScanOnce:
         assert len(scans) == 3  # one scan of each file
 
     def test_raw_file_naming_the_set_section(self, tmp_path, scans):
-        # the keyword sends the file to the scan, which finds no section and
-        # builds the coordinates from its own records
+        # a COMMENT naming the keyword is a header record, not a set section:
+        # the one scan finds the file raw and its records give the coordinates
         raw = tmp_path / "raw.tsp"
         raw.write_text(MINIMAL_TSP.replace("NAME", "COMMENT : no GTSP_SET_SECTION\nNAME", 1))
         assert load_instance_file(raw, clusters=2).p == 2
