@@ -56,6 +56,33 @@ def random_matrix_instance(
     )
 
 
+def trap_instance(symmetric: bool) -> GtspInstance:
+    """Four singleton clusters. The NN tour 0-1-2-3 pays the closing edge 100
+    (L_nn = 103) while 0-1-3-2 costs 6, so once an ant finds it the global
+    update pushes its trails above tau_max = 2 / L_nn and reinit resets them."""
+    cost = np.array(
+        [[0, 1, 2, 100],
+         [1, 0, 1, 2],
+         [2, 1, 0, 1],
+         [100, 2, 1, 0]]
+    )
+    if not symmetric:
+        cost[2, 0] = 3
+    return GtspInstance(
+        name="trap", costs=CostMatrix(cost), clusters=((0,), (1,), (2,), (3,))
+    )
+
+
+def random_cost_instance(n: int, p: int, top: int, seed: int) -> GtspInstance:
+    """Symmetric costs drawn from [1, top] with `top` on edge (0, 1)."""
+    rng = np.random.default_rng(seed)
+    cost = np.triu(rng.integers(1, top, size=(n, n), endpoint=True), 1)
+    cost[0, 1] = top
+    cost = cost + cost.T
+    clusters = [list(range(k, n, p)) for k in range(p)]
+    return GtspInstance(name="big", costs=CostMatrix(cost), clusters=tuple(map(tuple, clusters)))
+
+
 def reference_euc2d_costs(points: np.ndarray) -> np.ndarray:
     """The original integer Euclidean kernel: one (n, n, 2) difference array
     reduced over its last axis, then sqrt, + 0.5 and floor."""
