@@ -15,10 +15,12 @@ printed with its stderr, and the script exits 1.
 
 `loops` loads both trees' packages into this one process and times
 `exact_solve` on each shape of SHAPES, `euc2d_costs`, `_is_symmetric`, the
-seeding of the colony's weights and two small-p colony loops: 11EIL51 with ACS
+seeding of the colony's weights, two small-p colony loops: 11EIL51 with ACS
 and with RACS at 20 iterations x 10 ants, and the first 10 instances of the
-criterion 3 corpus with RACS at 100 x 10, each run giving its `run` JSON
-without elapsed time. Each loop is called once per side per round after one
+criterion 3 corpus with RACS at 100 x 10, and two large-n colony loops, RACS
+at 3 x 10 on generated n=1000/p=200 and n=2000/p=400, one on each side of the
+colony's roulette width rule (`gtsp.aco._FILTER_NODES`); each run gives its
+`run` JSON without elapsed time. Each loop is called once per side per round after one
 warm-up call per side, with as many rounds (5 to 201) as make each side take
 about S seconds (default 3). The change's output must equal the parent's: the
 exact tours and colony runs compared as JSON, the arrays element by element;
@@ -92,7 +94,8 @@ SHAPES = {
     "n=300/p=3": (300, 3, 1),
     "n=450/p=3": (450, 3, 1),
 }
-LOOP_NODES = 2000  # n of the euc2d_costs, symmetry and seeding inputs
+LOOP_NODES = 2000  # n of the euc2d_costs, symmetry and seeding inputs, and of a colony loop
+WIDE_LOOP_NODES = (1000, LOOP_NODES)  # n of the large-n colony loops, p = n / 5
 CRITERION_3_LOOP = 10  # instances of the criterion 3 corpus in its colony loop
 
 
@@ -242,10 +245,11 @@ def run_perfbench(args) -> int:
 
 # loops
 
-def inputs(g) -> tuple[dict, object, object, list]:
+def inputs(g) -> tuple[dict, object, object, list, list]:
     """The loops' inputs, built with package `g`: each shape's instance, the
-    coordinates and instance of the n = LOOP_NODES input, and the first
-    CRITERION_3_LOOP instances of the criterion 3 corpus."""
+    coordinates and instance of the n = LOOP_NODES input, the first
+    CRITERION_3_LOOP instances of the criterion 3 corpus, and the generated
+    instances of WIDE_LOOP_NODES (the n = LOOP_NODES one is that input's)."""
     shapes = {}
     for name, shape in SHAPES.items():
         if shape is None:
@@ -253,8 +257,10 @@ def inputs(g) -> tuple[dict, object, object, list]:
             shapes[name] = g.cluster_instance(costs, name="eil51")
         else:
             shapes[name] = g.generate_instance(*shape[:2], seed=shape[2])[1]
-    big = g.generate_instance(LOOP_NODES, LOOP_NODES // 5, seed=1)
-    return shapes, *big, criterion_3_corpus(g)[:CRITERION_3_LOOP]
+    coords, big = g.generate_instance(LOOP_NODES, LOOP_NODES // 5, seed=1)
+    wide = [big if n == LOOP_NODES else g.generate_instance(n, n // 5, seed=1)[1]
+            for n in WIDE_LOOP_NODES]
+    return shapes, coords, big, criterion_3_corpus(g)[:CRITERION_3_LOOP], wide
 
 
 def colony_runs(g, instances: list, variants: tuple, iterations: int):
@@ -268,7 +274,7 @@ def colony_runs(g, instances: list, variants: tuple, iterations: int):
     return runs
 
 
-def loops(g, shapes: dict, coords, big, corpus: list) -> dict:
+def loops(g, shapes: dict, coords, big, corpus: list, wide: list) -> dict:
     """Each timed loop of package `g` on the given inputs, as a call without
     arguments that returns something comparable across trees."""
     out = {f"exact_solve {name}": lambda inst=inst: g.exact_solve(inst).to_json()
@@ -281,6 +287,8 @@ def loops(g, shapes: dict, coords, big, corpus: list) -> dict:
     out["colony 11EIL51 acs+racs 20x10"] = colony_runs(g, [shapes["11EIL51"]], ("acs", "racs"), 20)
     out[f"colony criterion-3 first {len(corpus)} racs 100x10"] = colony_runs(
         g, corpus, ("racs",), 100)
+    for inst in wide:
+        out[f"colony n={inst.n}/p={inst.p} racs 3x10"] = colony_runs(g, [inst], ("racs",), 3)
     return out
 
 

@@ -41,8 +41,14 @@ cluster) table of cluster members. A step gathers the ants' rows of the
 weight matrix as one (ants, n) block, multiplies it by the mask, and
 `_pick_rows` picks every row at once: it takes the argmax of every row, and
 only for the exploring rows the running sums, to pick the first node whose
-running sum exceeds r times the row total. A row whose weights all
-underflowed to 0 is first rescued with `_relative_weights`. Then `_relax`
+running sum exceeds r times the row total (`_inverse_cdf`, the definition).
+Rows at least `_FILTER_NODES` wide find that node without summing every
+node (`_filtered_inverse_cdf`): 64-node block sums locate the bar's block,
+one block's running sums its node, and a proven error bound accepts the node
+only where it must be the exact rule's; a row the bound cannot decide, which
+on the colony's rows almost never happens, takes the full running sums. So
+the width rule changes no pick. A row whose weights all underflowed to 0 is
+first rescued with `_relative_weights`. Then `_relax`
 writes the step's trails one by one, in ant order, as the rule reads: an edge
 two ants took is relaxed twice. A step's picks become a Python list once,
 for its writes and as the next step's edge sources; the incumbent cycle is
@@ -80,6 +86,7 @@ from __future__ import annotations
 import json
 import numbers
 import time
+from bisect import bisect_right
 from dataclasses import MISSING, Field, asdict, dataclass, field, fields, replace
 from types import UnionType
 from typing import Iterator, NamedTuple, get_args, get_origin, get_type_hints
@@ -90,6 +97,11 @@ from .construct import Tour, make_tour, nn_reference_cost
 from .instance import GtspInstance, per_block
 
 VARIANTS = ("acs", "racs")
+# Roulette rows at least this wide take `_filtered_inverse_cdf`, narrower ones
+# `_inverse_cdf`: both give the same nodes, and the filter breaks even at
+# about 768 nodes on 2 cores
+_FILTER_NODES = 1024
+_FILTER_BLOCK = 64  # nodes per block sum of the filter
 
 
 def param(default=MISSING, bound=None, flag=None, metavar=None, key=None):
@@ -261,27 +273,109 @@ def _argmax_rows(w: np.ndarray, relative) -> np.ndarray:
     return picks
 
 
+def _inverse_cdf(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The roulette rule, and its definition: per row of `rows`, with its draw
+    r in [0, 1) at the same position of `r`, the first node whose running sum
+    exceeds r times the row total, the sums taken one node after another
+    (`np.add.accumulate`). The bar is kept below the total, which it reaches
+    only when a subnormal total rounds r times itself up."""
+    c = np.add.accumulate(rows, axis=1)
+    total = c[:, -1]
+    bar = np.minimum(r * total, np.nextafter(total, 0.0))
+    return (c > bar[:, None]).argmax(axis=1)
+
+
+def _filtered_inverse_cdf(rows: np.ndarray, r: np.ndarray) -> list[int]:
+    """`_inverse_cdf(rows, r)`, found from blocked sums where an error bound
+    certifies them and from `_inverse_cdf` itself on the other rows.
+
+    Per row of n nodes: the sums of its `_FILTER_BLOCK`-node blocks (one
+    `np.add.reduceat` for all rows) and their running sums; the first block
+    whose running sum exceeds the bar fl(r * A), A the last running sum; then
+    one `_FILTER_BLOCK`-wide `np.add.accumulate` of that block, added to the
+    running sum before it, gives approximate running sums P and the first
+    node j whose P exceeds the bar. With E = 16 * (n + 2) * 2^-53 * A, node j
+    is accepted when P before j (0 at node 0) is below fl(r * A) - 2E, P at j
+    above fl(r * A) + 2E, 2^-900 < A < 2^1000 and r < 1 - 2^-20; every other
+    row takes `_inverse_cdf`.
+
+    Why an accepted j is the exact rule's pick. Let u = 2^-53, m = n + 2,
+    S_j the exact sum of the row's first j + 1 weights and S the exact
+    total. The exact running sums c_j and their total T add non-negative
+    terms one by one; the block sums, their running sums, A and each P add
+    non-negative terms in trees of depth at most m. An addition rounds with
+    relative error at most u, and is exact below the normal range, so each
+    such sum is within gamma = m * u / (1 - m * u) of its exact value times
+    it: |c_j - S_j| and |P_j - S_j| are at most gamma * S_j, |T - S| and
+    |A - S| at most gamma * S (Higham 2002, section 4.2). A < 2^1000 keeps
+    every sum finite. With A > 2^-900, T is normal and, as r < 1 - 2^-20,
+    fl(r * T) <= (1 - 2^-20)(1 + u) * T < nextafter(T, 0): the clamp of
+    `_inverse_cdf` cannot bind, and its bar is b = fl(r * T). The products
+    r * T and r * A round with relative error at most u plus 2^-1075
+    (subnormal rounding), which is below u * A by far. So b is within
+    r * |T - A| + u * (T + A) + 2^-1074 <= (2 * gamma + 3 * u) * S of
+    fl(r * A), and c_j, c_{j-1} are within 2 * gamma * S of P_j, P_{j-1}.
+    Their sum, about 4 * m * u * S, plus the roundings of the test itself
+    (a few u * A), stays below 2E = 32 * m * u * A, A being at least
+    (1 - gamma) * S. Hence c_{j-1} <= b < c_j, and the exact running sums
+    do not decrease, so j is the first node whose running sum exceeds b.
+    A row falls back only when its bar lies within about 2E of the running
+    sum before or at its node, a band of 64 * (n + 2) * 2^-53 of the total,
+    1.4e-11 at n = 2000, or when its total is outside the range above.
+    """
+    n = rows.shape[1]
+    block = _FILTER_BLOCK
+    runs = np.add.accumulate(np.add.reduceat(rows, np.arange(0, n, block), axis=1),
+                             axis=1).tolist()
+    slack = 32 * (n + 2) * 2.0**-53  # 2E / A
+    picks, rest = [], []
+    for k, (row, run, x) in enumerate(zip(rows, runs, r.tolist())):
+        total = run[-1]
+        bar = x * total
+        b = bisect_right(run, bar)  # the block where the sums cross the bar
+        if b < len(run) and 2.0**-900 < total < 2.0**1000 and x < 1.0 - 2.0**-20:
+            before = run[b - 1] if b else 0.0
+            sums = np.add.accumulate(row[b * block:(b + 1) * block]).tolist()
+            j = bisect_right(sums, bar - before)
+            margin = slack * total
+            if (j < len(sums) and (before + sums[j - 1] if j else before) < bar - margin
+                    and before + sums[j] > bar + margin):
+                picks.append(b * block + j)
+                continue
+        picks.append(0)
+        rest.append(k)
+    if rest:
+        for k, pick in zip(rest, _inverse_cdf(rows[rest], r[rest]).tolist()):
+            picks[k] = pick
+    return picks
+
+
 def _pick_rows(w: np.ndarray, roulette: np.ndarray, r: np.ndarray, relative) -> np.ndarray:
     """The node choice rule for every row of the weight block `w` (rows, n),
     whose masked (visited) entries are 0.0; all-zero rows are rescued first
     (`_argmax_rows`).
 
     Each row listed in `roulette` (an ant whose q > q0), with its draw r in
-    [0, 1) at the same position of `r`, takes the first node whose running
-    sum exceeds r times the row total: the roulette by inverse CDF over the
-    unvisited nodes in id order. Only these rows are summed. Every other row
-    takes its argmax. A masked 0.0 adds exactly, so that is the node a running
-    sum over the unvisited nodes alone gives. The bar is kept below the total,
-    which it reaches only when a subnormal total rounds r times itself up, so
-    both rules pick a node of positive weight: never a masked one and never an
-    index past the row.
+    [0, 1) at the same position of `r`, takes the roulette by inverse CDF
+    over the unvisited nodes in id order, `_inverse_cdf`: the first node
+    whose running sum exceeds r times the row total. Only these rows are
+    summed. Every other row takes its argmax. A masked 0.0 adds exactly, so
+    that is the node a running sum over the unvisited nodes alone gives, and
+    both rules pick a node of positive weight: never a masked one and never
+    an index past the row.
+
+    Rows at least `_FILTER_NODES` wide take the same nodes through
+    `_filtered_inverse_cdf`, which sums 64-node blocks and one block's nodes
+    instead of every node, proves its pick with an error bound and falls
+    back to `_inverse_cdf` on a row the bound cannot decide. Narrower rows
+    take `_inverse_cdf` directly: there the filter's per-row Python work
+    costs more than the full running sums.
     """
     picks = _argmax_rows(w, relative)
     if len(roulette):
-        c = np.add.accumulate(w.take(roulette, axis=0), axis=1)
-        total = c[:, -1]
-        bar = np.minimum(r * total, np.nextafter(total, 0.0))
-        picks[roulette] = (c > bar[:, None]).argmax(axis=1)
+        rows = w.take(roulette, axis=0)
+        wide = w.shape[1] >= _FILTER_NODES
+        picks[roulette] = (_filtered_inverse_cdf if wide else _inverse_cdf)(rows, r)
     return picks
 
 

@@ -27,7 +27,9 @@ import gtsp.aco
 import gtsp.instance
 from gtsp.aco import (
     _argmax_rows,
+    _filtered_inverse_cdf,
     _global_deposit,
+    _inverse_cdf,
     _local_deposit,
     _pick_rows,
     _relative_weights,
@@ -106,6 +108,19 @@ def pick(instance, tau, current, cand, beta, q0, rng) -> int:
         step_weights(instance, tau, current, cand, beta), roulette, np.array([r])[roulette],
         rescue(instance, tau, current, cand, beta),
     )[0])
+
+
+@pytest.fixture(scope="class", params=[0, gtsp.aco._FILTER_NODES],
+                ids=["every-row-filtered", "default-width"])
+def roulette_paths(request):
+    """Run a test class on both roulette paths of `_pick_rows`: with
+    `_FILTER_NODES` at 0 every roulette row takes `_filtered_inverse_cdf`, at
+    its default the tests' narrow rows take `_inverse_cdf`. Class-scoped, so
+    that hypothesis tests may use it."""
+    default = gtsp.aco._FILTER_NODES
+    gtsp.aco._FILTER_NODES = request.param
+    yield request.param
+    gtsp.aco._FILTER_NODES = default
 
 
 def drawn_shapes(monkeypatch) -> list[tuple]:
@@ -230,6 +245,7 @@ class TestChooseNext:
         sigma = (draws * p * (1 - p)) ** 0.5
         assert abs(hits - draws * p) < 4 * sigma
 
+    @pytest.mark.usefixtures("roulette_paths")
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_run_steps_match_these_helpers(self, symmetric):
         # replay a run: at each step every ant's row of the `_pick_rows` block
@@ -271,6 +287,7 @@ class TestChooseNext:
         assert next(steps, None) is None
 
 
+@pytest.mark.usefixtures("roulette_paths")
 class TestRowPick:
     """`_pick_rows` at the ends of both draws and on tiny weights: every pick
     is an unvisited node of its row, never a masked one or an index past it."""
@@ -373,6 +390,110 @@ class TestRowPick:
             4 if rescued_greedy else self.inverse_cdf(rescue, r),
             0 if other_greedy else self.inverse_cdf([0.5, 0.25, 0.0, 0.0, 0.25], r),
         ]
+
+
+class TestFilteredRoulette:
+    """`_filtered_inverse_cdf` against the exact rule, `_inverse_cdf`, on
+    adversarial rows: widths around the block size and the width rule,
+    mostly-zero rows, tiny and subnormal totals, and draws at the ends of
+    [0, 1) or exactly on a running sum."""
+
+    WIDTHS = [1, 63, 64, 65, 1023, 1024, 2001]
+    TINY = 5e-324
+
+    @staticmethod
+    def adversarial_rows(seed, width, rows, zeros, scale, power):
+        """`rows` rows of `width` weights scale * u^power, u uniform, with
+        about the fraction `zeros` of them set to 0.0 (each row keeps one
+        positive weight); a scale of TINY gives integer multiples of the
+        smallest subnormal, so subnormal totals."""
+        rng = np.random.default_rng(seed)
+        if scale == TestFilteredRoulette.TINY:
+            w = rng.integers(0, 4, size=(rows, width)) * scale
+        else:
+            w = scale * rng.random((rows, width)) ** power
+        w[rng.random((rows, width)) < zeros] = 0.0
+        keep = rng.integers(width, size=rows)
+        w[np.arange(rows), keep] = np.maximum(w[np.arange(rows), keep], scale)
+        return w
+
+    @staticmethod
+    def draws(w, kinds, seed):
+        """One r per row: 0, 2^-53, 1 - 2^-53, uniform, or r = c_j / T for a
+        running sum c_j and total T of the row, which puts the bar on c_j
+        (or next to it)."""
+        rng = np.random.default_rng(seed)
+        c = np.add.accumulate(w, axis=1)
+        out = []
+        for row, kind in zip(c, kinds):
+            if kind == "prefix":
+                out.append(min(row[rng.integers(len(row))] / row[-1], np.nextafter(1.0, 0.0)))
+            else:
+                out.append({"zero": 0.0, "ulp": 2.0**-53, "last": 1.0 - 2.0**-53,
+                            "uniform": rng.random()}[kind])
+        return np.array(out)
+
+    def test_filter_equals_the_exact_rule(self):
+        exact = gtsp.aco._inverse_cdf
+        fallback_rows = []
+        filtered_rows = []
+
+        def counted(rows, r):
+            fallback_rows.append(len(rows))
+            return exact(rows, r)
+
+        @settings(max_examples=400)
+        @given(
+            seed=st.integers(0, 2**32 - 1),
+            width=st.sampled_from(self.WIDTHS),
+            rows=st.integers(1, 4),
+            zeros=st.sampled_from([0.0, 0.5, 0.9, 0.98]),
+            scale=st.sampled_from([1.0, 1e-8, 1e-250, 1e-300, self.TINY]),
+            power=st.sampled_from([1.0, 5.0, 40.0]),
+            # uniform draws, which the bound mostly certifies, half the time
+            kinds=st.lists(st.sampled_from(["zero", "ulp", "last", "prefix"] + ["uniform"] * 4),
+                           min_size=4, max_size=4),
+        )
+        @example(seed=0, width=64, rows=2, zeros=0.0, scale=1.0, power=1.0,
+                 kinds=["prefix", "uniform", "zero", "zero"])
+        def check(seed, width, rows, zeros, scale, power, kinds):
+            w = self.adversarial_rows(seed, width, rows, zeros, scale, power)
+            r = self.draws(w, kinds[:rows], seed)
+            with mock.patch.object(gtsp.aco, "_inverse_cdf", counted):
+                picks = _filtered_inverse_cdf(w, r)
+            filtered_rows.append(rows)
+            assert picks == exact(w, r).tolist()
+            assert picks == [TestRowPick.inverse_cdf(row, x) for row, x in zip(w.tolist(), r)]
+
+        check()
+        # both branches ran: rows the bound certified and rows it sent back
+        assert 0 < sum(fallback_rows) < sum(filtered_rows)
+
+    def test_bar_on_a_running_sum_falls_back(self):
+        # r = c_j / T puts the bar on (or within an ulp of) a running sum:
+        # no error bound can decide that row, so the exact rule does
+        w = np.linspace(1.0, 2.0, 2001)[None, :]
+        c = np.add.accumulate(w, axis=1)[0]
+        r = np.array([c[1000] / c[-1]])
+        with mock.patch.object(gtsp.aco, "_inverse_cdf", wraps=_inverse_cdf) as exact:
+            assert _filtered_inverse_cdf(w, r) == _inverse_cdf(w, r).tolist()
+        assert exact.call_count == 1
+
+    def test_width_rule_picks_the_path(self):
+        # rows at least _FILTER_NODES wide take the filter, narrower ones do not
+        calls = []
+        real = gtsp.aco._filtered_inverse_cdf
+
+        def recorded(rows, r):
+            calls.append(rows.shape[1])
+            return real(rows, r)
+
+        rng = np.random.default_rng(5)
+        with mock.patch.object(gtsp.aco, "_filtered_inverse_cdf", recorded):
+            for width in (gtsp.aco._FILTER_NODES - 1, gtsp.aco._FILTER_NODES):
+                w = rng.random((3, width))
+                _pick_rows(w, np.array([0, 2]), np.array([0.3, 0.7]), lambda rows: pytest.fail())
+        assert calls == [gtsp.aco._FILTER_NODES]
 
 
 class TestLocalUpdate:
@@ -903,6 +1024,7 @@ def assert_matches_reference(**case):
     assert traced_run(inst, params) == traced_reference(inst, params)
 
 
+@pytest.mark.usefixtures("roulette_paths")
 class TestReferenceEquivalence:
     """`iterate`'s (ants, n) kernel, and `run` driving it, against the
     plain-loop lockstep colony in oracles.py."""

@@ -220,7 +220,7 @@ class TestLoops:
         parent, change = two_trees.packages(ROOT, ROOT)
         parent_loops, change_loops = two_trees.side_loops(parent, change)
         assert list(parent_loops) == list(change_loops)
-        assert len(change_loops) == len(two_trees.SHAPES) + 5
+        assert len(change_loops) == len(two_trees.SHAPES) + 7
         for call in change_loops.values():
             call()
 
@@ -229,9 +229,14 @@ class TestLoops:
         change_loops = two_trees.side_loops(parent, change)[1]
         eil51 = change_loops["colony 11EIL51 acs+racs 20x10"]()
         corpus = change_loops["colony criterion-3 first 10 racs 100x10"]()
-        assert len(eil51) == 2 and len(corpus) == 10
+        # one loop on each side of the roulette width rule
+        assert 1000 < change.aco._FILTER_NODES <= 2000
+        wide = [*change_loops["colony n=1000/p=200 racs 3x10"](),
+                *change_loops["colony n=2000/p=400 racs 3x10"]()]
+        assert len(eil51) == 2 and len(corpus) == 10 and len(wide) == 2
         for text, variant, budget in [*((t, v, 20) for t, v in zip(eil51, ("acs", "racs"))),
-                                      *((t, "racs", 100) for t in corpus)]:
+                                      *((t, "racs", 100) for t in corpus),
+                                      *((t, "racs", 3) for t in wide)]:
             record = json.loads(text)
             assert "elapsed_seconds" not in record
             assert record["params"]["variant"] == variant
