@@ -20,11 +20,11 @@ and with RACS at 20 iterations x 10 ants, and the first 10 instances of the
 criterion 3 corpus with RACS at 100 x 10, and two large-n colony loops, RACS
 at 3 x 10 on generated n=1000/p=200 and n=2000/p=400, one on each side of the
 colony's roulette width rule (`gtsp.aco._FILTER_NODES`); each run gives its
-`run` JSON without elapsed time. Each loop is called once per side per round after one
-warm-up call per side, with as many rounds (5 to 201) as make each side take
-about S seconds (default 3). The change's output must equal the parent's: the
-exact tours and colony runs compared as JSON, the arrays element by element;
-the script exits 1 if one differs. To time another block budget, pass as
+`run` JSON without elapsed time. Each loop is called once per side per round
+after one warm-up call per side, with as many rounds (5 to 201) as make each
+side take about S seconds (default 3). The change's output must equal the
+parent's: the exact tours and colony runs compared as JSON, the arrays element
+by element; the script exits 1 if one differs. To time another block budget, pass as
 --change a copy of the tree with `gtsp.instance.BLOCK_BYTES` edited.
 
 `quality` runs this tree's colony (the change) and that of the tree at `--other`

@@ -98,8 +98,9 @@ from .instance import GtspInstance, per_block
 
 VARIANTS = ("acs", "racs")
 # Roulette rows at least this wide take `_filtered_inverse_cdf`, narrower ones
-# `_inverse_cdf`: both give the same nodes, and the filter breaks even at
-# about 768 nodes on 2 cores
+# `_inverse_cdf`: both give the same nodes, and `_pick_rows` costs about the
+# same either way at 900-1000 nodes (2-vCPU guest), the filter 2.5 times more
+# at 51 and a third less at 2000
 _FILTER_NODES = 1024
 _FILTER_BLOCK = 64  # nodes per block sum of the filter
 

@@ -434,7 +434,7 @@ class TestFilteredRoulette:
         return np.array(out)
 
     def test_filter_equals_the_exact_rule(self):
-        exact = gtsp.aco._inverse_cdf
+        exact = _inverse_cdf
         fallback_rows = []
         filtered_rows = []
 

@@ -16,7 +16,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.fixture(scope="module")
 def pin_outputs():
-    spec = importlib.util.spec_from_file_location("pin_outputs", ROOT / "scripts" / "pin_outputs.py")
+    path = ROOT / "scripts" / "pin_outputs.py"
+    spec = importlib.util.spec_from_file_location("pin_outputs", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
