@@ -11,9 +11,11 @@ for byte (the determinism contract), computed by the `gtsp` package that
   message;
 - ACS and RACS at 2 x 10, seeds 0-1, on generated n=1100/p=220, whose rows are
   wide enough for the colony's filtered roulette (`gtsp.aco._FILTER_NODES`):
-  the solve record and every ant's tour cost per iteration (from
-  `gtsp.aco.iterate`), since no ant beats the NN incumbent in two
-  iterations there and the record alone would not see the ants' picks;
+  the solve record, every ant's tour cost per iteration and the sha256 of
+  the final trails' bytes (`tau` of the last `gtsp.aco.Iteration`, an
+  (n, n) float64 matrix), since no ant beats the NN incumbent in two
+  iterations there and the record alone would not see the ants' picks or
+  their trail writes;
 - the text table, CSV and JSON of one `gtsp bench` run (`emit_table` with
   `include_elapsed=False`) of `BENCH_CONFIG`;
 - the Python and numpy versions that wrote it.
@@ -27,6 +29,7 @@ run this script with `PYTHONPATH` set to the parent's `src`.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import platform
@@ -85,10 +88,11 @@ def solve_records() -> dict[str, dict]:
     for algo in ("acs", "racs"):
         for seed in range(2):
             params = AcoParams(num_ants=10, max_iterations=2, seed=seed, variant=algo)
+            colony = list(itertools.islice(iterate(instance, params), params.max_iterations))
             out[f"{name} {algo} seed {seed}"] = {
                 **solve_record(instance, algo, params),
-                "ant_costs": [it.lengths.tolist() for it in itertools.islice(
-                    iterate(instance, params), params.max_iterations)],
+                "ant_costs": [it.lengths.tolist() for it in colony],
+                "tau_sha256": hashlib.sha256(colony[-1].tau.tobytes()).hexdigest(),
             }
     return out
 

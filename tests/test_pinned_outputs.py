@@ -57,4 +57,10 @@ def test_record_covers_the_promised_inputs(pinned):
     assert len(solve) == 5 * (2 + 2 * 3) + 2 * 2
     assert all("elapsed_seconds" not in entry for entry in solve.values())
     assert "error" in solve["generated n=300/p=60 seed 1 exact"]  # the DP refuses p=60
+    # the wide runs keep their ant costs and the hash of their final trails
+    wide = [entry for key, entry in solve.items() if key.startswith("generated n=1100/p=220 ")]
+    assert len(wide) == 2 * 2
+    for entry in wide:
+        assert len(entry["ant_costs"]) == len(entry["trace"]) == 2
+        assert len(entry["tau_sha256"]) == 64 and int(entry["tau_sha256"], 16) >= 0
     assert pinned["bench"]["csv"].startswith("problem,nc,n,optimum,exact_best,")
