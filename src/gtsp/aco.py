@@ -59,23 +59,36 @@ feasible, so only a tour that becomes the new incumbent goes through
 `make_tour` (validated and re-costed). Pheromone scales use max(L, 1), so
 zero-cost tours do not divide by zero.
 
-`iterate` keeps a weight matrix, trail times visibility^beta, next to the
-trails and rewrites an entry at every trail write, so a step gathers each
-ant's weights from one row. Visibility^beta comes from a table indexed by
-integer cost value, and the weights start as that table times tau0, gathered
-in row blocks with no n x n temporary; only instances whose two tables (the
-plain one and the one times tau0) would outgrow an n x n matrix keep an n x n
-visibility matrix instead. Every trail write, local, closing or global, goes
-through one relaxation (`_relax`), which returns the largest value it wrote.
-It takes a call's edges as two lists of nodes, a and b, and in one Python
-loop finds each edge's flat index a * n + b, its mirror b * n + a (on
-symmetric instances) and its visibility^beta, read from the table through
-memoryviews of the table and of the flattened costs (or from the n x n
-matrix), so a write builds no numpy temporary. Trails change only through
-these writes, so `iterate` calls `evaporation_reinit(tau, tau0, tau_max)`
-only in an iteration where the largest trail its writes returned is above
-tau_max, refreshes the weights of the entries it reset, and yields its mask
-of them.
+`iterate` keeps the trails in one flat float64 store. On a symmetric
+instance, the complete undirected graph of the paper, an edge has one trail,
+so the store holds the n * (n - 1) / 2 pairs a < b once, pair (a, b) at
+off[a] + b with off[a] = a * n - a * (a + 1) / 2 - a - 1, built once per run
+(`_pair_offsets`): 4 bytes per node pair, counting, here and below, the n^2
+ordered pairs (a, b). An asymmetric instance keeps all n^2 edges, (a, b) at
+a * n + b: 8 bytes per node pair. Next to the trails
+`iterate` keeps a dense n x n float64 weight matrix, trail times
+visibility^beta, and rewrites its entries at every trail write, so a step
+gathers each ant's weights from one row: 8 bytes per node pair. With int16
+costs the colony's arrays take 14 bytes per node pair on a symmetric
+instance, 18 on an asymmetric one. Visibility^beta comes from a table indexed
+by integer cost value, and the weights start as that table times tau0,
+gathered in row blocks with no n x n temporary; only instances whose two
+tables (the plain one and the one times tau0) would outgrow an n x n matrix
+keep an n x n visibility matrix instead. Every trail write, local, closing or
+global, goes through one relaxation (`_relax`), which returns the largest
+value it wrote. It takes a call's edges as two lists of nodes, a and b, and
+in one Python loop finds each edge's store entry, its flat weight index a * n
++ b, its mirror b * n + a (on symmetric instances, whose weight it writes
+too) and its visibility^beta, read from the table through memoryviews of the
+table and of the flattened costs (or from the n x n matrix), so a write
+builds no numpy temporary. Trails change only through these writes, so
+`iterate` calls `evaporation_reinit(tau, tau0, tau_max)` on the store only in
+an iteration where the largest trail its writes returned is above tau_max,
+turns its mask over the store into the (n, n) mask of the trails it reset,
+both orientations of a pair alike, refreshes their weights and yields that
+mask. The rare rescue of an underflowed row reads its trail row assembled
+from the store in O(n) (`_store_rows`), and an `Iteration` builds the (n, n)
+trails from the store only when its `tau` is read, which `run` never does.
 
 A single run is sequential and deterministic given its seed. Independent runs
 share instances read-only and may execute in parallel.
@@ -84,6 +97,7 @@ share instances read-only and may execute in parallel.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from bisect import bisect_right
@@ -125,8 +139,10 @@ def base_type(hint):
 
 def check(name: str, value, hint, bound=None):
     """Return `value` if it has the declared type `hint` and lies within
-    `bound` (a choice lowercased, a list copied); otherwise raise a ValueError
-    that names `name`.
+    `bound` (a choice lowercased, a list copied), as a plain value of its
+    declared type: a number, numpy scalars included, as an int or a float, so
+    that no numpy scalar reaches the colony's arithmetic or a JSON record.
+    Otherwise raise a ValueError that names `name`.
 
     `hint` is int, float or str, a list of one of them or of anything
     (`list`), and may end in `| None`. A bool is not a number. The bound of an
@@ -148,9 +164,14 @@ def check(name: str, value, hint, bound=None):
         raise ValueError(f"{name} must be {noun.format(bound)}, got {value!r}")
     if kind is str and bound is not None and (value := value.lower()) not in bound:
         raise ValueError(f"{name} must be one of {bound}, got {value!r}")
-    if kind is float and not bound[1](value):
-        raise ValueError(f"{name} must {bound[0]}, got {value}")
-    return value
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf if value > 0 else -math.inf
+        if not bound[1](value):
+            raise ValueError(f"{name} must {bound[0]}, got {value}")
+    return kind(value)
 
 
 # the instance types each declared type takes, and its name in a message
@@ -210,8 +231,8 @@ def _visibility_lookup(cost: np.ndarray, beta: float, max_cost: int, scale: floa
     views: the edge at flat index e (i * n + j) has visibility
     `vis[idx[e]]`, a Python float equal to the entry of
     `_visibility_pow(cost, beta)`. `where(mask)` gives `scale` times those of
-    the edges a bool mask (or `...`) selects, each the float64 product of the
-    two.
+    the edges a bool mask, a pair of node arrays (a, b) or `...` selects, each
+    the float64 product of the two.
 
     The values come from a table over the integer cost values 0..max cost
     (and one pre-multiplied by `scale`), so no n x n matrix is built: `vis`
@@ -390,28 +411,66 @@ def _global_deposit(best_cost: int) -> float:
     return 1.0 / max(best_cost, 1)
 
 
+def _pair_offsets(n: int) -> np.ndarray:
+    """off[a] = a * n - a * (a + 1) // 2 - a - 1 for every node a: the trail
+    store of a symmetric instance keeps the pair a < b at off[a] + b, the
+    pairs in row-major order of the upper triangle, so (0, 1) at 0 and
+    (n - 2, n - 1) at n * (n - 1) / 2 - 1."""
+    a = np.arange(n)
+    return a * n - a * (a + 1) // 2 - a - 1
+
+
+def _store_rows(store: np.ndarray, nodes, n: int, diagonal) -> np.ndarray:
+    """Rows `nodes` of the (n, n) matrix that the flat `store` holds, as a
+    new array. A store of n^2 entries holds (a, b) at a * n + b; one of n *
+    (n - 1) / 2 entries holds each pair a < b once, at off[a] + b
+    (`_pair_offsets`), for both (a, b) and (b, a), and the row takes
+    `diagonal` at (a, a). A row costs one slice and one n-wide gather."""
+    if store.size == n * n:
+        return store.reshape(n, n)[np.asarray(nodes, dtype=np.intp)]
+    off = _pair_offsets(n)
+    out = np.empty((len(nodes), n), store.dtype)
+    for row, a in zip(out, nodes):
+        row[:a] = store[off[:a] + a]
+        row[a] = diagonal
+        row[a + 1:] = store[off[a] + a + 1:off[a] + n]
+    return out
+
+
 def _relax(
     tau: memoryview, weight: memoryview, rows: list[int], cols: list[int], n: int,
-    symmetric: bool, visibility, keep: float, add: float,
+    off: list[int] | None, visibility, keep: float, add: float,
 ) -> float:
-    """The trail writes tau[e] <- keep * tau[e] + add on the flattened trail
-    matrix, one by one in the order of the edges (rows[k], cols[k]), with
-    keep = 1 - rho and add = rho * deposit. Each edge (a, b) has flat index
-    e = a * n + b. The new value t is also stored at its mirror b * n + a on
-    symmetric instances, and t * vis[idx[e]], with `visibility` the `(vis,
-    idx)` views of `_visibility_lookup`, at both places of the flattened
-    weight matrix. `tau` and `weight` are memoryviews of the two flattened
-    matrices: they read and write item by item faster than numpy, and the
-    values pass as Python floats, whose arithmetic is numpy's float64
+    """The trail writes t <- keep * t + add on the trail store, one by one
+    in the order of the edges (rows[k], cols[k]), with keep = 1 - rho and
+    add = rho * deposit. With `off` None the store holds edge (a, b) at a * n
+    + b; else, on a symmetric instance, it holds the pair once, at off[a] + b
+    for a < b (`_pair_offsets`), so that (a, b) and (b, a) read and write
+    one entry; an edge joins two nodes, a != b. The new t times vis[idx[e]],
+    with e = a * n + b and `visibility` the `(vis, idx)` views of
+    `_visibility_lookup`, goes to the flattened weight matrix at e, and on a
+    symmetric instance at b * n + a too, since a step gathers whole weight
+    rows. `tau` and `weight` are memoryviews of the store and of the
+    flattened weights: they read and write item by item faster than numpy,
+    and the values pass as Python floats, whose arithmetic is numpy's float64
     arithmetic. Returns the largest value written."""
     vis, idx = visibility
     top = 0.0
+    if off is None:
+        for a, b in zip(rows, cols):
+            e = a * n + b
+            t = keep * tau[e] + add
+            tau[e] = t
+            weight[e] = t * vis[idx[e]]
+            if t > top:
+                top = t
+        return top
     for a, b in zip(rows, cols):
         e = a * n + b
-        m = b * n + a if symmetric else e
-        t = keep * tau[e] + add
-        tau[e] = tau[m] = t
-        weight[e] = weight[m] = t * vis[idx[e]]
+        k = off[a] + b if a < b else off[b] + a
+        t = keep * tau[k] + add
+        tau[k] = t
+        weight[e] = weight[b * n + a] = t * vis[idx[e]]
         if t > top:
             top = t
     return top
@@ -419,8 +478,9 @@ def _relax(
 
 def evaporation_reinit(tau: np.ndarray, tau0: float, tau_max: float) -> np.ndarray:
     """Reset trails that climbed strictly above tau_max back to tau0; other
-    entries keep their value. Runs right after the global update. Returns the
-    bool mask of the entries it reset."""
+    entries keep their value. Runs right after the global update, on the
+    colony's trail store (any array of trails will do). Returns the bool mask
+    of the entries it reset."""
     reset = tau > tau_max
     tau[reset] = tau0
     return reset
@@ -453,16 +513,32 @@ class RunResult:
 
 
 class Iteration(NamedTuple):
-    """One colony iteration as `iterate` yields it. The arrays belong to the
-    colony and change in the next iteration (`paths` and `tau` are rewritten
-    in place), so copy what must outlive it."""
+    """One colony iteration as `iterate` yields it. `paths` and `trails`
+    belong to the colony and are rewritten in place in the next iteration, so
+    copy what must outlive it.
+
+    `tau` gives the trails as an (n, n) matrix, both orientations of a
+    symmetric pair alike: each read builds a new array from the store as it
+    stands (n slices and n gathers), so `run`, which never reads it, never
+    pays for it."""
 
     paths: np.ndarray  # (p, ants): paths[s] holds every ant's node s
     lengths: np.ndarray  # (ants,): the cost of each ant's tour
-    tau: np.ndarray  # (n, n): the trails after the global write and any reinit
+    # the flat trail store after the global write and any reinit: n * (n - 1) / 2
+    # pairs on a symmetric instance (`_pair_offsets`), else n^2 edges at a * n + b
+    trails: np.ndarray
+    tau0: float
     tau_max: float
-    reset: np.ndarray | None  # the mask `evaporation_reinit` returned; None if it did not run
+    # (n, n) bool: the trails the reinit reset, both orientations of a
+    # symmetric pair alike; None if it did not run
+    reset: np.ndarray | None
     incumbent: Tour  # the best tour so far, the NN tour until an ant beats it
+    n: int
+
+    @property
+    def tau(self) -> np.ndarray:
+        """The (n, n) float64 trails, tau0 on the diagonal, which no write reaches."""
+        return _store_rows(self.trails, range(self.n), self.n, self.tau0)
 
 
 def run(instance: GtspInstance, params: AcoParams) -> RunResult:
@@ -500,6 +576,11 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
     belong to the colony and change in the next iteration. Deterministic given
     the seed.
 
+    The trails live in the flat store of the module docstring, one entry per
+    node pair on a symmetric instance, one per ordered pair otherwise; the
+    `Iteration` yields it as `trails` and builds the (n, n) `tau` from it
+    only when that is read.
+
     The uniforms come in blocks of `chunk` iterations, one (chunk, p, ants,
     2) draw within `gtsp.instance.BLOCK_BYTES` (a single iteration's if that
     alone exceeds it) and of at most `max_iterations` iterations when that is
@@ -512,12 +593,14 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
     n, p, ants = instance.n, instance.p, params.num_ants
     beta, q0, rho, variant = params.beta, params.q0, params.rho, params.variant
     tau0, tau_max = _trail_bounds(n, l_nn, rho)
-    tau = np.full((n, n), tau0)
+    # the trail store: each pair a < b once, at off[a] + b, on a symmetric
+    # instance; each edge (a, b) at a * n + b on an asymmetric one
+    off = _pair_offsets(n).tolist() if instance.costs.symmetric else None
+    tau = np.full(n * n if off is None else n * (n - 1) // 2, tau0)
     cost = instance.costs.cost
     visibility, seeded = _visibility_lookup(cost, beta, instance.max_cost, tau0)
-    # weight == tau * visibility^beta, entry by entry, after every write below
+    # weight[a, b] == trail (a, b) * visibility^beta after every write below
     weight = seeded(...)
-    symmetric = instance.costs.symmetric
     cluster_of = instance.cluster_of
     sizes = np.array([len(c) for c in instance.clusters])
     grouped = np.concatenate(instance.cluster_arrays)  # node ids cluster by cluster
@@ -526,7 +609,7 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
     # size by repeating its first node
     col = np.arange(sizes.max())
     members = grouped[offsets[:, None] + np.where(col < sizes[:, None], col, 0)]
-    tau_flat, weight_flat = memoryview(tau.ravel()), memoryview(weight.ravel())
+    tau_flat, weight_flat = memoryview(tau), memoryview(weight.ravel())
     mask = np.empty((ants, n))  # 1.0 on the nodes of each ant's unvisited clusters, else 0.0
     mask_flat = mask.ravel()
     ant_rows = np.arange(ants)[:, None] * n  # flat index of each ant's row of `mask`
@@ -540,13 +623,14 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
 
     def write(a: list[int], b: list[int], add: float) -> float:
         """Relax the trails of the edges (a[k], b[k]) and their weights one
-        by one, in order; on symmetric instances each write is mirrored.
-        Returns the largest trail written."""
-        return _relax(tau_flat, weight_flat, a, b, n, symmetric, visibility, keep, add)
+        by one, in order. Returns the largest trail written."""
+        return _relax(tau_flat, weight_flat, a, b, n, off, visibility, keep, add)
 
     def rescue(rows: np.ndarray) -> np.ndarray:
         """`_relative_weights` of the selected rows at the current step."""
-        return _relative_weights(cost[cur[rows]], tau[cur[rows]], mask[rows], beta)
+        nodes = cur[rows]
+        return _relative_weights(cost[nodes], _store_rows(tau, nodes, n, tau0), mask[rows],
+                                 beta)
 
     cycle = list(incumbent.nodes)  # the incumbent's nodes, in tour order
     cycle_next = cycle[1:] + cycle[:1]  # each one's successor, closing edge too
@@ -599,6 +683,8 @@ def iterate(instance: GtspInstance, params: AcoParams) -> Iterator[Iteration]:
             # a write above tau_max can give the next one something to reset
             reset = None
             if top > tau_max:
-                reset = evaporation_reinit(tau, tau0, tau_max)
+                # the (n, n) mask of the reset trails, both orientations of a
+                # pair alike, whose weights are reseeded
+                reset = _store_rows(evaporation_reinit(tau, tau0, tau_max), range(n), n, False)
                 weight[reset] = seeded(reset)
-            yield Iteration(path, lengths, tau, tau_max, reset, incumbent)
+            yield Iteration(path, lengths, tau, tau0, tau_max, reset, incumbent, n)

@@ -81,7 +81,8 @@ class GeneratorSpec:
     def __post_init__(self, where: str) -> None:
         prefix = f"{where}." if where else ""
         for f, hint in GENERATOR:
-            check(prefix + f.name, getattr(self, f.name), hint, f.metadata["bound"])
+            object.__setattr__(self, f.name, check(prefix + f.name, getattr(self, f.name), hint,
+                                                   f.metadata["bound"]))
         check_node_count(self.nodes, prefix + "nodes")
         try:
             check_cluster_count(self.clusters, self.nodes)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -141,12 +142,28 @@ def drawn_shapes(monkeypatch) -> list[tuple]:
     return shapes
 
 
+def trail_store(tau, symmetric):
+    """The store `iterate` keeps of the (n, n) trails `tau`, with its pair
+    offsets: the upper triangle on a symmetric instance, else every entry."""
+    n = tau.shape[0]
+    if not symmetric:
+        return tau.ravel().copy(), None
+    return tau[np.triu_indices(n, 1)], gtsp.aco._pair_offsets(n)
+
+
 def relax_trails(tau, pairs, keep, add, symmetric=True) -> float:
-    """`_relax` on the trails alone: the edges (i, j) of `pairs` in order,
-    with a throwaway weight matrix and visibility 1."""
+    """`_relax` on the trails alone: `tau` packed into the trail store, the
+    edges (i, j) of `pairs` written in order, with a throwaway weight matrix
+    and visibility 1, and the store unpacked into `tau`, its diagonal kept."""
+    n = tau.shape[0]
+    store, off = trail_store(tau, symmetric)
     rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
-    return _relax(memoryview(tau.ravel()), memoryview(np.empty(tau.size)), rows, cols,
-                  tau.shape[0], symmetric, ([1.0], [0] * tau.size), keep, add)
+    top = _relax(memoryview(store), memoryview(np.empty(tau.size)), rows, cols, n,
+                 None if off is None else off.tolist(), ([1.0], [0] * tau.size), keep, add)
+    diagonal = np.diag(tau).copy()
+    tau[...] = gtsp.aco._store_rows(store, range(n), n, 0.0)
+    np.fill_diagonal(tau, diagonal)
+    return top
 
 
 def local_write(tau, edge, rho, l_plus, n, variant, tau0, symmetric=True) -> None:
@@ -526,17 +543,31 @@ class TestLocalUpdate:
 
     def test_weights_follow_the_trails(self):
         # both places of an edge get the new trail times its visibility
-        tau = fresh_trails(two_candidate_instance(), value=0.04)
-        weight = np.zeros(tau.size)
-        # the flat edges 1, 2, 1 with mirrors 3, 6, 3, of visibility 0.5, 0.25, 0.5
-        vis = [0.0, 0.5, 0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        top = _relax(memoryview(tau.ravel()), memoryview(weight), [0, 0, 0], [1, 2, 1], 3, True,
+        tau = np.full(3, 0.04)  # the pairs (0, 1), (0, 2), (1, 2) of n = 3
+        weight = np.zeros(9)
+        # the flat edges 1, 2, 3 with mirrors 3, 6, 1, of visibility 0.5, 0.25, 0.5
+        vis = [0.0, 0.5, 0.25, 0.5, 0.0, 0.0, 0.25, 0.0, 0.0]
+        top = _relax(memoryview(tau), memoryview(weight), [0, 0, 1], [1, 2, 0], 3, [-1, 0, 0],
                      (vis, range(9)), 0.7, 0.009)
-        assert tau[0, 1] == tau[1, 0] == 0.7 * (0.7 * 0.04 + 0.009) + 0.009
-        assert weight[1] == weight[3] == tau[0, 1] * 0.5
-        assert weight[2] == weight[6] == tau[0, 2] * 0.25
+        # (0, 1) and (1, 0) are one pair, written twice; (1, 2) is untouched
+        assert tau[0] == 0.7 * (0.7 * 0.04 + 0.009) + 0.009 and tau[2] == 0.04
+        assert weight[1] == weight[3] == tau[0] * 0.5
+        assert weight[2] == weight[6] == tau[1] * 0.25
         # the largest value written, not the last: each write falls toward 0.03
-        assert top == 0.7 * 0.04 + 0.009 == tau[0, 2] > tau[0, 1]
+        assert top == 0.7 * 0.04 + 0.009 == tau[1] > tau[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_pair_offsets_number_the_upper_triangle(self, n):
+        # pair a < b at off[a] + b, in row-major order, and each row of the
+        # matrix the store holds reads the pair's entry from both sides
+        off = gtsp.aco._pair_offsets(n)
+        a, b = np.triu_indices(n, 1)
+        assert (off[a] + b).tolist() == list(range(n * (n - 1) // 2))
+        square = gtsp.aco._store_rows(np.arange(n * (n - 1) // 2), range(n), n, -1)
+        assert square[a, b].tolist() == square[b, a].tolist() == list(range(len(a)))
+        assert np.diag(square).tolist() == [-1] * n
+        rows = gtsp.aco._store_rows(np.arange(n * (n - 1) // 2), [n - 1, 0], n, -1)
+        assert rows.tolist() == square[[n - 1, 0]].tolist()
 
     @settings(max_examples=120)
     @given(
@@ -556,16 +587,21 @@ class TestLocalUpdate:
         costs = CostMatrix(cost)
         visibility, _ = _visibility_lookup(costs.cost, 5.0, costs.max_cost)
         assert isinstance(visibility[1], range) == matrix
+        # an edge joins two nodes: the colony writes no (a, a)
         node = st.integers(0, n - 1)
-        edges = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=6))
+        edge = st.tuples(node, node).filter(lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(edge, min_size=1, max_size=6))
         # repeat some edges and add the mirrors of some, in a drawn order
         extra = data.draw(st.lists(st.sampled_from(edges), max_size=6))
         edges = data.draw(st.permutations(edges + extra + [(b, a) for a, b in extra[::2]]))
-        tau, weight = rng.random(n * n), rng.random(n * n)
-        ours_tau, ours_weight = tau.copy(), weight.copy()
+        tau, weight = rng.random((n, n)), rng.random(n * n)
+        if costs.symmetric:
+            tau = np.triu(tau, 1) + np.triu(tau, 1).T
+        ours_tau, off = trail_store(tau, costs.symmetric)
+        tau, ours_weight = tau.ravel(), weight.copy()
         rows, cols = [a for a, _ in edges], [b for _, b in edges]
         top = _relax(memoryview(ours_tau), memoryview(ours_weight), rows, cols, n,
-                     costs.symmetric, visibility, keep, add)
+                     None if off is None else off.tolist(), visibility, keep, add)
         # the rule on numpy scalars, with the whole visibility^beta matrix
         eta = gtsp.aco._visibility_pow(costs.cost, 5.0).ravel()
         expected = np.float64(0.0)
@@ -576,7 +612,7 @@ class TestLocalUpdate:
             tau[e] = tau[m] = t
             weight[e] = weight[m] = t * eta[e]
             expected = max(expected, t)
-        assert ours_tau.tobytes() == tau.tobytes()
+        assert ours_tau.tobytes() == trail_store(tau.reshape(n, n), costs.symmetric)[0].tobytes()
         assert ours_weight.tobytes() == weight.tobytes()
         assert np.float64(top).tobytes() == expected.tobytes()
 
@@ -644,11 +680,11 @@ class TestGlobalUpdate:
         writes = []
         real_relax = gtsp.aco._relax
 
-        def recorded(tau, weight, rows, cols, n, mirrored, visibility, keep, add):
-            # each write is mirrored exactly on symmetric instances
-            assert (n, mirrored) == (inst.n, symmetric)
+        def recorded(tau, weight, rows, cols, n, off, visibility, keep, add):
+            # each pair is one entry of the store exactly on symmetric instances
+            assert (n, off is not None) == (inst.n, symmetric)
             writes.append((list(zip(rows, cols)), keep, add))
-            return real_relax(tau, weight, rows, cols, n, mirrored, visibility, keep, add)
+            return real_relax(tau, weight, rows, cols, n, off, visibility, keep, add)
 
         with mock.patch.object(gtsp.aco, "_relax", recorded):
             best = run(inst, params).best
@@ -737,6 +773,30 @@ class TestParams:
             "max_iterations": None, "seed": 3, "variant": "racs",
         }
 
+    def test_an_int_for_a_float_field_becomes_a_float(self):
+        params = AcoParams(beta=5, time_max=2, max_iterations=1)
+        assert json.loads(run(two_candidate_instance(), params).to_json())["params"] == {
+            **params.to_dict(), "beta": 5.0, "time_max": 2.0}
+        assert (type(params.beta), type(params.time_max)) == (float, float)
+
+    # every numeric field as a numpy scalar
+    NUMPY_SCALARS = dict(beta=np.float32(2.5), rho=np.float32(0.1), q0=np.float16(0.25),
+                         num_ants=np.int64(3), time_max=np.float32(60.0),
+                         max_iterations=np.int32(3), seed=np.uint16(4))
+
+    @pytest.mark.parametrize("field", list(NUMPY_SCALARS))
+    def test_numpy_scalars_run_as_python_numbers(self, field):
+        # a numpy scalar kept as given would fail the JSON record, and a
+        # float32 rho would write every trail in float32
+        value = self.NUMPY_SCALARS[field]
+        base = dict(num_ants=3, max_iterations=3, seed=4, time_max=60.0)
+        ours = AcoParams(**{**base, field: value})
+        plain = AcoParams(**{**base, field: value.item()})
+        assert type(getattr(ours, field)) is type(value.item())
+        inst = random_matrix_instance(12, 4, np.random.default_rng(43))
+        record = run(inst, ours).to_json(include_elapsed=False)
+        assert record == run(inst, plain).to_json(include_elapsed=False)
+
 
 class TestRun:
     def test_zero_iterations_returns_nn_incumbent(self):
@@ -762,12 +822,21 @@ class TestRun:
         assert (result.best, result.iterations, result.trace) == (nn, 0, [])
         assert peak < 8 * inst.n * inst.n
 
-    def test_set_up_holds_the_trails_and_weights_and_block_temporaries(self, monkeypatch):
-        # the weights are seeded row block by row block: each block's gather
-        # stays within one budget, where a whole-matrix gather would add an
-        # 8 MB index copy; the first draw block, alive with its index arrays
-        # through the first iteration, stays within one budget too
-        _, inst = generate_instance(1000, 200, seed=3)
+    @pytest.mark.parametrize("symmetric, per_pair", [(True, 12), (False, 16)])
+    def test_set_up_holds_the_trails_and_weights_and_block_temporaries(
+        self, monkeypatch, symmetric, per_pair
+    ):
+        # the trails take 8 bytes per node pair on an asymmetric instance and
+        # 4 on a symmetric one, whose store holds each pair once; the weights
+        # 8 on both. The weights are seeded row block by row block: each
+        # block's gather stays within one budget, where a whole-matrix gather
+        # would add an 8 MB index copy; the first draw block, alive with its
+        # index arrays through the first iteration, stays within one budget too
+        if symmetric:
+            _, inst = generate_instance(1000, 200, seed=3)
+        else:
+            inst = random_matrix_instance(1000, 200, np.random.default_rng(3), symmetric=False)
+        assert inst.costs.symmetric == symmetric
         shapes = drawn_shapes(monkeypatch)
         colony = iterate(inst, AcoParams(seed=1))
         tracemalloc.start()
@@ -776,7 +845,7 @@ class TestRun:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * inst.n * inst.n + 2 * gtsp.instance.BLOCK_BYTES + (1 << 20)
+        assert peak < per_pair * inst.n * inst.n + 2 * gtsp.instance.BLOCK_BYTES + (1 << 20)
         (shape,) = shapes
         assert shape[1:] == (inst.p, 10, 2) and shape[0] > 1
         assert 8 * math.prod(shape) <= gtsp.instance.BLOCK_BYTES
@@ -1236,27 +1305,40 @@ class TestDegenerateInputs:
         global_write(tau, make_tour(inst, [0, 2]), rho=0.5, symmetric=False)
         assert tau[0, 2] == tau[2, 0] == 0.5 * 0.25 + 0.5 * 1.0
 
+    @pytest.mark.usefixtures("roulette_paths")
     @pytest.mark.parametrize("q0", [0.0, 1.0])
     @pytest.mark.parametrize("variant", ["acs", "racs"])
-    def test_beta_underflow_gives_valid_tours(self, q0, variant, monkeypatch, data_dir):
-        inst = load_instance_file(data_dir / "eil51.tsp")
-        seen = []
-        trace = []
+    @pytest.mark.parametrize("name", ["11EIL51", "asymmetric"])
+    def test_beta_underflow_gives_valid_tours(self, name, q0, variant, monkeypatch, data_dir):
+        # the rescue reads the current nodes' trail rows, assembled from the
+        # trail store, so its tours and trails must be the reference's too
+        if name == "11EIL51":
+            inst = load_instance_file(data_dir / "eil51.tsp")
+        else:
+            # costs 10001-10099 off the diagonal: every weight underflows, and
+            # (c_min/c)^200 stays above 0.13, so the trails still sway the picks
+            base = random_matrix_instance(16, 5, np.random.default_rng(50), symmetric=False)
+            cost = base.costs.cost + 10_000 * (1 - np.eye(16, dtype=np.int16))
+            inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=base.clusters)
+        assert inst.costs.symmetric == (name == "11EIL51")
         rescued = []
         relative = gtsp.aco._relative_weights
         monkeypatch.setattr(
             gtsp.aco, "_relative_weights", lambda *a: rescued.append(1) or relative(*a)
         )
+        params = AcoParams(beta=200.0, q0=q0, variant=variant, seed=4, max_iterations=3)
         # underflow to 0 is the case under test; anything else must not happen
         with np.errstate(all="raise", under="ignore"):
-            colony = iterate(inst, AcoParams(beta=200.0, q0=q0, variant=variant, seed=4))
-            for it in itertools.islice(colony, 3):
-                seen.extend(ant_tours(it))
-                trace.append(it.incumbent.cost)
-        assert len(seen) == 30 and rescued  # some steps had only zero weights
-        for nodes in seen + [it.incumbent.nodes]:
+            ours = traced_run(inst, params)
+        assert rescued  # some steps had only zero weights
+        record, tours, *_ = ours
+        seen = [nodes for iteration in tours for nodes in iteration]
+        assert len(seen) == 30
+        for nodes in seen + [json.loads(record)["nodes"]]:
             validate_tour(inst, nodes)
+        trace = json.loads(record)["trace"]
         assert all(a >= b for a, b in zip(trace, trace[1:]))
+        assert ours == traced_reference(inst, params)
 
     @staticmethod
     def far_step(inst):

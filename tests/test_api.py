@@ -34,8 +34,10 @@ def test_colony_stream():
     assert list(inspect.signature(gtsp.aco.iterate).parameters) == ["instance", "params"]
     assert list(inspect.signature(gtsp.aco.run).parameters) == ["instance", "params"]
     assert gtsp.aco.Iteration._fields == (
-        "paths", "lengths", "tau", "tau_max", "reset", "incumbent",
+        "paths", "lengths", "trails", "tau0", "tau_max", "reset", "incumbent", "n",
     )
+    # the (n, n) trails, built from the trail store when read
+    assert isinstance(gtsp.aco.Iteration.tau, property)
     assert list(inspect.signature(gtsp.aco.evaporation_reinit).parameters) == [
         "tau", "tau0", "tau_max",
     ]

@@ -152,6 +152,27 @@ class TestConfig:
         assert cfg.params == AcoParams(beta=2.0, rho=0.25, q0=0.75, num_ants=3,
                                        time_max=None, max_iterations=30, seed=7)
 
+    def test_numpy_scalars_run_as_python_numbers(self, tmp_path):
+        # every numeric key of a config, colony keys and generator spec included
+        ints = dict(repetitions=2, cell_cap=10**6, max_iterations=3, base_seed=7, num_ants=3)
+        floats = dict(beta=2.5, rho=0.25, q0=0.75, time_max=60.0)
+
+        def config(integer, real):
+            return ExperimentConfig.from_dict(dict(
+                instances=[{"nodes": integer(12), "clusters": integer(4), "seed": integer(1)}],
+                seeds=[integer(5), integer(6)], **{k: integer(v) for k, v in ints.items()},
+                **{k: real(v) for k, v in floats.items()}))
+
+        ours, plain = config(np.int64, np.float32), config(int, float)
+        numbers = [*vars(ours.params).values(), ours.repetitions, ours.cell_cap, *ours.seeds,
+                   *vars(ours.instances[0]).values()]
+        assert {type(v) for v in numbers} <= {int, float, str}
+        for cfg, base in ((ours, tmp_path / "ours"), (plain, tmp_path / "plain")):
+            emit_table(run_experiment(cfg), out_base=base, include_elapsed=False)
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / "ours").with_suffix(suffix).read_bytes()
+                    == (tmp_path / "plain").with_suffix(suffix).read_bytes())
+
     @pytest.mark.parametrize("overrides, message", [
         ({"rho": 1.5}, "rho"),
         ({"beta": float("nan")}, "beta"),

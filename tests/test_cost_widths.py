@@ -146,9 +146,10 @@ def test_diagonal_past_the_limit_still_stores_the_narrowest_type():
 
 
 def test_colony_setup_builds_no_matrix_beyond_trails_and_weights():
-    # n = 2000: the trails and the weights are 32 MB of float64 each; the
-    # int16 cost matrix is 8 MB, and gathering the weights through it as one
-    # index array would add a 32 MB intp temporary
+    # n = 2000: the weights are 32 MB of float64 and the trails, one float64
+    # per node pair of this symmetric instance, 16 MB; the int16 cost matrix
+    # is 8 MB, and gathering the weights through it as one index array would
+    # add a 32 MB intp temporary
     _, inst = generate_instance(nodes=2000, clusters=400, seed=2)
     assert inst.costs.cost.dtype == np.int16
     nn_reference_cost(inst)  # cached on the instance, so not counted below
@@ -159,4 +160,5 @@ def test_colony_setup_builds_no_matrix_beyond_trails_and_weights():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 2 * 8 * n * n <= peak < 2 * 8 * n * n + (4 << 20)
+    held = 8 * n * n + 8 * (n * (n - 1) // 2)
+    assert held <= peak < held + (4 << 20)
