@@ -9,13 +9,15 @@ for byte (the determinism contract), computed by the `gtsp` package that
   (`to_dict(include_elapsed=False)`) of exact and NN, and of ACS and RACS at
   20 iterations x 10 ants for seeds 0-2; an exact refusal is kept as its
   message;
-- ACS and RACS at 2 x 10, seeds 0-1, on generated n=1100/p=220, whose rows are
-  wide enough for the colony's filtered roulette (`gtsp.aco._FILTER_NODES`):
+- ACS and RACS at 8 x 10 and q0=0.5, seeds 0-1, on generated n=1100/p=220,
+  whose rows are wide enough for the colony's filtered roulette
+  (`gtsp.aco._FILTER_NODES`), with about half the picks roulette picks:
   the solve record, every ant's tour cost per iteration and the sha256 of
   the final trails' bytes (`tau` of the last `gtsp.aco.Iteration`, an
-  (n, n) float64 matrix), since no ant beats the NN incumbent in two
-  iterations there and the record alone would not see the ants' picks or
-  their trail writes;
+  (n, n) float64 matrix), since the record alone would not see the ants'
+  picks or their trail writes. An ant beats the NN incumbent in iteration 5
+  or 6, and the two variants' runs part only after that, so with 8
+  iterations each seed's ACS and RACS entries differ;
 - the text table, CSV and JSON of one `gtsp bench` run (`emit_table` with
   `include_elapsed=False`) of `BENCH_CONFIG`;
 - the Python and numpy versions that wrote it.
@@ -87,7 +89,7 @@ def solve_records() -> dict[str, dict]:
     instance = build()
     for algo in ("acs", "racs"):
         for seed in range(2):
-            params = AcoParams(num_ants=10, max_iterations=2, seed=seed, variant=algo)
+            params = AcoParams(num_ants=10, max_iterations=8, seed=seed, variant=algo)
             colony = list(itertools.islice(iterate(instance, params), params.max_iterations))
             out[f"{name} {algo} seed {seed}"] = {
                 **solve_record(instance, algo, params),

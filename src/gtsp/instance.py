@@ -12,11 +12,12 @@ cost (`cost_dtype`); TSPLIB EUC_2D costs on a 1000 x 1000 grid fit int16, so
 a matrix takes 2 bytes per node pair. No sum of costs is taken in that type:
 tour costs sum in int64, and the solvers widen before they add.
 `load_instance_file` reads every kind of instance file. Loading a raw
-TSPLIB file (`parse_tsplib`, `euc2d_costs`, `cluster_instance`, the one
-raw-file path, which `gtsp cluster` reads through too) holds one n x n
-matrix at a time: costs are computed in row blocks into the matrix,
-`CostMatrix` keeps that array as a read-only view instead of copying it,
-and clustering reads it in place.
+TSPLIB file (`_scan_records`, `_parse_coords`, `euc2d_costs`,
+`cluster_instance`, the one raw-file path, which `gtsp cluster` reads
+through too) holds one n x n matrix at a time: costs are computed in row
+blocks into the matrix, `CostMatrix` keeps that array as a read-only view
+instead of copying it, and clustering reads it in place. `parse_tsplib`
+reads the coordinate file of a `cluster_file` load.
 Every blocked loop, here and in `gtsp.aco` and `gtsp.exact`, sizes its
 temporaries by one byte budget, `BLOCK_BYTES`, read when the loop runs.
 """
@@ -435,8 +436,13 @@ def load_instance_file(
     sets = _parse_set_section(headers, set_records, n)
     if n != len(coords):
         raise ValueError(f"cluster file covers {n} nodes but {path.name} has {len(coords)}")
-    return GtspInstance(name=headers.get("NAME", (0, ""))[1] or path.stem,
-                        costs=euc2d_costs(coords), clusters=sets)
+    try:
+        return GtspInstance(name=headers.get("NAME", (0, ""))[1] or path.stem,
+                            costs=euc2d_costs(coords), clusters=sets)
+    except CostOverflowError:  # the coordinate file's costs, as a raw load reports them
+        raise
+    except ValueError as exc:  # the sets, refused as `_clustered` refuses them
+        raise ParseError(str(exc)) from None
 
 
 def _read_file(

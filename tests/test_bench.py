@@ -461,17 +461,24 @@ class TestLoadInstanceFile:
         with pytest.raises(ValueError, match="covers 9 nodes"):
             load_instance_file(data_dir / "eil51.tsp", cluster_file=donor)
 
-    @pytest.mark.parametrize("donor_text, message", [
-        ("DIMENSION : 51\nGTSP_SETS : 2\nEOF\n", "missing GTSP_SET_SECTION"),
-        ("DIMENSION : 4\nGTSP_SETS : 2\nGTSP_SET_SECTION\n1 1 2 -1\n2 3 4 -1\nEOF\n",
-         "cluster file covers 4 nodes but eil51.tsp has 51"),
+    @pytest.mark.parametrize("donor_text, error, message", [
+        pytest.param("DIMENSION : 51\nGTSP_SETS : 2\nEOF\n", ParseError,
+                     "missing GTSP_SET_SECTION", id="no-set-section"),
+        pytest.param("DIMENSION : 4\nGTSP_SETS : 2\nGTSP_SET_SECTION\n1 1 2 -1\n2 3 4 -1\nEOF\n",
+                     ValueError, "cluster file covers 4 nodes but eil51.tsp has 51",
+                     id="other-dimension"),
+        # refused with the type a clustered file with this section gets
+        pytest.param("DIMENSION : 51\nGTSP_SETS : 1\nGTSP_SET_SECTION\n1 "
+                     + " ".join(map(str, range(1, 52))) + " -1\nEOF\n",
+                     ParseError, "need at least 2 clusters, got 1", id="one-set"),
     ])
-    def test_cluster_file_refusal_messages(self, tmp_path, data_dir, donor_text, message):
+    def test_cluster_file_refusal_messages(self, tmp_path, data_dir, donor_text, error,
+                                           message):
         donor = tmp_path / "donor.gtsp"
         donor.write_text(donor_text)
         with pytest.raises(ValueError) as exc:
             load_instance_file(data_dir / "eil51.tsp", cluster_file=donor)
-        assert str(exc.value) == message
+        assert (type(exc.value), str(exc.value)) == (error, message)
 
     def test_clustered_file_without_name_takes_the_file_stem(self, tmp_path):
         coords, inst = generate_instance(nodes=9, clusters=3, seed=5)

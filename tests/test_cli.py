@@ -1,9 +1,11 @@
+import contextlib
 import csv
 import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -40,11 +42,29 @@ def failed_allocation(*args, **kwargs):
 
 
 def gtsp_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "gtsp.cli", *map(str, args)],
-        capture_output=True,
-        text=True,
-    )
+    """`gtsp *args` run in this process by `main`, reported as `subprocess.run`
+    reports a process: status, stdout and stderr. A `SystemExit` (argparse's
+    usage errors and `--help`) gives its status, and a warning goes to stderr
+    as the interpreter would print it. Any other exception fails the test."""
+    argv = [str(a) for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          warnings.catch_warnings(record=True) as caught):
+        warnings.simplefilter("default")
+        try:
+            status = main(argv)
+        except SystemExit as exc:
+            status = exc.code or 0
+    for w in caught:
+        err.write(warnings.formatwarning(w.message, w.category, w.filename, w.lineno))
+    return subprocess.CompletedProcess(argv, status, out.getvalue(), err.getvalue())
+
+
+def gtsp_process(*args, **kwargs):
+    """`python -m gtsp.cli *args` in a child process, for the tests of what
+    only a process shows; `kwargs` go to `subprocess.run`."""
+    return subprocess.run([sys.executable, "-m", "gtsp.cli", *map(str, args)],
+                          capture_output=True, text=True, **kwargs)
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +101,6 @@ class TestSolve:
         assert record["params"]["variant"] == "racs"
         inst = parse_clustered(toy_file.read_text())
         assert record["cost"] >= exact_solve(inst).cost
-
-    def test_seeded_runs_repeat(self, toy_file):
-        args = ("solve", toy_file, "--algo", "acs", "--max-iters", 20, "--seed", 9,
-                "--format", "json")
-        a, b = gtsp_cli(*args), gtsp_cli(*args)
-        ra, rb = json.loads(a.stdout), json.loads(b.stdout)
-        ra.pop("elapsed_seconds"), rb.pop("elapsed_seconds")
-        assert ra == rb
 
     def test_csv_format(self, toy_file):
         proc = gtsp_cli("solve", toy_file, "--algo", "nn", "--format", "csv")
@@ -181,11 +193,12 @@ class TestExitCodes:
         assert message in proc.stderr
         assert "Warning" not in proc.stderr  # refused before any numpy overflow
 
-    def test_clusters_flag_on_clustered_file_is_2(self, toy_file, capsys):
+    def test_clusters_flag_on_clustered_file_is_2(self, toy_file):
         # the file's own 4 sets would otherwise be used without a word
-        assert main(["solve", str(toy_file), "--algo", "nn", "--clusters", "3"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("gtsp solve: --clusters 3 given, but toy.gtsp is already clustered")
+        proc = gtsp_cli("solve", toy_file, "--algo", "nn", "--clusters", 3)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            "gtsp solve: --clusters 3 given, but toy.gtsp is already clustered")
 
     @pytest.mark.parametrize("algo", ["exact", "nn", "acs", "racs"])
     def test_tour_sum_overflow_is_2(self, tmp_path, algo):
@@ -202,20 +215,19 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["solve", "cluster"])
     @pytest.mark.parametrize("clusters", ["0", "-3", "1"])
-    def test_clusters_below_two_is_1_before_reading(self, tmp_path, capsys, command, clusters):
+    def test_clusters_below_two_is_1_before_reading(self, tmp_path, command, clusters):
         # the file does not exist: the flag is refused before it is opened
-        args = ["--algo", "nn"] if command == "solve" else ["--out", str(tmp_path / "o")]
-        with pytest.raises(SystemExit) as exc:
-            main([command, str(tmp_path / "missing.tsp"), *args, "--clusters", clusters])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert err.endswith(f"gtsp {command}: error: argument --clusters: cluster count"
-                            f" m={clusters} must be at least 2\n")
-        assert "missing.tsp" not in err
+        args = ["--algo", "nn"] if command == "solve" else ["--out", tmp_path / "o"]
+        proc = gtsp_cli(command, tmp_path / "missing.tsp", *args, "--clusters", clusters)
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(f"gtsp {command}: error: argument --clusters: cluster count"
+                                    f" m={clusters} must be at least 2\n")
+        assert "missing.tsp" not in proc.stderr
 
-    def test_clusters_above_n_is_2(self, capsys):
-        assert main(["solve", str(DATA / "eil51.tsp"), "--algo", "nn", "--clusters", "52"]) == 2
-        assert capsys.readouterr().err == (
+    def test_clusters_above_n_is_2(self):
+        proc = gtsp_cli("solve", DATA / "eil51.tsp", "--algo", "nn", "--clusters", 52)
+        assert proc.returncode == 2
+        assert proc.stderr == (
             "gtsp solve: cluster count m=52 must satisfy 2 <= m <= n=51\n")
 
     def test_exact_refusal_is_3(self, tmp_path):
@@ -226,6 +238,46 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert "refusing" in proc.stderr
         assert f"{dp_cell_count(inst)} DP cells" in proc.stderr
+
+
+class TestProcess:
+    """What only a `python -m gtsp.cli` process shows. Every other test but
+    `TestOutOfMemory` runs the CLI in process through `gtsp_cli`."""
+
+    def test_module_entry_point_exits_with_main_status(self, toy_file):
+        # a success and an instance error (--clusters on a clustered file),
+        # each printing what `main` prints in process
+        for args, status in [(("gen", "--nodes", 10, "--clusters", 3, "--seed", 0), 0),
+                             (("solve", toy_file, "--algo", "nn", "--clusters", 3), 2)]:
+            proc, in_process = gtsp_process(*args), gtsp_cli(*args)
+            assert proc.returncode == in_process.returncode == status
+            assert (proc.stdout, proc.stderr) == (in_process.stdout, in_process.stderr)
+
+    def test_usage_error_exits_1(self, toy_file):
+        # argparse itself would exit 2
+        proc = gtsp_process("solve", toy_file, "--algo", "magic")
+        assert proc.returncode == 1
+        assert "argument --algo: invalid choice: 'magic'" in proc.stderr
+
+    # Each pair of processes runs under two hash seeds, so output that
+    # followed the order of a set or of str hashes would differ.
+    HASH_SEEDS = ("1", "2")
+
+    def test_gen_repeats_across_processes(self):
+        a, b = (gtsp_process("gen", "--nodes", 15, "--clusters", 4, "--seed", 2,
+                             env={**os.environ, "PYTHONHASHSEED": seed})
+                for seed in self.HASH_SEEDS)
+        assert a.returncode == 0
+        assert a.stdout == b.stdout
+
+    def test_seeded_solve_repeats_across_processes(self, toy_file):
+        a, b = (gtsp_process("solve", toy_file, "--algo", "acs", "--max-iters", 20,
+                             "--seed", 9, "--format", "json",
+                             env={**os.environ, "PYTHONHASHSEED": seed})
+                for seed in self.HASH_SEEDS)
+        ra, rb = json.loads(a.stdout), json.loads(b.stdout)
+        ra.pop("elapsed_seconds"), rb.pop("elapsed_seconds")
+        assert ra == rb
 
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmPeak")
@@ -261,10 +313,8 @@ class TestOutOfMemory:
     def solve_capped(self, path, limit):
         import resource  # POSIX only, like preexec_fn
 
-        return subprocess.run(
-            [sys.executable, "-m", "gtsp.cli", "solve", str(path), "--algo", "racs",
-             "--max-iters", "1"],
-            capture_output=True, text=True, env=self.ENV,
+        return gtsp_process(
+            "solve", path, "--algo", "racs", "--max-iters", 1, env=self.ENV,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
         )
 
@@ -291,7 +341,7 @@ class TestClusterCommand:
         assert inst.p == 11
         assert inst.name == "11EIL51"
 
-    def test_tour_sum_overflow_is_2(self, tmp_path, capsys):
+    def test_tour_sum_overflow_is_2(self, tmp_path):
         # it builds the instance, which refuses tour sums past int64
         far = tmp_path / "far.tsp"
         far.write_text(
@@ -299,29 +349,32 @@ class TestClusterCommand:
             "1 0 0\n2 1 0\n3 9.2e18 0\n4 9.2e18 1\n"
         )
         out = tmp_path / "far.gtsp"
-        assert main(["cluster", str(far), "--out", str(out), "--clusters", "2"]) == 2
-        assert capsys.readouterr().err.startswith(
+        proc = gtsp_cli("cluster", far, "--out", out, "--clusters", 2)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
             "gtsp cluster: costs too large for exact int64 tour sums: ")
         assert not out.exists()
 
-    def test_out_of_memory_is_2(self, tmp_path, capsys, monkeypatch):
+    def test_out_of_memory_is_2(self, tmp_path, monkeypatch):
         monkeypatch.setattr(gtsp.instance, "euc2d_costs", failed_allocation)
         out = tmp_path / "11eil51.gtsp"
-        assert main(["cluster", str(DATA / "eil51.tsp"), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == (
+        proc = gtsp_cli("cluster", DATA / "eil51.tsp", "--out", out)
+        assert proc.returncode == 2
+        assert proc.stderr == (
             f"gtsp cluster: out of memory loading {DATA / 'eil51.tsp'}: {ALLOCATION}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flags", [[], ["--clusters", "3"]])
-    def test_clustered_input_is_2(self, tmp_path, capsys, flags):
+    def test_clustered_input_is_2(self, tmp_path, flags):
         # re-clustering would drop the file's own partition and NAME without a word
         gen = tmp_path / "gen.gtsp"
-        assert main(["gen", "--nodes", "60", "--clusters", "12", "--seed", "0",
-                     "--out", str(gen)]) == 0
+        assert gtsp_cli("gen", "--nodes", 60, "--clusters", 12, "--seed", 0,
+                        "--out", gen).returncode == 0
         out = tmp_path / "re.gtsp"
-        assert main(["cluster", str(gen), "--out", str(out), *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("gtsp cluster: ") and "gen.gtsp is already clustered" in err
+        proc = gtsp_cli("cluster", gen, "--out", out, *flags)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("gtsp cluster: ")
+        assert "gen.gtsp is already clustered" in proc.stderr
         assert not out.exists()
 
 
@@ -331,11 +384,6 @@ class TestGenCommand:
         assert proc.returncode == 0
         inst = parse_clustered(proc.stdout)
         assert inst.n == 15 and inst.p == 4
-
-    def test_deterministic(self):
-        a = gtsp_cli("gen", "--nodes", 15, "--clusters", 4, "--seed", 2)
-        b = gtsp_cli("gen", "--nodes", 15, "--clusters", 4, "--seed", 2)
-        assert a.stdout == b.stdout
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "gen.gtsp"
@@ -351,10 +399,11 @@ class TestGenCommand:
         assert proc.stderr == (f"gtsp gen: cluster count m={clusters} must satisfy"
                                f" 2 <= m <= n={nodes}\n")
 
-    def test_out_of_memory_is_2(self, capsys, monkeypatch):
+    def test_out_of_memory_is_2(self, monkeypatch):
         monkeypatch.setattr(gtsp.instance, "euc2d_costs", failed_allocation)
-        assert main(["gen", "--nodes", "1000000", "--clusters", "2"]) == 2
-        assert capsys.readouterr() == (
+        proc = gtsp_cli("gen", "--nodes", 1000000, "--clusters", 2)
+        assert proc.returncode == 2
+        assert (proc.stdout, proc.stderr) == (
             "", f"gtsp gen: out of memory generating 1000000 nodes: {ALLOCATION}\n")
 
     def test_more_nodes_than_grid_points_is_1(self):
@@ -475,16 +524,16 @@ class TestBenchCommand:
     # "..csv" and "..json" there, ".." would write "...csv", and a trailing
     # "/" names a directory
     @pytest.mark.parametrize("output", ["", ".", "..", "res/..", "res/.", "res/"])
-    def test_output_that_names_no_file_is_1(self, tmp_path, toy_file, capsys, monkeypatch,
-                                            output):
+    def test_output_that_names_no_file_is_1(self, tmp_path, toy_file, monkeypatch, output):
         monkeypatch.chdir(tmp_path)
         Path("cfg.json").write_text(json.dumps({
             "instances": [str(toy_file)], "algorithms": ["nn"], "output": output,
         }))
         with mock.patch.object(gtsp.cli, "run_experiment", side_effect=AssertionError):
-            assert main(["bench", "--config", "cfg.json"]) == 1
-        assert capsys.readouterr().err == (f"gtsp bench: bad config: output must name a file,"
-                                           f" got {output!r}\n")
+            proc = gtsp_cli("bench", "--config", "cfg.json")
+        assert proc.returncode == 1
+        assert proc.stderr == (f"gtsp bench: bad config: output must name a file,"
+                               f" got {output!r}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
     def test_all_instances_unreadable_is_2(self, tmp_path):
@@ -519,8 +568,7 @@ class TestUnwritableOutput:
     @pytest.mark.parametrize("output, blocked", [("blocker/out", "blocker/out"),
                                                  ("res/table", "res/table.csv"),
                                                  ("res/table", "res/table.json")])
-    def test_bench_checks_output_before_solving(self, tmp_path, toy_file, capsys,
-                                                output, blocked):
+    def test_bench_checks_output_before_solving(self, tmp_path, toy_file, output, blocked):
         (tmp_path / "blocker").write_text("")
         if blocked.startswith("res/"):
             (tmp_path / blocked).mkdir(parents=True)
@@ -529,18 +577,19 @@ class TestUnwritableOutput:
             "instances": [str(toy_file)], "algorithms": ["nn"], "output": output,
         }))
         with mock.patch.object(gtsp.cli, "run_experiment", side_effect=AssertionError):
-            assert main(["bench", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"gtsp bench: cannot write {tmp_path / blocked}: ")
+            proc = gtsp_cli("bench", "--config", cfg)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"gtsp bench: cannot write {tmp_path / blocked}: ")
 
 
     @pytest.mark.parametrize("target", ["missing/out.txt", "blocker/out.txt", "."])
-    def test_solve_checks_output_before_solving(self, tmp_path, toy_file, capsys, target):
+    def test_solve_checks_output_before_solving(self, tmp_path, toy_file, target):
         (tmp_path / "blocker").write_text("")
         out = tmp_path / target
         with mock.patch.object(gtsp.cli, "solve", side_effect=AssertionError):
-            assert main(["solve", str(toy_file), "--algo", "nn", "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"gtsp solve: cannot write {out}: ")
+            proc = gtsp_cli("solve", toy_file, "--algo", "nn", "--out", out)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"gtsp solve: cannot write {out}: ")
 
     @pytest.mark.parametrize("exists", [False, True])
     def test_solve_output_check_neither_creates_nor_truncates(self, tmp_path, toy_file, exists):
@@ -549,7 +598,7 @@ class TestUnwritableOutput:
             out.write_text("kept\n")
         with mock.patch.object(gtsp.cli, "solve", side_effect=RuntimeError("solver reached")):
             with pytest.raises(RuntimeError, match="solver reached"):
-                main(["solve", str(toy_file), "--algo", "nn", "--out", str(out)])
+                gtsp_cli("solve", toy_file, "--algo", "nn", "--out", out)
         assert (out.read_text() == "kept\n") if exists else not out.exists()
 
 

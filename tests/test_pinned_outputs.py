@@ -52,15 +52,23 @@ def test_bench_tables_are_pinned(pin_outputs, pinned):
         assert ours[key] == text, mismatch(pinned, pin_outputs.versions(), f"the bench {key}")
 
 
-def test_record_covers_the_promised_inputs(pinned):
+def test_record_covers_the_promised_inputs(pin_outputs, pinned):
     solve = pinned["solve"]
     assert len(solve) == 5 * (2 + 2 * 3) + 2 * 2
     assert all("elapsed_seconds" not in entry for entry in solve.values())
     assert "error" in solve["generated n=300/p=60 seed 1 exact"]  # the DP refuses p=60
     # the wide runs keep their ant costs and the hash of their final trails
-    wide = [entry for key, entry in solve.items() if key.startswith("generated n=1100/p=220 ")]
+    name, build = pin_outputs.WIDE
+    wide = {key[len(name) + 1:]: entry for key, entry in solve.items() if key.startswith(name)}
     assert len(wide) == 2 * 2
-    for entry in wide:
-        assert len(entry["ant_costs"]) == len(entry["trace"]) == 2
+    l_nn = pin_outputs.gtsp.nn_reference_cost(build())[0]
+    for entry in wide.values():
+        assert len(entry["ant_costs"]) == len(entry["trace"]) == 8
         assert len(entry["tau_sha256"]) == 64 and int(entry["tau_sha256"], 16) >= 0
+        # an ant beats the NN incumbent, so the variants' deposits part
+        assert min(map(min, entry["ant_costs"])) < l_nn
+    for seed in range(2):
+        acs, racs = wide[f"acs seed {seed}"], wide[f"racs seed {seed}"]
+        assert acs["ant_costs"] != racs["ant_costs"]
+        assert acs["tau_sha256"] != racs["tau_sha256"]
     assert pinned["bench"]["csv"].startswith("problem,nc,n,optimum,exact_best,")
