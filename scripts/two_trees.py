@@ -20,11 +20,16 @@ and with RACS at 20 iterations x 10 ants, and the first 10 instances of the
 criterion 3 corpus with RACS at 100 x 10, and two large-n colony loops, RACS
 at 3 x 10 on generated n=1000/p=200 and n=2000/p=400, one on each side of the
 colony's roulette width rule (`gtsp.aco._FILTER_NODES`); each run gives its
-`run` JSON without elapsed time. Each loop is called once per side per round
-after one warm-up call per side, with as many rounds (5 to 201) as make each
-side take about S seconds (default 3). The change's output must equal the
-parent's: the exact tours and colony runs compared as JSON, the arrays element
-by element; the script exits 1 if one differs. To time another block budget, pass as
+`run` JSON without elapsed time. Four load loops time `load_instance_file` on
+data/eil51.tsp and on the n=2000/p=400 instance written to a temporary
+directory three ways: a raw TSPLIB file, a clustered file (`format_clustered`)
+and the raw file with the clustered one as its `cluster_file`; each gives a
+JSON string of the instance's name, clusters and SHA-256 of its cost bytes.
+Each loop is called once per side per round after one warm-up call per side,
+with as many rounds (5 to 201) as make each side take about S seconds (default
+3). The change's output must equal the parent's: the exact tours, colony runs
+and loads compared as JSON, the arrays element by element; the script exits 1
+if one differs. To time another block budget, pass as
 --change a copy of the tree with `gtsp.instance.BLOCK_BYTES` edited.
 
 `quality` runs this tree's colony (the change) and that of the tree at `--other`
@@ -63,12 +68,14 @@ the script with this tree's package installed (`pip install -e .`) or on
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib.util
 import json
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -245,11 +252,13 @@ def run_perfbench(args) -> int:
 
 # loops
 
-def inputs(g) -> tuple[dict, object, object, list, list]:
+def inputs(g, directory: Path) -> tuple[dict, object, object, list, list, dict]:
     """The loops' inputs, built with package `g`: each shape's instance, the
     coordinates and instance of the n = LOOP_NODES input, the first
-    CRITERION_3_LOOP instances of the criterion 3 corpus, and the generated
-    instances of WIDE_LOOP_NODES (the n = LOOP_NODES one is that input's)."""
+    CRITERION_3_LOOP instances of the criterion 3 corpus, the generated
+    instances of WIDE_LOOP_NODES (the n = LOOP_NODES one is that input's),
+    and the `load_instance_file` arguments of each load loop, whose n =
+    LOOP_NODES files are written to `directory`."""
     shapes = {}
     for name, shape in SHAPES.items():
         if shape is None:
@@ -260,7 +269,17 @@ def inputs(g) -> tuple[dict, object, object, list, list]:
     coords, big = g.generate_instance(LOOP_NODES, LOOP_NODES // 5, seed=1)
     wide = [big if n == LOOP_NODES else g.generate_instance(n, n // 5, seed=1)[1]
             for n in WIDE_LOOP_NODES]
-    return shapes, coords, big, criterion_3_corpus(g)[:CRITERION_3_LOOP], wide
+    raw, clustered = directory / "loop.tsp", directory / "loop.gtsp"
+    raw.write_text("\n".join([  # generated points lie on the integer grid
+        f"NAME : {big.name}", "TYPE : TSP", f"DIMENSION : {LOOP_NODES}",
+        "EDGE_WEIGHT_TYPE : EUC_2D", "NODE_COORD_SECTION",
+        *(f"{i} {x:.0f} {y:.0f}" for i, (x, y) in enumerate(coords.points, start=1)),
+        "EOF\n"]))
+    clustered.write_text(g.format_clustered(big.name, coords, big.clusters))
+    loads = {"eil51": (ROOT / "data" / "eil51.tsp",), f"raw n={LOOP_NODES}": (raw,),
+             f"clustered n={LOOP_NODES}": (clustered,),
+             f"raw n={LOOP_NODES} + cluster_file": (raw, None, clustered)}
+    return shapes, coords, big, criterion_3_corpus(g)[:CRITERION_3_LOOP], wide, loads
 
 
 def colony_runs(g, instances: list, variants: tuple, iterations: int):
@@ -274,7 +293,17 @@ def colony_runs(g, instances: list, variants: tuple, iterations: int):
     return runs
 
 
-def loops(g, shapes: dict, coords, big, corpus: list, wide: list) -> dict:
+def loaded(g, *args):
+    """A call that loads `load_instance_file(*args)` with package `g` and
+    returns the instance's name, clusters and cost hash as a JSON string."""
+    def load():
+        inst = g.load_instance_file(*args)
+        return json.dumps({"name": inst.name, "clusters": inst.clusters,
+                           "cost_sha256": hashlib.sha256(inst.costs.cost.tobytes()).hexdigest()})
+    return load
+
+
+def loops(g, shapes: dict, coords, big, corpus: list, wide: list, loads: dict) -> dict:
     """Each timed loop of package `g` on the given inputs, as a call without
     arguments that returns something comparable across trees."""
     out = {f"exact_solve {name}": lambda inst=inst: g.exact_solve(inst).to_json()
@@ -289,13 +318,16 @@ def loops(g, shapes: dict, coords, big, corpus: list, wide: list) -> dict:
         g, corpus, ("racs",), 100)
     for inst in wide:
         out[f"colony n={inst.n}/p={inst.p} racs 3x10"] = colony_runs(g, [inst], ("racs",), 3)
+    for name, args in loads.items():
+        out[f"load_instance_file {name}"] = loaded(g, *args)
     return out
 
 
-def side_loops(parent, change) -> tuple[dict, dict]:
+def side_loops(parent, change, directory: Path) -> tuple[dict, dict]:
     """Both sides' loops on inputs built once by the change's package: both
-    read the same arrays, so their memory placement is the same."""
-    shared = inputs(change)
+    read the same arrays and the same files, which are written to
+    `directory`, so their memory placement is the same."""
+    shared = inputs(change, directory)
     return loops(parent, *shared), loops(change, *shared)
 
 
@@ -322,13 +354,15 @@ def summarize_times(times: dict[str, list[float]]) -> dict:
 
 
 def run_loops(args) -> int:
-    parent_loops, change_loops = side_loops(*packages(args.parent, args.change))
     summary, identical = {}, {}
-    for name, call in parent_loops.items():
-        times, identical[name] = alternate(call, change_loops[name], args.seconds)
-        summary[name] = summarize_times(times)
-        print(f"{name}: change over parent {summary[name]['change_over_parent_median']:.3f}",
-              file=sys.stderr)
+    with tempfile.TemporaryDirectory() as directory:
+        parent_loops, change_loops = side_loops(*packages(args.parent, args.change),
+                                                Path(directory))
+        for name, call in parent_loops.items():
+            times, identical[name] = alternate(call, change_loops[name], args.seconds)
+            summary[name] = summarize_times(times)
+            print(f"{name}: change over parent "
+                  f"{summary[name]['change_over_parent_median']:.3f}", file=sys.stderr)
     write_record(args.out, "loops", {
         "seconds": args.seconds, "unit": "ms", "outputs_identical": identical, "summary": summary,
     }, IN_PROCESS, machine())

@@ -11,13 +11,15 @@ Costs are stored in the narrowest of int16/int32/int64 that holds the largest
 cost (`cost_dtype`); TSPLIB EUC_2D costs on a 1000 x 1000 grid fit int16, so
 a matrix takes 2 bytes per node pair. No sum of costs is taken in that type:
 tour costs sum in int64, and the solvers widen before they add.
-`load_instance_file` reads every kind of instance file. Loading a raw
-TSPLIB file (`_scan_records`, `_parse_coords`, `euc2d_costs`,
-`cluster_instance`, the one raw-file path, which `gtsp cluster` reads
-through too) holds one n x n matrix at a time: costs are computed in row
-blocks into the matrix, `CostMatrix` keeps that array as a read-only view
-instead of copying it, and clustering reads it in place. `parse_tsplib`
-reads the coordinate file of a `cluster_file` load.
+`load_instance_file` reads every kind of instance file, raw, clustered or
+with a cluster file, through one path, `_read_file`; a fault in the sets
+is a `ParseError` and costs that overflow are a `CostOverflowError`,
+whichever kind the file is. Loading a raw TSPLIB file (`_scan_records`,
+`_parse_coords`, `euc2d_costs`, `cluster_instance`, the one raw-file path,
+which `gtsp cluster` reads through too) holds one n x n matrix at a time:
+costs are computed in row blocks into the matrix, `CostMatrix` keeps that
+array as a read-only view instead of copying it, and clustering reads it in
+place.
 Every blocked loop, here and in `gtsp.aco` and `gtsp.exact`, sizes its
 temporaries by one byte budget, `BLOCK_BYTES`, read when the loop runs.
 """
@@ -395,16 +397,24 @@ def _farthest_centers(rows: np.ndarray, m: int, symmetric: bool) -> list[int]:
     return centers
 
 
-def _clustered(headers, coord_records, set_records, name: str) -> GtspInstance:
-    """The instance of a clustered file's scanned records (`_scan_records`): a
-    TSPLIB EUC_2D body plus GTSP set records. It takes the file's NAME
-    record, or `name` when it has none."""
-    coords = _parse_coords(headers, coord_records)
-    clusters = _parse_set_section(headers, set_records, len(coords))
+def _clustered(coords: NodeCoords, set_headers, set_records, path: Path) -> GtspInstance:
+    """The instance of coordinate file `path`'s parsed coordinates and a set
+    file's scanned headers and set records (`_scan_records`); the set file is
+    `path` itself for a clustered file and the cluster file of a
+    `cluster_file` load. The set file's DIMENSION must equal the coordinate
+    count. The instance takes the set file's NAME record, or the stem of
+    `path` when it has none. A fault in the sets is a `ParseError`; costs
+    that overflow are a `CostOverflowError`, as on every load."""
+    n = _required_int_header(set_headers, "DIMENSION")
+    clusters = _parse_set_section(set_headers, set_records, n)
+    if n != len(coords):
+        raise ParseError(f"cluster file covers {n} nodes but {path.name} has {len(coords)}")
     try:
-        return GtspInstance(name=headers.get("NAME", (0, ""))[1] or name,
+        return GtspInstance(name=set_headers.get("NAME", (0, ""))[1] or path.stem,
                             costs=euc2d_costs(coords), clusters=clusters)
-    except ValueError as exc:
+    except CostOverflowError:
+        raise
+    except ValueError as exc:  # the partition, which the set records give
         raise ParseError(str(exc)) from None
 
 
@@ -415,60 +425,50 @@ def load_instance_file(
 ) -> GtspInstance:
     """Load a clustered instance, or cluster a raw TSPLIB file on the fly.
 
-    Every file is read by one scan, and it is clustered when that scan finds
-    a set section: a line, before any EOF line, that is GTSP_SET_SECTION
-    stripped and in any case. A clustered file's records build its
-    instance, and `clusters` must then be None; a raw file is partitioned by
-    `cluster_instance` into `clusters` sets (default one fifth of the nodes).
-    `cluster_file` substitutes the set section of another clustered file,
-    of which only the headers and sets are read; `clusters` must then be
-    None too.
+    After its argument check, every load takes the one path of `_read_file`.
+    A file is clustered when its one scan finds a set section: a line,
+    before any EOF line, that is GTSP_SET_SECTION stripped and in any case.
+    Its instance comes from its own sets, and `clusters` must then be None;
+    a raw file is partitioned by `cluster_instance` into `clusters` sets
+    (default one fifth of the nodes). `cluster_file` substitutes the sets of
+    another clustered file, of which only the headers and sets are read;
+    `clusters` must then be None too.
     """
-    path = Path(path)
-    if cluster_file is None:
-        return _read_file(path, clusters)[1]
-    if clusters is not None:
+    if clusters is not None and cluster_file is not None:
         raise ValueError(f"--clusters {clusters} given together with a cluster file;"
                          " the partition comes from one or the other")
-    coords = parse_tsplib(path.read_text())
-    headers, _, set_records = _scan_records(Path(cluster_file).read_text())
-    n = _required_int_header(headers, "DIMENSION")
-    sets = _parse_set_section(headers, set_records, n)
-    if n != len(coords):
-        raise ValueError(f"cluster file covers {n} nodes but {path.name} has {len(coords)}")
-    try:
-        return GtspInstance(name=headers.get("NAME", (0, ""))[1] or path.stem,
-                            costs=euc2d_costs(coords), clusters=sets)
-    except CostOverflowError:  # the coordinate file's costs, as a raw load reports them
-        raise
-    except ValueError as exc:  # the sets, refused as `_clustered` refuses them
-        raise ParseError(str(exc)) from None
+    return _read_file(Path(path), clusters, cluster_file=cluster_file)[1]
 
 
 def _read_file(
-    path: Path, clusters: int | None, raw_only: bool = False
+    path: Path, clusters: int | None, raw_only: bool = False,
+    cluster_file: str | Path | None = None,
 ) -> tuple[NodeCoords | None, GtspInstance]:
-    """The coordinates and instance of file `path`, read in one scan.
+    """The coordinates and instance of file `path`; the only code that reads
+    instance files, for `load_instance_file` and `gtsp cluster`.
 
-    Every file takes one `_scan_records` pass, and the file is raw exactly
-    when that scan finds no set section. This is the one home of the
-    raw-file path: the scan's coordinate records, `euc2d_costs`, then
-    `cluster_instance` into `clusters` sets; `load_instance_file` and
-    `gtsp cluster` both read through it. A clustered file's records build
-    its instance, returned without coordinates; it is refused when
-    `clusters` is given or `raw_only` is set.
+    `path` takes one `_scan_records` pass and its coordinates are parsed;
+    a clustered `path` is refused first when `clusters` is given or
+    `raw_only` is set. `cluster_file`, when given, then takes one pass for
+    its headers and sets. The sets come from `cluster_file`, or else from
+    the set section of `path`'s scan; with sets, `_clustered` builds the
+    instance, returned without coordinates. With none, `path` is raw:
+    `euc2d_costs`, then `cluster_instance` into `clusters` sets.
     """
     headers, coord_records, set_records = _scan_records(path.read_text())
-    if set_records is not None:
+    if cluster_file is None and set_records is not None:
         if clusters is not None:
             raise ValueError(f"--clusters {clusters} given, but {path.name} is already"
                              " clustered; the flag applies to raw TSPLIB files only")
         if raw_only:
             raise ValueError(f"{path.name} is already clustered; only a raw TSPLIB file"
                              " can be clustered")
-        return None, _clustered(headers, coord_records, set_records, path.stem)
     coords = _parse_coords(headers, coord_records)
-    return coords, cluster_instance(euc2d_costs(coords), m=clusters, name=path.stem)
+    if cluster_file is not None:
+        headers, _, set_records = _scan_records(Path(cluster_file).read_text())
+    elif set_records is None:
+        return coords, cluster_instance(euc2d_costs(coords), m=clusters, name=path.stem)
+    return None, _clustered(coords, headers, set_records, path)
 
 
 def _parse_set_section(
@@ -585,9 +585,15 @@ _SECTION_KEYWORDS = {
 }
 
 
+# The header records the loader reads; each may appear once in a file. Others,
+# such as COMMENT, which TSPLIB files repeat, may appear any number of times.
+_READ_KEYS = frozenset({"NAME", "DIMENSION", "EDGE_WEIGHT_TYPE", "GTSP_SETS"})
+
+
 def _scan_records(text: str):
     """Split a file into header records and raw section lines, in one pass
-    over its non-blank lines before the first EOF line.
+    over its non-blank lines before the first EOF line. A repeated record of
+    `_READ_KEYS` is a `ParseError` naming both lines.
 
     Returns (headers, coord_records, set_records) where headers maps KEY to
     (lineno, value) and each *_records is a list of (lineno, line) or None if
@@ -612,7 +618,10 @@ def _scan_records(text: str):
         key, _, value = line.partition(":")
         if not _:
             raise ParseError(f"line {lineno}: expected 'KEY : VALUE' record, got {line!r}")
-        headers[key.strip().upper()] = (lineno, value.strip())
+        if (key := key.strip().upper()) in headers and key in _READ_KEYS:
+            raise ParseError(f"line {lineno}: repeated {key} record, first on line"
+                             f" {headers[key][0]}")
+        headers[key] = (lineno, value.strip())
     return headers, sections.get("coords"), sections.get("sets")
 
 

@@ -13,7 +13,7 @@ for the batched one in `gtsp.exact`; `best_tour_for_sequence` is the
 layered-DAG shortest path for a fixed cluster order, the subproblem of the
 paper's exact method, which checks `exact_solve` and criterion 2;
 `parse_clustered` reads a clustered instance from text with the loader's own
-scan and construction (`_scan_records`, `_clustered`).
+scan, parse and assembler (`_scan_records`, `_parse_coords`, `_clustered`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -162,12 +163,15 @@ def brute_force_optimum(instance: GtspInstance) -> int:
     )
 
 
-def parse_clustered(text: str, name: str = "") -> GtspInstance:
+def parse_clustered(text: str) -> GtspInstance:
     """A clustered instance file's text as its instance, read by the one scan
-    and the construction that `gtsp.instance.load_instance_file` reads a
-    clustered file with. The instance takes the text's NAME record, or
-    `name` when it has none."""
-    return gtsp.instance._clustered(*gtsp.instance._scan_records(text), name)
+    and the assembler that `gtsp.instance.load_instance_file` reads a
+    clustered file with: the text gives both the coordinates and the sets.
+    The instance takes the text's NAME record, or an empty name when it has
+    none."""
+    headers, coord_records, set_records = gtsp.instance._scan_records(text)
+    coords = gtsp.instance._parse_coords(headers, coord_records)
+    return gtsp.instance._clustered(coords, headers, set_records, Path())
 
 
 # --- Fixed-order exact solver -----------------------------------------------

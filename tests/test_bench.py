@@ -465,7 +465,7 @@ class TestLoadInstanceFile:
         pytest.param("DIMENSION : 51\nGTSP_SETS : 2\nEOF\n", ParseError,
                      "missing GTSP_SET_SECTION", id="no-set-section"),
         pytest.param("DIMENSION : 4\nGTSP_SETS : 2\nGTSP_SET_SECTION\n1 1 2 -1\n2 3 4 -1\nEOF\n",
-                     ValueError, "cluster file covers 4 nodes but eil51.tsp has 51",
+                     ParseError, "cluster file covers 4 nodes but eil51.tsp has 51",
                      id="other-dimension"),
         # refused with the type a clustered file with this section gets
         pytest.param("DIMENSION : 51\nGTSP_SETS : 1\nGTSP_SET_SECTION\n1 "

@@ -197,7 +197,7 @@ class TestEuc2dCosts:
             with pytest.raises(CostOverflowError):
                 load_instance_file(path)
             text = CLUSTERED_4.replace("3 9 0", "3 1e19 0")
-            with pytest.raises(ParseError, match="overflow int64"):
+            with pytest.raises(CostOverflowError, match="overflow int64"):
                 parse_clustered(text)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
@@ -559,6 +559,48 @@ class TestScanOnce:
         assert len(scans) == 1
 
 
+class TestRepeatedHeaders:
+    """A header record the loader reads appears at most once; the scan names
+    both lines of a repeat, so no later record silently wins."""
+
+    def test_later_edge_weight_type_does_not_win(self, tmp_path):
+        path = tmp_path / "geo.tsp"
+        path.write_text(MINIMAL_TSP.replace(
+            "EDGE_WEIGHT_TYPE : EUC_2D", "EDGE_WEIGHT_TYPE : GEO\nEDGE_WEIGHT_TYPE : EUC_2D"))
+        with pytest.raises(ParseError) as exc:
+            load_instance_file(path, clusters=2)
+        assert str(exc.value) == "line 4: repeated EDGE_WEIGHT_TYPE record, first on line 3"
+
+    @pytest.mark.parametrize("record, first, repeat", [
+        ("NAME : toy", 1, "name : other"),
+        ("DIMENSION : 4", 3, "DIMENSION : 4"),
+        ("EDGE_WEIGHT_TYPE : EUC_2D", 5, " Edge_Weight_Type: EUC_2D"),
+        ("GTSP_SETS : 2", 4, "GTSP_SETS : 3"),
+    ])
+    def test_each_read_key(self, record, first, repeat):
+        assert CLUSTERED_4.splitlines()[first - 1] == record
+        text = CLUSTERED_4.replace(record, f"{record}\n{repeat}", 1)
+        key = record.split()[0]
+        with pytest.raises(ParseError) as exc:
+            parse_clustered(text)
+        assert str(exc.value) == f"line {first + 1}: repeated {key} record, first on line {first}"
+
+    def test_cluster_file_is_scanned_by_the_same_rule(self, tmp_path):
+        (tmp_path / "toy.tsp").write_text(MINIMAL_TSP)
+        donor = tmp_path / "donor.gtsp"
+        donor.write_text("DIMENSION : 3\nGTSP_SETS : 2\nGTSP_SETS : 2\nGTSP_SET_SECTION\n"
+                         "1 1 -1\n2 2 3 -1\nEOF\n")
+        with pytest.raises(ParseError, match="line 3: repeated GTSP_SETS record, first on line 2"):
+            load_instance_file(tmp_path / "toy.tsp", cluster_file=donor)
+
+    def test_repeated_comment_is_accepted(self, tmp_path):
+        path = tmp_path / "toy.tsp"
+        path.write_text(MINIMAL_TSP.replace("NAME : tiny", "COMMENT : one\nNAME : tiny\n"
+                                            "COMMENT : two\ncomment : three"))
+        assert load_instance_file(path, clusters=2).p == 2
+        assert len(parse_tsplib(path.read_text())) == 3
+
+
 class TestRoundTrip:
     @given(st.integers(2, 25).flatmap(lambda n: st.tuples(
         st.lists(st.tuples(coordinate_values, coordinate_values), min_size=n, max_size=n),
@@ -792,9 +834,30 @@ TOO_LARGE = ("costs too large for exact int64 tour sums: largest cost 9200000000
              " times 2 clusters exceeds 9223372036854775807")
 
 
+FILE_LOADS = ["raw", "clustered", "cluster_file"]
+
+
+def load_far_apart(tmp_path, coords: NodeCoords, kind: str):
+    """`coords`, in the clusters FAR_CLUSTERS, loaded as `kind` of FILE_LOADS:
+    a raw TSPLIB file in 2 clusters, the clustered file of `format_clustered`,
+    or the raw file with that clustered file as its cluster file."""
+    clustered = tmp_path / "far.gtsp"
+    clustered.write_text(format_clustered("far", coords, FAR_CLUSTERS))
+    text = clustered.read_text()
+    raw = tmp_path / "far.tsp"
+    raw.write_text(text[: text.index("GTSP_SET_SECTION")] + "EOF\n")
+    if kind == "raw":
+        return load_instance_file(raw, clusters=2)
+    if kind == "clustered":
+        return load_instance_file(clustered)
+    return load_instance_file(raw, cluster_file=clustered)
+
+
 class TestTourSumBound:
     """An instance whose largest cost times p exceeds int64 is refused when
-    it is built, by every route that builds one."""
+    it is built, by every route that builds one; every file load refuses it,
+    and coordinates whose distances overflow int64, with the same
+    CostOverflowError."""
 
     def test_constructor(self):
         costs = euc2d_costs(FAR_APART)
@@ -808,26 +871,26 @@ class TestTourSumBound:
             cluster_instance(euc2d_costs(FAR_APART), m=2, name="far")
         assert str(exc.value) == TOO_LARGE
 
-    def test_clustered_file(self, tmp_path):
-        text = format_clustered("far", FAR_APART, FAR_CLUSTERS)
-        with pytest.raises(ParseError) as exc:
-            parse_clustered(text)
-        assert str(exc.value) == TOO_LARGE
-        path = tmp_path / "far.gtsp"
-        path.write_text(text)
-        with pytest.raises(ParseError, match="costs too large"):
-            load_instance_file(path)
-
-    def test_raw_file(self, tmp_path):
-        raw, sets = tmp_path / "far.tsp", tmp_path / "far.gtsp"
-        raw.write_text(MINIMAL_TSP.replace("DIMENSION : 3", "DIMENSION : 4")
-                       .replace("3 10 0", "3 9.2e18 0\n4 9.2e18 1"))
-        sets.write_text(format_clustered("far", FAR_APART, FAR_CLUSTERS))
+    def test_clustered_file(self):
         with pytest.raises(CostOverflowError) as exc:
-            load_instance_file(raw, cluster_file=sets)
+            parse_clustered(format_clustered("far", FAR_APART, FAR_CLUSTERS))
         assert str(exc.value) == TOO_LARGE
-        with pytest.raises(CostOverflowError, match="costs too large"):
-            load_instance_file(raw, clusters=2)
+
+    @pytest.mark.parametrize("kind", FILE_LOADS)
+    def test_file_loads(self, tmp_path, kind):
+        with pytest.raises(CostOverflowError) as exc:
+            load_far_apart(tmp_path, FAR_APART, kind)
+        assert str(exc.value) == TOO_LARGE
+
+    @pytest.mark.parametrize("kind", FILE_LOADS)
+    def test_span_overflow_is_one_error_on_every_load(self, tmp_path, kind):
+        far = NodeCoords(np.array([[0, 0], [1, 0], [1e19, 0], [1e19, 1]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CostOverflowError) as exc:
+                load_far_apart(tmp_path, far, kind)
+        assert str(exc.value) == ("coordinates span 1e+19 x 1; their distances overflow"
+                                  " int64 costs")
 
     def test_generate_instance(self, monkeypatch):
         # generated costs stay on the grid; far-apart ones stand in for them

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import os
@@ -179,7 +180,8 @@ class TestLoops:
     def test_a_record_times_the_parent_and_the_change_only(self, two_trees, tmp_path,
                                                           monkeypatch):
         monkeypatch.setattr(two_trees, "side_loops",
-                            lambda parent, change: ({"x": lambda: [1]}, {"x": lambda: [1]}))
+                            lambda parent, change, directory: ({"x": lambda: [1]},
+                                                               {"x": lambda: [1]}))
         out = tmp_path / "r.json"
         argv = ["loops", "--parent", str(ROOT), "--change", str(ROOT), "--out", str(out)]
         assert two_trees.main(argv + ["--seconds", "0"]) == 0
@@ -215,18 +217,40 @@ class TestLoops:
         assert two_trees.alternate(lambda: parent.euc2d_costs(coords).cost,
                                    lambda: change.euc2d_costs(coords).cost, seconds=0.0)[1]
 
-    def test_every_loop_runs_on_this_trees_package(self, two_trees):
+    def test_every_loop_runs_on_this_trees_package(self, two_trees, tmp_path):
         # a name the package no longer has fails here, not at the next record run
         parent, change = two_trees.packages(ROOT, ROOT)
-        parent_loops, change_loops = two_trees.side_loops(parent, change)
+        parent_loops, change_loops = two_trees.side_loops(parent, change, tmp_path)
         assert list(parent_loops) == list(change_loops)
-        assert len(change_loops) == len(two_trees.SHAPES) + 7
+        assert len(change_loops) == len(two_trees.SHAPES) + 11
         for call in change_loops.values():
             call()
 
-    def test_colony_loops_give_run_records_without_elapsed_time(self, two_trees):
+    def test_load_loops_give_the_instance_of_each_file_kind(self, two_trees, tmp_path):
         parent, change = two_trees.packages(ROOT, ROOT)
-        change_loops = two_trees.side_loops(parent, change)[1]
+        change_loops = two_trees.side_loops(parent, change, tmp_path)[1]
+        n = two_trees.LOOP_NODES
+        big = change.generate_instance(n, n // 5, seed=1)[1]
+        digest = hashlib.sha256(big.costs.cost.tobytes()).hexdigest()
+        eil51 = change.load_instance_file(ROOT / "data" / "eil51.tsp")
+        records = {name: json.loads(change_loops[f"load_instance_file {name}"]())
+                   for name in ("eil51", f"raw n={n}", f"clustered n={n}",
+                                f"raw n={n} + cluster_file")}
+        assert records["eil51"] == {
+            "name": "11EIL51", "clusters": [list(c) for c in eil51.clusters],
+            "cost_sha256": hashlib.sha256(eil51.costs.cost.tobytes()).hexdigest()}
+        # the raw file clusters into the generated partition; the other two
+        # take the clustered file's NAME record
+        clusters = [list(c) for c in big.clusters]
+        assert records[f"raw n={n}"] == {"name": "400LOOP2000", "clusters": clusters,
+                                         "cost_sha256": digest}
+        for name in (f"clustered n={n}", f"raw n={n} + cluster_file"):
+            assert records[name] == {"name": big.name, "clusters": clusters,
+                                     "cost_sha256": digest}
+
+    def test_colony_loops_give_run_records_without_elapsed_time(self, two_trees, tmp_path):
+        parent, change = two_trees.packages(ROOT, ROOT)
+        change_loops = two_trees.side_loops(parent, change, tmp_path)[1]
         eil51 = change_loops["colony 11EIL51 acs+racs 20x10"]()
         corpus = change_loops["colony criterion-3 first 10 racs 100x10"]()
         # one loop on each side of the roulette width rule
@@ -251,7 +275,7 @@ class TestMethod:
         assert parent.aco.__name__ == "parent_gtsp.aco"
         assert change.run is not parent.run
 
-    def test_both_sides_read_the_same_inputs(self, two_trees, monkeypatch):
+    def test_both_sides_read_the_same_inputs(self, two_trees, monkeypatch, tmp_path):
         parent, change = two_trees.packages(ROOT, ROOT)
         seen = []  # the arguments of each recorded call, the outermost first
 
@@ -262,11 +286,12 @@ class TestMethod:
 
         for g in (parent, change):
             monkeypatch.setattr(g.aco, "_visibility_lookup", record(g.aco._visibility_lookup))
-        parent_loops, change_loops = two_trees.side_loops(parent, change)
+        parent_loops, change_loops = two_trees.side_loops(parent, change, tmp_path)
         firsts = [seen[:]]  # the seeding's lookup, once per side as the loops are built
         for g in (parent, change):
             for owner, name, kept in ((g, "exact_solve", None), (g, "euc2d_costs", None),
-                                      (g.instance, "_is_symmetric", None), (g, "run", 1)):
+                                      (g.instance, "_is_symmetric", None), (g, "run", 1),
+                                      (g, "load_instance_file", None)):
                 monkeypatch.setattr(owner, name, record(getattr(owner, name), kept))
         for name in parent_loops:  # each loop's own call, once per side
             firsts.append([])
