@@ -14,12 +14,13 @@ then the median call counts and the failed calls. A run that exits non-zero is
 printed with its stderr, and the script exits 1.
 
 `loops` loads both trees' packages into this one process and times
-`exact_solve` on each shape of SHAPES, `euc2d_costs`, `_is_symmetric`, the
-seeding of the colony's weights, two small-p colony loops: 11EIL51 with ACS
-and with RACS at 20 iterations x 10 ants, and the first 10 instances of the
-criterion 3 corpus with RACS at 100 x 10, and two large-n colony loops, RACS
-at 3 x 10 on generated n=1000/p=200 and n=2000/p=400, one on each side of the
-colony's roulette width rule (`gtsp.aco._FILTER_NODES`); each run gives its
+`exact_solve` on each shape of SHAPES, `euc2d_costs`, `_is_symmetric`,
+`cluster_instance` (the n=2000 input's costs into n / 5 clusters, given as
+JSON), the seeding of the colony's weights, two small-p colony loops: 11EIL51
+with ACS and with RACS at 20 iterations x 10 ants, and the first 10 instances
+of the criterion 3 corpus with RACS at 100 x 10, and two large-n colony loops,
+RACS at 3 x 10 on generated n=1000/p=200 and n=2000/p=400, one on each side of
+the colony's roulette width rule (`gtsp.aco._FILTER_NODES`); each run gives its
 `run` JSON without elapsed time. Four load loops time `load_instance_file` on
 data/eil51.tsp and on the n=2000/p=400 instance written to a temporary
 directory three ways: a raw TSPLIB file, a clustered file (`format_clustered`)
@@ -101,7 +102,8 @@ SHAPES = {
     "n=300/p=3": (300, 3, 1),
     "n=450/p=3": (450, 3, 1),
 }
-LOOP_NODES = 2000  # n of the euc2d_costs, symmetry and seeding inputs, and of a colony loop
+# n of the euc2d_costs, symmetry, clustering and seeding inputs, and of a colony loop
+LOOP_NODES = 2000
 WIDE_LOOP_NODES = (1000, LOOP_NODES)  # n of the large-n colony loops, p = n / 5
 CRITERION_3_LOOP = 10  # instances of the criterion 3 corpus in its colony loop
 
@@ -311,6 +313,8 @@ def loops(g, shapes: dict, coords, big, corpus: list, wide: list, loads: dict) -
     cost = big.costs.cost
     out[f"euc2d_costs n={LOOP_NODES}"] = lambda: g.euc2d_costs(coords).cost
     out[f"_is_symmetric n={LOOP_NODES}"] = lambda: g.instance._is_symmetric(cost)
+    out[f"cluster_instance n={LOOP_NODES}"] = lambda: json.dumps(
+        g.cluster_instance(big.costs).clusters)
     seeded = g.aco._visibility_lookup(cost, 5.0, big.max_cost, 1e-6)[1]
     out[f"weight seeding n={LOOP_NODES}"] = lambda: seeded(...)
     out["colony 11EIL51 acs+racs 20x10"] = colony_runs(g, [shapes["11EIL51"]], ("acs", "racs"), 20)

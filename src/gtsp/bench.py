@@ -32,6 +32,7 @@ from .construct import nn_reference_cost
 from .exact import DEFAULT_CELL_CAP, CellCapExceeded, exact_solve
 from .instance import (
     GtspInstance,
+    ascii_int,
     check_cluster_count,
     check_node_count,
     generate_instance,
@@ -246,7 +247,7 @@ def sidecar_optimum(path: str | Path) -> int | None:
     """Known optimum from `<instance-file>.opt`, if present.
 
     Raises ValueError when the file does not start with a non-negative
-    integer.
+    integer of ASCII digits (`gtsp.instance.ascii_int`).
     """
     opt_path = Path(str(path) + ".opt")
     if not opt_path.exists():
@@ -255,7 +256,7 @@ def sidecar_optimum(path: str | Path) -> int | None:
     if not tokens:
         raise ValueError(f"{opt_path.name} is empty")
     try:
-        optimum = int(tokens[0])
+        optimum = ascii_int(tokens[0])
     except ValueError:
         optimum = -1  # refused below, with the negative ones
     if optimum < 0:

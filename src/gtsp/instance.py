@@ -18,10 +18,12 @@ whichever kind the file is. Loading a raw TSPLIB file (`_scan_records`,
 `_parse_coords`, `euc2d_costs`, `cluster_instance`, the one raw-file path,
 which `gtsp cluster` reads through too) holds one n x n matrix at a time:
 costs are computed in row blocks into the matrix, `CostMatrix` keeps that
-array as a read-only view instead of copying it, and clustering reads it in
-place.
+array as a read-only view instead of copying it, and clustering reads the
+chosen centers' costs a block of nodes at a time, within `BLOCK_BYTES`.
 Every blocked loop, here and in `gtsp.aco` and `gtsp.exact`, sizes its
 temporaries by one byte budget, `BLOCK_BYTES`, read when the loop runs.
+A number in an instance file is refused when it holds `_` or a non-ASCII
+character (`ascii_int`).
 """
 
 from __future__ import annotations
@@ -123,9 +125,9 @@ class CostMatrix:
 
 
 # Bytes of one temporary array in a blocked loop: the row blocks of
-# `euc2d_costs`, the tiles of `_is_symmetric`, the row blocks that seed the
-# colony's weights, the colony's blocks of uniform draws and the min-plus
-# steps of `exact_solve`.
+# `euc2d_costs`, the tiles of `_is_symmetric`, the nearest-center blocks of
+# `cluster_instance`, the row blocks that seed the colony's weights, the
+# colony's blocks of uniform draws and the min-plus steps of `exact_solve`.
 BLOCK_BYTES = 1 << 19
 
 
@@ -259,7 +261,9 @@ def _parse_coords(
     seen: dict[int, int] = {}
     for lineno, line in coord_records:
         parts = line.split()
-        if len(parts) != 3:
+        # the rule of `ascii_int`, checked once a line: a call per number
+        # slowed the parse of a raw file by about a fifth
+        if len(parts) != 3 or "_" in line or not line.isascii():
             raise ParseError(f"line {lineno}: bad coordinate record {line!r}")
         try:
             node = int(parts[0])
@@ -344,24 +348,44 @@ def check_cluster_count(m: int, n: int) -> None:
 def cluster_instance(costs: CostMatrix, m: int | None = None, name: str = "") -> GtspInstance:
     """Partition nodes into m clusters around mutually-far centers.
 
-    The first center is the lowest-id node on a maximum-cost pair; each next
-    center maximizes its minimum cost to the centers already chosen; every
-    other node joins its nearest center. All ties break to the lowest node id
-    (or lowest center index), so the result is a pure function of its inputs.
+    The first center is the lowest node id whose row or column holds the
+    largest cost (the zero diagonal cannot hold it unless every cost is 0,
+    and then node 0 is first either way); each next center maximizes its
+    minimum cost to the centers already chosen; every other node joins its
+    nearest center. All ties break to the lowest node id (or lowest center
+    index), so the result is a pure function of its inputs.
+
+    The costs are read where they lie, never copied whole: a center's costs
+    as one row of the matrix when it is symmetric and as one column
+    otherwise. The nearest centers are found a block of nodes at a time,
+    and the centers' costs to one block, gathered for `argmin`, stay within
+    `BLOCK_BYTES`.
     """
     n = costs.n
     if m is None:
         m = default_cluster_count(n)
     check_cluster_count(m, n)
 
-    # rows[c][v] is the cost from node v to center c; for symmetric costs
-    # that is row c itself, read contiguously
-    rows = costs.cost if costs.symmetric else costs.cost.T
-    centers = _farthest_centers(rows, m, costs.symmetric)
-    to_centers = rows[centers]
-    # argmin over axis 0 with its tie rule (lowest center index), without
-    # the transposed copy np.argmin(to_centers, axis=0) would make
-    assign = (to_centers == to_centers.min(axis=0)).argmax(axis=0)
+    # to[c][v] is the cost from node v to node c; for symmetric costs that
+    # is row c itself, read contiguously
+    to = costs.cost if costs.symmetric else costs.cost.T
+    # each node's largest cost, in its row or (asymmetric) its column, bounds
+    # its cost to any center: so it starts the minimum cost to the chosen
+    # centers, and the first pick is the first center
+    min_to_centers = to.max(axis=1)
+    if not costs.symmetric:
+        np.maximum(min_to_centers, to.max(axis=0), out=min_to_centers)
+    centers: list[int] = []
+    for _ in range(m):
+        nxt = int(min_to_centers.argmax())  # ties: lowest node id
+        centers.append(nxt)
+        np.minimum(min_to_centers, to[nxt], out=min_to_centers)
+        min_to_centers[nxt] = -1  # chosen nodes never re-selected
+
+    # argmin keeps each node's first minimum, the lowest center index
+    block = per_block(m * to.itemsize)
+    assign = np.concatenate([to[centers, lo:lo + block].argmin(axis=0)
+                             for lo in range(0, n, block)])
     # a center anchors its own cluster even under zero-cost ties
     assign[centers] = np.arange(m)
     members: list[list[int]] = [[] for _ in range(m)]
@@ -372,29 +396,6 @@ def cluster_instance(costs: CostMatrix, m: int | None = None, name: str = "") ->
         costs=costs,
         clusters=tuple(map(tuple, members)),
     )
-
-
-def _farthest_centers(rows: np.ndarray, m: int, symmetric: bool) -> list[int]:
-    """Centers in selection order; `rows[c][v]` is the cost from v to c.
-
-    The first center is the lowest node id whose row or column holds the
-    largest cost. The zero diagonal cannot hold it unless every cost is 0,
-    and then node 0 is first either way.
-    """
-    node_max = rows.max(axis=1)
-    if not symmetric:  # a node's largest cost may lie in its row or its column
-        np.maximum(node_max, rows.max(axis=0), out=node_max)
-    first = int(node_max.argmax())  # ties: lowest node id
-
-    centers = [first]
-    min_to_centers = rows[first].copy()
-    min_to_centers[first] = -1  # chosen nodes never re-selected
-    for _ in range(m - 1):
-        nxt = int(min_to_centers.argmax())  # ties: lowest node id
-        centers.append(nxt)
-        np.minimum(min_to_centers, rows[nxt], out=min_to_centers)
-        min_to_centers[nxt] = -1
-    return centers
 
 
 def _clustered(coords: NodeCoords, set_headers, set_records, path: Path) -> GtspInstance:
@@ -482,7 +483,7 @@ def _parse_set_section(
     for lineno, line in set_records:
         for tok in line.split():
             try:
-                tokens.append((lineno, int(tok)))
+                tokens.append((lineno, ascii_int(tok)))
             except ValueError:
                 raise ParseError(f"line {lineno}: bad set record token {tok!r}") from None
 
@@ -630,6 +631,18 @@ def _required_int_header(headers: dict[str, tuple[int, str]], key: str) -> int:
         raise ParseError(f"missing {key} record")
     lineno, value = headers[key]
     try:
-        return int(value)
+        return ascii_int(value)
     except ValueError:
         raise ParseError(f"line {lineno}: {key} is not an integer: {value!r}") from None
+
+
+def ascii_int(token: str) -> int:
+    """`int(token)`, refusing with ValueError a token that holds `_` or a
+    non-ASCII character, which Python's own parsers accept as digit
+    separators and as digits (`1_0` reads as 10, and so does a 10 in
+    Arabic-Indic digits). The set records, the integer headers and an
+    optimum sidecar are read here; `_parse_coords` holds a coordinate record
+    to the same rule a line at a time."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"{token!r} is not a plain ASCII integer")
+    return int(token)

@@ -335,8 +335,8 @@ class TestRunExperiment:
             assert cell.best >= reports[0].optimum
 
     @pytest.mark.parametrize(
-        "text", ["", "\n", "opt=7\n", "12.5\n", "-5\n"],
-        ids=["empty", "blank", "word", "decimal", "negative"]
+        "text", ["", "\n", "opt=7\n", "12.5\n", "-5\n", "1_74\n", "\u0661\u0667\u0664\n"],
+        ids=["empty", "blank", "word", "decimal", "negative", "separator", "non-ascii digits"]
     )
     def test_bad_sidecar_reported_and_row_kept(self, tmp_path, text, capsys):
         coords, inst = generate_instance(nodes=10, clusters=3, seed=4)

@@ -106,6 +106,13 @@ class TestParseTsplib:
         ("2 3 4", "2 3", "line 6: bad coordinate record '2 3'"),
         ("2 3 4", "2 3 x", "line 6: bad coordinate record '2 3 x'"),
         ("DIMENSION : 3", "DIMENSION : three", "line 2: DIMENSION is not an integer: 'three'"),
+        # Python's int and float read digit separators and non-ASCII digits
+        ("DIMENSION : 3", "DIMENSION : 0_3", "line 2: DIMENSION is not an integer: '0_3'"),
+        ("DIMENSION : 3", "DIMENSION : \u0663",
+         "line 2: DIMENSION is not an integer: '\u0663'"),
+        ("2 3 4", "2 3_0 4", "line 6: bad coordinate record '2 3_0 4'"),
+        ("2 3 4", "2 3 \u0664", "line 6: bad coordinate record '2 3 \u0664'"),
+        ("2 3 4", "\u0662 3 4", "line 6: bad coordinate record '\u0662 3 4'"),
     ])
     def test_refusal_messages(self, old, new, message):
         assert old in MINIMAL_TSP
@@ -437,11 +444,25 @@ class TestLoadPathEquivalence:
         inst = cluster_instance(costs, m=m)
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        # the (m, n) int16 cost-to-center block is 1.6 MB; a copy of the
-        # int16 cost matrix alone would be 8 MB
+        # a copy of the int16 cost matrix alone would be 8 MB; the tighter
+        # bound on the nearest-center search is the test below
         assert costs.cost.dtype == np.int16
         assert inst.p == m
         assert peak < 2 * m * n + (4 << 20)
+
+    def test_clustering_reads_the_centers_costs_a_block_at_a_time(self):
+        n = 3000
+        costs = euc2d_costs(generate_instance(n, 2, seed=1)[0])
+        tracemalloc.start()
+        inst = cluster_instance(costs)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        # the default 600 centers' int16 costs to all 3000 nodes would take
+        # 3.6 MB, and an (m, n) bool array beside them 1.8 MB more; a block
+        # of nodes holds 2^19 bytes of them, and argmin's transposed copy as
+        # much again
+        assert costs.cost.dtype == np.int16 and inst.p == 600
+        assert peak < 2 << 20
 
 
 CLUSTERED_4 = """\
@@ -496,6 +517,9 @@ class TestParseClustered:
         ("1 1 2 -1\n2 3 4 -1", "1 1 2 3 4", "line 12: set 1 not terminated by -1"),
         ("2 3 4 -1", "2 3 9 -1", "line 13: node 9 outside 1..4"),
         ("2 3 4 -1", "2 3 4 -1\n3 -1", "line 14: unexpected data after set 2"),
+        ("2 3 4 -1", "2 3 4 -0_1", "line 13: bad set record token '-0_1'"),
+        ("2 3 4 -1", "2 3 \u0664 -1", "line 13: bad set record token '\u0664'"),
+        ("GTSP_SETS : 2", "GTSP_SETS : 0_2", "line 4: GTSP_SETS is not an integer: '0_2'"),
     ])
     def test_set_section_refusal_messages(self, old, new, message):
         assert old in CLUSTERED_4
