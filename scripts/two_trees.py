@@ -16,7 +16,10 @@ printed with its stderr, and the script exits 1.
 `loops` loads both trees' packages into this one process and times
 `exact_solve` on each shape of SHAPES, `euc2d_costs`, `_is_symmetric`,
 `cluster_instance` (the n=2000 input's costs into n / 5 clusters, given as
-JSON), the seeding of the colony's weights, two small-p colony loops: 11EIL51
+JSON), the seeding of the colony's weights, the uncached nearest-neighbor
+reference (`gtsp.construct._nn_reference`) and `make_tour` (one node per
+cluster, the lowest, built once) on the n=2000 instance, each giving its
+tour's JSON, two small-p colony loops: 11EIL51
 with ACS and with RACS at 20 iterations x 10 ants, and the first 10 instances
 of the criterion 3 corpus with RACS at 100 x 10, and two large-n colony loops,
 RACS at 3 x 10 on generated n=1000/p=200 and n=2000/p=400, one on each side of
@@ -102,7 +105,8 @@ SHAPES = {
     "n=300/p=3": (300, 3, 1),
     "n=450/p=3": (450, 3, 1),
 }
-# n of the euc2d_costs, symmetry, clustering and seeding inputs, and of a colony loop
+# n of the euc2d_costs, symmetry, clustering, seeding, NN and make_tour inputs,
+# and of a colony loop
 LOOP_NODES = 2000
 WIDE_LOOP_NODES = (1000, LOOP_NODES)  # n of the large-n colony loops, p = n / 5
 CRITERION_3_LOOP = 10  # instances of the criterion 3 corpus in its colony loop
@@ -139,10 +143,9 @@ def rebuild(package, instance):
 
 
 def criterion_3_corpus(package) -> list:
-    """The 50 instances of acceptance criterion 3, as instances of `package`."""
-    rng = np.random.default_rng(20240603)
-    return [rebuild(package, oracles.random_matrix_instance(
-        int(rng.integers(8, 21)), int(rng.integers(3, 7)), rng)) for _ in range(50)]
+    """The 50 instances of acceptance criterion 3 (`oracles.criterion_3_corpus`),
+    as instances of `package`."""
+    return [rebuild(package, inst) for inst in oracles.criterion_3_corpus()]
 
 
 def seed_range(text: str, least: int = 1) -> list[int]:
@@ -254,9 +257,10 @@ def run_perfbench(args) -> int:
 
 # loops
 
-def inputs(g, directory: Path) -> tuple[dict, object, object, list, list, dict]:
+def inputs(g, directory: Path) -> tuple[dict, object, object, object, list, list, dict]:
     """The loops' inputs, built with package `g`: each shape's instance, the
-    coordinates and instance of the n = LOOP_NODES input, the first
+    coordinates and instance of the n = LOOP_NODES input with a node
+    sequence of that instance (its clusters' lowest nodes), the first
     CRITERION_3_LOOP instances of the criterion 3 corpus, the generated
     instances of WIDE_LOOP_NODES (the n = LOOP_NODES one is that input's),
     and the `load_instance_file` arguments of each load loop, whose n =
@@ -281,7 +285,8 @@ def inputs(g, directory: Path) -> tuple[dict, object, object, list, list, dict]:
     loads = {"eil51": (ROOT / "data" / "eil51.tsp",), f"raw n={LOOP_NODES}": (raw,),
              f"clustered n={LOOP_NODES}": (clustered,),
              f"raw n={LOOP_NODES} + cluster_file": (raw, None, clustered)}
-    return shapes, coords, big, criterion_3_corpus(g)[:CRITERION_3_LOOP], wide, loads
+    sequence = np.array([members[0] for members in big.clusters])
+    return shapes, coords, big, sequence, criterion_3_corpus(g)[:CRITERION_3_LOOP], wide, loads
 
 
 def colony_runs(g, instances: list, variants: tuple, iterations: int):
@@ -305,7 +310,8 @@ def loaded(g, *args):
     return load
 
 
-def loops(g, shapes: dict, coords, big, corpus: list, wide: list, loads: dict) -> dict:
+def loops(g, shapes: dict, coords, big, sequence, corpus: list, wide: list,
+          loads: dict) -> dict:
     """Each timed loop of package `g` on the given inputs, as a call without
     arguments that returns something comparable across trees."""
     out = {f"exact_solve {name}": lambda inst=inst: g.exact_solve(inst).to_json()
@@ -317,6 +323,8 @@ def loops(g, shapes: dict, coords, big, corpus: list, wide: list, loads: dict) -
         g.cluster_instance(big.costs).clusters)
     seeded = g.aco._visibility_lookup(cost, 5.0, big.max_cost, 1e-6)[1]
     out[f"weight seeding n={LOOP_NODES}"] = lambda: seeded(...)
+    out[f"_nn_reference n={LOOP_NODES}"] = lambda: g.construct._nn_reference(big)[1].to_json()
+    out[f"make_tour n={LOOP_NODES}"] = lambda: g.make_tour(big, sequence).to_json()
     out["colony 11EIL51 acs+racs 20x10"] = colony_runs(g, [shapes["11EIL51"]], ("acs", "racs"), 20)
     out[f"colony criterion-3 first {len(corpus)} racs 100x10"] = colony_runs(
         g, corpus, ("racs",), 100)

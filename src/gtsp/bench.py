@@ -32,7 +32,7 @@ from .construct import nn_reference_cost
 from .exact import DEFAULT_CELL_CAP, CellCapExceeded, exact_solve
 from .instance import (
     GtspInstance,
-    ascii_int,
+    ascii_number,
     check_cluster_count,
     check_node_count,
     generate_instance,
@@ -247,7 +247,7 @@ def sidecar_optimum(path: str | Path) -> int | None:
     """Known optimum from `<instance-file>.opt`, if present.
 
     Raises ValueError when the file does not start with a non-negative
-    integer of ASCII digits (`gtsp.instance.ascii_int`).
+    integer of ASCII digits (`gtsp.instance.ascii_number`).
     """
     opt_path = Path(str(path) + ".opt")
     if not opt_path.exists():
@@ -256,7 +256,7 @@ def sidecar_optimum(path: str | Path) -> int | None:
     if not tokens:
         raise ValueError(f"{opt_path.name} is empty")
     try:
-        optimum = ascii_int(tokens[0])
+        optimum = ascii_number(tokens[0])
     except ValueError:
         optimum = -1  # refused below, with the negative ones
     if optimum < 0:

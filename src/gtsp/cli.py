@@ -8,7 +8,8 @@ included), 2 instance error, 3 solver refusal. An allocation that fails is
 reported as out of memory: exit 2 while an instance loads or is generated,
 3 while a `solve` solver runs; `bench` skips the instance or leaves a dash
 in the solver's cell. `--clusters` below 2 is a usage error before the file
-is read.
+is read. Number flags take plain ASCII numbers, as instance files do
+(`gtsp.instance.ascii_number`): `1_0` or a non-ASCII digit is a usage error.
 
 `solve` and `bench` both run their solvers through `gtsp.bench.solve`. The
 colony flags of `solve` are made from the `AcoParams` field declarations
@@ -29,6 +30,7 @@ import json
 import os
 import sys
 from dataclasses import MISSING
+from functools import partial
 from pathlib import Path
 
 from .aco import AcoParams, base_type
@@ -46,7 +48,7 @@ from .bench import (
     solve,
 )
 from .exact import CellCapExceeded
-from .instance import _read_file, format_clustered
+from .instance import _read_file, ascii_number, format_clustered
 
 EXIT_USAGE = 1
 EXIT_INSTANCE = 2
@@ -94,24 +96,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _number(text: str, kind: type = int):
+    """A number flag's value, a `kind` (int or float) read by the rule of
+    instance files, `ascii_number`: `1_0` and non-ASCII digits are refused."""
+    try:
+        return ascii_number(text, kind)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
 def _cluster_count(text: str) -> int:
     """A `--clusters` value: an integer of at least 2. Whether it is at most
     n depends on the file, an instance error."""
-    try:
-        m = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    m = _number(text)
     if m < 2:
         raise argparse.ArgumentTypeError(f"cluster count m={m} must be at least 2")
     return m
 
 
 def _add_flags(cmd, declared_fields) -> None:
-    """One flag per declared `(field, type)`, with the flag, metavar and
-    default of its declaration; a field without a default is a required flag."""
+    """One number flag per declared `(field, type)`, read by `_number`, with
+    the flag, metavar and default of its declaration; a field without a
+    default is a required flag."""
     for f, hint in declared_fields:
         required = f.default is MISSING
-        cmd.add_argument(f.metadata["flag"], dest=f.name, type=base_type(hint),
+        cmd.add_argument(f.metadata["flag"], dest=f.name,
+                         type=partial(_number, kind=base_type(hint)),
                          required=required, default=None if required else f.default,
                          metavar=f.metadata["metavar"])
 

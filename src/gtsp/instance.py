@@ -14,16 +14,18 @@ tour costs sum in int64, and the solvers widen before they add.
 `load_instance_file` reads every kind of instance file, raw, clustered or
 with a cluster file, through one path, `_read_file`; a fault in the sets
 is a `ParseError` and costs that overflow are a `CostOverflowError`,
-whichever kind the file is. Loading a raw TSPLIB file (`_scan_records`,
-`_parse_coords`, `euc2d_costs`, `cluster_instance`, the one raw-file path,
-which `gtsp cluster` reads through too) holds one n x n matrix at a time:
+whichever kind the file is. A `DIMENSION` or `GTSP_SETS` record is a count
+of at least 2, and is refused at its line otherwise (`_count_header`).
+Loading a raw TSPLIB file (`_scan_records`, `_parse_coords`, `euc2d_costs`,
+`cluster_instance`, the one raw-file path, which `gtsp cluster` reads
+through too) holds one n x n matrix at a time:
 costs are computed in row blocks into the matrix, `CostMatrix` keeps that
 array as a read-only view instead of copying it, and clustering reads the
 chosen centers' costs a block of nodes at a time, within `BLOCK_BYTES`.
 Every blocked loop, here and in `gtsp.aco` and `gtsp.exact`, sizes its
 temporaries by one byte budget, `BLOCK_BYTES`, read when the loop runs.
-A number in an instance file is refused when it holds `_` or a non-ASCII
-character (`ascii_int`).
+A number in an instance file, or in a number flag of the CLI, is refused
+when it holds `_` or a non-ASCII character (`ascii_number`).
 """
 
 from __future__ import annotations
@@ -243,9 +245,7 @@ def parse_tsplib(text: str) -> NodeCoords:
 def _parse_coords(
     headers: dict[str, tuple[int, str]], coord_records: list[tuple[int, str]] | None
 ) -> NodeCoords:
-    dim = _required_int_header(headers, "DIMENSION")
-    if dim < 2:
-        raise ParseError(f"line {headers['DIMENSION'][0]}: DIMENSION {dim} is below 2")
+    dim = _count_header(headers, "DIMENSION")
     ew_lineno, ew_type = headers.get("EDGE_WEIGHT_TYPE", (0, ""))
     if not ew_type:
         raise ParseError("missing EDGE_WEIGHT_TYPE record")
@@ -261,7 +261,7 @@ def _parse_coords(
     seen: dict[int, int] = {}
     for lineno, line in coord_records:
         parts = line.split()
-        # the rule of `ascii_int`, checked once a line: a call per number
+        # the rule of `ascii_number`, checked once a line: a call per number
         # slowed the parse of a raw file by about a fifth
         if len(parts) != 3 or "_" in line or not line.isascii():
             raise ParseError(f"line {lineno}: bad coordinate record {line!r}")
@@ -404,19 +404,15 @@ def _clustered(coords: NodeCoords, set_headers, set_records, path: Path) -> Gtsp
     `path` itself for a clustered file and the cluster file of a
     `cluster_file` load. The set file's DIMENSION must equal the coordinate
     count. The instance takes the set file's NAME record, or the stem of
-    `path` when it has none. A fault in the sets is a `ParseError`; costs
-    that overflow are a `CostOverflowError`, as on every load."""
-    n = _required_int_header(set_headers, "DIMENSION")
+    `path` when it has none. A fault in the sets is a `ParseError` of
+    `_parse_set_section`, which refuses every partition `GtspInstance`
+    would; costs that overflow are a `CostOverflowError`, as on every load."""
+    n = _count_header(set_headers, "DIMENSION")
     clusters = _parse_set_section(set_headers, set_records, n)
     if n != len(coords):
         raise ParseError(f"cluster file covers {n} nodes but {path.name} has {len(coords)}")
-    try:
-        return GtspInstance(name=set_headers.get("NAME", (0, ""))[1] or path.stem,
-                            costs=euc2d_costs(coords), clusters=clusters)
-    except CostOverflowError:
-        raise
-    except ValueError as exc:  # the partition, which the set records give
-        raise ParseError(str(exc)) from None
+    return GtspInstance(name=set_headers.get("NAME", (0, ""))[1] or path.stem,
+                        costs=euc2d_costs(coords), clusters=clusters)
 
 
 def load_instance_file(
@@ -476,14 +472,14 @@ def _parse_set_section(
     headers: dict[str, tuple[int, str]], set_records: list[tuple[int, str]] | None, n: int
 ) -> tuple[tuple[int, ...], ...]:
     """The GTSP_SETS sets of the set section as 0-based node ids."""
-    p = _required_int_header(headers, "GTSP_SETS")
+    p = _count_header(headers, "GTSP_SETS")
     if set_records is None:
         raise ParseError("missing GTSP_SET_SECTION")
     tokens: list[tuple[int, int]] = []  # (lineno, value)
     for lineno, line in set_records:
         for tok in line.split():
             try:
-                tokens.append((lineno, ascii_int(tok)))
+                tokens.append((lineno, ascii_number(tok)))
             except ValueError:
                 raise ParseError(f"line {lineno}: bad set record token {tok!r}") from None
 
@@ -626,23 +622,29 @@ def _scan_records(text: str):
     return headers, sections.get("coords"), sections.get("sets")
 
 
-def _required_int_header(headers: dict[str, tuple[int, str]], key: str) -> int:
+def _count_header(headers: dict[str, tuple[int, str]], key: str) -> int:
+    """The count of header record `key`, DIMENSION or GTSP_SETS: an integer
+    of at least 2, else a `ParseError` at its record."""
     if key not in headers:
         raise ParseError(f"missing {key} record")
     lineno, value = headers[key]
     try:
-        return ascii_int(value)
+        count = ascii_number(value)
     except ValueError:
         raise ParseError(f"line {lineno}: {key} is not an integer: {value!r}") from None
+    if count < 2:
+        raise ParseError(f"line {lineno}: {key} {count} is below 2")
+    return count
 
 
-def ascii_int(token: str) -> int:
-    """`int(token)`, refusing with ValueError a token that holds `_` or a
-    non-ASCII character, which Python's own parsers accept as digit
-    separators and as digits (`1_0` reads as 10, and so does a 10 in
-    Arabic-Indic digits). The set records, the integer headers and an
-    optimum sidecar are read here; `_parse_coords` holds a coordinate record
-    to the same rule a line at a time."""
+def ascii_number(token: str, kind: type = int):
+    """`kind(token)`, with `kind` int or float, refusing with ValueError a
+    token that holds `_` or a non-ASCII character, which Python's own
+    parsers accept as digit separators and as digits (`1_0` reads as 10,
+    and so does a 10 in Arabic-Indic or fullwidth digits). The set records,
+    the count headers, an optimum sidecar and the CLI's number flags are
+    read here; `_parse_coords` holds a coordinate record to the same rule a
+    line at a time."""
     if "_" in token or not token.isascii():
-        raise ValueError(f"{token!r} is not a plain ASCII integer")
-    return int(token)
+        raise ValueError(f"{token!r} is not a plain ASCII {kind.__name__}")
+    return kind(token)

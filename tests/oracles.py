@@ -13,7 +13,9 @@ for the batched one in `gtsp.exact`; `best_tour_for_sequence` is the
 layered-DAG shortest path for a fixed cluster order, the subproblem of the
 paper's exact method, which checks `exact_solve` and criterion 2;
 `parse_clustered` reads a clustered instance from text with the loader's own
-scan, parse and assembler (`_scan_records`, `_parse_coords`, `_clustered`).
+scan, parse and assembler (`_scan_records`, `_parse_coords`, `_clustered`);
+`criterion_3_corpus` is the corpus of acceptance criteria 3 and 4, which
+`scripts/two_trees.py` reads too.
 """
 
 from __future__ import annotations
@@ -55,6 +57,15 @@ def random_matrix_instance(
         costs=CostMatrix(cost),
         clusters=tuple(tuple(c) for c in clusters),
     )
+
+
+def criterion_3_corpus() -> list[GtspInstance]:
+    """The 50 instances of acceptance criteria 3 and 4: symmetric random
+    matrices, n 8..20 and p 3..6 drawn per instance from generator seed
+    20240603."""
+    rng = np.random.default_rng(20240603)
+    return [random_matrix_instance(int(rng.integers(8, 21)), int(rng.integers(3, 7)), rng)
+            for _ in range(50)]
 
 
 def trap_instance(symmetric: bool) -> GtspInstance:

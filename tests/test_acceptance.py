@@ -32,6 +32,7 @@ from oracles import (
     best_tour_for_sequence,
     brute_force_best_for_order,
     brute_force_optimum,
+    criterion_3_corpus,
     random_matrix_instance,
 )
 
@@ -96,14 +97,7 @@ def test_criterion_2_sequence_dp_matches_brute_force():
 @pytest.fixture(scope="module")
 def certified_corpus():
     """50 small instances with optima certified by the exact solver."""
-    rng = np.random.default_rng(20240603)
-    corpus = []
-    for _ in range(50):
-        n = int(rng.integers(8, 21))
-        p = int(rng.integers(3, 7))
-        inst = random_matrix_instance(n, p, rng, symmetric=True)
-        corpus.append((inst, exact_solve(inst).cost))
-    return corpus
+    return [(inst, exact_solve(inst).cost) for inst in criterion_3_corpus()]
 
 
 @pytest.fixture(scope="module")

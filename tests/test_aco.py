@@ -746,6 +746,16 @@ class TestParams:
         with pytest.raises(ValueError, match="beta must be finite and >= 0"):
             AcoParams(beta=beta)
 
+    # an int beyond the float range is read as an infinity of its sign
+    @pytest.mark.parametrize("field, value, message", [
+        ("beta", 10**400, "beta must be finite and >= 0, got inf"),
+        ("rho", -10**400, "rho must lie in (0, 1), got -inf"),
+    ])
+    def test_rejects_integers_beyond_the_float_range(self, field, value, message):
+        with pytest.raises(ValueError) as exc:
+            AcoParams(**{field: value})
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("time_max", [float("nan"), -0.5])
     def test_rejects_bad_time_max(self, time_max):
         with pytest.raises(ValueError, match="time_max"):

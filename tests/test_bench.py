@@ -467,10 +467,10 @@ class TestLoadInstanceFile:
         pytest.param("DIMENSION : 4\nGTSP_SETS : 2\nGTSP_SET_SECTION\n1 1 2 -1\n2 3 4 -1\nEOF\n",
                      ParseError, "cluster file covers 4 nodes but eil51.tsp has 51",
                      id="other-dimension"),
-        # refused with the type a clustered file with this section gets
+        # a set count below 2 is refused at its record
         pytest.param("DIMENSION : 51\nGTSP_SETS : 1\nGTSP_SET_SECTION\n1 "
                      + " ".join(map(str, range(1, 52))) + " -1\nEOF\n",
-                     ParseError, "need at least 2 clusters, got 1", id="one-set"),
+                     ParseError, "line 2: GTSP_SETS 1 is below 2", id="one-set"),
     ])
     def test_cluster_file_refusal_messages(self, tmp_path, data_dir, donor_text, error,
                                            message):

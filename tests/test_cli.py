@@ -224,6 +224,31 @@ class TestExitCodes:
                                     f" m={clusters} must be at least 2\n")
         assert "missing.tsp" not in proc.stderr
 
+    # number flags take plain ASCII numbers, as instance files do; Python's
+    # int and float would read each of these values as a number
+    @pytest.mark.parametrize("args, flag, value", [
+        pytest.param(["solve", DATA / "eil51.tsp", "--algo", "racs", "--max-iters", "1_0",
+                      "--seed", "\u0663"], "--max-iters", "1_0", id="max-iters-separator"),
+        pytest.param(["solve", DATA / "eil51.tsp", "--algo", "racs", "--max-iters", 10,
+                      "--seed", "\u0663"], "--seed", "\u0663", id="seed-arabic-indic"),
+        pytest.param(["solve", DATA / "eil51.tsp", "--algo", "racs", "--max-iters", 5,
+                      "--beta", "\uff15"], "--beta", "\uff15", id="beta-fullwidth"),
+        pytest.param(["solve", DATA / "eil51.tsp", "--algo", "nn", "--clusters", "1_1"],
+                     "--clusters", "1_1", id="clusters-separator"),
+        pytest.param(["solve", DATA / "eil51.tsp", "--algo", "nn", "--clusters", "x"],
+                     "--clusters", "x", id="clusters-non-number"),
+        pytest.param(["gen", "--nodes", "1_2", "--clusters", 3, "--seed", "\u0667"],
+                     "--nodes", "1_2", id="gen-nodes-separator"),
+        pytest.param(["gen", "--nodes", 12, "--clusters", 3, "--seed", "\u0667"],
+                     "--seed", "\u0667", id="gen-seed-arabic-indic"),
+    ])
+    def test_number_flags_follow_the_file_rule(self, args, flag, value):
+        proc = gtsp_cli(*args)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        kind = "float" if flag == "--beta" else "int"
+        assert proc.stderr.endswith(
+            f"gtsp {args[0]}: error: argument {flag}: invalid {kind} value: {value!r}\n")
+
     def test_clusters_above_n_is_2(self):
         proc = gtsp_cli("solve", DATA / "eil51.tsp", "--algo", "nn", "--clusters", 52)
         assert proc.returncode == 2
@@ -633,6 +658,7 @@ class TestSolveMatchesBench:
     def test_solve_flag_defaults_are_aco_params_defaults(self):
         # Both interfaces are made from the AcoParams declarations; pin them to
         # the names, metavars, types and config keys they had when written out.
+        # A flag's type is read by the rule of instance files, `_number`.
         colony = {  # field: (flag, metavar, type, config key)
             "beta": ("--beta", "B", float, "beta"),
             "rho": ("--rho", "R", float, "rho"),
@@ -650,7 +676,8 @@ class TestSolveMatchesBench:
         d = AcoParams()
         for name, (flag, metavar, kind, _) in colony.items():
             action = flags[flag]
-            assert (action.metavar, action.type) == (metavar, kind)
+            assert (action.metavar, action.type.func, action.type.keywords) == (
+                metavar, gtsp.cli._number, {"kind": kind})
             assert getattr(args, action.dest) == getattr(d, name)
         keys = {"instances", "algorithms", "repetitions", "seeds", "cell_cap", "output"}
         keys |= {key for *_, key in colony.values()}

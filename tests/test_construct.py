@@ -165,6 +165,14 @@ class TestNnTour:
         inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1, 2)))
         assert nn_tour(inst, 0).nodes == (0, 1)
 
+    @pytest.mark.parametrize("start", [-1, 3])
+    def test_start_out_of_range(self, start):
+        cost = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        inst = GtspInstance(name="x", costs=CostMatrix(cost), clusters=((0,), (1, 2)))
+        with pytest.raises(ValueError) as exc:
+            nn_tour(inst, start)
+        assert str(exc.value) == f"start node {start} out of range"
+
 
 class TestNnReference:
     def test_all_equal_costs(self):

@@ -520,6 +520,10 @@ class TestParseClustered:
         ("2 3 4 -1", "2 3 4 -0_1", "line 13: bad set record token '-0_1'"),
         ("2 3 4 -1", "2 3 \u0664 -1", "line 13: bad set record token '\u0664'"),
         ("GTSP_SETS : 2", "GTSP_SETS : 0_2", "line 4: GTSP_SETS is not an integer: '0_2'"),
+        # a set count below 2 is refused at its record, as DIMENSION is
+        ("GTSP_SETS : 2", "GTSP_SETS : 1", "line 4: GTSP_SETS 1 is below 2"),
+        ("GTSP_SETS : 2", "GTSP_SETS : 0", "line 4: GTSP_SETS 0 is below 2"),
+        ("GTSP_SETS : 2", "GTSP_SETS : -1", "line 4: GTSP_SETS -1 is below 2"),
     ])
     def test_set_section_refusal_messages(self, old, new, message):
         assert old in CLUSTERED_4
@@ -712,13 +716,17 @@ class TestInvariants:
         (lambda: NodeCoords(np.zeros((3, 3))), ValueError,
          "expected an (n, 2) coordinate array, got shape (3, 3)"),
         (lambda: NodeCoords(np.zeros((1, 2))), ValueError, "need at least 2 nodes"),
+        # a file's coordinates meet `_parse_coords`' own check first
+        (lambda: NodeCoords(np.array([[0.0, 0.0], [np.inf, 1.0]])), ValueError,
+         "coordinates must be finite"),
         (lambda: CostMatrix(np.zeros((2, 3), dtype=int)), ValueError,
          "cost matrix must be square, got shape (2, 3)"),
         (lambda: CostMatrix(np.array([[0, 1.5], [1.5, 0]])), ValueError,
          "costs must be integers"),
         (lambda: gtsp.instance.cost_dtype(2**63), CostOverflowError,
          "largest cost 9223372036854775808 does not fit in int64"),
-    ], ids=["coords-shape", "one-node", "non-square", "float-cost", "cost-overflow"])
+    ], ids=["coords-shape", "one-node", "non-finite-coords", "non-square", "float-cost",
+            "cost-overflow"])
     def test_constructors_refuse_bad_input(self, build, error, message):
         with pytest.raises(ValueError) as exc:
             build()

@@ -222,7 +222,7 @@ class TestLoops:
         parent, change = two_trees.packages(ROOT, ROOT)
         parent_loops, change_loops = two_trees.side_loops(parent, change, tmp_path)
         assert list(parent_loops) == list(change_loops)
-        assert len(change_loops) == len(two_trees.SHAPES) + 12
+        assert len(change_loops) == len(two_trees.SHAPES) + 14
         for call in change_loops.values():
             call()
 
@@ -292,6 +292,8 @@ class TestMethod:
             for owner, name, kept in ((g, "exact_solve", None), (g, "euc2d_costs", None),
                                       (g.instance, "_is_symmetric", None), (g, "run", 1),
                                       (g, "cluster_instance", None),
+                                      (g.construct, "_nn_reference", None),
+                                      (g, "make_tour", None),
                                       (g, "load_instance_file", None)):
                 monkeypatch.setattr(owner, name, record(getattr(owner, name), kept))
         for name in parent_loops:  # each loop's own call, once per side
